@@ -5,9 +5,10 @@ into a tree of self-contained physical operators (:mod:`.operators`) via
 the physical compiler (:mod:`.compile`), and schedules their
 per-(operator, partition) tasks through a pluggable backend
 (:mod:`.backends`).  All cost accounting flows through an
-:class:`~repro.engine.context.ExecutionContext` (:mod:`.context`), which
-wraps :class:`~repro.query.cost.ExecutionStats` with thread-safe
-per-operator × per-node metric recording and an optional trace hook.
+:class:`~repro.engine.context.ExecutionContext` (:mod:`.context`): one
+lock-free recorder of per-operator × per-node records, from which the
+:class:`~repro.query.cost.ExecutionStats` totals are derived, plus an
+optional trace hook.
 
 Exports are resolved lazily (PEP 562): the engine and :mod:`repro.query`
 import each other's submodules, and an eager package init here would

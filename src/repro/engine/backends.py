@@ -3,10 +3,13 @@
 A backend receives a compiled operator tree and an
 :class:`~repro.engine.context.ExecutionContext` and decides *when and
 where* each per-(operator, partition) task runs; the operators decide
-*what* each task does.  Because every accounting call is commutative (and
-join events are flushed in deterministic order by the context), any
-schedule that respects the task dependencies produces identical rows and
-identical :class:`~repro.query.cost.ExecutionStats`.
+*what* each task does.  Tasks account into a recorder
+(:class:`~repro.engine.context.ContextDelta`): the query's context itself
+when tasks run one at a time on the calling thread, a fresh one per task
+or worker job otherwise, merged back on completion.  Merging is
+commutative (and join events are flushed in deterministic order by the
+context), so any schedule that respects the task dependencies produces
+identical rows and identical :class:`~repro.query.cost.ExecutionStats`.
 
 All backends share one task DAG, built by :func:`build_task_graph`.
 Dependencies, per operator:
@@ -23,8 +26,8 @@ exchange state) and the slots it reads.  In-process backends ignore the
 slots — tasks read and write the shared operator tree directly.  The
 process-pool backend uses them to build :class:`TaskPayload` messages:
 the slot values a job must carry into a worker, and the slot values the
-worker must ship back, together with a mergeable
-:class:`~repro.engine.context.ContextDelta` of everything it accounted.
+worker must ship back, together with the recorder of everything it
+accounted.
 
 :class:`SerialBackend` executes the tasks in plan post-order on the
 calling thread — bitwise-identical to the old monolithic interpreter.
@@ -33,8 +36,7 @@ between exchange barriers on a shared thread pool (concurrency without
 parallelism: CPython threads cannot speed up pure-Python row loops).
 :class:`ProcessPoolBackend` runs fused per-partition task chains in
 worker processes for true multicore execution; inter-stage row buckets
-route back through the coordinator, and stats deltas merge commutatively
-at the exchange barriers.
+route back through the coordinator.
 """
 
 from __future__ import annotations
@@ -78,24 +80,25 @@ class Backend:
         self.close()
 
 
-def _timed(
-    ctx,
-    op: PhysicalOperator,
-    phase: str,
-    node_id: int | None,
-    fn: Callable[[], None],
+def run_step(
+    ctx: ContextDelta, op: PhysicalOperator, phase: str, index: int
 ) -> None:
-    """Run one task, reporting it to the trace hook if one is installed.
+    """Run one task of *op*, accounting into the recorder *ctx*.
 
-    *ctx* is an :class:`ExecutionContext` or a worker-side
-    :class:`~repro.engine.context.ContextDelta` — both expose ``trace``
-    and ``record_trace``.
+    With a trace hook installed the task is timed and reported to it.
     """
+    if phase == "prepare":
+        node_id, fn = index, op.prepare_partition
+    elif phase == "exchange":
+        node_id, fn = None, op.exchange
+    else:
+        node_id, fn = index, op.run_partition
+    args = (ctx,) if node_id is None else (ctx, index)
     if ctx.trace is None:
-        fn()
+        fn(*args)
         return
     started = time.perf_counter()
-    fn()
+    fn(*args)
     elapsed = time.perf_counter() - started
     if multiprocessing.current_process().name == "MainProcess":
         worker = threading.current_thread().name
@@ -176,21 +179,9 @@ class EngineTask:
         self.deps: list["EngineTask"] = []
         self.remaining = 0
 
-    def run(self, ctx) -> None:
-        """Execute this task against *ctx* (context or delta)."""
-        op, index = self.op, self.index
-        if self.phase == "prepare":
-            _timed(
-                ctx, op, "prepare", index,
-                lambda: op.prepare_partition(ctx, index),
-            )
-        elif self.phase == "exchange":
-            _timed(ctx, op, "exchange", None, lambda: op.exchange(ctx))
-        else:
-            _timed(
-                ctx, op, "partition", index,
-                lambda: op.run_partition(ctx, index),
-            )
+    def run(self, ctx: ContextDelta) -> None:
+        """Execute this task, accounting into the recorder *ctx*."""
+        run_step(ctx, self.op, self.phase, self.index)
 
 
 def _link(dep: EngineTask, task: EngineTask) -> None:
@@ -313,6 +304,10 @@ class ThreadPoolBackend(Backend):
     query never leaves stragglers mutating operator state while the pool
     serves the next query.
 
+    Each task accounts into its own recorder, merged into the query's
+    context under the scheduler lock when the task completes — the only
+    lock on the accounting path.
+
     The pool is created lazily and reused across queries; ``close()``
     shuts it down.
     """
@@ -355,8 +350,11 @@ class ThreadPoolBackend(Backend):
         }
 
         def execute(task: EngineTask) -> None:
+            recorder = ctx.delta()
             try:
-                task.run(ctx)
+                task.run(recorder)
+                with lock:  # also serialises the trace hook's calls
+                    ctx.merge_delta(recorder)
             except BaseException as error:  # propagate to the caller
                 with lock:
                     if state["error"] is None:
@@ -415,7 +413,7 @@ class TaskPayload(NamedTuple):
 
 
 class TaskResult(NamedTuple):
-    """Message shipped back: exported slot values plus the stats delta."""
+    """Message shipped back: exported slot values plus the job's recorder."""
 
     exports: tuple[tuple[Slot, object], ...]
     delta: ContextDelta
@@ -440,19 +438,7 @@ def _execute_payload(payload: TaskPayload) -> TaskResult:
     for slot, value in payload.preloads:
         write_slot(ops, slot, value)
     for op_id, phase, index in payload.steps:
-        op = ops[op_id]
-        if phase == "prepare":
-            _timed(
-                delta, op, "prepare", index,
-                lambda op=op, index=index: op.prepare_partition(delta, index),
-            )
-        elif phase == "exchange":
-            _timed(delta, op, "exchange", None, lambda op=op: op.exchange(delta))
-        else:
-            _timed(
-                delta, op, "partition", index,
-                lambda op=op, index=index: op.run_partition(delta, index),
-            )
+        run_step(delta, ops[op_id], phase, index)
     exports = tuple((slot, read_slot(ops, slot)) for slot in payload.exports)
     return TaskResult(exports, delta)
 
@@ -546,9 +532,8 @@ class ProcessPoolBackend(Backend):
        inter-stage row buckets and compact aggregation states cross
        process boundaries, always via the coordinator;
     3. hands every worker job a :class:`TaskPayload` and merges the
-       returned :class:`~repro.engine.context.ContextDelta` into the
-       query's context — commutatively, so stats are identical to serial
-       execution by construction.
+       returned recorder into the query's context — commutatively, so
+       stats are identical to serial execution by construction.
 
     Exchange barriers, and any job whose operator state must stay on the
     coordinator, run inline on the coordinator.  Platforms without the

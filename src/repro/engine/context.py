@@ -1,34 +1,41 @@
-"""Thread-safe execution accounting shared by every task of one query.
+"""Execution accounting: one record per operator, one recorder, one path.
 
-The monolithic executor used to thread an :class:`ExecutionStats` through
-its recursive interpreter and sprinkle ``add_work``/``add_network`` calls
-across if-branches.  The engine instead hands every physical-operator task
-one :class:`ExecutionContext`: each record lands both in the global
-``ExecutionStats`` (so the cost model is unchanged) and in a per-operator
-breakdown (so benchmarks can report where the time went), under a single
-lock so backends may run tasks from any number of threads.
+Every number the cost model and the traces report starts as a field of an
+:class:`OperatorStats` — the per-operator record.  The counters are
+declared once, as dataclass fields whose metadata names the ``engine.*``
+metric and (if cost-bearing) the :class:`~repro.query.cost.ExecutionStats`
+total each one feeds, plus its ``EXPLAIN`` label; :data:`COUNTERS` is that
+declaration, and the merge, the query totals, the spans, the JSON export,
+the canonical form and both text renderers iterate it.
 
-Join events need one extra rule: the spill model stores them in a list,
-and concurrent backends would append them in a nondeterministic order.
-The context therefore collects ``(op_id, node, build, probe)`` tuples and
-flushes them into ``stats.join_events`` sorted by ``(op_id, node)`` at
-:meth:`ExecutionContext.finish`.  Operator ids are assigned in post-order
-by the compiler, so the flushed order is exactly the order the serial
-interpreter used to produce — backends cannot be told apart by stats.
+Adding a counter is therefore a field and its call site:
 
-Backends that run tasks outside the coordinator process cannot share the
-context object.  They hand each worker a :class:`ContextDelta` — a
-picklable recorder with the same method surface — and merge the deltas
-back with :meth:`ExecutionContext.merge_delta`.  Every quantity is an
-integer count (work values are row counts stored as floats), so merging
-deltas in any order reproduces the serial totals exactly; join events go
-through the same deferred-sort path as direct recording.
+1. declare it: ``foo: int = _counter("engine.rows.foo", "foo")`` on
+   :class:`OperatorStats`;
+2. count it at the call site: ``ctx.record(self).foo += n``;
+3. list it in the checked-in ``obs/trace_schema.json`` (a test compares
+   the schema with the declaration).
+
+Operators write through one recorder class, :class:`ContextDelta`, and
+never take a lock.  The query's :class:`ExecutionContext` is itself a
+recorder (the serial backend records straight into it); concurrent
+backends give each task or worker job a fresh one (:meth:`delta`) and
+fold it back with :meth:`ExecutionContext.merge_delta` — under the
+scheduler's completion lock for threads, on the coordinator thread for
+processes.  Every quantity is an integer count (work values are row
+counts held in floats, exact far below 2**53), so merging in any order
+reproduces the serial records exactly.
+
+Query-level figures are derived, not recorded: :meth:`finish` sums the
+per-operator records into the ``ExecutionStats`` totals and the
+``engine.*`` metric counters, and flushes the hash-join events sorted by
+``(op_id, node)`` — operator ids are assigned in post-order, so that is
+the order serial execution produces and backends cannot be told apart.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.metrics import ROW_BUCKETS, MetricsRegistry
@@ -39,27 +46,55 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.query.relation import Method
 
 
+def _counter(metric: str, label: str, total: str | None = None) -> int:
+    """Declare one per-operator counter (see the module docstring).
+
+    Args:
+        metric: The ``engine.*`` metric the query-wide sum is exported as.
+        label: The ``EXPLAIN ANALYZE`` key (the ``explain_operators``
+            column header is the same with spaces for underscores).
+        total: The ``ExecutionStats`` attribute the sum feeds, for the
+            counters the cost model reads.
+    """
+    return field(
+        default=0, metadata={"metric": metric, "label": label, "total": total}
+    )
+
+
 @dataclass
 class OperatorStats:
-    """Per-operator slice of the global :class:`ExecutionStats`."""
+    """Everything one physical operator accounted, and the declaration of
+    what can be accounted."""
 
     op_id: int
     label: str
+    #: Weighted row operations per node.  Summed over operators it is
+    #: ``ExecutionStats.node_work``; summed over nodes too it is
+    #: ``rows_processed`` and the ``engine.rows.processed`` metric.
     node_work: list[float]
-    network_bytes: int = 0
-    rows_shipped: int = 0
-    shuffles: int = 0
-    partitions_scanned: int = 0
-    rows_out: int = 0
+    rows_out: int = _counter("engine.rows.out", "rows_out")
+    rows_shipped: int = _counter(
+        "engine.rows.shipped", "shipped", total="rows_shipped"
+    )
+    network_bytes: int = _counter(
+        "engine.bytes.shuffled", "net_bytes", total="network_bytes"
+    )
+    #: Exchange round-trips.
+    shuffles: int = _counter("engine.shuffles", "shuffles", total="shuffle_count")
     #: Rows dropped by PREF duplicate elimination (dedup operators and
     #: the governing-bitmap skips inside repartition routing).
-    dup_eliminated: int = 0
-    #: Rows probed against predicate-transfer Bloom filters.
-    bloom_probed: int = 0
-    #: Rows pruned by predicate-transfer Bloom filters.
-    bloom_pruned: int = 0
+    dup_eliminated: int = _counter(
+        "engine.rows.dup_eliminated", "dup_elim", total="rows_dup_eliminated"
+    )
+    #: Rows probed against / pruned by predicate-transfer Bloom filters.
+    bloom_probed: int = _counter("engine.rows.bloom_probed", "bloom_probed")
+    bloom_pruned: int = _counter("engine.rows.bloom_pruned", "bloom_pruned")
     #: Patched-PREF patch-list rows delivered by the residual shuffle.
-    patch_rows: int = 0
+    patch_rows: int = _counter("engine.rows.patch_shipped", "patch_shipped")
+    #: Base-table partitions materialised (partition pruning lowers it).
+    partitions_scanned: int = _counter(
+        "engine.partitions.scanned", "parts", total="partitions_scanned"
+    )
     #: Output partition index -> rows emitted into it, for skew reporting.
     rows_out_by_partition: dict[int, int] = field(default_factory=dict)
 
@@ -72,6 +107,21 @@ class OperatorStats:
     def max_node_work(self) -> float:
         """Weighted row operations on the operator's busiest node."""
         return max(self.node_work) if self.node_work else 0.0
+
+    def merge(self, other: "OperatorStats") -> None:
+        """Add *other*'s measurements into this record (commutative)."""
+        for node, work in enumerate(other.node_work):
+            self.node_work[node] += work
+        for counter in COUNTERS:
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        by_partition = self.rows_out_by_partition
+        for partition, rows in other.rows_out_by_partition.items():
+            by_partition[partition] = by_partition.get(partition, 0) + rows
+
+
+#: The counter declaration: every scalar an operator can account.
+COUNTERS = tuple(f for f in fields(OperatorStats) if "metric" in f.metadata)
 
 
 @dataclass(frozen=True)
@@ -89,183 +139,42 @@ class TraceEvent:
 
 
 class ContextDelta:
-    """A picklable, commutatively mergeable slice of context accounting.
+    """The recorder: what operators write their accounting to.
 
-    Worker processes (and any future remote transport) cannot record into
-    the coordinator's :class:`ExecutionContext`; they record into one of
-    these instead and ship it back with the task results.  The method
-    surface mirrors the context exactly, so operators run unchanged
-    against either.  All quantities are integer counts (work values are
-    row counts held in floats, exact far below 2**53), which is what
-    makes :meth:`ExecutionContext.merge_delta` order-independent.
-
-    Not thread-safe: one delta belongs to one worker.
+    Picklable and single-owner — one task, one worker job, or (as an
+    :class:`ExecutionContext`) one serially executed query — so no call
+    takes a lock.  ``metrics`` holds only what has no per-operator home:
+    the per-partition row histogram and the ``engine.tasks.*`` /
+    ``time.*`` task metrics the backends record.
     """
 
     def __init__(self, node_count: int, collect_trace: bool = False) -> None:
         self.node_count = node_count
-        self.node_work = [0.0] * node_count
-        self.rows_processed = 0
-        self.network_bytes = 0
-        self.rows_shipped = 0
-        self.shuffle_count = 0
-        self.partitions_scanned = 0
-        self.rows_dup_eliminated = 0
+        self.operators: dict[int, OperatorStats] = {}
+        #: ``(op_id, node, build rows, probe rows)`` per hash join.
         self.join_events: list[tuple[int, int, int, int]] = []
-        #: op_id -> [per-node work, network bytes, rows shipped, shuffles,
-        #: partitions scanned, rows out, rows-out-by-partition,
-        #: dup-eliminated, bloom-probed, bloom-pruned, patch-rows]
-        self.op_slots: dict[int, list] = {}
         self.metrics = MetricsRegistry(locked=False)
         self.trace_events: list[TraceEvent] = []
-        #: Non-None makes ``_timed`` measure tasks (mirrors ``ctx.trace``).
-        self.trace = self.trace_events.append if collect_trace else None
+        #: Non-None makes the backends time their tasks.
+        self.trace: Callable[[TraceEvent], None] | None = (
+            self.trace_events.append if collect_trace else None
+        )
 
-    def _slot(self, op_id: int) -> list:
-        slot = self.op_slots.get(op_id)
-        if slot is None:
-            slot = [[0.0] * self.node_count, 0, 0, 0, 0, 0, {}, 0, 0, 0, 0]
-            self.op_slots[op_id] = slot
-        return slot
-
-    # -- recording (mirrors ExecutionContext) ------------------------------
-
-    def add_work(self, op: "PhysicalOperator", node: int, rows: float) -> None:
-        self.node_work[node] += rows
-        self.rows_processed += int(rows)
-        self._slot(op.op_id)[0][node] += rows
-        self.metrics.inc("engine.rows.processed", int(rows))
-
-    def account(
-        self, op: "PhysicalOperator", method: "Method", index: int, rows: float
-    ) -> None:
-        from repro.query.relation import Method
-
-        if method is Method.REPLICATED:
-            for node in range(self.node_count):
-                self.add_work(op, node, rows)
-        elif method is Method.GATHERED:
-            self.add_work(op, 0, rows)
-        else:
-            self.add_work(op, index, rows)
-
-    def add_network(
-        self, op: "PhysicalOperator", byte_count: int, rows: int
-    ) -> None:
-        self.network_bytes += byte_count
-        self.rows_shipped += rows
-        slot = self._slot(op.op_id)
-        slot[1] += byte_count
-        slot[2] += rows
-        self.metrics.inc("engine.bytes.shuffled", byte_count)
-        self.metrics.inc("engine.rows.shipped", rows)
-
-    def add_shuffle(self, op: "PhysicalOperator") -> None:
-        self.shuffle_count += 1
-        self._slot(op.op_id)[3] += 1
-        self.metrics.inc("engine.shuffles")
-
-    def add_partition_scanned(self, op: "PhysicalOperator") -> None:
-        self.partitions_scanned += 1
-        self._slot(op.op_id)[4] += 1
-        self.metrics.inc("engine.partitions.scanned")
-
-    def add_join_event(
-        self, op: "PhysicalOperator", node: int, build_rows: int, probe_rows: int
-    ) -> None:
-        self.join_events.append((op.op_id, node, build_rows, probe_rows))
-
-    def add_output(
-        self, op: "PhysicalOperator", rows: int, partition: int = 0
-    ) -> None:
-        slot = self._slot(op.op_id)
-        slot[5] += rows
-        slot[6][partition] = slot[6].get(partition, 0) + rows
-        self.metrics.inc("engine.rows.out", rows)
-        self.metrics.observe("engine.partition_rows", rows, ROW_BUCKETS)
-
-    def add_dup_eliminated(self, op: "PhysicalOperator", rows: int) -> None:
-        if rows <= 0:
-            return
-        self.rows_dup_eliminated += rows
-        self._slot(op.op_id)[7] += rows
-        self.metrics.inc("engine.rows.dup_eliminated", rows)
-
-    def add_bloom(self, op: "PhysicalOperator", probed: int, pruned: int) -> None:
-        slot = self._slot(op.op_id)
-        slot[8] += probed
-        slot[9] += pruned
-        self.metrics.inc("engine.rows.bloom_probed", probed)
-        self.metrics.inc("engine.rows.bloom_pruned", pruned)
-
-    def add_patch(self, op: "PhysicalOperator", rows: int) -> None:
-        if rows <= 0:
-            return
-        self._slot(op.op_id)[10] += rows
-        self.metrics.inc("engine.rows.patch_shipped", rows)
-
-    def record_trace(self, event: TraceEvent) -> None:
-        if self.trace is not None:
-            self.trace(event)
-
-
-class ExecutionContext:
-    """Accounting hub for one query execution.
-
-    Wraps an :class:`ExecutionStats` with thread-safe recording; every
-    call also updates the per-operator breakdown.  Backends may invoke
-    the recording methods from any thread.
-
-    Attributes:
-        stats: The global (cost-model) statistics.
-        trace: Optional hook called with a :class:`TraceEvent` after each
-            completed engine task (from the thread that ran the task).
-    """
-
-    def __init__(
-        self,
-        node_count: int,
-        stats: ExecutionStats | None = None,
-        trace: Callable[[TraceEvent], None] | None = None,
-    ) -> None:
-        # Deferred import: repro.query's package init imports the engine,
-        # so a module-level import here would re-enter it mid-exec when
-        # the engine is imported first (e.g. via repro.cluster).
-        from repro.query.cost import ExecutionStats
-
-        self.node_count = node_count
-        self.stats = stats or ExecutionStats(node_count)
-        self.trace = trace
-        self.metrics = MetricsRegistry(locked=True)
-        self._lock = threading.Lock()
-        self._operators: dict[int, OperatorStats] = {}
-        self._join_events: list[tuple[int, int, int, int]] = []
-
-    # -- operator registry -------------------------------------------------
-
-    def register(self, op: "PhysicalOperator") -> None:
-        """Create the per-operator slot for *op* (id order == post-order)."""
-        with self._lock:
-            self._operators[op.op_id] = OperatorStats(
+    def record(self, op: "PhysicalOperator") -> OperatorStats:
+        """The record of *op*, created empty on first use."""
+        record = self.operators.get(op.op_id)
+        if record is None:
+            record = self.operators[op.op_id] = OperatorStats(
                 op.op_id, op.label, [0.0] * self.node_count
             )
-
-    def operator_stats(self) -> list[OperatorStats]:
-        """The per-operator breakdown, in plan post-order."""
-        with self._lock:
-            return [self._operators[key] for key in sorted(self._operators)]
-
-    # -- recording ---------------------------------------------------------
+        return record
 
     def add_work(self, op: "PhysicalOperator", node: int, rows: float) -> None:
         """Account *rows* weighted row operations on *node* for *op*."""
-        with self._lock:
-            self.stats.add_work(node, rows)
-            self._operators[op.op_id].node_work[node] += rows
-        self.metrics.inc("engine.rows.processed", int(rows))
+        self.record(op).node_work[node] += rows
 
     def account(
-        self, op: "PhysicalOperator", method: Method, index: int, rows: float
+        self, op: "PhysicalOperator", method: "Method", index: int, rows: float
     ) -> None:
         """Account input-processing work, honouring the input's placement.
 
@@ -274,183 +183,159 @@ class ExecutionContext:
         """
         from repro.query.relation import Method
 
+        node_work = self.record(op).node_work
         if method is Method.REPLICATED:
-            with self._lock:
-                slot = self._operators[op.op_id]
-                for node in range(self.node_count):
-                    self.stats.add_work(node, rows)
-                    slot.node_work[node] += rows
-            self.metrics.inc("engine.rows.processed", int(rows) * self.node_count)
+            for node in range(self.node_count):
+                node_work[node] += rows
         elif method is Method.GATHERED:
-            self.add_work(op, 0, rows)
+            node_work[0] += rows
         else:
-            self.add_work(op, index, rows)
+            node_work[index] += rows
 
     def add_network(
         self, op: "PhysicalOperator", byte_count: int, rows: int
     ) -> None:
         """Account a data transfer performed by *op*."""
-        with self._lock:
-            self.stats.add_network(byte_count, rows)
-            slot = self._operators[op.op_id]
-            slot.network_bytes += byte_count
-            slot.rows_shipped += rows
-        self.metrics.inc("engine.bytes.shuffled", byte_count)
-        self.metrics.inc("engine.rows.shipped", rows)
+        record = self.record(op)
+        record.network_bytes += byte_count
+        record.rows_shipped += rows
 
     def add_shuffle(self, op: "PhysicalOperator") -> None:
         """Account one exchange round-trip performed by *op*."""
-        with self._lock:
-            self.stats.add_shuffle()
-            self._operators[op.op_id].shuffles += 1
-        self.metrics.inc("engine.shuffles")
+        self.record(op).shuffles += 1
 
     def add_partition_scanned(self, op: "PhysicalOperator") -> None:
         """Account one materialised base-table partition."""
-        with self._lock:
-            self.stats.partitions_scanned += 1
-            self._operators[op.op_id].partitions_scanned += 1
-        self.metrics.inc("engine.partitions.scanned")
+        self.record(op).partitions_scanned += 1
 
     def add_join_event(
         self, op: "PhysicalOperator", node: int, build_rows: int, probe_rows: int
     ) -> None:
-        """Record a hash-join build/probe for the spill model (deferred)."""
-        with self._lock:
-            self._join_events.append((op.op_id, node, build_rows, probe_rows))
+        """Record a hash-join build/probe for the spill model."""
+        self.join_events.append((op.op_id, node, build_rows, probe_rows))
 
     def add_output(
         self, op: "PhysicalOperator", rows: int, partition: int = 0
     ) -> None:
-        """Record rows emitted by *op* into output *partition*
-        (breakdown only, not cost-bearing)."""
-        with self._lock:
-            slot = self._operators[op.op_id]
-            slot.rows_out += rows
-            by_partition = slot.rows_out_by_partition
-            by_partition[partition] = by_partition.get(partition, 0) + rows
-        self.metrics.inc("engine.rows.out", rows)
+        """Record rows emitted by *op* into output *partition*."""
+        record = self.record(op)
+        record.rows_out += rows
+        by_partition = record.rows_out_by_partition
+        by_partition[partition] = by_partition.get(partition, 0) + rows
         self.metrics.observe("engine.partition_rows", rows, ROW_BUCKETS)
 
     def add_dup_eliminated(self, op: "PhysicalOperator", rows: int) -> None:
         """Record rows dropped by PREF duplicate elimination in *op*."""
-        if rows <= 0:
-            return
-        with self._lock:
-            self.stats.rows_dup_eliminated += rows
-            self._operators[op.op_id].dup_eliminated += rows
-        self.metrics.inc("engine.rows.dup_eliminated", rows)
+        self.record(op).dup_eliminated += rows
 
     def add_bloom(self, op: "PhysicalOperator", probed: int, pruned: int) -> None:
         """Record a predicate-transfer Bloom probe pass in *op*."""
-        with self._lock:
-            slot = self._operators[op.op_id]
-            slot.bloom_probed += probed
-            slot.bloom_pruned += pruned
-        self.metrics.inc("engine.rows.bloom_probed", probed)
-        self.metrics.inc("engine.rows.bloom_pruned", pruned)
+        record = self.record(op)
+        record.bloom_probed += probed
+        record.bloom_pruned += pruned
 
     def add_patch(self, op: "PhysicalOperator", rows: int) -> None:
         """Record patch-list rows delivered by *op*'s residual shuffle."""
-        if rows <= 0:
-            return
-        with self._lock:
-            self._operators[op.op_id].patch_rows += rows
-        self.metrics.inc("engine.rows.patch_shipped", rows)
+        self.record(op).patch_rows += rows
 
     def record_trace(self, event: TraceEvent) -> None:
-        """Forward *event* to the trace hook, if one is installed."""
+        """Hand *event* to the trace hook, if one is installed."""
         if self.trace is not None:
             self.trace(event)
 
-    # -- delta merging -----------------------------------------------------
+
+class ExecutionContext(ContextDelta):
+    """One query execution: its recorder, operator registry and totals.
+
+    Attributes:
+        stats: The cost-model totals, filled in by :meth:`finish`.
+        trace: Optional hook called with a :class:`TraceEvent` per
+            completed engine task.  Calls are serial: from the executing
+            thread, or from :meth:`merge_delta`.
+    """
+
+    def __init__(
+        self,
+        node_count: int,
+        trace: Callable[[TraceEvent], None] | None = None,
+    ) -> None:
+        # Deferred import: repro.query's package init imports the engine,
+        # so a module-level import here would re-enter it mid-exec when
+        # the engine is imported first (e.g. via repro.cluster).
+        from repro.query.cost import ExecutionStats
+
+        super().__init__(node_count)
+        self.trace = trace
+        self.stats = ExecutionStats(node_count)
+
+    def register(self, op: "PhysicalOperator") -> None:
+        """Create the record of *op*, so it is reported even if idle."""
+        self.record(op)
+
+    def operator_stats(self) -> list[OperatorStats]:
+        """The per-operator records, in plan post-order (== id order)."""
+        return [self.operators[key] for key in sorted(self.operators)]
 
     def delta(self) -> ContextDelta:
-        """A fresh worker-side recorder compatible with this context."""
+        """A fresh recorder for one task or worker job of this query."""
         return ContextDelta(self.node_count, collect_trace=self.trace is not None)
 
     def merge_delta(self, delta: ContextDelta) -> None:
-        """Fold a worker's :class:`ContextDelta` into this context.
+        """Fold a finished recorder into this context.
 
-        Commutative: every merged quantity is an integer count, and join
-        events flow through the same deferred sort as direct recording,
-        so any merge order reproduces serial execution's stats exactly.
+        Commutative, but not thread-safe: concurrent backends call it
+        under the lock that serialises their task completions.
         """
-        with self._lock:
-            for node, work in enumerate(delta.node_work):
-                self.stats.node_work[node] += work
-            self.stats.rows_processed += delta.rows_processed
-            self.stats.network_bytes += delta.network_bytes
-            self.stats.rows_shipped += delta.rows_shipped
-            self.stats.shuffle_count += delta.shuffle_count
-            self.stats.partitions_scanned += delta.partitions_scanned
-            self.stats.rows_dup_eliminated += delta.rows_dup_eliminated
-            self._join_events.extend(delta.join_events)
-            for op_id, slot in delta.op_slots.items():
-                target = self._operators[op_id]
-                for node, work in enumerate(slot[0]):
-                    target.node_work[node] += work
-                target.network_bytes += slot[1]
-                target.rows_shipped += slot[2]
-                target.shuffles += slot[3]
-                target.partitions_scanned += slot[4]
-                target.rows_out += slot[5]
-                by_partition = target.rows_out_by_partition
-                for partition, rows in slot[6].items():
-                    by_partition[partition] = by_partition.get(partition, 0) + rows
-                target.dup_eliminated += slot[7]
-                target.bloom_probed += slot[8]
-                target.bloom_pruned += slot[9]
-                target.patch_rows += slot[10]
+        for op_id, record in delta.operators.items():
+            self.operators[op_id].merge(record)
+        self.join_events.extend(delta.join_events)
         self.metrics.merge(delta.metrics)
         for event in delta.trace_events:
             self.record_trace(event)
 
-    # -- finalisation ------------------------------------------------------
-
     def finish(self) -> ExecutionStats:
-        """Flush deferred join events into ``stats`` and return it.
+        """Derive the query totals from the operator records.
 
-        Idempotent: the deferred list is drained, so calling twice does
-        not double-count.
+        Fills ``stats`` and the ``engine.*`` metric counters (non-zero
+        ones only, see :mod:`repro.obs.metrics`).  Totals are assigned,
+        not accumulated, so calling it again cannot double-count.
         """
-        with self._lock:
-            events = sorted(self._join_events)
-            self._join_events.clear()
-        for _op_id, node, build_rows, probe_rows in events:
-            self.stats.add_join_event(node, build_rows, probe_rows)
-        return self.stats
+        records = self.operators.values()
+        stats = self.stats
+        stats.node_work = [
+            sum((record.node_work[node] for record in records), 0.0)
+            for node in range(self.node_count)
+        ]
+        stats.rows_processed = int(sum(stats.node_work))
+        totals = {"engine.rows.processed": stats.rows_processed}
+        for counter in COUNTERS:
+            total = sum(getattr(record, counter.name) for record in records)
+            totals[counter.metadata["metric"]] = total
+            if counter.metadata["total"]:
+                setattr(stats, counter.metadata["total"], total)
+        self.metrics.counters.update(
+            (metric, total) for metric, total in totals.items() if total
+        )
+        stats.join_events = [event[1:] for event in sorted(self.join_events)]
+        return stats
 
 
 def format_operator_stats(operators: list[OperatorStats]) -> str:
-    """Render a per-operator breakdown as an aligned text table."""
-    headers = (
-        "op", "operator", "max node work", "total work",
-        "net bytes", "rows out", "shuffles", "dup elim",
-    )
+    """Render per-operator records as an aligned text table.
+
+    A counter gets a column when any operator has it non-zero.
+    """
+    shown = [c for c in COUNTERS if any(getattr(op, c.name) for op in operators)]
+    headers = ["op", "operator", "max node work", "total work"] + [
+        c.metadata["label"].replace("_", " ") for c in shown
+    ]
     rows = [
-        (
-            str(op.op_id),
-            op.label,
-            f"{op.max_node_work:.0f}",
-            f"{op.total_work:.0f}",
-            str(op.network_bytes),
-            str(op.rows_out),
-            str(op.shuffles),
-            str(op.dup_eliminated),
-        )
+        [str(op.op_id), op.label, f"{op.max_node_work:.0f}", f"{op.total_work:.0f}"]
+        + [str(getattr(op, c.name)) for c in shown]
         for op in operators
     ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        for row in rows
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths))
+        for line in [headers, ["-" * width for width in widths], *rows]
     )
-    return "\n".join(lines)

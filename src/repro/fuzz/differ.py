@@ -86,18 +86,17 @@ def span_tree_diff(label_a: str, a, label_b: str, b, limit: int = 5) -> str:
                 f"{label_a if span_b is None else label_b}"
             )
         else:
-            ca = span_a.canonical()[:-1]  # own fields, children compared
-            cb = span_b.canonical()[:-1]  # via their own op_ids
-            if ca == cb:
+            own_a = dict(span_a.own_canonical())  # children are compared
+            own_b = dict(span_b.own_canonical())  # via their own op_ids
+            differing = [name for name in own_a if own_a[name] != own_b[name]]
+            if not differing:
                 continue
             lines.append(
                 f"  op {op_id} ({span_a.label}): "
-                f"{label_a} rows_out={span_a.rows_out} "
-                f"shipped={span_a.rows_shipped} dup={span_a.dup_eliminated} "
-                f"tasks={len(span_a.tasks)} vs "
-                f"{label_b} rows_out={span_b.rows_out} "
-                f"shipped={span_b.rows_shipped} dup={span_b.dup_eliminated} "
-                f"tasks={len(span_b.tasks)}"
+                + "; ".join(
+                    f"{name} {label_a}={own_a[name]!r} {label_b}={own_b[name]!r}"
+                    for name in differing
+                )
             )
         shown += 1
         if shown >= limit:

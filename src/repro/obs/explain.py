@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.span import OperatorSpan, QueryTrace
+from repro.engine.context import COUNTERS
+from repro.obs.span import STATIC, OperatorSpan, QueryTrace
 
 #: Location of the JSON schema the exported traces must satisfy.
 SCHEMA_PATH = Path(__file__).with_name("trace_schema.json")
@@ -29,48 +30,35 @@ SCHEMA_PATH = Path(__file__).with_name("trace_schema.json")
 # --------------------------------------------------------------------------
 
 
+#: Span properties computed from the tree, exported beside the fields.
+DERIVED = ("rows_in", "seconds", "locality", "skew")
+
+
 def span_to_json(span: OperatorSpan) -> dict:
-    """One span (and its subtree) as schema-conforming plain data."""
-    return {
-        "op_id": span.op_id,
-        "label": span.label,
-        "name": span.name,
-        "method": span.method,
-        "hash_columns": list(span.hash_columns),
-        "dup": span.dup,
-        "governing": list(span.governing),
-        "strategy": span.strategy,
-        "case": span.case,
-        "rows_in": span.rows_in,
-        "rows_out": span.rows_out,
-        "rows_out_by_partition": {
-            str(partition): rows
-            for partition, rows in sorted(span.rows_out_by_partition.items())
-        },
-        "dup_eliminated": span.dup_eliminated,
-        "network_bytes": span.network_bytes,
-        "rows_shipped": span.rows_shipped,
-        "shuffles": span.shuffles,
-        "partitions_scanned": span.partitions_scanned,
-        "bloom_filters": span.bloom_filters,
-        "bloom_probed": span.bloom_probed,
-        "bloom_pruned": span.bloom_pruned,
-        "patch_rows": span.patch_rows,
-        "node_work": list(span.node_work),
-        "seconds": span.seconds,
-        "locality": span.locality,
-        "skew": span.skew,
-        "tasks": [
-            {
-                "phase": task.phase,
-                "node_id": task.node_id,
-                "seconds": task.seconds,
-                "worker": task.worker,
-            }
-            for task in span.tasks
-        ],
-        "children": [span_to_json(child) for child in span.children],
+    """One span (and its subtree) as schema-conforming plain data: the
+    static fields, every declared counter, the derived properties, then
+    the structured measurements."""
+    names = (*STATIC, *(counter.name for counter in COUNTERS), *DERIVED)
+    data = {}
+    for name in names:
+        value = getattr(span, name)
+        data[name] = list(value) if isinstance(value, tuple) else value
+    data["rows_out_by_partition"] = {
+        str(partition): rows
+        for partition, rows in sorted(span.rows_out_by_partition.items())
     }
+    data["node_work"] = list(span.node_work)
+    data["tasks"] = [
+        {
+            "phase": task.phase,
+            "node_id": task.node_id,
+            "seconds": task.seconds,
+            "worker": task.worker,
+        }
+        for task in span.tasks
+    ]
+    data["children"] = [span_to_json(child) for child in span.children]
+    return data
 
 
 def trace_to_json(trace: QueryTrace) -> dict:
@@ -196,30 +184,24 @@ def _annotation(span: OperatorSpan) -> str:
 
 
 def _measured(span: OperatorSpan) -> str:
-    """The measured counters, aligned with the static annotation."""
+    """The measured counters (non-zero ones), aligned with the static
+    annotation; ``rows_out`` renders as the ``rows=in->out`` arrow."""
     rows_in = span.rows_in
     arrow = f"{rows_in}->{span.rows_out}" if rows_in is not None else str(span.rows_out)
-    fields = [f"rows={arrow}"]
-    if span.rows_shipped or span.network_bytes:
-        fields.append(f"shipped={span.rows_shipped} ({span.network_bytes}B)")
-    if span.shuffles:
-        fields.append(f"shuffles={span.shuffles}")
-    if span.dup_eliminated:
-        fields.append(f"dup_elim={span.dup_eliminated}")
-    if span.bloom_probed or span.bloom_filters:
-        fields.append(f"bloom_pruned={span.bloom_pruned}/{span.bloom_probed}")
-    if span.patch_rows:
-        fields.append(f"patch_shipped={span.patch_rows}")
-    if span.partitions_scanned:
-        fields.append(f"parts={span.partitions_scanned}")
+    shown = [f"rows={arrow}"]
+    shown.extend(
+        f"{counter.metadata['label']}={getattr(span, counter.name)}"
+        for counter in COUNTERS
+        if counter.name != "rows_out" and getattr(span, counter.name)
+    )
     locality = span.locality
     if locality is not None:
-        fields.append(f"locality={locality:.0%}")
+        shown.append(f"locality={locality:.0%}")
     skew = span.skew
     if skew is not None:
-        fields.append(f"skew={skew:.2f}")
-    fields.append(f"time={span.seconds * 1e3:.2f}ms")
-    return "  ".join(fields)
+        shown.append(f"skew={skew:.2f}")
+    shown.append(f"time={span.seconds * 1e3:.2f}ms")
+    return "  ".join(shown)
 
 
 def render_analyze(trace: QueryTrace) -> str:

@@ -1,14 +1,19 @@
 """A process-safe registry of counters and histograms for the engine.
 
-The engine's :class:`~repro.engine.context.ExecutionContext` owns one
-registry per query and feeds it from the same recording calls that update
-:class:`~repro.query.cost.ExecutionStats`; worker processes record into
-the plain (lock-free) registry of their
-:class:`~repro.engine.context.ContextDelta` and the coordinator folds
-those in through :meth:`MetricsRegistry.merge` — the same commutative
-path ``merge_delta`` uses for the cost stats, which is what makes the
-merged totals independent of task-completion order and identical across
-the serial/thread/process backends.
+Every recorder of a query (:class:`~repro.engine.context.ContextDelta`,
+the query's :class:`~repro.engine.context.ExecutionContext` included)
+owns a plain, lock-free registry for what has no per-operator home — the
+per-partition row histogram and the task metrics — and the context folds
+finished recorders in through :meth:`MetricsRegistry.merge`.  The
+``engine.*`` row/byte/shuffle counters are not recorded at all: the
+context derives them from the per-operator records when the query
+finishes.  Both paths only ever sum integers, which is what makes the
+totals independent of task-completion order and identical across the
+serial/thread/process backends.
+
+A counter at zero and a counter that was never touched are the same
+observation: derived counters are emitted only when non-zero, and
+:meth:`MetricsRegistry.counter` reads zero for an absent name.
 
 Two metric kinds:
 
@@ -132,10 +137,9 @@ class Histogram:
 class MetricsRegistry:
     """Named counters and histograms with commutative merging.
 
-    The coordinator's registry (``locked=True``) may be updated from any
-    backend thread; worker-side registries (inside a
-    :class:`~repro.engine.context.ContextDelta`) are single-owner and
-    skip the lock.
+    A shared registry (``locked=True``, e.g. the serving layer's) may be
+    updated from any thread; the engine's per-recorder registries are
+    single-owner and skip the lock.
     """
 
     def __init__(self, locked: bool = True) -> None:

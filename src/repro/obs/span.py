@@ -1,11 +1,12 @@
 """Span-based query traces: the data model behind ``EXPLAIN ANALYZE``.
 
 A completed query run yields one :class:`QueryTrace` — a tree of
-:class:`OperatorSpan` objects mirroring the physical operator tree, each
-holding the per-partition :class:`TaskSpan` list of the engine tasks that
-ran for it plus the measured per-operator accounting (rows in/out, bytes
-shuffled, PREF duplicates eliminated, per-partition skew) and the
-rewriter's static ``Part``/``Dup`` annotations for side-by-side display.
+:class:`OperatorSpan` objects mirroring the physical operator tree.  A
+span *is* the operator's :class:`~repro.engine.context.OperatorStats`
+record (every declared counter, per-node work, per-partition output) plus
+the per-partition :class:`TaskSpan` list of the engine tasks that ran for
+it and the rewriter's static ``Part``/``Dup`` annotations for side-by-side
+display.
 
 Traces are plain data (no references into the engine), picklable and
 JSON-exportable (:func:`repro.obs.explain.trace_to_json`).
@@ -13,12 +14,13 @@ JSON-exportable (:func:`repro.obs.explain.trace_to_json`).
 Canonicalisation
 ----------------
 
-:meth:`QueryTrace.canonical` is the cross-backend comparison form: wall
-times, worker identities and ``time.*`` metrics are excluded, task lists
-are sorted by (phase, partition), and per-partition row maps by
-partition index.  Two backends executing the same compiled plan must
-produce equal canonical traces — the backend-equivalence tests and the
-fuzz differ rely on this.
+:meth:`QueryTrace.canonical` is the cross-backend comparison form:
+``(name, value)`` pairs in one fixed shape — the static fields, every
+declared counter, then the structured measurements — with wall times,
+worker identities and ``time.*`` metrics excluded, task lists sorted by
+(phase, partition) and per-partition row maps by partition index.  Two
+backends executing the same compiled plan must produce equal canonical
+traces — the backend-equivalence tests and the fuzz differ rely on this.
 
 Measured locality
 -----------------
@@ -34,13 +36,14 @@ and reports locality 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from repro.engine.context import COUNTERS, OperatorStats
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.engine.context import OperatorStats, TraceEvent
+    from repro.engine.context import TraceEvent
 
 #: Engine task phases in execution order within one operator.
 PHASE_ORDER = {"prepare": 0, "exchange": 1, "partition": 2}
@@ -60,42 +63,25 @@ class TaskSpan:
         return (PHASE_ORDER.get(self.phase, 9), self.phase, self.node_id)
 
 
-@dataclass
-class OperatorSpan:
-    """One physical operator instance with annotations and measurements.
+@dataclass(kw_only=True)
+class OperatorSpan(OperatorStats):
+    """One physical operator instance: annotations plus its measurements.
 
-    The static fields (``method`` … ``case``) come from the rewriter's
-    :class:`~repro.query.rewrite.Annotated` plan; the measured fields are
-    the operator's slice of the execution accounting.  ``rows_in`` is
-    derived — the sum of the children's ``rows_out`` (None for leaves).
+    The measured fields are inherited — a span is the operator's
+    :class:`~repro.engine.context.OperatorStats` record — and the fields
+    declared here are static: ``name`` … ``bloom_filters`` come from the
+    rewriter's :class:`~repro.query.rewrite.Annotated` plan.  ``rows_in``
+    is derived — the sum of the children's ``rows_out`` (None for leaves).
     """
 
-    op_id: int
-    label: str  #: Display label (may carry strategy/table decoration).
     name: str  #: Undecorated operator kind ("scan", "join", ...).
-    # -- static annotations (rewriter) -------------------------------------
     method: str  #: Part(o) method value ("seed", "hashed", "pref", ...).
     hash_columns: tuple[str, ...] = ()
     dup: bool = False  #: The paper's Dup(o) flag.
     governing: tuple[str, ...] = ()
     strategy: str | None = None  #: Join/aggregate strategy hint.
     case: str | None = None  #: Locality case ("case1" | "case2" | "case3").
-    # -- measured ----------------------------------------------------------
-    rows_out: int = 0
-    rows_out_by_partition: dict[int, int] = field(default_factory=dict)
-    dup_eliminated: int = 0
-    network_bytes: int = 0
-    rows_shipped: int = 0
-    shuffles: int = 0
-    partitions_scanned: int = 0
-    #: Predicate transfer: Bloom filters attached (static), rows probed
-    #: against them and rows pruned by them (measured).
-    bloom_filters: int = 0
-    bloom_probed: int = 0
-    bloom_pruned: int = 0
-    #: Patched-PREF patch-list rows delivered by the residual shuffle.
-    patch_rows: int = 0
-    node_work: tuple[float, ...] = ()
+    bloom_filters: int = 0  #: Predicate-transfer Bloom filters attached.
     tasks: tuple[TaskSpan, ...] = ()
     children: tuple["OperatorSpan", ...] = ()
 
@@ -161,41 +147,39 @@ class OperatorSpan:
             yield from child.walk()
         yield self
 
-    def canonical(self) -> tuple:
-        """Comparable form of the subtree: shape and counts, no timings.
+    def own_canonical(self) -> tuple:
+        """Comparable form of this span alone, as ``(name, value)`` pairs:
+        annotations and counts, no timings, no children.
 
-        Spans without predicate-transfer activity keep the exact tuple
-        shape of the pre-Bloom engine, so the frozen row-engine trace
-        fixtures stay comparable; a bloom_probe span appends one
-        ``(filters, probed, pruned)`` element.
+        ``governing`` is left out: it restates ``dup`` column by column
+        and has never been part of the comparison.
         """
-        base = (
-            self.op_id,
-            self.label,
-            self.name,
-            self.method,
-            self.hash_columns,
-            self.dup,
-            self.strategy,
-            self.case,
-            self.rows_out,
-            tuple(sorted(self.rows_out_by_partition.items())),
-            self.dup_eliminated,
-            self.network_bytes,
-            self.rows_shipped,
-            self.shuffles,
-            self.partitions_scanned,
-            tuple(self.node_work),
-            tuple(sorted(task.canonical() for task in self.tasks)),
-            tuple(child.canonical() for child in self.children),
+        names = [name for name in STATIC if name != "governing"]
+        names += [counter.name for counter in COUNTERS]
+        by_partition = tuple(sorted(self.rows_out_by_partition.items()))
+        return (
+            *((name, getattr(self, name)) for name in names),
+            ("rows_out_by_partition", by_partition),
+            ("node_work", tuple(self.node_work)),
+            ("tasks", tuple(sorted(task.canonical() for task in self.tasks))),
         )
-        if self.bloom_filters or self.bloom_probed or self.bloom_pruned:
-            base += ((self.bloom_filters, self.bloom_probed, self.bloom_pruned),)
-        if self.patch_rows:
-            # Same back-compat pattern: patch-free spans keep the frozen
-            # tuple shape; the tag disambiguates from the bloom element.
-            base += (("patch", self.patch_rows),)
-        return base
+
+    def canonical(self) -> tuple:
+        """Comparable form of the subtree: own pairs, then the children."""
+        return (
+            *self.own_canonical(),
+            ("children", tuple(child.canonical() for child in self.children)),
+        )
+
+
+#: Identity and static annotations: the span fields that are neither
+#: inherited measurements nor tree structure.
+STATIC = ("op_id", "label") + tuple(
+    f.name
+    for f in fields(OperatorSpan)
+    if f.name not in OperatorStats.__dataclass_fields__
+    and f.name not in ("tasks", "children")
+)
 
 
 @dataclass
@@ -225,7 +209,11 @@ class QueryTrace:
 
     def canonical(self) -> tuple:
         """Backend-independent comparison form (no timings/workers)."""
-        return (self.node_count, self.root.canonical(), self.metrics.canonical())
+        return (
+            ("node_count", self.node_count),
+            ("root", self.root.canonical()),
+            ("metrics", self.metrics.canonical()),
+        )
 
 
 def build_trace(
@@ -259,20 +247,13 @@ def build_trace(
         )
 
     def build(op) -> OperatorSpan:
-        children = tuple(build(child) for child in op.inputs)
-        stats = stats_by_id.get(op.op_id)
-        tasks = tuple(
-            sorted(
-                tasks_by_id.get(op.op_id, ()),
-                key=lambda task: task.canonical(),
-            )
-        )
         props = op.props
         part = props.part
         extra = op.annotated.extra
         span = OperatorSpan(
             op.op_id,
             op.label,
+            [0.0] * node_count,
             name=op.name,
             method=part.method.value,
             hash_columns=tuple(part.hash_columns),
@@ -281,21 +262,15 @@ def build_trace(
             strategy=extra.get("strategy"),
             case=extra.get("case"),
             bloom_filters=len(extra.get("bloom", ())),
-            children=children,
-            tasks=tasks,
+            tasks=tuple(
+                sorted(
+                    tasks_by_id.get(op.op_id, ()),
+                    key=lambda task: task.canonical(),
+                )
+            ),
+            children=tuple(build(child) for child in op.inputs),
         )
-        if stats is not None:
-            span.rows_out = stats.rows_out
-            span.rows_out_by_partition = dict(stats.rows_out_by_partition)
-            span.dup_eliminated = stats.dup_eliminated
-            span.network_bytes = stats.network_bytes
-            span.rows_shipped = stats.rows_shipped
-            span.shuffles = stats.shuffles
-            span.partitions_scanned = stats.partitions_scanned
-            span.bloom_probed = stats.bloom_probed
-            span.bloom_pruned = stats.bloom_pruned
-            span.patch_rows = stats.patch_rows
-            span.node_work = tuple(stats.node_work)
+        span.merge(stats_by_id[op.op_id])
         return span
 
     return QueryTrace(build(root), metrics, node_count, backend, query)

@@ -19,7 +19,7 @@ of comparisons matters for reproducing the paper's figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -80,31 +80,13 @@ class ExecutionStats:
         if not self.node_work:
             self.node_work = [0.0] * self.node_count
 
-    def add_join_event(self, node: int, build_rows: int, probe_rows: int) -> None:
-        """Record a hash join build/probe for the spill model."""
-        self.join_events.append((node, build_rows, probe_rows))
-
-    def add_work(self, node: int, rows: float) -> None:
-        """Account *rows* weighted row operations on *node*."""
-        self.node_work[node] += rows
-        self.rows_processed += int(rows)
-
-    def add_network(self, byte_count: int, rows: int) -> None:
-        """Account a data transfer."""
-        self.network_bytes += byte_count
-        self.rows_shipped += rows
-
-    def add_shuffle(self) -> None:
-        """Account one exchange operator round-trip."""
-        self.shuffle_count += 1
-
     @property
     def max_node_work(self) -> float:
         """Weighted row operations on the busiest node (the straggler)."""
         return max(self.node_work) if self.node_work else 0.0
 
     def canonical(self) -> tuple:
-        """Every observable of the cost model, as a comparable tuple.
+        """Every observable of the cost model, as ``(name, value)`` pairs.
 
         Two runs of a query are cost-model-equivalent iff their canonical
         tuples are equal; the backend-equivalence suite and the benchmark
@@ -112,14 +94,9 @@ class ExecutionStats:
         sorted because their recording order is a scheduling artefact.
         """
         return (
-            self.network_bytes,
-            self.rows_shipped,
-            self.shuffle_count,
-            tuple(self.node_work),
-            self.rows_processed,
-            self.partitions_scanned,
-            self.rows_dup_eliminated,
-            tuple(sorted(self.join_events)),
+            *((name, getattr(self, name)) for name in _TOTALS),
+            ("node_work", tuple(self.node_work)),
+            ("join_events", tuple(sorted(self.join_events))),
         )
 
     def simulated_seconds(self, params: CostParameters | None = None) -> float:
@@ -146,12 +123,12 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> None:
         """Accumulate another query's stats (for workload totals)."""
+        for name in _TOTALS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for node in range(self.node_count):
             self.node_work[node] += other.node_work[node]
-        self.network_bytes += other.network_bytes
-        self.rows_shipped += other.rows_shipped
-        self.shuffle_count += other.shuffle_count
-        self.rows_processed += other.rows_processed
-        self.partitions_scanned += other.partitions_scanned
-        self.rows_dup_eliminated += other.rows_dup_eliminated
         self.join_events.extend(other.join_events)
+
+
+#: The scalar totals: every ``ExecutionStats`` field that starts at zero.
+_TOTALS = tuple(f.name for f in fields(ExecutionStats) if f.default == 0)

@@ -13,10 +13,11 @@ three-stage pipeline:
    exchange barriers.
 
 Rows physically move between per-node partition stores; every movement is
-metered by :class:`~repro.query.cost.ExecutionStats` (network bytes, rows
-shipped, shuffle round-trips) through the engine's
-:class:`~repro.engine.context.ExecutionContext`, which additionally keeps
-a per-operator × per-node breakdown exposed on :class:`QueryResult`.
+metered per operator × node through the engine's
+:class:`~repro.engine.context.ExecutionContext` (exposed as
+``QueryResult.operators``), from which the query's
+:class:`~repro.query.cost.ExecutionStats` totals (network bytes, rows
+shipped, shuffle round-trips) are summed.
 """
 
 from __future__ import annotations

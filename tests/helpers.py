@@ -10,6 +10,7 @@ from repro.partitioning import (
     HashScheme,
     JoinPredicate,
     PartitioningConfig,
+    PatchedPrefScheme,
     PrefScheme,
     ReplicatedScheme,
 )
@@ -230,4 +231,21 @@ def all_hashed_config(n: int) -> PartitioningConfig:
     config.add("lineitem", HashScheme(("linekey",), n))
     config.add("item", HashScheme(("itemkey",), n))
     config.add("nation", HashScheme(("nationkey",), n))
+    return config
+
+
+def patched_shop_config(n: int = 4, max_copies: int = 1) -> PartitioningConfig:
+    config = PartitioningConfig(n)
+    config.add("lineitem", HashScheme(("linekey",), n))
+    config.add(
+        "orders",
+        PatchedPrefScheme(
+            "lineitem",
+            JoinPredicate.equi("orders", "orderkey", "lineitem", "orderkey"),
+            max_copies=max_copies,
+        ),
+    )
+    config.add("customer", HashScheme(("custkey",), n))
+    config.add("item", HashScheme(("itemkey",), n))
+    config.add("nation", ReplicatedScheme(n))
     return config

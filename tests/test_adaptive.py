@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     all_hashed_config,
     assert_same_rows,
+    patched_shop_config,
     shop_database,
 )
 from repro.catalog import DatabaseSchema, DataType
@@ -82,23 +83,6 @@ def _copies_of(table) -> dict[int, set[int]]:
         for source_id in partition.source_ids:
             copies.setdefault(source_id, set()).add(partition.partition_id)
     return copies
-
-
-def patched_shop_config(n: int = 4, max_copies: int = 1) -> PartitioningConfig:
-    config = PartitioningConfig(n)
-    config.add("lineitem", HashScheme(("linekey",), n))
-    config.add(
-        "orders",
-        PatchedPrefScheme(
-            "lineitem",
-            JoinPredicate.equi("orders", "orderkey", "lineitem", "orderkey"),
-            max_copies=max_copies,
-        ),
-    )
-    config.add("customer", HashScheme(("custkey",), n))
-    config.add("item", HashScheme(("itemkey",), n))
-    config.add("nation", ReplicatedScheme(n))
-    return config
 
 
 def plain_shop_config(n: int = 4) -> PartitioningConfig:

@@ -170,3 +170,35 @@ def test_trace_events_well_formed_under_concurrency(
         e.phase in {"prepare", "exchange", "partition"} for e in events
     )
     assert all(isinstance(e.label, str) and e.label for e in events)
+
+
+@pytest.mark.parametrize("backend_name", list(BACKENDS))
+def test_raising_trace_hook_fails_the_query(shop_db, shop_pref, backend_name):
+    # Concurrent backends hand a task's events to the hook while merging
+    # its recorder on completion; a raising hook must fail the query, not
+    # strand the scheduler waiting for a completion that never registers.
+    partitioned, _config = shop_pref
+    plan = sql_to_plan(SQL, shop_db.schema)
+
+    def hook(event):
+        raise BoomError("hook down")
+
+    backend = BACKENDS[backend_name]()
+    outcome = []
+
+    def run():
+        try:
+            Executor(partitioned, backend=backend, trace=hook).execute(plan)
+        except BoomError as error:
+            outcome.append(error)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    try:
+        assert not worker.is_alive(), f"{backend_name} backend hangs"
+        assert outcome, "the hook's error was swallowed"
+        # The backend instance still serves the next query.
+        assert Executor(partitioned, backend=backend).execute(plan).rows
+    finally:
+        backend.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.context import ExecutionContext
 from repro.query.cost import CostParameters, ExecutionStats
 from repro.query.relation import (
     Method,
@@ -13,11 +14,27 @@ from repro.query.relation import (
 )
 
 
+class _Op:
+    """Stand-in for a physical operator: the recorder reads only these."""
+
+    op_id = 0
+    label = "op"
+
+
+def recorded(node_count: int, record) -> ExecutionStats:
+    """The totals a query derives after *record* ran against its context."""
+    ctx = ExecutionContext(node_count)
+    record(ctx, _Op())
+    return ctx.finish()
+
+
 class TestExecutionStats:
     def test_work_and_straggler(self):
-        stats = ExecutionStats(4)
-        stats.add_work(0, 100)
-        stats.add_work(2, 300)
+        def record(ctx, op):
+            ctx.add_work(op, 0, 100)
+            ctx.add_work(op, 2, 300)
+
+        stats = recorded(4, record)
         assert stats.max_node_work == 300
         assert stats.rows_processed == 400
 
@@ -29,17 +46,19 @@ class TestExecutionStats:
             coordinator_overhead_seconds=0.25,
             row_scale=1.0,
         )
-        stats = ExecutionStats(2)
-        stats.add_work(0, 1_000_000)
-        stats.add_network(2_000_000, 10)
-        stats.add_shuffle()
+
+        def record(ctx, op):
+            ctx.add_work(op, 0, 1_000_000)
+            ctx.add_network(op, 2_000_000, 10)
+            ctx.add_shuffle(op)
+
+        stats = recorded(2, record)
         seconds = stats.simulated_seconds(params)
         # cpu 1s + network 2e6/(1e6*2 nodes)=1s + latency .5 + overhead .25
         assert seconds == pytest.approx(1.0 + 1.0 + 0.5 + 0.25)
 
     def test_row_scale_extrapolates(self):
-        stats = ExecutionStats(2)
-        stats.add_work(0, 1000)
+        stats = ExecutionStats(2, node_work=[1000.0, 0.0])
         small = stats.simulated_seconds(CostParameters(row_scale=1))
         big = stats.simulated_seconds(CostParameters(row_scale=100))
         assert big > small
@@ -53,20 +72,21 @@ class TestExecutionStats:
             coordinator_overhead_seconds=0.0,
             shuffle_latency_seconds=0.0,
         )
-        stats = ExecutionStats(2)
-        stats.add_work(0, 0)
-        stats.add_join_event(0, build_rows=3500, probe_rows=500)
+        stats = recorded(
+            2, lambda ctx, op: ctx.add_join_event(op, 0, 3500, 500)
+        )
         # 3 extra passes over (build + probe) = 12000 rows.
         assert stats.simulated_seconds(params) == pytest.approx(12_000e-6)
 
     def test_merge(self):
-        first, second = ExecutionStats(2), ExecutionStats(2)
-        first.add_work(0, 10)
-        second.add_work(1, 20)
-        second.add_network(100, 1)
-        second.add_shuffle()
-        second.add_join_event(0, 5, 5)
-        first.merge(second)
+        def record(ctx, op):
+            ctx.add_work(op, 1, 20)
+            ctx.add_network(op, 100, 1)
+            ctx.add_shuffle(op)
+            ctx.add_join_event(op, 0, 5, 5)
+
+        first = recorded(2, lambda ctx, op: ctx.add_work(op, 0, 10))
+        first.merge(recorded(2, record))
         assert first.node_work == [10, 20]
         assert first.network_bytes == 100
         assert first.shuffle_count == 1

@@ -14,7 +14,12 @@ import sys
 
 import pytest
 
-from helpers import assert_same_rows, pref_chain_config
+from helpers import (
+    all_hashed_config,
+    assert_same_rows,
+    patched_shop_config,
+    pref_chain_config,
+)
 from repro.bench import Variant, materialize_variant, tpch_variants
 from repro.cluster import SimulatedCluster
 from repro.design import QuerySpec, SchemaDrivenDesigner
@@ -25,6 +30,7 @@ from repro.engine import (
     format_operator_stats,
     make_backend,
 )
+from repro.partitioning import partition_database
 from repro.query import CostParameters, Executor, LocalExecutor
 from repro.sql import sql_to_plan
 from repro.workloads.tpcds import (
@@ -299,3 +305,28 @@ class TestObservability:
         assert text == format_operator_stats(result.operators)
         for op in result.operators:
             assert op.label.split()[0] in text
+        header = text.splitlines()[0]
+        assert "rows out" in header and "parts" in header
+        # A counter column appears only when some operator counted it.
+        assert "bloom" not in header and "patch" not in header
+
+        plan = sql_to_plan(
+            "SELECT c.cname, SUM(l.qty) AS q FROM customer c "
+            "JOIN orders o ON c.custkey = o.custkey "
+            "JOIN lineitem l ON o.orderkey = l.orderkey "
+            "WHERE c.custkey < 5 GROUP BY c.cname",
+            shop_db.schema,
+        )
+        hashed = partition_database(shop_db, all_hashed_config(4))
+        result = Executor(hashed, predicate_transfer=True).execute(plan)
+        pruned = sum(op.bloom_pruned for op in result.operators)
+        assert pruned > 0
+        header, _rule, *rows = result.explain_operators().splitlines()
+        assert "bloom probed" in header and "bloom pruned" in header
+        column = header.index("bloom pruned")
+        assert sum(int(row[column:].split()[0]) for row in rows) == pruned
+
+        patched = partition_database(shop_db, patched_shop_config())
+        result = Executor(patched).execute(plan)
+        assert sum(op.patch_rows for op in result.operators) > 0
+        assert "patch shipped" in result.explain_operators().splitlines()[0]

@@ -11,8 +11,10 @@ naming the offending operator.
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import re
 
-from helpers import pref_chain_config, shop_database
+from helpers import all_hashed_config, pref_chain_config, shop_database
 from repro.engine import SerialBackend
 from repro.engine.context import ContextDelta
 from repro.fuzz.differ import span_tree_diff, span_trees_equal
@@ -64,10 +66,50 @@ def test_perturbed_counter_detected_and_named():
     assert "only in serial" in report
 
 
+def _named_ops(report: str) -> list[int]:
+    return [int(op_id) for op_id in re.findall(r"^  op (\d+)", report, re.M)]
+
+
+def test_diff_names_only_the_differing_op_under_bloom_activity():
+    # Regression: the differ sliced the positional canonical tuple to drop
+    # the children, but Bloom-active spans carried one more element after
+    # them — so their Bloom counts were never compared and their whole
+    # subtree was, blaming every ancestor for a child's difference.
+    database = shop_database(seed=7)
+    partitioned = partition_database(database, all_hashed_config(4))
+    plan = sql_to_plan(
+        "SELECT c.cname, SUM(l.qty) AS q FROM customer c "
+        "JOIN orders o ON c.custkey = o.custkey "
+        "JOIN lineitem l ON o.orderkey = l.orderkey "
+        "WHERE c.custkey < 5 GROUP BY c.cname",
+        database.schema,
+    )
+    executor = Executor(partitioned, predicate_transfer=True)
+    reference = executor.execute(plan, analyze=True).trace
+    probe = next(s for s in reference.spans() if s.bloom_pruned)
+    [child] = probe.children
+
+    broken = copy.deepcopy(reference)
+    broken.span(child.op_id).rows_out += 1
+    assert not span_trees_equal(reference, broken)
+    report = span_tree_diff("serial", reference, "broken", broken)
+    assert _named_ops(report) == [child.op_id]
+    assert "rows_out" in report
+
+    broken = copy.deepcopy(reference)
+    broken.span(probe.op_id).bloom_pruned += 1
+    assert not span_trees_equal(reference, broken)
+    report = span_tree_diff("serial", reference, "broken", broken)
+    assert _named_ops(report) == [probe.op_id]
+    assert "bloom_pruned" in report
+
+
 def test_runner_catches_broken_worker_delta(monkeypatch):
-    # Under-counting rows_out in the process backend's worker deltas is
-    # invisible to the stats check (rows_out is breakdown-only) — the
-    # span-tree oracle must flag it as a backend_trace divergence.
+    # Over-counting rows_out in the recorders the process backend's
+    # workers ship back is invisible to the stats check (rows_out is
+    # breakdown-only) — the span-tree oracle must flag it as a
+    # backend_trace divergence.  Every backend records through the one
+    # ContextDelta class, so the lie is confined to forked workers.
     case = generate_case(seed=11, index=0)
     assert (
         run_case(case, backends=("serial", "process"), check_sqlite=False)
@@ -77,7 +119,8 @@ def test_runner_catches_broken_worker_delta(monkeypatch):
     real_add_output = ContextDelta.add_output
 
     def lying_add_output(self, op, rows, partition=0):
-        real_add_output(self, op, rows + 1, partition=partition)
+        in_worker = multiprocessing.current_process().name != "MainProcess"
+        real_add_output(self, op, rows + in_worker, partition=partition)
 
     monkeypatch.setattr(ContextDelta, "add_output", lying_add_output)
     divergence = run_case(

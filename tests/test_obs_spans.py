@@ -8,13 +8,15 @@ The observability contract has two halves:
 * behavioural — the canonical (timing-free) trace is a pure function of
   the compiled plan, so serial, thread and process backends must produce
   equal canonical traces and equal merged metric totals, and merging
-  worker :class:`~repro.engine.context.ContextDelta` objects must be
-  order-independent (task completion order is nondeterministic).
+  recorders (:class:`~repro.engine.context.ContextDelta`, one per
+  thread-pool task or worker job) must be order-independent (task
+  completion order is nondeterministic).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -25,8 +27,11 @@ from repro.engine import (
     SerialBackend,
     ThreadPoolBackend,
 )
+from repro.engine.backends import build_task_graph
+from repro.engine.compile import compile_plan
 from repro.engine.context import ContextDelta, ExecutionContext, TraceEvent
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
+from repro.obs.span import build_trace
 from repro.partitioning import partition_database
 from repro.query import Executor
 from repro.sql import sql_to_plan
@@ -185,21 +190,67 @@ def test_delta_merge_is_order_independent():
         # The cost-model stats canonicalise identically (join events are
         # flushed through the deferred sort, so ordering cannot leak).
         assert ctx.stats.canonical() == baseline.stats.canonical()
-        # Per-operator breakdowns match field by field.
-        for got, want in zip(ctx.operator_stats(), baseline.operator_stats()):
-            assert got.op_id == want.op_id
-            assert got.node_work == want.node_work
-            assert got.network_bytes == want.network_bytes
-            assert got.rows_shipped == want.rows_shipped
-            assert got.shuffles == want.shuffles
-            assert got.partitions_scanned == want.partitions_scanned
-            assert got.rows_out == want.rows_out
-            assert got.rows_out_by_partition == want.rows_out_by_partition
-            assert got.dup_eliminated == want.dup_eliminated
+        # Per-operator records match field by field.
+        assert ctx.operator_stats() == baseline.operator_stats()
         # Metric registries (histograms included) merge commutatively.
         assert ctx.metrics.canonical() == baseline.metrics.canonical()
         # Every worker trace event is forwarded exactly once.
         assert Counter(events) == Counter(baseline_events)
+
+
+@pytest.mark.parametrize("sql", QUERIES)
+def test_per_task_recorders_merge_in_any_order(traced_engines, sql):
+    """The thread backend's accounting path, with the schedule taken out:
+    every task records into its own recorder, and the recorders may reach
+    ``merge_delta`` in any completion order."""
+    database, engines = traced_engines
+    executor = engines["serial"]
+    plan = sql_to_plan(sql, database.schema)
+    serial = executor.execute(plan, analyze=True)
+
+    root = compile_plan(executor.annotate(plan), executor.partitioned)
+    recorders = []
+    for task in build_task_graph(root):  # serial order respects the DAG
+        recorders.append(ContextDelta(executor.count, collect_trace=True))
+        task.run(recorders[-1])
+    rng = random.Random(3)
+    for _ in range(4):
+        rng.shuffle(recorders)
+        events = []
+        ctx = ExecutionContext(executor.count, trace=events.append)
+        for op in root.walk():
+            ctx.register(op)
+        for recorder in recorders:
+            ctx.merge_delta(recorder)
+        stats = ctx.finish()
+        trace = build_trace(
+            root, ctx.operator_stats(), events, ctx.metrics, executor.count
+        )
+        assert stats.canonical() == serial.stats.canonical()
+        assert trace.canonical() == serial.trace.canonical()
+        assert ctx.metrics.canonical() == serial.trace.metrics.canonical()
+
+
+def test_thread_backend_accounting_survives_contention():
+    """More workers than cores, many partitions and a tiny switch
+    interval: merging recorders outside the scheduler lock loses updates
+    in about a third of these runs."""
+    database = shop_database(seed=7)
+    partitioned = partition_database(database, pref_chain_config(16))
+    plan = sql_to_plan(QUERIES[1], database.schema)
+    reference = Executor(partitioned).execute(plan, analyze=True)
+    pool = ThreadPoolBackend(max_workers=8)
+    executor = Executor(partitioned, backend=pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            result = executor.execute(plan, analyze=True)
+            assert result.stats.canonical() == reference.stats.canonical()
+            assert result.trace.canonical() == reference.trace.canonical()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
 
 
 def test_histogram_merge_commutes():

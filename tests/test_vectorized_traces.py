@@ -1,13 +1,16 @@
 """The batch engine's canonical traces match the frozen row engine's.
 
-The fixtures under ``tests/fixtures/trace_*_row_engine.txt`` are
-``repr(result.trace.canonical())`` captured from the row-at-a-time engine
-this codebase shipped before the columnar refactor, on a fixed workload
+The fixtures under ``tests/fixtures/trace_*_row_engine.txt`` hold
+``repr(result.trace.canonical())`` of the row-at-a-time engine this
+codebase shipped before the columnar refactor, on a fixed workload
 (TPC-H SF 0.002 seed 1, schema-driven PREF design on 4 nodes, serial
-backend).  Canonical traces include every operator's row/exchange/network
-accounting, so equality here proves the vectorized operators are
-observation-identical to the row engine — not just same answers, but the
-same rows through the same exchanges.
+backend).  They were captured in that engine's positional tuple form and
+later rewritten, value for value, into the named-field form — the row
+engine was not re-run, so the numbers are still its own.  Canonical
+traces include every operator's row/exchange/network accounting, so
+equality here proves the vectorized operators are observation-identical
+to the row engine — not just same answers, but the same rows through the
+same exchanges.
 """
 
 from __future__ import annotations
