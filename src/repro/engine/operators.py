@@ -250,17 +250,18 @@ class PhysicalScan(PhysicalOperator):
     def label(self) -> str:
         return f"scan({self.table.schema.name})"
 
-    def _materialize(self, partition, width: int) -> ColumnBatch:
-        """The partition's cached columnar form as a batch (aliased)."""
-        if not partition.rows:
-            return ColumnBatch.empty(width)
-        # Copy the outer list only: the column lists themselves alias the
-        # partition's cache (read-only by the engine's convention).
-        return ColumnBatch(list(partition.columnar()), len(partition.rows))
+    @staticmethod
+    def _stored(partition) -> ColumnBatch:
+        """The partition's columns as a batch.
+
+        Only the outer list is new: the columns alias the store, so an
+        operator that mutated a batch column in place would corrupt data.
+        """
+        return ColumnBatch(list(partition.columns), partition.row_count)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         if self.replicated:
-            batch = self._materialize(self.table.partitions[0], self.width)
+            batch = self._stored(self.table.partitions[0])
             ctx.add_output(self, batch.length, 0)
             self.store_batch(0, batch)
             return
@@ -270,8 +271,8 @@ class PhysicalScan(PhysicalOperator):
             return
         ctx.add_partition_scanned(self)
         if self.attach_bitmaps:
-            base = self._materialize(partition, self.width - 2)
-            dup_list, partner_list = partition.bitmap_lists()
+            base = self._stored(partition)
+            dup_list, partner_list = partition.dup, partition.has_partner
             deliveries = self.table.patches_for(partition.partition_id)
             if deliveries:
                 # Residual shuffle for patched PREF: overflow copies whose
@@ -279,7 +280,7 @@ class PhysicalScan(PhysicalOperator):
                 # partner partitions at scan time.  They behave exactly
                 # like stored dup=1 copies, so every downstream rewrite
                 # that is correct for plain PREF stays correct.  The
-                # partition caches are aliased read-only — copy before
+                # stored columns are aliased read-only — copy before
                 # extending.
                 columns = [list(column) for column in base.columns]
                 for row, _source_id in deliveries:
@@ -297,7 +298,7 @@ class PhysicalScan(PhysicalOperator):
                 base.columns + [dup_list, partner_list], base.length
             )
         else:
-            batch = self._materialize(partition, self.width)
+            batch = self._stored(partition)
         ctx.add_output(self, batch.length, p)
         self.store_batch(p, batch)
 

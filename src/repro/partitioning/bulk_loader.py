@@ -31,7 +31,12 @@ from repro.partitioning.scheme import (
     RoundRobinScheme,
     key_has_null,
 )
-from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
+from repro.storage.partition import row_key
+from repro.storage.partitioned import (
+    PartitionedDatabase,
+    PartitionedTable,
+    StagedCopies,
+)
 
 Row = tuple
 
@@ -142,13 +147,19 @@ class BulkLoader:
         # previously verified effective-hash placement of this table and of
         # every table referencing it (locality propagation adds copies).
         self._invalidate_effective_hash(table)
-        stats = BulkLoadStats()
-        placements: list[tuple[Row, frozenset[int]]] = []
-        for raw in rows:
-            row = tuple(raw)
-            stats.rows_in += 1
-            placed = self._insert_one(target, scheme, row, stats)
-            placements.append((row, placed))
+        rows = [tuple(raw) for raw in rows]
+        arity = len(target.schema)
+        if any(len(row) != arity for row in rows):
+            raise BulkLoadError(
+                f"insert into {table}: every row must have {arity} values"
+            )
+        stats = BulkLoadStats(rows_in=len(rows))
+        staged = StagedCopies(target)
+        placements = [
+            (row, self._insert_one(target, scheme, row, stats, staged))
+            for row in rows
+        ]
+        staged.flush()
         if maintain_referencing and table in self._referencing:
             self._propagate(table, placements, stats)
         return stats
@@ -159,41 +170,39 @@ class BulkLoader:
         scheme,
         row: Row,
         stats: BulkLoadStats,
+        staged: StagedCopies,
     ) -> frozenset[int]:
-        """Place one row; returns the set of partitions that got a copy."""
+        """Stage one row; returns the set of partitions that get a copy."""
         source_id = target.allocate_source_id()
         width = target.schema.row_byte_width
         if isinstance(scheme, (HashScheme, RangeScheme)):
-            key = _key_of(target, scheme.columns, row)
+            key = row_key(target.schema.positions(scheme.columns))(row)
             partition_id = scheme.partition_of(key)
-            target.partitions[partition_id].append(row, source_id)
-            self._refresh_indexes(target, row, (partition_id,))
+            staged.add(partition_id, row, source_id)
             stats.copies_written += 1
             stats.bytes_written += width
             return frozenset((partition_id,))
         if isinstance(scheme, RoundRobinScheme):
             cursor = self._round_robin.get(target.name, 0)
-            target.partitions[cursor].append(row, source_id)
-            self._refresh_indexes(target, row, (cursor,))
+            staged.add(cursor, row, source_id)
             self._round_robin[target.name] = (cursor + 1) % target.partition_count
             stats.copies_written += 1
             stats.bytes_written += width
             return frozenset((cursor,))
         if isinstance(scheme, ReplicatedScheme):
-            for partition in target.partitions:
-                partition.append(
-                    row, source_id, duplicate=partition.partition_id != 0
+            for partition_id in range(target.partition_count):
+                staged.add(
+                    partition_id, row, source_id, duplicate=partition_id != 0
                 )
-            self._refresh_indexes(
-                target, row, tuple(range(target.partition_count))
-            )
             stats.copies_written += target.partition_count
             stats.bytes_written += width * target.partition_count
             return frozenset(range(target.partition_count))
         if isinstance(scheme, PrefScheme):
             referenced = self.partitioned.table(scheme.referenced_table)
             index = referenced.partition_index(scheme.referenced_columns)
-            key = _key_of(target, scheme.referencing_columns(target.name), row)
+            key = row_key(
+                target.schema.positions(scheme.referencing_columns(target.name))
+            )(row)
             if key_has_null(key):
                 # A NULL key never matches a partner; no index probe needed.
                 partitions = frozenset()
@@ -209,19 +218,16 @@ class BulkLoader:
                         target.add_patch(partition_id, row, source_id)
                     placed = placed[: scheme.max_copies]
                 for rank, partition_id in enumerate(placed):
-                    target.partitions[partition_id].append(
-                        row, source_id, duplicate=rank > 0, has_partner=True
+                    staged.add(
+                        partition_id, row, source_id, duplicate=rank > 0
                     )
             else:
                 cursor = self._round_robin.get(target.name, 0)
-                target.partitions[cursor].append(
-                    row, source_id, duplicate=False, has_partner=False
-                )
+                staged.add(cursor, row, source_id, has_partner=False)
                 self._round_robin[target.name] = (
                     cursor + 1
                 ) % target.partition_count
                 placed = (cursor,)
-            self._refresh_indexes(target, row, placed)
             stats.copies_written += len(placed)
             stats.bytes_written += width * len(placed)
             return frozenset(placed)
@@ -239,18 +245,6 @@ class BulkLoader:
             if self.partitioned.has_table(current):
                 self.partitioned.table(current).effective_hash = None
             frontier.extend(self._referencing.get(current, ()))
-
-    def _refresh_indexes(
-        self,
-        target: PartitionedTable,
-        row: Row,
-        partition_ids: Sequence[int],
-    ) -> None:
-        """Keep cached partition indexes of *target* consistent."""
-        for columns, index in list(target._indexes.items()):
-            key = _key_of(target, columns, row)
-            for partition_id in partition_ids:
-                index.add(key, partition_id)
 
     # -- locality maintenance ----------------------------------------------------
 
@@ -272,8 +266,11 @@ class BulkLoader:
             referenced = self.partitioned.table(referenced_name)
             # Which keys newly appeared in which partitions?
             new_keys: dict[Hashable, set[int]] = {}
+            extract = row_key(
+                referenced.schema.positions(scheme.referenced_columns)
+            )
             for row, placed in placements:
-                key = _key_of(referenced, scheme.referenced_columns, row)
+                key = extract(row)
                 if key_has_null(key):
                     # A NULL referenced key can never partner anything.
                     continue
@@ -287,6 +284,8 @@ class BulkLoader:
                 else None
             )
             downstream: list[tuple[Row, frozenset[int]]] = []
+            staged = StagedCopies(referencing)
+            partnered: set[int] = set()
             for key, partitions in new_keys.items():
                 for source_id, row, existing in locator.get(key, ()):  # noqa: B020
                     patched = referencing.patch_partitions_of(source_id)
@@ -301,18 +300,17 @@ class BulkLoader:
                             # locations go to the patch list instead.
                             referencing.add_patch(partition_id, row, source_id)
                             continue
-                        referencing.partitions[partition_id].append(
-                            row, source_id, duplicate=True, has_partner=True
-                        )
+                        staged.add(partition_id, row, source_id, duplicate=True)
                         existing.add(partition_id)
                         added.add(partition_id)
                         stats.propagated_copies += 1
                         stats.copies_written += 1
                         stats.bytes_written += width
-                        self._refresh_indexes(referencing, row, (partition_id,))
                     if added:
                         downstream.append((row, frozenset(added)))
-                    _mark_has_partner(referencing, source_id)
+                    partnered.add(source_id)
+            _mark_has_partner(referencing, partnered)
+            staged.flush()
             if downstream:
                 self._propagate(referencing_name, downstream, stats)
 
@@ -321,24 +319,18 @@ class BulkLoader:
     def delete(self, table: str, where: Callable[[Row], bool]) -> int:
         """Delete rows matching *where* from every partition of *table*.
 
-        Returns the number of row copies removed.  Cached partition indexes
-        are invalidated (deletion is rare in the paper's warehousing setting).
+        Returns the number of row copies removed.  If any were, the cached
+        partition indexes are dropped (deletion is rare in the paper's
+        warehousing setting).
         """
         target = self.partitioned.table(table)
         removed = 0
         for partition in target.partitions:
-            keep = [
-                (row, source_id, dup, has)
-                for row, source_id, dup, has in zip(
-                    partition.rows,
-                    partition.source_ids,
-                    partition.dup,
-                    partition.has_partner,
-                )
-                if not where(row)
-            ]
-            removed += partition.row_count - len(keep)
-            _rebuild_partition(partition, keep)
+            keep = [not where(row) for row in partition]
+            dropped = keep.count(False)
+            if dropped:
+                partition.compress(keep)
+                removed += dropped
         if target.patches:
             kept_patches = {
                 partition_id: [
@@ -352,7 +344,8 @@ class BulkLoader:
                 len(entries) for entries in kept_patches.values()
             )
             target.replace_patches(kept_patches)
-        target.invalidate_indexes()
+        if removed:
+            target.invalidate_indexes()
         return removed
 
     def update(
@@ -363,48 +356,45 @@ class BulkLoader:
     ) -> int:
         """Update rows matching *where* in every partition of *table*.
 
-        Raises :class:`BulkLoadError` if the update modifies any column used
-        by a partitioning scheme or PREF predicate involving *table* (the
-        paper forbids such updates).  Returns the number of copies updated.
+        Raises :class:`BulkLoadError` if the update changes a row's arity or
+        modifies any column used by a partitioning scheme or PREF predicate
+        involving *table* (the paper forbids such updates).  Every new row
+        is checked before any is written, so a rejected update leaves the
+        store untouched.  Returns the number of copies updated.
         """
         target = self.partitioned.table(table)
-        protected = self._protected_columns(table)
-        positions = target.schema.positions(tuple(protected))
-        updated = 0
-        for partition in target.partitions:
-            for index, row in enumerate(partition.rows):
-                if not where(row):
-                    continue
-                new_row = tuple(assign(row))
-                if len(new_row) != len(row):
-                    raise BulkLoadError("update changed row arity")
-                for position in positions:
-                    if new_row[position] != row[position]:
-                        column = target.schema.columns[position].name
-                        raise BulkLoadError(
-                            f"update modifies partitioning-relevant column "
-                            f"{table}.{column}"
-                        )
-                partition.rows[index] = new_row
-                partition.invalidate_caches()
-                updated += 1
-        for entries in target.patches.values():
-            for index, (row, source_id) in enumerate(entries):
-                if not where(row):
-                    continue
-                new_row = tuple(assign(row))
-                if len(new_row) != len(row):
-                    raise BulkLoadError("update changed row arity")
-                for position in positions:
-                    if new_row[position] != row[position]:
-                        column = target.schema.columns[position].name
-                        raise BulkLoadError(
-                            f"update modifies partitioning-relevant column "
-                            f"{table}.{column}"
-                        )
-                entries[index] = (new_row, source_id)
-                updated += 1
-        return updated
+        positions = target.schema.positions(self._protected_columns(table))
+
+        def checked(row: Row) -> Row:
+            new_row = tuple(assign(row))
+            if len(new_row) != len(row):
+                raise BulkLoadError("update changed row arity")
+            for position in positions:
+                if new_row[position] != row[position]:
+                    column = target.schema.columns[position].name
+                    raise BulkLoadError(
+                        f"update modifies partitioning-relevant column "
+                        f"{table}.{column}"
+                    )
+            return new_row
+
+        stored = [
+            (partition, index, checked(row))
+            for partition in target.partitions
+            for index, row in enumerate(partition)
+            if where(row)
+        ]
+        patched = [
+            (entries, index, (checked(row), source_id))
+            for entries in target.patches.values()
+            for index, (row, source_id) in enumerate(entries)
+            if where(row)
+        ]
+        for partition, index, new_row in stored:
+            partition.set_row(index, new_row)
+        for entries, index, entry in patched:
+            entries[index] = entry
+        return len(stored) + len(patched)
 
     def _protected_columns(self, table: str) -> set[str]:
         """Columns of *table* used by its scheme or any PREF predicate."""
@@ -423,13 +413,6 @@ class BulkLoader:
         return protected
 
 
-def _key_of(table: PartitionedTable, columns: Sequence[str], row: Row):
-    positions = table.schema.positions(tuple(columns))
-    if len(positions) == 1:
-        return row[positions[0]]
-    return tuple(row[position] for position in positions)
-
-
 def _locate_rows(
     table: PartitionedTable,
     columns: Sequence[str],
@@ -439,21 +422,18 @@ def _locate_rows(
 
     Returns per key a list of (source_id, row, partitions holding a copy).
     """
-    positions = table.schema.positions(tuple(columns))
-    if len(positions) == 1:
-        position = positions[0]
-        extract = lambda row: row[position]  # noqa: E731
-    else:
-        extract = lambda row: tuple(row[p] for p in positions)  # noqa: E731
+    positions = table.schema.positions(columns)
     by_source: dict[int, tuple[Hashable, Row, set[int]]] = {}
     for partition in table.partitions:
-        for row, source_id in zip(partition.rows, partition.source_ids):
-            key = extract(row)
+        for index, key in enumerate(partition.keys(positions)):
             if key not in keys:
                 continue
+            source_id = partition.source_ids[index]
             entry = by_source.get(source_id)
             if entry is None:
-                by_source[source_id] = (key, row, {partition.partition_id})
+                by_source[source_id] = (
+                    key, partition.row(index), {partition.partition_id}
+                )
             else:
                 entry[2].add(partition.partition_id)
     result: dict[Hashable, list[tuple[int, Row, set[int]]]] = {}
@@ -462,24 +442,11 @@ def _locate_rows(
     return result
 
 
-def _mark_has_partner(table: PartitionedTable, source_id: int) -> None:
-    """Set the ``hasS`` bit on every copy of *source_id*."""
+def _mark_has_partner(table: PartitionedTable, source_ids: set[int]) -> None:
+    """Set the ``hasS`` bit on every copy of the base tuples *source_ids*."""
+    if not source_ids:
+        return
     for partition in table.partitions:
-        changed = False
-        for index, sid in enumerate(partition.source_ids):
-            if sid == source_id:
-                partition.has_partner[index] = True
-                changed = True
-        if changed:
-            partition.invalidate_caches()
-
-
-def _rebuild_partition(partition, entries) -> None:
-    """Replace a partition's contents with the filtered *entries*."""
-    from repro.storage.bitmap import Bitmap
-
-    partition.rows = [row for row, _sid, _dup, _has in entries]
-    partition.source_ids = [sid for _row, sid, _dup, _has in entries]
-    partition.dup = Bitmap(dup for _row, _sid, dup, _has in entries)
-    partition.has_partner = Bitmap(has for _row, _sid, _dup, has in entries)
-    partition.invalidate_caches()
+        for index, source_id in enumerate(partition.source_ids):
+            if source_id in source_ids:
+                partition.set_has_partner(index)

@@ -14,8 +14,6 @@ maintain the guarantees that query processing relies on:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.scheme import (
     PatchedPrefScheme,
@@ -69,32 +67,33 @@ def _check_pref_table(
     # Keys containing NULL never satisfy the partitioning predicate, on
     # either side: a NULL referenced key partners nothing, and a NULL
     # referencing key has no partner (matching SQL equality semantics).
+    referenced_positions = referenced.schema.positions(scheme.referenced_columns)
     partner_keys_by_partition = [
         {
             key
-            for key in _key_set(referenced, scheme.referenced_columns, pid)
+            for key in partition.keys(referenced_positions)
             if not key_has_null(key)
         }
-        for pid in range(referenced.partition_count)
+        for partition in referenced.partitions
     ]
     all_partner_keys = set().union(*partner_keys_by_partition) if (
         partner_keys_by_partition
     ) else set()
 
     # Collect, per base tuple of R, its key and the partitions holding copies.
-    extract = _extractor(referencing, scheme.referencing_columns(name))
+    positions = referencing.schema.positions(scheme.referencing_columns(name))
     copies: dict[int, set[int]] = {}
     keys: dict[int, object] = {}
     has_bits: dict[int, set[bool]] = {}
     for partition in referencing.partitions:
-        for index, (row, source_id) in enumerate(
-            zip(partition.rows, partition.source_ids)
+        for key, source_id, has_partner in zip(
+            partition.keys(positions),
+            partition.source_ids,
+            partition.has_partner,
         ):
             copies.setdefault(source_id, set()).add(partition.partition_id)
-            keys[source_id] = extract(row)
-            has_bits.setdefault(source_id, set()).add(
-                partition.has_partner[index]
-            )
+            keys[source_id] = key
+            has_bits.setdefault(source_id, set()).add(bool(has_partner))
 
     max_copies = (
         scheme.max_copies if isinstance(scheme, PatchedPrefScheme) else None
@@ -183,20 +182,3 @@ def _check_canonical_copies(table: PartitionedTable) -> None:
             f"{table.name}: {len(bad)} tuples without exactly one canonical "
             f"copy (e.g. tuple {sample[0]} has {sample[1]})"
         )
-
-
-def _key_set(
-    table: PartitionedTable,
-    columns: Sequence[str],
-    partition_id: int,
-) -> set:
-    extract = _extractor(table, columns)
-    return {extract(row) for row in table.partitions[partition_id].rows}
-
-
-def _extractor(table: PartitionedTable, columns: Sequence[str]):
-    positions = table.schema.positions(tuple(columns))
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: row[position]
-    return lambda row: tuple(row[position] for position in positions)

@@ -9,7 +9,6 @@ bitmap indexes of Section 2.1 are maintained during placement.
 
 from __future__ import annotations
 
-from repro.catalog.schema import TableSchema
 from repro.errors import PartitioningError
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.scheme import (
@@ -22,7 +21,12 @@ from repro.partitioning.scheme import (
     key_has_null,
     stable_hash,
 )
-from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
+from repro.storage.partition import row_key
+from repro.storage.partitioned import (
+    PartitionedDatabase,
+    PartitionedTable,
+    StagedCopies,
+)
 from repro.storage.table import Database, Table
 
 
@@ -116,10 +120,9 @@ def _verified_effective_hash(
     if table.duplicate_count or table.patch_count:
         return None
     count = table.partition_count
-    extract = _key_extractor(table.schema, columns)
+    positions = table.schema.positions(columns)
     for partition in table.partitions:
-        for row in partition.rows:
-            key = extract(row)
+        for key in partition.keys(positions):
             if stable_hash(key) % count != partition.partition_id:
                 return None
     return columns
@@ -132,53 +135,61 @@ def _place_rows(
 ) -> None:
     """Distribute the rows of *base_table* into *target*'s partitions."""
     scheme = target.scheme
+    staged = StagedCopies(target)
     if isinstance(scheme, (HashScheme, RangeScheme)):
-        _place_by_key(base_table, target)
+        _place_by_key(base_table, target, staged)
     elif isinstance(scheme, RoundRobinScheme):
-        _place_round_robin(base_table, target)
+        _place_round_robin(base_table, target, staged)
     elif isinstance(scheme, ReplicatedScheme):
-        _place_replicated(base_table, target)
+        _place_replicated(base_table, target, staged)
     elif isinstance(scheme, PrefScheme):
-        _place_pref(base_table, target, partitioned)
+        _place_pref(base_table, target, partitioned, staged)
     else:  # pragma: no cover - exhaustive over scheme types
         raise PartitioningError(f"unsupported scheme: {scheme!r}")
+    staged.flush()
 
 
-def _place_by_key(base_table: Table, target: PartitionedTable) -> None:
+def _place_by_key(
+    base_table: Table, target: PartitionedTable, staged: StagedCopies
+) -> None:
     scheme = target.scheme
-    extract = _key_extractor(base_table.schema, scheme.columns)
+    extract = row_key(base_table.schema.positions(scheme.columns))
     for row in base_table.rows:
         source_id = target.allocate_source_id()
-        partition_id = scheme.partition_of(extract(row))
-        target.partitions[partition_id].append(row, source_id)
+        staged.add(scheme.partition_of(extract(row)), row, source_id)
 
 
-def _place_round_robin(base_table: Table, target: PartitionedTable) -> None:
+def _place_round_robin(
+    base_table: Table, target: PartitionedTable, staged: StagedCopies
+) -> None:
     count = target.partition_count
     for index, row in enumerate(base_table.rows):
         source_id = target.allocate_source_id()
-        target.partitions[index % count].append(row, source_id)
+        staged.add(index % count, row, source_id)
 
 
-def _place_replicated(base_table: Table, target: PartitionedTable) -> None:
+def _place_replicated(
+    base_table: Table, target: PartitionedTable, staged: StagedCopies
+) -> None:
     for row in base_table.rows:
         source_id = target.allocate_source_id()
-        for partition in target.partitions:
+        for partition_id in range(target.partition_count):
             # The copy on partition 0 is the canonical one.
-            partition.append(row, source_id, duplicate=partition.partition_id != 0)
+            staged.add(partition_id, row, source_id, duplicate=partition_id != 0)
 
 
 def _place_pref(
     base_table: Table,
     target: PartitionedTable,
     partitioned: PartitionedDatabase,
+    staged: StagedCopies,
 ) -> None:
     scheme = target.scheme
     assert isinstance(scheme, PrefScheme)
     referenced = partitioned.table(scheme.referenced_table)
     index = referenced.partition_index(scheme.referenced_columns)
-    extract = _key_extractor(
-        base_table.schema, scheme.referencing_columns(target.name)
+    extract = row_key(
+        base_table.schema.positions(scheme.referencing_columns(target.name))
     )
     max_copies = (
         scheme.max_copies if isinstance(scheme, PatchedPrefScheme) else None
@@ -201,21 +212,8 @@ def _place_pref(
                     target.add_patch(partition_id, tuple(row), source_id)
                 placed = placed[:max_copies]
             for rank, partition_id in enumerate(placed):
-                target.partitions[partition_id].append(
-                    row, source_id, duplicate=rank > 0, has_partner=True
-                )
+                staged.add(partition_id, row, source_id, duplicate=rank > 0)
         else:
             # Condition (2): partner-less tuples are dealt round-robin.
-            target.partitions[round_robin_cursor].append(
-                row, source_id, duplicate=False, has_partner=False
-            )
+            staged.add(round_robin_cursor, row, source_id, has_partner=False)
             round_robin_cursor = (round_robin_cursor + 1) % target.partition_count
-
-
-def _key_extractor(schema: TableSchema, columns: tuple[str, ...]):
-    """Row -> partitioning-key function for *columns* of *schema*."""
-    positions = schema.positions(columns)
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: row[position]
-    return lambda row: tuple(row[position] for position in positions)

@@ -298,11 +298,10 @@ def _materialize(site: _Site, partitioned: PartitionedDatabase) -> None:
     for partition in partitions:
         if not partition.row_count:
             continue
-        columns = [list(column) for column in partition.columnar()]
+        # Aliases the stored lists: the simulation only reads them.
+        columns = list(partition.columns)
         if site.scan.props.part.method is Method.PREF:
-            dup, has = partition.bitmap_lists()
-            columns.append(list(dup))
-            columns.append(list(has))
+            columns += [partition.dup, partition.has_partner]
         pieces.append(ColumnBatch(columns, partition.row_count))
     batch = ColumnBatch.concat(pieces, width)
     site.columns = batch.columns if batch.columns else [[] for _ in range(width)]

@@ -7,8 +7,8 @@ references, because referenced-side inserts propagate copies into
 referencing tables and flip their hasS bits (see
 :meth:`~repro.partitioning.bulk_loader.BulkLoader._propagate`).  Cache
 entries record the tables they depend on; a bump drops every dependent
-entry, the same discipline :meth:`Partition.invalidate_caches` applies to
-the storage-level columnar caches.
+entry.  (Storage itself needs no such clock: a partition stores the
+columns its scans alias, so a write is visible to the next read.)
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ Architecture (one PR-sized subsystem, four cooperating parts):
    cached annotation (physical operators are per-run state).
 4. **Result cache** — normalised SQL text -> finished rows, invalidated
    by per-table epochs: every admitted write bumps the epochs of its
-   PREF write-closure and drops dependent entries, mirroring the
-   ``Partition.invalidate_caches()`` discipline at the serving layer.
+   PREF write-closure and drops dependent entries.  These two caches
+   are the only derived state a write can leave stale: partitions store
+   the columns scans hand out, so storage has nothing to invalidate.
 
 Queries execute under the read side of a writer-priority RW lock and
 writes under the write side, so a query never observes a half-applied
@@ -395,8 +396,12 @@ class ClusterServer:
         tables = tuple(tables)
         started = time.monotonic()
         with self._lock.write():
-            outcome = apply()
-            self._bump(tables)
+            try:
+                outcome = apply()
+            finally:
+                # A write that raises part-way may already have stored
+                # rows; the caches must not keep answering from before it.
+                self._bump(tables)
         self.metrics.inc("serve.writes")
         self.metrics.observe(
             "time.serve.write_seconds",

@@ -1,13 +1,11 @@
-"""Storage: unpartitioned tables, partitions, bitmaps, partition indexes."""
+"""Storage: unpartitioned tables, columnar partitions, partition indexes."""
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.partition import Partition
 from repro.storage.partition_index import PartitionIndex
 from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
 from repro.storage.table import Database, Table
 
 __all__ = [
-    "Bitmap",
     "Database",
     "Partition",
     "PartitionIndex",

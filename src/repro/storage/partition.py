@@ -1,6 +1,10 @@
 """A single horizontal partition of a table, with PREF bookkeeping.
 
-Each partition stores its rows plus three parallel structures:
+A partition stores its tuples column-wise — ``columns[c][i]`` is the value
+of column ``c`` in stored row ``i``, ``None`` for NULL — which is exactly
+the layout a scan hands to the engine, so scans alias the stored lists and
+nothing derived can go stale.  Three parallel lists describe each stored
+row:
 
 * ``source_ids`` — the global id of the base tuple each stored row is a copy
   of.  PREF partitioning may place copies of the same base tuple in several
@@ -11,38 +15,70 @@ Each partition stores its rows plus three parallel structures:
 * ``has_partner`` — the paper's ``hasS`` bitmap index: 1 if the tuple has at
   least one partitioning partner in the referenced table (drives the
   semi-/anti-join rewrites of Section 2.2).
+
+Readers (the engine included) must treat every stored list as read-only;
+all mutation goes through :meth:`Partition.extend`, :meth:`compress`,
+:meth:`set_row` and :meth:`set_has_partner`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
-from repro.storage.bitmap import Bitmap
+from repro.errors import RowShapeError
 
 Row = tuple
 
 
+def row_key(positions: Sequence[int]) -> Callable[[Row], object]:
+    """Row -> key function; scalars for single columns, tuples otherwise."""
+    return itemgetter(*positions)
+
+
 class Partition:
-    """Rows of one partition plus the PREF bitmap indexes."""
+    """Columns of one partition plus the PREF bitmap indexes."""
 
-    __slots__ = (
-        "partition_id",
-        "rows",
-        "source_ids",
-        "dup",
-        "has_partner",
-        "_columnar",
-        "_bitmap_lists",
-    )
+    __slots__ = ("partition_id", "columns", "source_ids", "dup", "has_partner")
 
-    def __init__(self, partition_id: int) -> None:
+    def __init__(self, partition_id: int, width: int) -> None:
         self.partition_id = partition_id
-        self.rows: list[Row] = []
+        self.columns: list[list] = [[] for _ in range(width)]
         self.source_ids: list[int] = []
-        self.dup = Bitmap()
-        self.has_partner = Bitmap()
-        self._columnar: list[list] | None = None
-        self._bitmap_lists: tuple[list[int], list[int]] | None = None
+        self.dup: list[int] = []
+        self.has_partner: list[int] = []
+
+    # -- mutation ------------------------------------------------------------
+
+    def extend(
+        self,
+        rows: Sequence[Row],
+        source_ids: Sequence[int],
+        dup: Sequence[int],
+        has_partner: Sequence[int],
+    ) -> None:
+        """Store a batch of (copies of) tuples, in order.
+
+        *dup* and *has_partner* are 0/1 ints parallel to *rows*.  Nothing
+        is written if any row does not match the partition's width.
+        """
+        if not rows:
+            return
+        try:
+            values = list(zip(*rows, strict=True))
+        except ValueError:
+            values = ()
+        if len(values) != len(self.columns):
+            raise RowShapeError(
+                f"partition {self.partition_id}: rows do not all have "
+                f"{len(self.columns)} values"
+            )
+        for column, column_values in zip(self.columns, values):
+            column.extend(column_values)
+        self.source_ids.extend(source_ids)
+        self.dup.extend(dup)
+        self.has_partner.extend(has_partner)
 
     def append(
         self,
@@ -52,93 +88,71 @@ class Partition:
         has_partner: bool = True,
     ) -> None:
         """Store one (copy of a) tuple in this partition."""
-        self.rows.append(tuple(row))
-        self.source_ids.append(source_id)
-        self.dup.append(duplicate)
-        self.has_partner.append(has_partner)
-        self._columnar = None
-        self._bitmap_lists = None
-
-    def invalidate_caches(self) -> None:
-        """Drop the derived columnar/bitmap caches.
-
-        Must be called after any in-place mutation of ``rows``,
-        ``source_ids``, ``dup`` or ``has_partner`` performed outside
-        :meth:`append` (bulk-load updates, deletes, hasS maintenance) —
-        otherwise scans keep serving the stale transpose.
-        """
-        self._columnar = None
-        self._bitmap_lists = None
-
-    def columnar(self) -> list[list]:
-        """The rows transposed into per-column value lists, cached.
-
-        Scans re-read the same immutable partitions on every query, so
-        the transpose is paid once per load, not once per scan.  Callers
-        must treat the returned columns as read-only (the engine's
-        batches alias, never mutate).  Only non-empty partitions are
-        served from here: an empty row list carries no width.
-        """
-        cached = self._columnar
-        if cached is None:
-            cached = self._columnar = [
-                list(column) for column in zip(*self.rows)
-            ]
-        return cached
-
-    def bitmap_lists(self) -> tuple[list[int], list[int]]:
-        """The ``dup`` / ``has_partner`` bitmaps as 0/1 lists, cached."""
-        cached = self._bitmap_lists
-        if cached is None:
-            cached = self._bitmap_lists = (
-                self.dup.tolist(),
-                self.has_partner.tolist(),
-            )
-        return cached
-
-    def __getstate__(self) -> tuple:
-        # The caches are derived data: drop them from pickles so shipping
-        # a partition to a pool worker does not double its payload.
-        return (
-            self.partition_id,
-            self.rows,
-            self.source_ids,
-            self.dup,
-            self.has_partner,
+        self.extend(
+            [tuple(row)], [source_id], [int(duplicate)], [int(has_partner)]
         )
 
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.partition_id,
-            self.rows,
-            self.source_ids,
-            self.dup,
-            self.has_partner,
-        ) = state
-        self._columnar = None
-        self._bitmap_lists = None
+    def compress(self, keep: Sequence[object]) -> None:
+        """Drop every stored row whose *keep* entry is falsy, in order."""
+        self.columns = [list(compress(column, keep)) for column in self.columns]
+        self.source_ids = list(compress(self.source_ids, keep))
+        self.dup = list(compress(self.dup, keep))
+        self.has_partner = list(compress(self.has_partner, keep))
+
+    def set_row(self, index: int, row: Row) -> None:
+        """Overwrite the values of stored row *index*."""
+        if len(row) != len(self.columns):
+            raise RowShapeError(
+                f"partition {self.partition_id}: row has {len(row)} values, "
+                f"expected {len(self.columns)}"
+            )
+        for column, value in zip(self.columns, row):
+            column[index] = value
+
+    def set_has_partner(self, index: int, has_partner: bool = True) -> None:
+        """Set the ``hasS`` bit of stored row *index*."""
+        self.has_partner[index] = int(has_partner)
+
+    # -- reading -------------------------------------------------------------
 
     @property
     def row_count(self) -> int:
         """Number of stored rows (counting duplicates)."""
-        return len(self.rows)
+        return len(self.source_ids)
 
     @property
     def duplicate_count(self) -> int:
         """Number of rows flagged as PREF duplicates."""
-        return self.dup.count()
+        return sum(self.dup)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The stored rows as tuples — a fresh list, not the store."""
+        return list(zip(*self.columns))
+
+    def row(self, index: int) -> Row:
+        """Stored row *index* as a tuple."""
+        return tuple(column[index] for column in self.columns)
+
+    def keys(self, positions: Sequence[int]) -> Sequence:
+        """The key of every stored row under the columns at *positions*.
+
+        Scalars for a single column (the stored column itself — read-only),
+        tuples otherwise; the same convention as :func:`row_key`.
+        """
+        if len(positions) == 1:
+            return self.columns[positions[0]]
+        return list(zip(*(self.columns[position] for position in positions)))
 
     def canonical_rows(self) -> Iterator[Row]:
         """Yield only rows whose ``dup`` bit is 0."""
-        for index, row in enumerate(self.rows):
-            if not self.dup[index]:
-                yield row
+        return (row for row, dup in zip(self, self.dup) if not dup)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.source_ids)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
+        return zip(*self.columns)
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return (

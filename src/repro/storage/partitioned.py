@@ -4,7 +4,8 @@ A :class:`PartitionedTable` is the result of applying a partitioning scheme
 to a base table: ``partition_count`` :class:`~repro.storage.partition.Partition`
 objects, plus cached partition indexes, plus — for PREF tables — a pointer to
 the scheme's seed table (the first non-PREF table along the chain of
-partitioning predicates, paper Definition 1).
+partitioning predicates, paper Definition 1).  Writers buffer row copies in
+a :class:`StagedCopies` and flush them to the partitions a batch at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError, UnknownObjectError
 from repro.partitioning.scheme import PartitioningScheme, SchemeKind
-from repro.storage.partition import Partition
+from repro.storage.partition import Partition, row_key
 from repro.storage.partition_index import PartitionIndex
 
 Row = tuple
@@ -39,7 +40,8 @@ class PartitionedTable:
         #: schemes this is the table itself.
         self.seed_table = seed_table if seed_table is not None else schema.name
         self.partitions: list[Partition] = [
-            Partition(partition_id) for partition_id in range(partition_count)
+            Partition(partition_id, len(schema))
+            for partition_id in range(partition_count)
         ]
         self._indexes: dict[tuple[str, ...], PartitionIndex] = {}
         self._next_source_id = 0
@@ -177,12 +179,8 @@ class PartitionedTable:
         if index is None:
             index = PartitionIndex(key)
             positions = self.schema.positions(key)
-            extract = _key_extractor(positions)
             for partition in self.partitions:
-                index.add_all(
-                    (extract(row) for row in partition.rows),
-                    partition.partition_id,
-                )
+                index.add_all(partition.keys(positions), partition.partition_id)
             self._indexes[key] = index
         return index
 
@@ -199,7 +197,7 @@ class PartitionedTable:
     def all_rows(self) -> Iterator[Row]:
         """Iterate over every stored row copy, partition by partition."""
         for partition in self.partitions:
-            yield from partition.rows
+            yield from partition
 
     def canonical_rows(self) -> Iterator[Row]:
         """Iterate over one copy of every base tuple (dup bit == 0)."""
@@ -279,9 +277,52 @@ class PartitionedDatabase:
         )
 
 
-def _key_extractor(positions: tuple[int, ...]):
-    """Row -> key function; scalars for single columns, tuples otherwise."""
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: row[position]
-    return lambda row: tuple(row[position] for position in positions)
+class StagedCopies:
+    """Row copies of one table, buffered per destination partition.
+
+    Placement decides one row at a time, the column store wants batches:
+    callers :meth:`add` copies as they are placed and :meth:`flush` once,
+    which hands every partition its copies in one ``extend`` (in the order
+    they were added) and records them in the table's cached partition
+    indexes.  Nothing reaches the table before the flush.
+    """
+
+    __slots__ = ("_table", "_buffers")
+
+    def __init__(self, table: PartitionedTable) -> None:
+        self._table = table
+        self._buffers: list[tuple[list, list, list, list]] = [
+            ([], [], [], []) for _ in table.partitions
+        ]
+
+    def add(
+        self,
+        partition_id: int,
+        row: Row,
+        source_id: int,
+        duplicate: bool = False,
+        has_partner: bool = True,
+    ) -> None:
+        """Buffer one (copy of a) tuple for *partition_id*."""
+        rows, source_ids, dup, partner = self._buffers[partition_id]
+        rows.append(row)
+        source_ids.append(source_id)
+        dup.append(int(duplicate))
+        partner.append(int(has_partner))
+
+    def flush(self) -> None:
+        """Store the buffered copies and empty the buffers."""
+        table = self._table
+        indexes = [
+            (index, row_key(table.schema.positions(columns)))
+            for columns, index in table._indexes.items()
+        ]
+        for partition, buffers in zip(table.partitions, self._buffers):
+            rows = buffers[0]
+            if not rows:
+                continue
+            partition.extend(*buffers)
+            for index, extract in indexes:
+                index.add_all(map(extract, rows), partition.partition_id)
+            for buffer in buffers:
+                buffer.clear()

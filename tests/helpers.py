@@ -249,3 +249,21 @@ def patched_shop_config(n: int = 4, max_copies: int = 1) -> PartitioningConfig:
     config.add("item", HashScheme(("itemkey",), n))
     config.add("nation", ReplicatedScheme(n))
     return config
+
+
+def patch_pref_leaves(config: PartitioningConfig, schema) -> PartitioningConfig:
+    """*config* with every un-referenced PREF table capped at one copy."""
+    referenced = {
+        scheme.referenced_table
+        for _table, scheme in config
+        if isinstance(scheme, PrefScheme)
+    }
+    patched = PartitioningConfig(config.partition_count)
+    for table, scheme in config:
+        if isinstance(scheme, PrefScheme) and table not in referenced:
+            scheme = PatchedPrefScheme(
+                scheme.referenced_table, scheme.predicate, max_copies=1
+            )
+        patched.add(table, scheme)
+    patched.validate(schema)
+    return patched

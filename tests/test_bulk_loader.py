@@ -2,7 +2,12 @@
 
 import pytest
 
-from helpers import pref_chain_config, ref_chain_config, shop_schema
+from helpers import (
+    patched_shop_config,
+    pref_chain_config,
+    ref_chain_config,
+    shop_schema,
+)
 from repro.errors import BulkLoadError
 from repro.partitioning import (
     BulkLoader,
@@ -184,6 +189,71 @@ class TestUpdatesAndDeletes:
                 where=lambda row: True,
                 assign=lambda row: (row[0], row[1] + 1, row[2]),
             )
+
+    @pytest.mark.parametrize("make_config", [pref_chain_config, patched_shop_config])
+    def test_rejected_update_leaves_store_untouched(self, shop_db, make_config):
+        """An assign that is legal on early rows and touches a partitioning
+        column on a later one must not leave the early ones rewritten."""
+        config = make_config(4)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        orders = partitioned.table("orders")
+
+        def state():
+            return (
+                [
+                    (list(p.rows), list(p.source_ids), list(p.dup), list(p.has_partner))
+                    for p in orders.partitions
+                ],
+                {pid: list(entries) for pid, entries in orders.patches.items()},
+            )
+
+        before = state()
+        # The last stored copy (and, under the cap, patch entries) of this
+        # order come after other rows that the assign may legally change.
+        bad = [p for p in orders.partitions if p.row_count][-1].rows[-1][0]
+        assert sorted(orders.all_rows())[0][0] != bad
+        with pytest.raises(BulkLoadError):
+            loader.update(
+                "orders",
+                where=lambda row: True,
+                assign=lambda row: (
+                    row[0] + (1000 if row[0] == bad else 0),
+                    row[1],
+                    row[2] + 1.0,
+                ),
+            )
+        assert state() == before
+
+    def test_update_arity_change_rejected(self, shop_db):
+        config = pref_chain_config(4)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        with pytest.raises(BulkLoadError, match="arity"):
+            loader.update("customer", lambda row: True, lambda row: row[:2])
+
+    def test_no_match_delete_keeps_indexes_and_columns(self, shop_db):
+        config = pref_chain_config(4)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        orders = partitioned.table("orders")
+        index = orders.partition_index(("custkey",))
+        columns = [p.columns for p in orders.partitions]
+        assert loader.delete("orders", lambda row: False) == 0
+        assert orders.partition_index(("custkey",)) is index
+        assert all(
+            p.columns is kept for p, kept in zip(orders.partitions, columns)
+        )
+        assert loader.delete("orders", lambda row: row[0] == 1) >= 1
+        assert orders.partition_index(("custkey",)) is not index
+
+    def test_ragged_insert_rejected_before_any_write(self):
+        config = pref_chain_config(4)
+        partitioned = partition_database(empty_shop(), config)
+        loader = BulkLoader(partitioned, config)
+        with pytest.raises(BulkLoadError, match="4 values"):
+            loader.insert("lineitem", [(0, 1, 0, 1), (1, 1, 0)])
+        assert partitioned.table("lineitem").total_rows == 0
 
 
 class TestCostAccounting:

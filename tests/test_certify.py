@@ -25,6 +25,7 @@ import pytest
 
 from helpers import (
     buggy_left_outer_local_join,
+    patch_pref_leaves,
     pref_chain_config,
     shop_database,
 )
@@ -32,8 +33,6 @@ from repro.design import SchemaDrivenDesigner
 from repro.design.baselines import all_hashed
 from repro.fuzz import ir
 from repro.partitioning import partition_database
-from repro.partitioning.config import PartitioningConfig
-from repro.partitioning.scheme import PatchedPrefScheme, PrefScheme
 from repro.query.certify import certify
 from repro.query.executor import Executor
 from repro.query.plan import (
@@ -64,23 +63,10 @@ def tpch_configs(small_tpch):
     pref = SchemaDrivenDesigner(small_tpch, NODES).design(
         replicate=SMALL_TABLES
     ).config
-    referenced = {
-        scheme.referenced_table
-        for _table, scheme in pref
-        if isinstance(scheme, PrefScheme)
-    }
-    patched = PartitioningConfig(pref.partition_count)
-    for table, scheme in pref:
-        if isinstance(scheme, PrefScheme) and table not in referenced:
-            scheme = PatchedPrefScheme(
-                scheme.referenced_table, scheme.predicate, max_copies=1
-            )
-        patched.add(table, scheme)
-    patched.validate(small_tpch.schema)
     return {
         "hashed": all_hashed(small_tpch, NODES),
         "pref": pref,
-        "patched": patched,
+        "patched": patch_pref_leaves(pref, small_tpch.schema),
     }
 
 

@@ -51,17 +51,31 @@ class TestInvariantChecker:
         )
 
     def test_missing_copy_detected(self):
-        database = tiny_db()
-        config = tiny_config()
+        from repro.catalog import DatabaseSchema
+
+        # Every s row carries k == 7 and s is hashed on its id, so both
+        # partitions hold a partner of r's only tuple: it is stored twice.
+        schema = DatabaseSchema()
+        schema.create_table(
+            "s", [("id", DataType.INTEGER), ("k", DataType.INTEGER)], primary_key=["id"]
+        )
+        schema.create_table(
+            "r", [("rk", DataType.INTEGER), ("k", DataType.INTEGER)], primary_key=["rk"]
+        )
+        database = Database(schema)
+        database.load("s", [(i, 7) for i in range(6)])
+        database.load("r", [(10, 7)])
+        config = PartitioningConfig(2)
+        config.add("s", HashScheme(("id",), 2))
+        config.add("r", PrefScheme("s", JoinPredicate.equi("r", "k", "s", "k")))
         partitioned = partition_database(database, config)
-        # Corrupt: remove a referencing copy where a partner exists.
+        check_pref_invariants(partitioned, config, exact=True)
         table = partitioned.table("r")
-        for partition in table.partitions:
-            if partition.rows:
-                partition.rows.pop(0)
-                partition.source_ids.pop(0)
-                break
-        with pytest.raises(InvariantViolation):
+        assert [p.row_count for p in table.partitions] == [1, 1]
+        # Corrupt: remove the duplicate copy although its partner is there.
+        table.partitions[1].compress([False])
+        assert table.total_rows == 1
+        with pytest.raises(InvariantViolation, match="missing from"):
             check_pref_invariants(partitioned, config)
 
     def test_duplicate_canonical_detected(self):

@@ -1,24 +1,24 @@
-"""Partition cache staleness across incremental loads (regression).
+"""Reads after writes: a query sees every bulk-load mutation.
 
-The engine caches each partition's columnar transpose and dup/hasS
-bitmap lists.  Bulk-load paths that mutate partition internals *without*
-appending — ``_mark_has_partner`` flipping hasS bits after
-referenced-side inserts, ``_rebuild_partition`` after deletes, in-place
-updates — must call :meth:`Partition.invalidate_caches`, otherwise a
-query that ran before the load keeps serving the stale transpose.
+A partition stores the columns the scan hands out, so there is no derived
+form that a write could leave stale.  These tests pin the behaviour that
+used to depend on a hand-called cache hook: the hasS flip after a
+referenced-side insert, a delete and an in-place update are each visible
+to the very next query.
 
-The end-to-end tests drive the full ``SimulatedCluster`` path: query,
-incremental load, query again, and compare against a cluster built
-fresh from the final data.  The "teeth" test re-creates the pre-fix
-behaviour by stubbing ``invalidate_caches`` to a no-op and asserts the
-stale answer actually diverges — proving these regressions fail without
-the fix.
+They drive the full ``SimulatedCluster`` path — query, mutate, query again
+— and compare against a cluster built fresh from the final data.  The
+serving-layer class repeats the exercise one layer up, where the result
+and plan caches *are* derived state and epochs invalidate them.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from helpers import assert_same_rows, shop_schema
 from repro.cluster import SimulatedCluster
+from repro.errors import BulkLoadError
 from repro.partitioning import (
     HashScheme,
     JoinPredicate,
@@ -28,7 +28,6 @@ from repro.partitioning import (
 from repro.query import Query
 from repro.query.expressions import col, lit
 from repro.storage import Database
-from repro.storage.partition import Partition
 
 ORDERS = [  # (orderkey, custkey, total)
     (1, 10, 5.0),
@@ -66,8 +65,7 @@ def _config(n: int = 4) -> PartitioningConfig:
 
 
 def _semi_join_plan():
-    # Answered through the hasS bitmap when optimizations are on — the
-    # query that reads the cached bitmap lists.
+    # Answered through the hasS bitmap when optimizations are on.
     return (
         Query.scan("customer", alias="c")
         .semi_join(Query.scan("orders", alias="o"), on=[("c.custkey", "o.custkey")])
@@ -93,7 +91,7 @@ class TestIncrementalLoadInvalidation:
         plan = _semi_join_plan()
         cluster = _cluster(_database())
         try:
-            before = cluster.run(plan).rows  # populates the bitmap caches
+            before = cluster.run(plan).rows
             assert (12, "c") not in before
             cluster.loader.load({"orders": NEW_ORDERS})
             after = cluster.run(plan).rows
@@ -112,7 +110,7 @@ class TestIncrementalLoadInvalidation:
         )
         cluster = _cluster(_database())
         try:
-            cluster.run(plan)  # populates the columnar caches
+            cluster.run(plan)
             removed = cluster.loader.delete("orders", lambda row: row[0] == 2)
             assert removed == 1
             after = cluster.run(plan).rows
@@ -142,26 +140,6 @@ class TestIncrementalLoadInvalidation:
             cluster.close()
 
 
-class TestRegressionHasTeeth:
-    def test_stale_caches_diverge_without_the_fix(self, monkeypatch):
-        """With invalidate_caches() stubbed out (the pre-fix behaviour),
-        the hasS flip after a referenced-side load is invisible to the
-        cached bitmaps and the semi join returns a stale answer."""
-        monkeypatch.setattr(
-            Partition, "invalidate_caches", lambda self: None
-        )
-        plan = _semi_join_plan()
-        cluster = _cluster(_database())
-        try:
-            before = cluster.run(plan).rows
-            cluster.loader.load({"orders": NEW_ORDERS})
-            stale = cluster.run(plan).rows
-        finally:
-            cluster.close()
-        assert (12, "c") not in stale  # the newly partnered row is missing
-        assert sorted(stale) == sorted(before)
-
-
 SEMI_JOIN_SQL = (
     "SELECT c.custkey, c.cname FROM customer c WHERE EXISTS "
     "(SELECT * FROM orders o WHERE o.custkey = c.custkey)"
@@ -169,11 +147,10 @@ SEMI_JOIN_SQL = (
 
 
 class TestServingLayerInvalidation:
-    """The same staleness discipline one layer up: the serving caches.
+    """Reads after writes one layer up: the serving caches.
 
     A result served from the cache after a bulk load must be
-    indistinguishable from a cluster built fresh from the final data —
-    the serving-layer analogue of the partition-cache tests above.
+    indistinguishable from a cluster built fresh from the final data.
     """
 
     def test_result_cache_invalidated_by_referenced_side_load(self):
@@ -243,6 +220,45 @@ class TestServingLayerInvalidation:
             )
             after_total = server.execute(sum_sql).rows[0][0]
             assert after_total == before_total + 100.0
+        finally:
+            server.close()
+            cluster.close()
+
+    def test_failed_load_still_bumps_epochs(self):
+        """A load that raises on its second table has already stored the
+        first table's rows; the result cache must not answer from before."""
+        count_sql = "SELECT COUNT(*) AS n FROM orders o"
+        cluster = _cluster(_database())
+        server = cluster.serve(max_inflight=1)
+        try:
+            assert server.execute(count_sql).rows == [(4,)]  # now cached
+            with pytest.raises(BulkLoadError):
+                server.load({"orders": NEW_ORDERS, "customer": [()]})
+            served = server.submit(count_sql).result().rows
+            assert served == cluster.sql(count_sql).rows == [(6,)]
+        finally:
+            server.close()
+            cluster.close()
+
+    def test_rejected_update_serves_what_is_stored(self):
+        sum_sql = "SELECT SUM(o.total) AS t FROM orders o"
+        cluster = _cluster(_database())
+        server = cluster.serve(max_inflight=1)
+        try:
+            before = server.execute(sum_sql).rows  # now cached
+            with pytest.raises(BulkLoadError):
+                # Legal on orders 1-3, touches the hash key on order 4.
+                server.update(
+                    "orders",
+                    lambda row: True,
+                    lambda row: (
+                        row[0] + (100 if row[0] == 4 else 0),
+                        row[1],
+                        row[2] + 1.0,
+                    ),
+                )
+            served = server.submit(sum_sql).result().rows
+            assert served == cluster.sql(sum_sql).rows == before
         finally:
             server.close()
             cluster.close()

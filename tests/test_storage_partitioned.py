@@ -1,9 +1,11 @@
 """Tests for partitions, partition indexes and partitioned tables."""
 
+import pickle
+
 import pytest
 
 from repro.catalog import Column, DataType, TableSchema
-from repro.errors import StorageError
+from repro.errors import RowShapeError, StorageError
 from repro.partitioning import HashScheme
 from repro.storage import PartitionedDatabase, PartitionedTable, PartitionIndex
 
@@ -27,6 +29,61 @@ class TestPartition:
         assert partition.row_count == 3
         assert partition.duplicate_count == 1
         assert list(partition.canonical_rows()) == [(1, "a"), (2, "b")]
+        assert partition.dup == [0, 1, 0]
+        assert partition.has_partner == [1, 1, 0]
+
+    def test_stores_exactly_five_fields(self):
+        """Columns are the stored form: nothing derived rides along."""
+        partition = make_table().partitions[0]
+        assert partition.__slots__ == (
+            "partition_id", "columns", "source_ids", "dup", "has_partner"
+        )
+        assert not hasattr(partition, "__dict__")
+
+    def test_extend_stores_columns_and_rows_is_a_view(self):
+        partition = make_table().partitions[1]
+        partition.extend([(1, "a"), (2, None)], [7, 8], [0, 1], [1, 0])
+        assert partition.columns == [[1, 2], ["a", None]]
+        assert partition.source_ids == [7, 8]
+        assert partition.rows == [(1, "a"), (2, None)]
+        assert partition.row(1) == (2, None)
+        assert partition.keys((0,)) is partition.columns[0]
+        assert partition.keys((1, 0)) == [("a", 1), (None, 2)]
+        partition.rows.append((3, "c"))  # a throwaway list, not the store
+        assert partition.row_count == 2
+
+    def test_compress_set_row_and_has_partner_bit(self):
+        partition = make_table().partitions[0]
+        partition.extend(
+            [(1, "a"), (2, "b"), (3, "c")], [0, 1, 2], [0, 1, 0], [1, 1, 0]
+        )
+        partition.compress([True, False, True])
+        assert partition.rows == [(1, "a"), (3, "c")]
+        assert (partition.source_ids, partition.dup, partition.has_partner) == (
+            [0, 2], [0, 0], [1, 0]
+        )
+        partition.set_row(1, (3, "z"))
+        partition.set_has_partner(1)
+        assert partition.rows == [(1, "a"), (3, "z")]
+        assert partition.has_partner == [1, 1]
+        with pytest.raises(RowShapeError):
+            partition.set_row(0, (1,))
+
+    def test_ragged_batch_rejected_whole(self):
+        partition = make_table().partitions[0]
+        for bad in ([(1, "a"), (2,)], [(1, "a", "x")]):
+            with pytest.raises(RowShapeError):
+                partition.extend(bad, [0] * len(bad), [0] * len(bad), [1] * len(bad))
+        assert partition.row_count == 0
+        assert partition.columns == [[], []]
+
+    def test_default_pickling_round_trips(self):
+        partition = make_table().partitions[2]
+        partition.extend([(1, "a"), (2, None)], [0, 1], [0, 1], [1, 0])
+        clone = pickle.loads(pickle.dumps(partition))
+        assert "__getstate__" not in vars(type(partition))
+        for field in partition.__slots__:
+            assert getattr(clone, field) == getattr(partition, field)
 
 
 class TestPartitionIndex:
