@@ -12,6 +12,10 @@ still carries governing dup columns, then a gather onto the coordinator.
 Operator ids are assigned in post-order, which keeps deferred
 join-event flushing (see :mod:`repro.engine.context`) byte-compatible
 with serial execution.
+
+Last comes the live-column pass (:func:`assign_live_columns`): top-down
+from the gather, every operator is told which of its output positions
+some ancestor reads, and materialises only those.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.errors import ExecutionError
+from repro.query.expressions import referenced_positions
 from repro.query.plan import (
     Aggregate,
     BloomProbe,
     DedupFilter,
     Filter,
     Join,
+    JoinKind,
     OrderBy,
     PartnerFilter,
     Project,
@@ -84,7 +90,80 @@ def compile_plan(
     for op_id, op in enumerate(root.walk()):
         op.op_id = op_id
         op.batch_size = batch_size
+    assign_live_columns(root, root.live)
     return root
+
+
+def assign_live_columns(op: PhysicalOperator, demand: frozenset[int]) -> None:
+    """Give *op* and its subtree their live output positions.
+
+    *demand* is what the parent reads of *op*'s output.  An operator that
+    passes columns through materialises ``demand`` and asks each child
+    for that plus whatever it reads itself; one that computes its output
+    (project, aggregate) or works on whole rows (order-by, gather,
+    keyless nested-loop join, local DISTINCT) stays fully live.  A read
+    the rules below do not declare fails loudly at run time: a dead
+    column is an absent slot, never NULL.
+    """
+    node = op.annotated.node
+    if isinstance(op, PhysicalScan):
+        op.live = demand
+        return
+    if isinstance(op, PhysicalHashJoin):
+        _assign_join(op, demand)
+        return
+    (child,) = op.inputs
+    columns = child.props.columns
+    if isinstance(op, PhysicalFilter):
+        op.live = demand
+        needs = demand | referenced_positions([node.condition], columns)
+    elif isinstance(op, PhysicalBloomProbe):
+        op.live = demand
+        needs = demand.union(*(positions for positions, _ in op.filters))
+    elif isinstance(op, PhysicalDedup):
+        op.live = demand
+        needs = demand.union(op.positions)
+    elif isinstance(op, PhysicalPartnerFilter):
+        op.live = demand
+        needs = demand | {op.position}
+    elif isinstance(op, PhysicalRepartition) and not op.local_distinct:
+        op.live = demand
+        needs = demand.union(op.key_positions, op.governing)
+    elif isinstance(op, PhysicalProject):
+        needs = referenced_positions(
+            [expr for _name, expr in node.outputs], columns
+        )
+    elif isinstance(op, PhysicalAggregate):
+        needs = frozenset(op.group_positions) | referenced_positions(
+            [spec.expr for spec in node.aggregates], columns
+        )
+    else:  # order-by, gather, locally distinct repartition: whole rows
+        needs = child.live
+    assign_live_columns(child, needs)
+
+
+def _assign_join(op: PhysicalHashJoin, demand: frozenset[int]) -> None:
+    left, right = op.inputs
+    if not op.node.on:
+        # Nested loop over row tuples: both inputs whole, output whole.
+        assign_live_columns(left, left.live)
+        assign_live_columns(right, right.live)
+        return
+    op.live = demand
+    if op.node.kind in (JoinKind.SEMI, JoinKind.ANTI):
+        # The output is the left input; the build side is only probed.
+        op.left_out, op.right_out = demand, frozenset()
+    else:
+        op.left_out = frozenset(q for q in demand if q < left.width)
+        op.right_out = frozenset(
+            q - left.width for q in demand if q >= left.width
+        )
+    assign_live_columns(
+        left, op.left_out.union(op.left_positions, op.left_residual)
+    )
+    assign_live_columns(
+        right, op.right_out.union(op.right_positions, op.right_residual)
+    )
 
 
 def _scan_adjacent(annotated: Annotated) -> bool:

@@ -29,6 +29,12 @@ one call), histogram-backed calls like ``add_output`` keep exactly one
 call per task, and float aggregation still accumulates in source row
 order — so canonical traces and :class:`~repro.query.cost.ExecutionStats`
 are unchanged.
+
+Operators materialise only their *live* columns — the output positions
+some ancestor reads, assigned top-down by the compiler's live-column
+pass (:func:`repro.engine.compile.assign_live_columns`).  A dead column
+is an absent slot in the batch, positions unchanged; the accounting
+keeps charging the rewriter's logical row widths.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from repro.engine.rows import (
 )
 from repro.partitioning.scheme import stable_hash
 from repro.query.aggregates import make_accumulator
+from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import (
     DistributedRelation,
@@ -88,6 +95,9 @@ class PhysicalOperator:
         self.op_id = -1  # assigned in post-order by the compiler
         self.width = len(self.props.columns)
         self.batch_size = DEFAULT_BATCH_SIZE  # overridden by the compiler
+        #: Output positions the stored batches hold; narrowed by the
+        #: compiler's live-column pass.
+        self.live: frozenset[int] = frozenset(range(self.width))
         self._partitions: list[ColumnBatch | None] = [None] * output_count
 
     # -- identity ----------------------------------------------------------
@@ -250,14 +260,15 @@ class PhysicalScan(PhysicalOperator):
     def label(self) -> str:
         return f"scan({self.table.schema.name})"
 
-    @staticmethod
-    def _stored(partition) -> ColumnBatch:
-        """The partition's columns as a batch.
+    def _stored(self, partition, *bitmaps: list) -> ColumnBatch:
+        """The partition's live columns (and *bitmaps*) as a batch.
 
         Only the outer list is new: the columns alias the store, so an
         operator that mutated a batch column in place would corrupt data.
         """
-        return ColumnBatch(list(partition.columns), partition.row_count)
+        return ColumnBatch(
+            [*partition.columns, *bitmaps], partition.row_count
+        ).prune(self.live)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         if self.replicated:
@@ -271,8 +282,7 @@ class PhysicalScan(PhysicalOperator):
             return
         ctx.add_partition_scanned(self)
         if self.attach_bitmaps:
-            base = self._stored(partition)
-            dup_list, partner_list = partition.dup, partition.has_partner
+            batch = self._stored(partition, partition.dup, partition.has_partner)
             deliveries = self.table.patches_for(partition.partition_id)
             if deliveries:
                 # Residual shuffle for patched PREF: overflow copies whose
@@ -282,21 +292,20 @@ class PhysicalScan(PhysicalOperator):
                 # that is correct for plain PREF stays correct.  The
                 # stored columns are aliased read-only — copy before
                 # extending.
-                columns = [list(column) for column in base.columns]
+                columns = [
+                    None if column is None else list(column)
+                    for column in batch.columns
+                ]
                 for row, _source_id in deliveries:
-                    for column, value in zip(columns, row):
-                        column.append(value)
+                    for column, value in zip(columns, (*row, 1, 1)):
+                        if column is not None:
+                            column.append(value)
                 extra = len(deliveries)
-                dup_list = dup_list + [1] * extra
-                partner_list = partner_list + [1] * extra
-                base = ColumnBatch(columns, base.length + extra)
+                batch = ColumnBatch(columns, batch.length + extra)
                 ctx.add_network(
                     self, extra * self.table.schema.row_byte_width, extra
                 )
                 ctx.add_patch(self, extra)
-            batch = ColumnBatch(
-                base.columns + [dup_list, partner_list], base.length
-            )
         else:
             batch = self._stored(partition)
         ctx.add_output(self, batch.length, p)
@@ -324,10 +333,11 @@ class PhysicalFilter(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         predicate = self.predicate
+        live = self.live
         # Unknown (None) is falsy, so compress rejects it for free.
         out = ColumnBatch.concat(
             [
-                chunk.compress(predicate(chunk))
+                chunk.prune(live).compress(predicate(chunk))
                 for chunk in batch.chunks(self.batch_size)
             ],
             self.width,
@@ -378,6 +388,7 @@ class PhysicalBloomProbe(PhysicalOperator):
                     mask = hits
                 else:
                     mask = [a and b for a, b in zip(mask, hits)]
+            chunk = chunk.prune(self.live)
             pieces.append(chunk if mask is None else chunk.compress(mask))
         out = ColumnBatch.concat(pieces, self.width)
         if p != 0 and self.filter_bytes:
@@ -452,9 +463,9 @@ class PhysicalDedup(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         keep = all_false_mask(
-            [batch.columns[q] for q in self.positions], batch.length
+            [batch.column(q) for q in self.positions], batch.length
         )
-        out = batch.compress(keep)
+        out = batch.prune(self.live).compress(keep)
         ctx.account(
             self, child.props.part.method, p,
             out.length if self.indexed else batch.length,
@@ -486,8 +497,8 @@ class PhysicalPartnerFilter(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         expect = self.expect
-        keep = [value == expect for value in batch.columns[self.position]]
-        out = batch.compress(keep)
+        keep = [value == expect for value in batch.column(self.position)]
+        out = batch.prune(self.live).compress(keep)
         ctx.account(
             self, child.props.part.method, p,
             out.length if self.indexed else batch.length,
@@ -532,18 +543,17 @@ class PhysicalRepartition(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         count = self.output_count
+        # Keys and dup bits are read here; only live columns are routed.
+        keys = batch.key_values(self.key_positions)
+        routed = batch.prune(self.live)
         if self.governing:
             keep = all_false_mask(
-                [batch.columns[q] for q in self.governing], batch.length
+                [batch.column(q) for q in self.governing], batch.length
             )
-            routed = batch.compress(keep)
-        else:
-            routed = batch
+            keys = list(compress(keys, keep))
+            routed = routed.compress(keep)
         skipped = batch.length - routed.length
-        targets = [
-            stable_hash(key) % count
-            for key in routed.key_values(self.key_positions)
-        ]
+        targets = [stable_hash(key) % count for key in keys]
         bucket_indices: list[list[int]] = [[] for _ in range(count)]
         for index, target in enumerate(targets):
             bucket_indices[target].append(index)
@@ -641,6 +651,18 @@ class PhysicalHashJoin(PhysicalOperator):
             if node.residual is not None
             else None
         )
+        residual_reads = referenced_positions([node.residual], combined)
+        #: Input positions the residual reads, per side.
+        self.left_residual = frozenset(
+            q for q in residual_reads if q < left.width
+        )
+        self.right_residual = frozenset(
+            q - left.width for q in residual_reads if q >= left.width
+        )
+        #: Input positions that reach the output, per side; narrowed with
+        #: ``live`` by the compiler's live-column pass.
+        self.left_out = left.live
+        self.right_out = right.live
         if node.on:
             self.left_positions = [left.props.position(l) for l, _ in node.on]
             self.right_positions = [right.props.position(r) for _, r in node.on]
@@ -755,10 +777,11 @@ class PhysicalHashJoin(PhysicalOperator):
         right_batch: ColumnBatch,
         right_idx: list[int],
     ) -> ColumnBatch:
-        """Candidate pairs as one wide batch for residual evaluation."""
+        """Candidate pairs as one wide batch for residual evaluation
+        (only the columns the residual reads are gathered)."""
         return ColumnBatch(
-            left_batch.take(left_idx).columns
-            + right_batch.take(right_idx).columns,
+            left_batch.prune(self.left_residual).take(left_idx).columns
+            + right_batch.prune(self.right_residual).take(right_idx).columns,
             len(left_idx),
         )
 
@@ -770,16 +793,11 @@ class PhysicalHashJoin(PhysicalOperator):
         right_idx: list[int],
     ) -> ColumnBatch:
         """Gather the output batch; ``-1`` in *right_idx* is the pad."""
-        columns = left_batch.take(left_idx).columns
-        pad = self.pad
-        if pad is None:
-            columns += right_batch.take(right_idx).columns
-        else:
-            columns += [
-                pad_take(column, right_idx, pad[index])
-                for index, column in enumerate(right_batch.columns)
-            ]
-        return ColumnBatch(columns, len(left_idx))
+        return self._emit_aligned(
+            left_batch.prune(self.left_out).take(left_idx),
+            right_batch,
+            right_idx,
+        )
 
     def _emit_aligned(
         self,
@@ -787,16 +805,19 @@ class PhysicalHashJoin(PhysicalOperator):
         right_batch: ColumnBatch,
         right_idx: list[int],
     ) -> ColumnBatch:
-        """Output when the left side is already aligned row-for-row with
-        *right_idx* (unique-build joins): left columns pass through with
-        no gather at all."""
+        """Output when *left_out* (already pruned to ``self.left_out``)
+        is aligned row-for-row with *right_idx*: its columns pass through
+        with no gather at all (the unique-build joins rely on this)."""
         pad = self.pad
+        right = right_batch.prune(self.right_out)
         if pad is None:
-            columns = left_out.columns + right_batch.take(right_idx).columns
+            columns = left_out.columns + right.take(right_idx).columns
         else:
             columns = left_out.columns + [
-                pad_take(column, right_idx, pad[index])
-                for index, column in enumerate(right_batch.columns)
+                None
+                if column is None
+                else pad_take(column, right_idx, pad[index])
+                for index, column in enumerate(right.columns)
             ]
         return ColumnBatch(columns, len(right_idx))
 
@@ -817,14 +838,15 @@ class PhysicalHashJoin(PhysicalOperator):
             # order, and the whole probe runs as C-level map/compress.
             # NULL probe keys miss for free: the table holds no NULLs.
             raw = list(map(table.get, left_keys))
+            left_out = left_batch.prune(self.left_out)
             if pad is not None:
                 right_idx = [-1 if m is None else m for m in raw]
-                return self._emit_aligned(left_batch, right_batch, right_idx)
+                return self._emit_aligned(left_out, right_batch, right_idx)
             mask = [m is not None for m in raw]
             if all(mask):
-                return self._emit_aligned(left_batch, right_batch, raw)
+                return self._emit_aligned(left_out, right_batch, raw)
             return self._emit_aligned(
-                left_batch.compress(mask),
+                left_out.compress(mask),
                 right_batch,
                 list(compress(raw, mask)),
             )
@@ -925,7 +947,7 @@ class PhysicalHashJoin(PhysicalOperator):
                 keep = [key in keys for key in left_keys]
             else:
                 keep = [key not in keys for key in left_keys]
-            return left_batch.compress(keep)
+            return left_batch.prune(self.left_out).compress(keep)
         # A residual restricts which key matches count as partners: a
         # left row matches only if some key-equal right row also
         # satisfies the residual on the combined row.
@@ -951,7 +973,7 @@ class PhysicalHashJoin(PhysicalOperator):
             any(mask[pos] for pos in range(start, stop)) == expect
             for start, stop in spans
         ]
-        return left_batch.compress(keep)
+        return left_batch.prune(self.left_out).compress(keep)
 
     def _nested_loop(self, left_rows: list[Row], right_rows: list[Row]) -> list[Row]:
         node = self.node
@@ -1195,7 +1217,7 @@ class PhysicalAggregate(PhysicalOperator):
             )
         else:
             if self.single_key:
-                keys = batch.columns[self.group_positions[0]]
+                keys = batch.column(self.group_positions[0])
             else:
                 keys = batch.key_tuples(self.group_positions)
             group_rows = {}

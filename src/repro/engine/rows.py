@@ -10,6 +10,9 @@ are plain Python lists with a (lazily materialised) validity bitmap per
 column.  SQL NULL is ``None`` in the value list *and* a cleared validity
 bit; the two views are kept consistent by construction, which is what
 lets kernels pick a no-NULL fast path from the bitmap without scanning.
+A batch may be *pruned*: a column no operator above will read is an
+absent slot (``None`` in :attr:`ColumnBatch.columns`), positions
+unchanged.  Absent is not NULL — every read of an absent column raises.
 The row-oriented helpers (``_sort_key`` and friends) remain for the
 coordinator-side paths (sorting, the single-node oracle) that genuinely
 work tuple by tuple.
@@ -18,7 +21,9 @@ work tuple by tuple.
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
+
+from repro.errors import ExecutionError
 
 if TYPE_CHECKING:
     from repro.query.relation import RelProps
@@ -75,8 +80,11 @@ class ColumnBatch:
     """A batch of rows stored column-wise: the engine's data payload.
 
     Attributes:
-        columns: One plain Python list per column, all of equal length.
-            SQL NULL is stored as ``None``.
+        columns: One slot per column of the relation: a plain Python list
+            (all of equal length, SQL NULL stored as ``None``), or
+            ``None`` for a column pruned because nothing above reads it.
+            Read a column through :meth:`column`, which raises on a
+            pruned slot; the transforms carry pruned slots through.
         length: Number of rows (kept explicitly so zero-column batches —
             e.g. a scalar aggregate's input projection — still know their
             cardinality).
@@ -88,8 +96,8 @@ class ColumnBatch:
     so hot kernels can branch to a no-NULL fast path without paying for
     bitmap maintenance on every transform.
 
-    Batches pickle as (columns, length), which is what ships between the
-    coordinator and process-pool workers.
+    Batches pickle as (columns, length) — pruned slots stay ``None`` —
+    which is what ships between the coordinator and process-pool workers.
     """
 
     __slots__ = ("columns", "length", "_validity")
@@ -117,17 +125,22 @@ class ColumnBatch:
 
     @staticmethod
     def concat(batches: Sequence["ColumnBatch"], width: int) -> "ColumnBatch":
-        """Concatenate *batches* (all of *width* columns) in order."""
+        """Concatenate *batches* (all of *width* columns, all pruned
+        alike) in order."""
         batches = [batch for batch in batches if batch.length]
         if not batches:
             return ColumnBatch.empty(width)
         if len(batches) == 1:
             return batches[0]
-        columns = []
+        columns: list[list | None] = []
         for index in range(width):
-            merged = list(batches[0].columns[index])
+            first = batches[0].columns[index]
+            if first is None:
+                columns.append(None)
+                continue
+            merged = list(first)
             for batch in batches[1:]:
-                merged.extend(batch.columns[index])
+                merged.extend(batch.column(index))
             columns.append(merged)
         return ColumnBatch(columns, sum(batch.length for batch in batches))
 
@@ -135,8 +148,35 @@ class ColumnBatch:
 
     @property
     def width(self) -> int:
-        """Number of columns."""
+        """Number of columns (pruned slots included)."""
         return len(self.columns)
+
+    def column(self, index: int) -> list:
+        """The values of column *index*; raises if it was pruned."""
+        column = self.columns[index]
+        if column is None:
+            raise ExecutionError(
+                f"column {index} was pruned as dead, but something reads it"
+            )
+        return column
+
+    def present(self) -> frozenset[int]:
+        """The positions of the columns that are not pruned."""
+        return frozenset(
+            index
+            for index, column in enumerate(self.columns)
+            if column is not None
+        )
+
+    def prune(self, live: Collection[int]) -> "ColumnBatch":
+        """This batch with only the columns at *live* left (aliased)."""
+        return ColumnBatch(
+            [
+                column if index in live else None
+                for index, column in enumerate(self.columns)
+            ],
+            self.length,
+        )
 
     def __len__(self) -> int:
         return self.length
@@ -158,40 +198,43 @@ class ColumnBatch:
         cached = self._validity[index]
         if cached is None:
             cached = bytearray(
-                0 if value is None else 1 for value in self.columns[index]
+                0 if value is None else 1 for value in self.column(index)
             )
             self._validity[index] = cached
         return cached
 
     def has_nulls(self, index: int) -> bool:
         """True if column *index* contains any NULL."""
-        return None in self.columns[index]
+        return None in self.column(index)
 
     # -- row views ---------------------------------------------------------
 
     def to_rows(self) -> list[Row]:
-        """The batch as a list of row tuples."""
-        if not self.columns:
-            return [()] * self.length
-        return list(zip(*self.columns))
+        """The batch as a list of row tuples (raises if pruned)."""
+        return list(self.iter_rows())
 
     def iter_rows(self) -> Iterator[Row]:
-        """Iterate over the rows as tuples."""
+        """Iterate over the rows as tuples (raises if pruned: an absent
+        column has no value to put in a row, and NULL would be a wrong
+        one)."""
         if not self.columns:
             return iter([()] * self.length)
-        return zip(*self.columns)
+        return zip(*map(self.column, range(len(self.columns))))
 
     # -- transforms (always produce new batches) ---------------------------
 
     def select(self, positions: Sequence[int]) -> "ColumnBatch":
         """A batch holding only the columns at *positions* (aliased)."""
-        return ColumnBatch([self.columns[p] for p in positions], self.length)
+        return ColumnBatch([self.column(p) for p in positions], self.length)
 
     def slice(self, start: int, stop: int) -> "ColumnBatch":
         """Rows ``start:stop`` as a new batch."""
         stop = min(stop, self.length)
         return ColumnBatch(
-            [column[start:stop] for column in self.columns],
+            [
+                None if column is None else column[start:stop]
+                for column in self.columns
+            ],
             max(stop - start, 0),
         )
 
@@ -210,18 +253,23 @@ class ColumnBatch:
 
     def compress(self, mask: Sequence[object]) -> "ColumnBatch":
         """Rows whose *mask* entry is truthy (None counts as false)."""
-        columns = [list(compress(column, mask)) for column in self.columns]
-        if columns:
-            kept = len(columns[0])
-        else:
-            kept = sum(1 for value in mask if value)
-        return ColumnBatch(columns, kept)
+        columns = [
+            None if column is None else list(compress(column, mask))
+            for column in self.columns
+        ]
+        for column in columns:
+            if column is not None:
+                return ColumnBatch(columns, len(column))
+        return ColumnBatch(columns, sum(1 for value in mask if value))
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """The rows at *indices*, in that order (indices may repeat)."""
         # map(column.__getitem__, ...) keeps the gather loop in C.
         return ColumnBatch(
-            [list(map(column.__getitem__, indices)) for column in self.columns],
+            [
+                None if column is None else list(map(column.__getitem__, indices))
+                for column in self.columns
+            ],
             len(indices),
         )
 
@@ -233,12 +281,12 @@ class ColumnBatch:
         """
         if not positions:
             return [()] * self.length
-        return list(zip(*(self.columns[p] for p in positions)))
+        return list(zip(*(self.column(p) for p in positions)))
 
     def key_values(self, positions: Sequence[int]) -> list:
         """Shuffle keys: the bare column for one position, tuples else."""
         if len(positions) == 1:
-            return self.columns[positions[0]]
+            return self.column(positions[0])
         return self.key_tuples(positions)
 
     # -- pickling ----------------------------------------------------------

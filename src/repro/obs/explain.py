@@ -207,9 +207,9 @@ def _measured(span: OperatorSpan) -> str:
 def render_analyze(trace: QueryTrace) -> str:
     """The ``EXPLAIN ANALYZE`` text form of *trace*.
 
-    One line per operator (plan order, children indented), static
-    annotation first, measured counters second, then a totals footer
-    from the merged metrics registry.
+    One line per operator (plan order, children indented): static
+    annotation, live of total columns, measured counters; then a totals
+    footer from the merged metrics registry.
     """
     lines = []
     header = "EXPLAIN ANALYZE"
@@ -223,7 +223,9 @@ def render_analyze(trace: QueryTrace) -> str:
 
     def walk(span: OperatorSpan, indent: int) -> None:
         lines.append(
-            f"{'  ' * indent}{span.label} {_annotation(span)}  {_measured(span)}"
+            f"{'  ' * indent}{span.label} {_annotation(span)}  "
+            f"cols {len(span.live_columns)}/{span.total_columns}  "
+            f"{_measured(span)}"
         )
         for child in span.children:
             walk(child, indent + 1)

@@ -70,7 +70,8 @@ class OperatorSpan(OperatorStats):
     The measured fields are inherited — a span is the operator's
     :class:`~repro.engine.context.OperatorStats` record — and the fields
     declared here are static: ``name`` … ``bloom_filters`` come from the
-    rewriter's :class:`~repro.query.rewrite.Annotated` plan.  ``rows_in``
+    rewriter's :class:`~repro.query.rewrite.Annotated` plan, the
+    live-column pair from the compiled operator.  ``rows_in``
     is derived — the sum of the children's ``rows_out`` (None for leaves).
     """
 
@@ -82,6 +83,10 @@ class OperatorSpan(OperatorStats):
     strategy: str | None = None  #: Join/aggregate strategy hint.
     case: str | None = None  #: Locality case ("case1" | "case2" | "case3").
     bloom_filters: int = 0  #: Predicate-transfer Bloom filters attached.
+    #: The output columns the compiled operator materialises (some
+    #: ancestor reads them), of ``total_columns`` in the logical relation.
+    live_columns: tuple[str, ...] = ()
+    total_columns: int = 0
     tasks: tuple[TaskSpan, ...] = ()
     children: tuple["OperatorSpan", ...] = ()
 
@@ -151,10 +156,13 @@ class OperatorSpan(OperatorStats):
         """Comparable form of this span alone, as ``(name, value)`` pairs:
         annotations and counts, no timings, no children.
 
-        ``governing`` is left out: it restates ``dup`` column by column
-        and has never been part of the comparison.
+        Left out: ``governing``, which restates ``dup`` column by column
+        and has never been part of the comparison, and the live-column
+        fields, which say how the engine executed the plan, not what it
+        computed.
         """
-        names = [name for name in STATIC if name != "governing"]
+        left_out = ("governing", "live_columns", "total_columns")
+        names = [name for name in STATIC if name not in left_out]
         names += [counter.name for counter in COUNTERS]
         by_partition = tuple(sorted(self.rows_out_by_partition.items()))
         return (
@@ -262,6 +270,10 @@ def build_trace(
             strategy=extra.get("strategy"),
             case=extra.get("case"),
             bloom_filters=len(extra.get("bloom", ())),
+            live_columns=tuple(
+                props.columns[index] for index in sorted(op.live)
+            ),
+            total_columns=op.width,
             tasks=tuple(
                 sorted(
                     tasks_by_id.get(op.op_id, ()),

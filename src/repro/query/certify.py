@@ -36,7 +36,10 @@ Constraint vocabulary of a :class:`Fact`:
   dedup on a live but non-governing bit drops real rows;
 * ``anonymous_dup`` — redundant copies may exist whose governing column
   was projected away (nothing can eliminate them any more);
-* ``complete`` — base tables whose full logical content is present.
+* ``complete`` — base tables whose full logical content is present;
+* ``equal`` — pairs of column names holding equal values in every row
+  (inner-join keys); a shuffle on one name therefore also places rows by
+  the other.
 
 Known incompleteness (sound but may refute correct plans): value-level
 reasoning (a filter that happens to keep one partition's rows), schemes
@@ -106,6 +109,7 @@ class Fact:
     live_bits: frozenset[str] = frozenset()
     anonymous_dup: bool = False
     complete: frozenset[str] = frozenset()
+    equal: frozenset[tuple[str, str]] = frozenset()
 
     def describe(self) -> str:
         """Compact single-line rendering for certificates."""
@@ -783,6 +787,11 @@ class _Certifier:
             live_bits=live,
             anonymous_dup=anonymous,
             complete=frozenset() if node.distinct else child.complete,
+            equal=frozenset(
+                (rename[ln], rename[rn])
+                for ln, rn in child.equal
+                if ln in rename and rn in rename
+            ),
         )
         if a.extra.get("distinct") == "local":
             fact = self._apply_local_distinct(
@@ -857,11 +866,19 @@ class _Certifier:
         fact = Fact(
             "partitioned",
             node.count,
-            slots=tuple(frozenset((n,)) for n in key_names),
+            # Rows move, values do not: a column an inner join below made
+            # equal to a shuffle key locates the row just as the key does.
+            slots=_extend_slots(
+                tuple(frozenset((n,)) for n in key_names),
+                tuple(child.equal),
+                JoinKind.INNER,
+                None,
+            ),
             dup_bits=child.dup_bits - frozenset(declared),
             live_bits=child.live_bits - frozenset(declared),
             anonymous_dup=child.anonymous_dup,
             complete=child.complete,
+            equal=child.equal,
         )
         if a.extra.get("distinct") == "local" and set(key_names) == set(
             a.props.columns
@@ -889,6 +906,24 @@ class _Certifier:
         pairs = tuple(
             (self.name_of(la, l), self.name_of(ra, r)) for l, r in node.on
         )
+        fact = self._join_placement(a, lf, rf, pairs)
+        # Only an inner join's output rows all satisfy the key equalities
+        # (and keep the right side's); outer pads NULL the right side and
+        # semi/anti outputs do not contain it.
+        equal = lf.equal
+        if node.kind is JoinKind.INNER:
+            equal = lf.equal | rf.equal | frozenset(pairs)
+        return replace(fact, equal=equal)
+
+    def _join_placement(
+        self,
+        a: Annotated,
+        lf: Fact,
+        rf: Fact,
+        pairs: tuple[tuple[str, str], ...],
+    ) -> Fact:
+        node: Join = a.node
+        la, ra = a.inputs
         strategy = a.extra.get("strategy")
         if strategy == "broadcast":
             return self._broadcast_join(a, node, lf, rf, pairs)
@@ -1165,7 +1200,10 @@ def _extend_slots(
     extended = []
     for slot in base:
         grown = set(slot)
-        if kind is JoinKind.INNER:
+        size = 0
+        # To a fixpoint: the pairs come in no particular order.
+        while kind is JoinKind.INNER and size != len(grown):
+            size = len(grown)
             for ln, rn in pairs:
                 if ln in grown:
                     grown.add(rn)

@@ -263,5 +263,16 @@ class Executor:
         )
 
     def explain(self, plan: PlanNode) -> str:
-        """The annotated physical plan for *plan*, as text."""
-        return self.annotate(plan).explain()
+        """The annotated physical plan for *plan*, as text, with the
+        compiled operators' ``cols <live>/<total>`` beside each node."""
+        from repro.engine.compile import compile_plan
+
+        annotated = self.annotate(plan)
+        root = compile_plan(annotated, self.partitioned)
+        operators = {id(op.annotated): op for op in root.walk()}
+
+        def live_columns(node: Annotated) -> str:
+            op = operators[id(node)]
+            return f"cols {len(op.live)}/{op.width}"
+
+        return annotated.explain(note=live_columns)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine import vector
 from repro.errors import PlanningError
@@ -147,7 +147,7 @@ class ColumnRef(Expression):
 
     def bind_batch(self, columns: Sequence[str]) -> BatchFn:
         position = resolve_column(self.name, columns)
-        return lambda batch: batch.columns[position]
+        return lambda batch: batch.column(position)
 
     def referenced_columns(self) -> tuple[str, ...]:
         return (self.name,)
@@ -551,6 +551,18 @@ def or_(*operands: Expression) -> Expression:
 def not_(operand: Expression) -> Negation:
     """Logical negation."""
     return Negation(operand)
+
+
+def referenced_positions(
+    expressions: Iterable[Expression | None], columns: Sequence[str]
+) -> frozenset[int]:
+    """The positions in *columns* that *expressions* reference."""
+    return frozenset(
+        resolve_column(name, columns)
+        for expression in expressions
+        if expression is not None
+        for name in expression.referenced_columns()
+    )
 
 
 def resolve_column(name: str, columns: Sequence[str]) -> int:

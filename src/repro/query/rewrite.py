@@ -22,7 +22,7 @@ anti joins become local ``hasS = 0`` filters, without joining at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import PlanningError
 from repro.partitioning.scheme import HashScheme, PrefScheme, SchemeKind
@@ -70,8 +70,13 @@ class Annotated:
     pristine: frozenset[str] = frozenset()
     extra: dict = field(default_factory=dict)
 
-    def explain(self, indent: int = 0) -> str:
-        """Readable physical plan with Part/Dup annotations."""
+    def explain(
+        self,
+        indent: int = 0,
+        note: Callable[["Annotated"], str] | None = None,
+    ) -> str:
+        """Readable physical plan with Part/Dup annotations; *note* may
+        add a remark per node (the executor reports live columns)."""
         part = self.props.part
         strategy = self.extra.get("strategy")
         suffix = f" [{part.method.value}"
@@ -81,9 +86,11 @@ class Annotated:
         if strategy:
             suffix += f", {strategy}"
         suffix += "]"
+        if note is not None:
+            suffix += f"  {note(self)}"
         lines = ["  " * indent + self.node._label() + suffix]
         for child in self.inputs:
-            lines.append(child.explain(indent + 1))
+            lines.append(child.explain(indent + 1, note))
         return "\n".join(lines)
 
     def count_shuffles(self) -> int:

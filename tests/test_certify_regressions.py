@@ -16,6 +16,7 @@ repro carrying the refutation payload.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from repro.fuzz import ir
 from repro.fuzz.certify import confirm_refutation, replay_diverges
 from repro.fuzz.runner import run_case
 from repro.partitioning import partition_database
-from repro.query.certify import certify
+from repro.query.certify import _Certifier, certify
 from repro.query.executor import Executor
 from repro.query.rewrite import Rewriter
 
@@ -37,6 +38,7 @@ FIXTURES = [
     "pref_duplicates_left_outer.json",
     "semi_distinct_shuffle.json",
     "all_null_aggregates.json",
+    "inner_join_equality_through_shuffle.json",
 ]
 
 
@@ -140,3 +142,28 @@ def test_counterexample_is_clean_on_fixed_rewriter():
     assert not replay_diverges(
         case, case["queries"][0], case["variant"]
     ), "fixed rewriter must agree with the naive oracle on the PR3 case"
+
+
+def test_join_equality_survives_a_shuffle_and_has_teeth(monkeypatch):
+    """Seed-11 fuzz find: ``a0.fk_t0 = a1.id`` (inner join), shuffled on
+    ``a1.id`` for a semi join, grouped by ``a0.fk_t0`` locally.  The
+    certificate rests on carrying the join equality through the
+    repartition: with joins recording no equalities (the parent's
+    behaviour) the same plan is refuted."""
+    case = load("inner_join_equality_through_shuffle.json")
+    partitioned = build_partitioned(case)
+    annotated = Executor(partitioned).annotate(
+        ir.build_plan(case["queries"][0])
+    )
+    assert certify(annotated, partitioned).certified
+
+    join = _Certifier._join
+    monkeypatch.setattr(
+        _Certifier,
+        "_join",
+        lambda self, a: replace(join(self, a), equal=frozenset()),
+    )
+    verdict = certify(annotated, partitioned)
+    assert not verdict.certified
+    assert verdict.refutation.check == "aggregate:local"
+    assert "a0.fk_t0" in verdict.refutation.reason

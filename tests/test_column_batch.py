@@ -100,6 +100,38 @@ def test_transform_sanity():
     assert batch.take([3, 3, 0]).to_rows() == [rows[3], rows[3], rows[0]]
 
 
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda batch: batch.take([3, 3, 0]),
+        lambda batch: batch.compress([i % 2 for i in range(10)]),
+        lambda batch: batch.slice(2, 5),
+        lambda batch: ColumnBatch.concat(
+            [batch.slice(0, 4), ColumnBatch.empty(4), batch.slice(4, 10)], 4
+        ),
+        lambda batch: ColumnBatch.concat(list(batch.chunks(3)), 4),
+    ],
+    ids=["take", "compress", "slice", "concat", "chunks"],
+)
+def test_transforms_carry_pruned_columns_through(transform):
+    """A pruned column stays an absent slot at its position; the present
+    ones transform exactly as they do in the complete batch."""
+    rows = [(i, f"s{i % 3}", None if i % 4 == 0 else i * 0.5, -i) for i in range(10)]
+    complete = ColumnBatch.from_rows(rows, 4)
+    pruned = complete.prune({0, 2})
+    assert pruned.columns[0] is complete.columns[0]  # aliased, not copied
+    assert pruned.present() == {0, 2} and pruned.width == 4
+    expected = transform(complete)
+    result = transform(pruned)
+    assert result.length == expected.length
+    assert result.width == 4 and result.present() == {0, 2}
+    assert result.select([0, 2]) == expected.select([0, 2])
+    # With every column pruned the row count is all that is left.
+    hollow = transform(complete.prune(()))
+    assert hollow.present() == frozenset()
+    assert hollow.length == expected.length
+
+
 # -- _sort_key: total order over mixed-type columns --------------------------
 
 

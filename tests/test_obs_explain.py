@@ -101,6 +101,32 @@ def test_render_analyze_shows_annotations_and_measurements(q3_results):
     assert "total:" in text.lower() or "totals" in text.lower()
 
 
+def test_live_columns_are_shown_but_not_compared(q3_results):
+    """``cols <live>/<total>`` comes from the compiled operators: it is in
+    the text and the JSON, and outside the canonical form the goldens and
+    the three-backend equality compare."""
+    trace = q3_results["serial"].trace
+    lines = render_analyze(trace).splitlines()[1:]
+    spans = trace.spans()
+    for span in spans:
+        shown = f"cols {len(span.live_columns)}/{span.total_columns}  rows="
+        assert any(span.label in line and shown in line for line in lines)
+        assert len(set(span.live_columns)) == len(span.live_columns)
+        assert len(span.live_columns) <= span.total_columns
+    [lineitem] = [s for s in spans if s.label == "scan(lineitem)"]
+    assert set(lineitem.live_columns) == {
+        "l.l_orderkey", "l.l_extendedprice", "l.l_discount", "l.l_shipdate",
+    }
+    assert lineitem.total_columns == 17
+    data = trace_to_json(trace)["root"]
+    assert data["live_columns"] == list(trace.root.live_columns)
+    assert data["total_columns"] == trace.root.total_columns
+    for span in spans:
+        assert not {"live_columns", "total_columns"} & set(
+            dict(span.own_canonical())
+        )
+
+
 def test_trace_json_validates_against_schema(q3_results, tmp_path):
     trace = q3_results["process"].trace
     data = trace_to_json(trace)
@@ -229,3 +255,10 @@ def test_cli_explain_without_analyze(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "Scan(orders AS o)" in captured.out
+    # Every plan line says how many of its columns the engine keeps.
+    plan_lines = [line for line in captured.out.splitlines() if "[" in line]
+    assert plan_lines and all("]  cols " in line for line in plan_lines)
+    assert any(
+        line.endswith("Scan(lineitem AS l) [pref, dup=0]  cols 4/17")
+        for line in plan_lines
+    )
