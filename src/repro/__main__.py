@@ -130,7 +130,7 @@ def explain_main(argv: list[str]) -> int:
     traces = {}
     for backend_name in backends:
         cluster = SimulatedCluster(
-            database, partitioned, design.config, backend=backend_name,
+            database.schema, partitioned, design.config, backend=backend_name,
             batch_size=args.batch_size,
             predicate_transfer=args.predicate_transfer,
             bloom_fpr=args.bloom_fpr,

@@ -27,7 +27,7 @@ from repro.design.workload import QuerySpec
 from repro.design.workload_driven import WorkloadDrivenDesigner
 from repro.partitioning.bulk_loader import BulkLoader, BulkLoadStats
 from repro.partitioning.config import PartitioningConfig
-from repro.partitioning.partitioner import partition_database
+from repro.partitioning.partitioner import empty_store, partition_database
 from repro.partitioning.scheme import HashScheme, ReplicatedScheme
 from repro.engine.rows import DEFAULT_BATCH_SIZE
 from repro.query.cost import CostParameters
@@ -559,19 +559,7 @@ def bulk_load_variant(
     total = BulkLoadStats()
     seen: set[tuple] = set()
     for config in variant.configs:
-        empty = PartitionedDatabase(config.partition_count)
-        for table in config.load_order():
-            from repro.storage.partitioned import PartitionedTable
-
-            empty.add_table(
-                PartitionedTable(
-                    database.schema.table(table),
-                    config.scheme_of(table),
-                    config.partition_count,
-                    seed_table=config.seed_of(table),
-                )
-            )
-        loader = BulkLoader(empty, config)
+        loader = BulkLoader(empty_store(database.schema, config), config)
         for table in config.load_order():
             stats = loader.insert(
                 table, database.table(table).rows, maintain_referencing=False

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.catalog.schema import DatabaseSchema
 from repro.cluster.node import NodeReport
 from repro.engine.backends import Backend, ThreadPoolBackend, make_backend
 from repro.engine.rows import DEFAULT_BATCH_SIZE
+from repro.errors import PartitioningError
 from repro.partitioning.bulk_loader import BulkLoader
 from repro.partitioning.config import PartitioningConfig
-from repro.partitioning.partitioner import partition_database
+from repro.partitioning.partitioner import partition_database, partition_rows
 from repro.query.cost import CostParameters
 from repro.query.executor import Executor, QueryResult
 from repro.query.plan import PlanNode
@@ -57,9 +59,12 @@ def _text_result(lines: list[str]) -> QueryResult:
 class SimulatedCluster:
     """A cluster of ``n`` simulated nodes holding one partitioned database.
 
+    The partitioned store is the cluster's only copy of its data: writes
+    go to it through ``loader``, queries and :meth:`repartition` read it.
+
     Args:
-        database: The unpartitioned source database.
-        partitioned: Its partitioned form (one store per node).
+        schema: The database schema (what SQL text is planned against).
+        partitioned: The partitioned database (one store per node).
         config: The partitioning configuration that produced it.
         cost: Cost parameters of the simulated hardware; stamped onto
             every :class:`QueryResult` so ``result.simulated_seconds()``
@@ -85,7 +90,7 @@ class SimulatedCluster:
 
     def __init__(
         self,
-        database: Database,
+        schema: DatabaseSchema,
         partitioned: PartitionedDatabase,
         config: PartitioningConfig,
         cost: CostParameters | None = None,
@@ -96,7 +101,7 @@ class SimulatedCluster:
         predicate_transfer: bool = False,
         bloom_fpr: float = 0.01,
     ) -> None:
-        self.database = database
+        self.schema = schema
         self.partitioned = partitioned
         self.config = config
         self.cost = cost or CostParameters()
@@ -132,7 +137,7 @@ class SimulatedCluster:
         """Partition *database* under *config* and wrap it in a cluster."""
         partitioned = partition_database(database, config)
         return cls(
-            database,
+            database.schema,
             partitioned,
             config,
             cost,
@@ -178,7 +183,7 @@ class SimulatedCluster:
         if mode == "explain":
             lines = self.explain(body).splitlines()
             return _text_result(lines)
-        plan = sql_to_plan(body, self.database.schema)
+        plan = sql_to_plan(body, self.schema)
         if mode == "explain_analyze":
             result = self.run(plan, analyze=True)
             return _text_result(result.explain_analyze().splitlines())
@@ -187,7 +192,7 @@ class SimulatedCluster:
     def explain(self, plan_or_sql: PlanNode | str) -> str:
         """The annotated physical plan, as text."""
         if isinstance(plan_or_sql, str):
-            plan = sql_to_plan(plan_or_sql, self.database.schema)
+            plan = sql_to_plan(plan_or_sql, self.schema)
         else:
             plan = plan_or_sql
         return self.executor.explain(plan)
@@ -197,7 +202,7 @@ class SimulatedCluster:
     ) -> str:
         """Run the query traced and render ``EXPLAIN ANALYZE`` text."""
         if isinstance(plan_or_sql, str):
-            plan = sql_to_plan(plan_or_sql, self.database.schema)
+            plan = sql_to_plan(plan_or_sql, self.schema)
         else:
             plan = plan_or_sql
         return self.run(plan, analyze=True, query_name=query_name).explain_analyze()
@@ -233,37 +238,37 @@ class SimulatedCluster:
     def repartition(self, new_config: PartitioningConfig):
         """Switch this cluster to *new_config* in place; return the plan.
 
-        The current logical database is rebuilt from the canonical rows of
-        the partitioned tables (NOT from the original source database —
-        incremental loads since partitioning live only in the partitions),
-        re-partitioned under *new_config*, and swapped in together with a
-        fresh executor and loader.  Returns the
-        :class:`~repro.partitioning.migration.MigrationPlan` comparing old
-        and new placements.
+        The canonical rows of the partitioned tables (which carry every
+        load since partitioning) are placed into a fresh store under
+        *new_config* by the routine that partitions a database, and the
+        new store is swapped in together with a fresh executor and loader.
+        A *new_config* naming a table the store does not hold raises
+        :class:`~repro.errors.PartitioningError` and changes nothing.
+        Returns the :class:`~repro.partitioning.migration.MigrationPlan`
+        comparing old and new placements.
 
         Not concurrency-safe on its own: when the cluster is being served,
         call :meth:`repro.serve.ClusterServer.migrate` instead, which runs
         this under the serve layer's write lock and invalidates caches.
         """
-        from repro.partitioning.migration import plan_migration
+        from repro.partitioning.migration import compare_placements
 
-        database = Database(self.database.schema)
-        for name in self.database.schema.table_names:
-            if self.partitioned.has_table(name):
-                database.load(
-                    name, list(self.partitioned.table(name).canonical_rows())
-                )
-            else:
-                database.load(name, list(self.database.table(name).rows))
-        new_partitioned = partition_database(database, new_config)
-        plan = plan_migration(
-            database,
-            self.config,
+        missing = [
+            table
+            for table in new_config.tables
+            if not self.partitioned.has_table(table)
+        ]
+        if missing:
+            raise PartitioningError(
+                f"cannot repartition: the store holds no table "
+                f"{', '.join(map(repr, missing))}"
+            )
+        new_partitioned = partition_rows(
+            self.schema,
             new_config,
-            old_partitioned=self.partitioned,
-            new_partitioned=new_partitioned,
+            lambda table: self.partitioned.table(table).canonical_rows(),
         )
-        self.database = database
+        plan = compare_placements(self.partitioned, new_partitioned)
         self.partitioned = new_partitioned
         self.config = new_config
         self.executor = Executor(

@@ -11,7 +11,7 @@ from repro.partitioning.metrics import (
     per_table_redundancy,
     storage_per_node,
 )
-from repro.partitioning.partitioner import partition_database
+from repro.partitioning.partitioner import empty_store, partition_database
 from repro.partitioning.predicate import JoinPredicate
 from repro.partitioning.adaptive import (
     AdaptiveReport,
@@ -57,6 +57,7 @@ __all__ = [
     "data_redundancy",
     "data_redundancy_against",
     "detect_hotspots",
+    "empty_store",
     "partition_balance",
     "partition_database",
     "plan_migration",

@@ -3,6 +3,10 @@
 New tuples for a PREF-partitioned table are routed with a *partition index*
 on the referenced attribute of the referenced table, avoiding a join: one
 hash look-up per inserted tuple yields the exact set of target partitions.
+That routing is Definition 1 applied to a batch, so the loader places rows
+with :func:`repro.partitioning.partitioner.place_rows` — the routine
+``partition_database`` runs — and adds what only a loader needs: batch
+validation, statistics, and maintenance.
 
 Beyond the paper's description (which assumes referenced tables are loaded
 first) the loader also maintains PREF locality when new tuples arrive in a
@@ -22,15 +26,8 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.errors import BulkLoadError
 from repro.partitioning.config import PartitioningConfig
-from repro.partitioning.scheme import (
-    HashScheme,
-    PatchedPrefScheme,
-    PrefScheme,
-    RangeScheme,
-    ReplicatedScheme,
-    RoundRobinScheme,
-    key_has_null,
-)
+from repro.partitioning.partitioner import place_rows
+from repro.partitioning.scheme import PatchedPrefScheme, PrefScheme, key_has_null
 from repro.storage.partition import row_key
 from repro.storage.partitioned import (
     PartitionedDatabase,
@@ -96,15 +93,8 @@ class BulkLoader:
     ) -> None:
         self.partitioned = partitioned
         self.config = config
+        #: Per table, where ``place_rows`` left its round-robin cursor.
         self._round_robin: dict[str, int] = {}
-        #: referencing tables by referenced table name (for maintenance).
-        self._referencing: dict[str, list[str]] = {}
-        for table in config.tables:
-            scheme = config.scheme_of(table)
-            if isinstance(scheme, PrefScheme):
-                self._referencing.setdefault(scheme.referenced_table, []).append(
-                    table
-                )
 
     # -- inserts ------------------------------------------------------------
 
@@ -125,6 +115,12 @@ class BulkLoader:
         Returns:
             Aggregated :class:`BulkLoadStats` across all batches.
         """
+        unknown = sorted(set(batches) - set(self.config.tables))
+        if unknown:
+            raise BulkLoadError(
+                f"load: no table {', '.join(map(repr, unknown))} in the "
+                "partitioning configuration"
+            )
         stats = BulkLoadStats()
         for table in self.config.load_order():
             rows = batches.get(table)
@@ -140,98 +136,36 @@ class BulkLoader:
         rows: Iterable[Sequence],
         maintain_referencing: bool = True,
     ) -> BulkLoadStats:
-        """Insert *rows* into *table*, returning load statistics."""
+        """Insert *rows* into *table*, returning load statistics.
+
+        The rows are placed by :func:`~repro.partitioning.partitioner.
+        place_rows`, the routine that partitions a database; a batch that
+        is rejected leaves the store as it was.
+        """
         target = self.partitioned.table(table)
-        scheme = self.config.scheme_of(table)
-        # Inserts can introduce orphans or duplicate copies, which breaks a
-        # previously verified effective-hash placement of this table and of
-        # every table referencing it (locality propagation adds copies).
-        self._invalidate_effective_hash(table)
         rows = [tuple(raw) for raw in rows]
         arity = len(target.schema)
         if any(len(row) != arity for row in rows):
             raise BulkLoadError(
                 f"insert into {table}: every row must have {arity} values"
             )
-        stats = BulkLoadStats(rows_in=len(rows))
-        staged = StagedCopies(target)
-        placements = [
-            (row, self._insert_one(target, scheme, row, stats, staged))
-            for row in rows
-        ]
-        staged.flush()
-        if maintain_referencing and table in self._referencing:
-            self._propagate(table, placements, stats)
+        stored, index_lookups, self._round_robin[table] = place_rows(
+            target, self.partitioned, rows, self._round_robin.get(table, 0)
+        )
+        # Inserts can introduce orphans or duplicate copies, which breaks a
+        # previously verified effective-hash placement of this table and of
+        # every table referencing it (locality propagation adds copies).
+        self._invalidate_effective_hash(table)
+        copies = sum(map(len, stored))
+        stats = BulkLoadStats(
+            rows_in=len(rows),
+            copies_written=copies,
+            bytes_written=copies * target.schema.row_byte_width,
+            index_lookups=index_lookups,
+        )
+        if maintain_referencing:
+            self._propagate(table, rows, stored, stats)
         return stats
-
-    def _insert_one(
-        self,
-        target: PartitionedTable,
-        scheme,
-        row: Row,
-        stats: BulkLoadStats,
-        staged: StagedCopies,
-    ) -> frozenset[int]:
-        """Stage one row; returns the set of partitions that get a copy."""
-        source_id = target.allocate_source_id()
-        width = target.schema.row_byte_width
-        if isinstance(scheme, (HashScheme, RangeScheme)):
-            key = row_key(target.schema.positions(scheme.columns))(row)
-            partition_id = scheme.partition_of(key)
-            staged.add(partition_id, row, source_id)
-            stats.copies_written += 1
-            stats.bytes_written += width
-            return frozenset((partition_id,))
-        if isinstance(scheme, RoundRobinScheme):
-            cursor = self._round_robin.get(target.name, 0)
-            staged.add(cursor, row, source_id)
-            self._round_robin[target.name] = (cursor + 1) % target.partition_count
-            stats.copies_written += 1
-            stats.bytes_written += width
-            return frozenset((cursor,))
-        if isinstance(scheme, ReplicatedScheme):
-            for partition_id in range(target.partition_count):
-                staged.add(
-                    partition_id, row, source_id, duplicate=partition_id != 0
-                )
-            stats.copies_written += target.partition_count
-            stats.bytes_written += width * target.partition_count
-            return frozenset(range(target.partition_count))
-        if isinstance(scheme, PrefScheme):
-            referenced = self.partitioned.table(scheme.referenced_table)
-            index = referenced.partition_index(scheme.referenced_columns)
-            key = row_key(
-                target.schema.positions(scheme.referencing_columns(target.name))
-            )(row)
-            if key_has_null(key):
-                # A NULL key never matches a partner; no index probe needed.
-                partitions = frozenset()
-            else:
-                stats.index_lookups += 1
-                partitions = index.partitions_of(key)
-            if partitions:
-                placed = tuple(sorted(partitions))
-                if isinstance(scheme, PatchedPrefScheme) and len(
-                    placed
-                ) > scheme.max_copies:
-                    for partition_id in placed[scheme.max_copies :]:
-                        target.add_patch(partition_id, row, source_id)
-                    placed = placed[: scheme.max_copies]
-                for rank, partition_id in enumerate(placed):
-                    staged.add(
-                        partition_id, row, source_id, duplicate=rank > 0
-                    )
-            else:
-                cursor = self._round_robin.get(target.name, 0)
-                staged.add(cursor, row, source_id, has_partner=False)
-                self._round_robin[target.name] = (
-                    cursor + 1
-                ) % target.partition_count
-                placed = (cursor,)
-            stats.copies_written += len(placed)
-            stats.bytes_written += width * len(placed)
-            return frozenset(placed)
-        raise BulkLoadError(f"unsupported scheme for bulk load: {scheme!r}")
 
     def _invalidate_effective_hash(self, table: str) -> None:
         """Drop verified hash placement of *table* and its referencers."""
@@ -244,75 +178,75 @@ class BulkLoader:
             seen.add(current)
             if self.partitioned.has_table(current):
                 self.partitioned.table(current).effective_hash = None
-            frontier.extend(self._referencing.get(current, ()))
+            frontier.extend(self.config.referencing_tables(current))
 
     # -- locality maintenance ----------------------------------------------------
 
     def _propagate(
         self,
         referenced_name: str,
-        placements: list[tuple[Row, frozenset[int]]],
+        rows: list[Row],
+        stored: list[list[Row]],
         stats: BulkLoadStats,
     ) -> None:
-        """Copy existing referencing tuples next to newly inserted partners.
+        """Copy existing referencing tuples next to newly stored partners.
 
-        New copies written here are themselves new partner placements for
-        tables further down the PREF chain, so propagation recurses.
+        *rows* are the base tuples of *referenced_name* that just got new
+        copies, *stored* those copies per partition.  New copies written
+        here are themselves new partner placements for tables further
+        down the PREF chain, so propagation recurses.
         """
-        for referencing_name in self._referencing.get(referenced_name, ()):
+        referenced = self.partitioned.table(referenced_name)
+        for referencing_name in self.config.referencing_tables(referenced_name):
             referencing = self.partitioned.table(referencing_name)
             scheme = self.config.scheme_of(referencing_name)
-            assert isinstance(scheme, PrefScheme)
-            referenced = self.partitioned.table(referenced_name)
-            # Which keys newly appeared in which partitions?
-            new_keys: dict[Hashable, set[int]] = {}
+            # Which keys newly appeared in which partitions?  NULL
+            # referenced keys are left out: they can never partner anything.
             extract = row_key(
                 referenced.schema.positions(scheme.referenced_columns)
             )
-            for row, placed in placements:
-                key = extract(row)
-                if key_has_null(key):
-                    # A NULL referenced key can never partner anything.
-                    continue
-                new_keys.setdefault(key, set()).update(placed)
+            new_keys: dict[Hashable, set[int]] = {
+                key: set() for key in map(extract, rows) if not key_has_null(key)
+            }
+            for partition_id, copies in enumerate(stored):
+                for key in map(extract, copies):
+                    if key in new_keys:
+                        new_keys[key].add(partition_id)
             ref_columns = scheme.referencing_columns(referencing_name)
             locator = _locate_rows(referencing, ref_columns, set(new_keys))
-            width = referencing.schema.row_byte_width
+            # Plain PREF: a cap of every partition, which no tuple exceeds.
             max_copies = (
                 scheme.max_copies
                 if isinstance(scheme, PatchedPrefScheme)
-                else None
+                else referencing.partition_count
             )
-            downstream: list[tuple[Row, frozenset[int]]] = []
+            downstream: list[Row] = []
             staged = StagedCopies(referencing)
             partnered: set[int] = set()
             for key, partitions in new_keys.items():
                 for source_id, row, existing in locator.get(key, ()):  # noqa: B020
                     patched = referencing.patch_partitions_of(source_id)
                     missing = partitions - existing - patched
-                    added: set[int] = set()
+                    stored_before = len(existing)
                     for partition_id in sorted(missing):
-                        if (
-                            max_copies is not None
-                            and len(existing) >= max_copies
-                        ):
+                        if len(existing) >= max_copies:
                             # Duplication cap reached: overflow partner
                             # locations go to the patch list instead.
-                            referencing.add_patch(partition_id, row, source_id)
+                            staged.add_patch(partition_id, row, source_id)
                             continue
                         staged.add(partition_id, row, source_id, duplicate=True)
                         existing.add(partition_id)
-                        added.add(partition_id)
-                        stats.propagated_copies += 1
-                        stats.copies_written += 1
-                        stats.bytes_written += width
-                    if added:
-                        downstream.append((row, frozenset(added)))
+                    if len(existing) > stored_before:
+                        downstream.append(row)
                     partnered.add(source_id)
             _mark_has_partner(referencing, partnered)
-            staged.flush()
+            propagated = staged.flush()
+            copies = sum(map(len, propagated))
+            stats.propagated_copies += copies
+            stats.copies_written += copies
+            stats.bytes_written += copies * referencing.schema.row_byte_width
             if downstream:
-                self._propagate(referencing_name, downstream, stats)
+                self._propagate(referencing_name, downstream, propagated, stats)
 
     # -- updates and deletes ------------------------------------------------------
 
@@ -403,13 +337,8 @@ class BulkLoader:
         protected.update(getattr(scheme, "columns", ()))
         if isinstance(scheme, PrefScheme):
             protected.update(scheme.referencing_columns(table))
-        for other in self.config.tables:
-            other_scheme = self.config.scheme_of(other)
-            if (
-                isinstance(other_scheme, PrefScheme)
-                and other_scheme.referenced_table == table
-            ):
-                protected.update(other_scheme.referenced_columns)
+        for other in self.config.referencing_tables(table):
+            protected.update(self.config.scheme_of(other).referenced_columns)
         return protected
 
 

@@ -92,6 +92,15 @@ class PartitioningConfig:
             if scheme.kind is SchemeKind.PREF
         )
 
+    def referencing_tables(self, table: str) -> tuple[str, ...]:
+        """Tables whose PREF scheme references *table* directly."""
+        return tuple(
+            name
+            for name, scheme in self._schemes.items()
+            if isinstance(scheme, PrefScheme)
+            and scheme.referenced_table == table
+        )
+
     def chain_to_seed(self, table: str) -> list[tuple[str, JoinPredicate]]:
         """The PREF chain from *table* to its seed.
 

@@ -132,15 +132,23 @@ def plan_migration(
     destined for new nodes all move, and copies on removed nodes are
     dropped.
     """
-    old_dp = old_partitioned or partition_database(database, old_config)
-    new_dp = new_partitioned or partition_database(database, new_config)
+    return compare_placements(
+        old_partitioned or partition_database(database, old_config),
+        new_partitioned or partition_database(database, new_config),
+    )
+
+
+def compare_placements(
+    old_dp: PartitionedDatabase, new_dp: PartitionedDatabase
+) -> MigrationPlan:
+    """The migration plan between two stores of the same logical rows."""
     node_span = max(old_dp.partition_count, new_dp.partition_count)
     plan = MigrationPlan()
-    tables = set(old_config.tables) | set(new_config.tables)
-    for table in sorted(tables):
+    for table in sorted(set(old_dp.table_names) | set(new_dp.table_names)):
         old_counts = _placements(old_dp, table)
         new_counts = _placements(new_dp, table)
-        width = database.table(table).schema.row_byte_width
+        holder = new_dp if new_dp.has_table(table) else old_dp
+        width = holder.table(table).schema.row_byte_width
         kept = 0
         moved = 0
         moved_bytes_by_node = [0] * new_dp.partition_count

@@ -1,14 +1,23 @@
-"""Applies a :class:`PartitioningConfig` to a database (paper Definition 1).
+"""Applies a :class:`PartitioningConfig` to rows (paper Definition 1).
 
 Seed schemes place each tuple exactly once.  PREF places a copy of every
 referencing tuple into each partition that holds at least one partitioning
 partner in the referenced table (condition (1) of Definition 1) and deals
 partner-less tuples round-robin (condition (2)).  The ``dup`` and ``hasS``
 bitmap indexes of Section 2.1 are maintained during placement.
+
+:func:`place_rows` is the one routine that turns rows into placed copies.
+It does not care where the rows come from: :func:`partition_database`
+feeds it the tables of a :class:`Database`, the bulk loader a load batch
+(Section 2.3 — the partition-index probe *is* condition (1)), and online
+repartitioning the canonical rows of the store being replaced.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
+from repro.catalog.schema import DatabaseSchema
 from repro.errors import PartitioningError
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.scheme import (
@@ -27,7 +36,31 @@ from repro.storage.partitioned import (
     PartitionedTable,
     StagedCopies,
 )
-from repro.storage.table import Database, Table
+from repro.storage.table import Database
+
+Row = tuple
+
+
+def empty_store(
+    schema: DatabaseSchema, config: PartitioningConfig
+) -> PartitionedDatabase:
+    """A store holding every table of *config*, with no rows yet.
+
+    Tables are added in dependency order, so every PREF-referenced table
+    precedes the tables referencing it.
+    """
+    config.validate(schema)
+    store = PartitionedDatabase(config.partition_count)
+    for table in config.load_order():
+        store.add_table(
+            PartitionedTable(
+                schema.table(table),
+                config.scheme_of(table),
+                config.partition_count,
+                seed_table=config.seed_of(table),
+            )
+        )
+    return store
 
 
 def partition_database(
@@ -35,10 +68,6 @@ def partition_database(
     config: PartitioningConfig,
 ) -> PartitionedDatabase:
     """Partition *database* according to *config*.
-
-    Tables are processed in dependency order so that every PREF-referenced
-    table is materialised (and its partition index can be built) before the
-    tables referencing it.
 
     Args:
         database: The unpartitioned database ``D``.
@@ -49,25 +78,116 @@ def partition_database(
     Returns:
         The partitioned database ``DP``.
     """
-    config.validate(database.schema)
-    partitioned = PartitionedDatabase(config.partition_count)
-    for table_name in config.load_order():
-        base_table = database.table(table_name)
-        scheme = config.scheme_of(table_name)
-        seed = config.seed_of(table_name)
-        partitioned_table = PartitionedTable(
-            base_table.schema,
-            scheme,
-            config.partition_count,
-            seed_table=seed,
+    return partition_rows(
+        database.schema, config, lambda table: database.table(table).rows
+    )
+
+
+def partition_rows(
+    schema: DatabaseSchema,
+    config: PartitioningConfig,
+    rows_of: Callable[[str], Iterable[Row]],
+) -> PartitionedDatabase:
+    """An empty store for *config*, bulk-loaded with ``rows_of(table)``.
+
+    Tables are placed in dependency order, so a PREF table finds its
+    referenced table (and the partition index over it) complete.
+    """
+    store = empty_store(schema, config)
+    for table in store.tables.values():
+        place_rows(table, store, rows_of(table.name))
+        if table.is_pref:
+            table.effective_hash = _verified_effective_hash(table, config)
+    return store
+
+
+def place_rows(
+    target: PartitionedTable,
+    partitioned: PartitionedDatabase,
+    rows: Iterable[Row],
+    cursor: int = 0,
+) -> tuple[list[list[Row]], int, int]:
+    """Place *rows* (new base tuples, as tuples) into *target*.
+
+    The scheme is looked at once per batch; the copies are staged and
+    reach the partitions, the patch lists and the cached partition indexes
+    together at the end, so a batch that raises part-way stores nothing.
+
+    Args:
+        target: The table of *partitioned* receiving the rows.
+        partitioned: The store; a PREF *target* routes through the
+            partition index of its referenced table in here, which must
+            already hold the partners (Section 2.3).
+        rows: The base tuples, each of the table's arity.
+        cursor: Partition the next round-robin tuple (ROUND_ROBIN scheme,
+            PREF orphan) goes to; pass what the previous batch returned.
+
+    Returns:
+        ``(stored, index_lookups, cursor)``: the copies stored, per
+        partition in stored order; the partition-index probes made; and
+        the round-robin cursor after the batch.
+    """
+    scheme = target.scheme
+    count = target.partition_count
+    staged = StagedCopies(target)
+    add = staged.add
+    allocate = target.allocate_source_id
+    index_lookups = 0
+    if isinstance(scheme, (HashScheme, RangeScheme)):
+        extract = row_key(target.schema.positions(scheme.columns))
+        partition_of = scheme.partition_of
+        for row in rows:
+            add(partition_of(extract(row)), row, allocate())
+    elif isinstance(scheme, RoundRobinScheme):
+        for row in rows:
+            add(cursor, row, allocate())
+            cursor = (cursor + 1) % count
+    elif isinstance(scheme, ReplicatedScheme):
+        for row in rows:
+            source_id = allocate()
+            for partition_id in range(count):
+                # The copy on partition 0 is the canonical one.
+                add(partition_id, row, source_id, partition_id != 0)
+    elif isinstance(scheme, PrefScheme):
+        referenced = partitioned.table(scheme.referenced_table)
+        partitions_of = referenced.partition_index(
+            scheme.referenced_columns
+        ).partitions_of
+        extract = row_key(
+            target.schema.positions(scheme.referencing_columns(target.name))
         )
-        partitioned.add_table(partitioned_table)
-        _place_rows(base_table, partitioned_table, partitioned)
-        if isinstance(scheme, PrefScheme):
-            partitioned_table.effective_hash = _verified_effective_hash(
-                partitioned_table, config
-            )
-    return partitioned
+        # Plain PREF: a cap of every partition, which no tuple exceeds.
+        max_copies = (
+            scheme.max_copies if isinstance(scheme, PatchedPrefScheme) else count
+        )
+        for row in rows:
+            source_id = allocate()
+            key = extract(row)
+            if key_has_null(key):
+                # A NULL key never matches a partner; no index probe needed.
+                partitions = ()
+            else:
+                index_lookups += 1
+                partitions = partitions_of(key)
+            if partitions:
+                # Condition (1): a copy into every partition with a partner.
+                # The lowest partition id holds the canonical copy (dup = 0).
+                # Patched PREF stores only the max_copies lowest-id copies;
+                # the rest go to the patch list for the residual shuffle.
+                placed = sorted(partitions)
+                if len(placed) > max_copies:
+                    for partition_id in placed[max_copies:]:
+                        staged.add_patch(partition_id, row, source_id)
+                    del placed[max_copies:]
+                for rank, partition_id in enumerate(placed):
+                    add(partition_id, row, source_id, rank > 0)
+            else:
+                # Condition (2): partner-less tuples are dealt round-robin.
+                add(cursor, row, source_id, has_partner=False)
+                cursor = (cursor + 1) % count
+    else:  # pragma: no cover - exhaustive over scheme types
+        raise PartitioningError(f"unsupported scheme: {scheme!r}")
+    return staged.flush(), index_lookups, cursor
 
 
 def _derived_hash_columns(
@@ -126,94 +246,3 @@ def _verified_effective_hash(
             if stable_hash(key) % count != partition.partition_id:
                 return None
     return columns
-
-
-def _place_rows(
-    base_table: Table,
-    target: PartitionedTable,
-    partitioned: PartitionedDatabase,
-) -> None:
-    """Distribute the rows of *base_table* into *target*'s partitions."""
-    scheme = target.scheme
-    staged = StagedCopies(target)
-    if isinstance(scheme, (HashScheme, RangeScheme)):
-        _place_by_key(base_table, target, staged)
-    elif isinstance(scheme, RoundRobinScheme):
-        _place_round_robin(base_table, target, staged)
-    elif isinstance(scheme, ReplicatedScheme):
-        _place_replicated(base_table, target, staged)
-    elif isinstance(scheme, PrefScheme):
-        _place_pref(base_table, target, partitioned, staged)
-    else:  # pragma: no cover - exhaustive over scheme types
-        raise PartitioningError(f"unsupported scheme: {scheme!r}")
-    staged.flush()
-
-
-def _place_by_key(
-    base_table: Table, target: PartitionedTable, staged: StagedCopies
-) -> None:
-    scheme = target.scheme
-    extract = row_key(base_table.schema.positions(scheme.columns))
-    for row in base_table.rows:
-        source_id = target.allocate_source_id()
-        staged.add(scheme.partition_of(extract(row)), row, source_id)
-
-
-def _place_round_robin(
-    base_table: Table, target: PartitionedTable, staged: StagedCopies
-) -> None:
-    count = target.partition_count
-    for index, row in enumerate(base_table.rows):
-        source_id = target.allocate_source_id()
-        staged.add(index % count, row, source_id)
-
-
-def _place_replicated(
-    base_table: Table, target: PartitionedTable, staged: StagedCopies
-) -> None:
-    for row in base_table.rows:
-        source_id = target.allocate_source_id()
-        for partition_id in range(target.partition_count):
-            # The copy on partition 0 is the canonical one.
-            staged.add(partition_id, row, source_id, duplicate=partition_id != 0)
-
-
-def _place_pref(
-    base_table: Table,
-    target: PartitionedTable,
-    partitioned: PartitionedDatabase,
-    staged: StagedCopies,
-) -> None:
-    scheme = target.scheme
-    assert isinstance(scheme, PrefScheme)
-    referenced = partitioned.table(scheme.referenced_table)
-    index = referenced.partition_index(scheme.referenced_columns)
-    extract = row_key(
-        base_table.schema.positions(scheme.referencing_columns(target.name))
-    )
-    max_copies = (
-        scheme.max_copies if isinstance(scheme, PatchedPrefScheme) else None
-    )
-    round_robin_cursor = 0
-    for row in base_table.rows:
-        source_id = target.allocate_source_id()
-        key = extract(row)
-        partitions = (
-            frozenset() if key_has_null(key) else index.partitions_of(key)
-        )
-        if partitions:
-            # Condition (1): a copy into every partition with a partner.
-            # The lowest partition id holds the canonical copy (dup = 0).
-            # Patched PREF stores only the max_copies lowest-id copies;
-            # the rest go to the patch list for the residual shuffle.
-            placed = sorted(partitions)
-            if max_copies is not None and len(placed) > max_copies:
-                for partition_id in placed[max_copies:]:
-                    target.add_patch(partition_id, tuple(row), source_id)
-                placed = placed[:max_copies]
-            for rank, partition_id in enumerate(placed):
-                staged.add(partition_id, row, source_id, duplicate=rank > 0)
-        else:
-            # Condition (2): partner-less tuples are dealt round-robin.
-            staged.add(round_robin_cursor, row, source_id, has_partner=False)
-            round_robin_cursor = (round_robin_cursor + 1) % target.partition_count

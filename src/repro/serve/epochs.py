@@ -17,7 +17,6 @@ import threading
 from typing import Iterable
 
 from repro.partitioning.config import PartitioningConfig
-from repro.partitioning.scheme import PrefScheme
 
 
 class EpochTracker:
@@ -26,14 +25,6 @@ class EpochTracker:
     def __init__(self, config: PartitioningConfig) -> None:
         self._lock = threading.Lock()
         self._epochs: dict[str, int] = {table: 0 for table in config.tables}
-        #: referenced table -> directly referencing PREF tables.
-        referencing: dict[str, list[str]] = {}
-        for table in config.tables:
-            scheme = config.scheme_of(table)
-            if isinstance(scheme, PrefScheme):
-                referencing.setdefault(scheme.referenced_table, []).append(
-                    table
-                )
         #: table -> every table whose contents a write to it can touch
         #: (itself plus transitive referencers).
         self._closure: dict[str, frozenset[str]] = {}
@@ -45,12 +36,16 @@ class EpochTracker:
                 if current in seen:
                     continue
                 seen.add(current)
-                frontier.extend(referencing.get(current, ()))
+                frontier.extend(config.referencing_tables(current))
             self._closure[table] = frozenset(seen)
 
     def closure(self, table: str) -> frozenset[str]:
-        """Tables affected by a write to *table* (including itself)."""
-        return self._closure.get(table, frozenset((table,)))
+        """Tables affected by a write to *table* (including itself).
+
+        Empty for a name the configuration does not hold: nothing is
+        stored under it, so there is no epoch to advance.
+        """
+        return self._closure.get(table, frozenset())
 
     def current(self, table: str) -> int:
         """The current epoch of *table* (0 if never written)."""

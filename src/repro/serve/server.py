@@ -508,7 +508,7 @@ class ClusterServer:
         plan_hit = planned is not None
         if planned is None:
             self.metrics.inc("serve.plan_cache.misses")
-            plan = sql_to_plan(body, self.cluster.database.schema)
+            plan = sql_to_plan(body, self.cluster.schema)
             tables = referenced_tables(plan)
             planned = _PlannedQuery(plan, executor.annotate(plan), tables)
             self.plan_cache.put(

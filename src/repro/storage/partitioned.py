@@ -10,7 +10,7 @@ a :class:`StagedCopies` and flush them to the partitions a batch at a time.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError, UnknownObjectError
@@ -68,11 +68,6 @@ class PartitionedTable:
     def is_pref(self) -> bool:
         """True if this table is PREF partitioned."""
         return self.scheme.kind is SchemeKind.PREF
-
-    @property
-    def is_replicated(self) -> bool:
-        """True if this table is fully replicated."""
-        return self.scheme.kind is SchemeKind.REPLICATED
 
     # -- source ids ---------------------------------------------------------
 
@@ -188,10 +183,6 @@ class PartitionedTable:
         """Drop cached partition indexes (after non-incremental mutation)."""
         self._indexes.clear()
 
-    def key_partitions(self, columns: Sequence[str], key: Hashable) -> frozenset[int]:
-        """Partitions containing *key* under *columns* (via the index)."""
-        return self.partition_index(columns).partitions_of(key)
-
     # -- iteration -------------------------------------------------------------
 
     def all_rows(self) -> Iterator[Row]:
@@ -281,19 +272,21 @@ class StagedCopies:
     """Row copies of one table, buffered per destination partition.
 
     Placement decides one row at a time, the column store wants batches:
-    callers :meth:`add` copies as they are placed and :meth:`flush` once,
-    which hands every partition its copies in one ``extend`` (in the order
-    they were added) and records them in the table's cached partition
-    indexes.  Nothing reaches the table before the flush.
+    callers :meth:`add` copies (and :meth:`add_patch` capped overflow) as
+    they are placed and :meth:`flush` once, which hands every partition
+    its copies in one ``extend`` (in the order they were added), records
+    them in the table's cached partition indexes and appends the patch
+    entries.  Nothing reaches the table before the flush.
     """
 
-    __slots__ = ("_table", "_buffers")
+    __slots__ = ("_table", "_buffers", "_patches")
 
     def __init__(self, table: PartitionedTable) -> None:
         self._table = table
         self._buffers: list[tuple[list, list, list, list]] = [
             ([], [], [], []) for _ in table.partitions
         ]
+        self._patches: list[tuple[int, Row, int]] = []
 
     def add(
         self,
@@ -310,8 +303,15 @@ class StagedCopies:
         dup.append(int(duplicate))
         partner.append(int(has_partner))
 
-    def flush(self) -> None:
-        """Store the buffered copies and empty the buffers."""
+    def add_patch(self, partition_id: int, row: Row, source_id: int) -> None:
+        """Buffer one patch-list entry (see ``PartitionedTable.add_patch``)."""
+        self._patches.append((partition_id, row, source_id))
+
+    def flush(self) -> list[list[Row]]:
+        """Store everything buffered; returns the stored rows per partition.
+
+        The buffers are handed over, not copied: flush once.
+        """
         table = self._table
         indexes = [
             (index, row_key(table.schema.positions(columns)))
@@ -324,5 +324,6 @@ class StagedCopies:
             partition.extend(*buffers)
             for index, extract in indexes:
                 index.add_all(map(extract, rows), partition.partition_id)
-            for buffer in buffers:
-                buffer.clear()
+        for patch in self._patches:
+            table.add_patch(*patch)
+        return [buffers[0] for buffers in self._buffers]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
+from operator import itemgetter
 
 from repro.catalog import DatabaseSchema, DataType
 from repro.partitioning import (
@@ -38,6 +40,36 @@ def assert_same_rows(actual, expected, places: int = 6) -> None:
         raise AssertionError(
             f"row multisets differ; missing={missing} extra={extra}"
         )
+
+
+def store_state(partitioned) -> dict:
+    """Everything placement decides, per table: every partition's columns,
+    source ids, ``dup`` and ``hasS`` bits in stored order, and the patch
+    lists (a source id occurs once per destination, so it orders them)."""
+    return {
+        name: (
+            [
+                (
+                    partition.partition_id,
+                    [list(column) for column in partition.columns],
+                    list(partition.source_ids),
+                    list(partition.dup),
+                    list(partition.has_partner),
+                )
+                for partition in table.partitions
+            ],
+            {
+                partition_id: sorted(entries, key=itemgetter(1))
+                for partition_id, entries in sorted(table.patches.items())
+            },
+        )
+        for name, table in sorted(partitioned.tables.items())
+    }
+
+
+def store_fingerprint(partitioned) -> str:
+    """sha256 over :func:`store_state` (see ``tests/fixtures/README.md``)."""
+    return hashlib.sha256(repr(store_state(partitioned)).encode()).hexdigest()
 
 
 def shop_schema() -> DatabaseSchema:

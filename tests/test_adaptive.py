@@ -8,6 +8,8 @@ from helpers import (
     all_hashed_config,
     assert_same_rows,
     patched_shop_config,
+    pref_chain_config,
+    ref_chain_config,
     shop_database,
 )
 from repro.catalog import DatabaseSchema, DataType
@@ -487,16 +489,60 @@ class TestOnlineRepartition:
             plan = cluster.repartition(new_config)
             assert plan.copies_moved > 0
             assert cluster.config is new_config
-            # The rebuilt source database carries the post-partitioning
-            # insert; the new layout must serve it.
+            # The store is the only copy of the data, so the new layout
+            # carries the post-partitioning insert and must serve it.
             assert_same_rows(cluster.sql(sql).rows, before)
             assert (950,) in {
-                (row[0],) for row in cluster.database.table("orders").rows
+                (row[0],)
+                for row in cluster.partitioned.table("orders").canonical_rows()
             }
             check_pref_invariants(
                 cluster.partitioned, new_config, exact=True
             )
             assert cluster.partitioned.table("orders").patch_count > 0
+        finally:
+            cluster.close()
+
+    def test_insert_after_partitioning_survives_repartition(self):
+        cluster = SimulatedCluster.partition(
+            shop_database(seed=7), pref_chain_config(4)
+        )
+        try:
+            # A new order for an existing customer, with one lineitem.
+            cluster.loader.load(
+                {"lineitem": [(900, 950, 2, 3)], "orders": [(950, 3, 12.5)]}
+            )
+            cluster.repartition(ref_chain_config(4))
+            assert cluster.sql(
+                "SELECT o.orderkey, c.cname, l.qty FROM orders o "
+                "JOIN customer c ON o.custkey = c.custkey "
+                "JOIN lineitem l ON o.orderkey = l.orderkey "
+                "WHERE o.orderkey = 950"
+            ).rows == [(950, "cust3", 3)]
+            check_pref_invariants(
+                cluster.partitioned, cluster.config, exact=True
+            )
+        finally:
+            cluster.close()
+
+    def test_repartition_onto_a_table_the_store_lacks_changes_nothing(self):
+        partial = PartitioningConfig(4)
+        partial.add("orders", HashScheme(("orderkey",), 4))
+        cluster = SimulatedCluster.partition(shop_database(seed=7), partial)
+        try:
+            kept = (
+                cluster.partitioned, cluster.config,
+                cluster.executor, cluster.loader,
+            )
+            with pytest.raises(PartitioningError, match="'customer'"):
+                cluster.repartition(all_hashed_config(4))
+            assert kept == (
+                cluster.partitioned, cluster.config,
+                cluster.executor, cluster.loader,
+            )
+            assert cluster.sql("SELECT COUNT(*) AS n FROM orders o").rows == [
+                (60,)
+            ]
         finally:
             cluster.close()
 

@@ -6,7 +6,9 @@ from helpers import (
     patched_shop_config,
     pref_chain_config,
     ref_chain_config,
+    shop_database,
     shop_schema,
+    store_state,
 )
 from repro.errors import BulkLoadError
 from repro.partitioning import (
@@ -14,6 +16,8 @@ from repro.partitioning import (
     check_pref_invariants,
     partition_database,
 )
+from repro.query import Executor
+from repro.sql.planner import sql_to_plan
 from repro.storage import Database
 
 
@@ -92,6 +96,65 @@ class TestInserts:
         stats = loader.load(batches)
         assert stats.rows_in == shop_db.total_rows
         check_pref_invariants(partitioned, config)
+
+
+    def test_load_rejects_unknown_tables_before_any_write(self, shop_db):
+        """A batch keyed by a table the config lacks used to be dropped
+        without a word."""
+        config = pref_chain_config(4)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        before = store_state(partitioned)
+        with pytest.raises(BulkLoadError, match="'order'"):
+            loader.load({"order": [(900, 1, 5.0)]})
+        with pytest.raises(BulkLoadError, match="'order'"):
+            loader.load({"lineitem": [(900, 1, 1, 1)], "order": [(900, 1, 5.0)]})
+        assert store_state(partitioned) == before
+
+
+class TestRejectedBatch:
+    def test_leaves_no_patch_entries_behind(self, shop_db):
+        """The first row overflows the cap, the second cannot be routed:
+        the overflow used to reach the patch list before the batch died,
+        so a join served an order that was never inserted."""
+        config = patched_shop_config(4, max_copies=1)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        lineitems = partitioned.table("lineitem").partition_index(("orderkey",))
+        # shop_db has lineitems for orders 60..65, which do not exist.
+        scattered = next(
+            key for key in range(60, 66) if len(lineitems.partitions_of(key)) > 1
+        )
+        plan = sql_to_plan(
+            "SELECT COUNT(*) AS n FROM orders o "
+            "JOIN lineitem l ON o.orderkey = l.orderkey",
+            shop_db.schema,
+        )
+        executor = Executor(partitioned)
+        joined = executor.execute(plan).rows
+        before = store_state(partitioned)
+        with pytest.raises(TypeError, match="unhashable"):
+            loader.insert("orders", [(scattered, 1, 1.0), ([1, 2], 1, 1.0)])
+        assert store_state(partitioned) == before
+        assert executor.execute(plan).rows == joined
+        check_pref_invariants(partitioned, config, exact=True)
+
+    def test_keeps_a_verified_effective_hash(self):
+        config = ref_chain_config(4)
+        partitioned = partition_database(
+            shop_database(seed=2, orphans=False), config
+        )
+        loader = BulkLoader(partitioned, config)
+        orders = partitioned.table("orders")
+        assert orders.effective_hash == ("custkey",)
+        with pytest.raises(BulkLoadError, match="3 values"):
+            loader.insert("orders", [(900, 1, 5.0), (901, 1)])
+        with pytest.raises(TypeError, match="unhashable"):
+            loader.insert("orders", [(900, 1, 5.0), (901, [1, 2], 5.0)])
+        assert orders.effective_hash == ("custkey",)
+        assert orders.total_rows == 60
+        loader.insert("orders", [(900, 1, 5.0)])
+        assert orders.effective_hash is None
 
 
 class TestReferencedSideMaintenance:

@@ -1,13 +1,29 @@
 """Tests for the partitioner, including the paper's Figure 2 example."""
 
-from helpers import pref_chain_config, ref_chain_config
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from helpers import (
+    all_hashed_config,
+    patched_shop_config,
+    pref_chain_config,
+    ref_chain_config,
+    shop_database,
+    store_fingerprint,
+)
 from repro.catalog import DatabaseSchema, DataType
 from repro.partitioning import (
+    BulkLoader,
+    BulkLoadStats,
     HashScheme,
     JoinPredicate,
     PartitioningConfig,
     PrefScheme,
     RangeScheme,
+    ReplicatedScheme,
     RoundRobinScheme,
     check_pref_invariants,
     partition_database,
@@ -201,3 +217,122 @@ class TestPartitioner:
         partitioned = partition_database(shop_db, config)
         assert partitioned.table_names == ("customer",)
         assert not partitioned.has_table("orders")
+
+
+# -- pinned placement ---------------------------------------------------------
+#
+# tests/fixtures/placement_fingerprints.json was recorded while the
+# partitioner and the bulk loader still had a placement routine each (see
+# tests/fixtures/README.md); whatever places rows today must reproduce it.
+
+
+def mixed_seeds_config(n: int = 4) -> PartitioningConfig:
+    """RANGE seed with a PREF child, plus ROUND_ROBIN and REPLICATED."""
+    config = PartitioningConfig(n)
+    config.add("lineitem", RangeScheme("linekey", (49, 99, 149)))
+    config.add(
+        "orders",
+        PrefScheme(
+            "lineitem",
+            JoinPredicate.equi("orders", "orderkey", "lineitem", "orderkey"),
+        ),
+    )
+    config.add("customer", RoundRobinScheme(n))
+    config.add("item", ReplicatedScheme(n))
+    config.add("nation", ReplicatedScheme(n))
+    return config
+
+
+PINNED_CONFIGS = {
+    "pref_chain": pref_chain_config,
+    "ref_chain": ref_chain_config,
+    "all_hashed": all_hashed_config,
+    "patched": patched_shop_config,
+    "mixed_seeds": mixed_seeds_config,
+}
+PINNED_SEEDS = (0, 7, 23)
+PINNED_CASES = [
+    f"{name}/{seed}" for name in PINNED_CONFIGS for seed in PINNED_SEEDS
+]
+FINGERPRINTS = Path(__file__).parent / "fixtures" / "placement_fingerprints.json"
+
+
+def pinned_case(case: str):
+    """``shop_database(seed)`` with NULLs knocked into the PREF key columns
+    (orphans come with ``shop_database``; patched overflow with the cap)."""
+    name, seed = case.split("/")
+    database = shop_database(seed=int(seed))
+    for table, position, step in (
+        ("orders", 1, 9),
+        ("lineitem", 1, 13),
+        ("customer", 0, 10),
+    ):
+        rows = database.table(table).rows
+        rows[:] = [
+            row[:position] + (None,) + row[position + 1 :]
+            if index % step == step - 1
+            else row
+            for index, row in enumerate(rows)
+        ]
+    return database, PINNED_CONFIGS[name](4)
+
+
+def loaded_store(case: str, slices: int, maintain_referencing: bool):
+    """An empty store bulk-loaded in *slices* rounds of one batch per table."""
+    database, config = pinned_case(case)
+    store = partition_database(Database(database.schema), config)
+    loader = BulkLoader(store, config)
+    stats = BulkLoadStats()
+    for number in range(slices):
+        batches = {}
+        for table in config.tables:
+            rows = database.table(table).rows
+            size = -(-len(rows) // slices)
+            batches[table] = rows[number * size : (number + 1) * size]
+        stats.merge(
+            loader.load(batches, maintain_referencing=maintain_referencing)
+        )
+    return store, config, asdict(stats)
+
+
+def record_placements() -> dict:
+    """What the fixture file holds, computed by the code under test."""
+    recorded = {}
+    for case in PINNED_CASES:
+        store, _config, load_stats = loaded_store(case, 1, False)
+        sliced, _config, two_slice_stats = loaded_store(case, 2, True)
+        assert store_fingerprint(partition_database(*pinned_case(case))) == (
+            store_fingerprint(store)
+        )
+        recorded[case] = {
+            "store": store_fingerprint(store),
+            "load_stats": load_stats,
+            "two_slice_store": store_fingerprint(sliced),
+            "two_slice_stats": two_slice_stats,
+        }
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(FINGERPRINTS.read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+class TestPinnedPlacement:
+    def test_partition_database_reproduces_the_fingerprint(self, pinned, case):
+        database, config = pinned_case(case)
+        partitioned = partition_database(database, config)
+        assert store_fingerprint(partitioned) == pinned[case]["store"]
+        check_pref_invariants(partitioned, config, exact=True)
+
+    def test_bulk_load_into_an_empty_store_is_the_same_store(self, pinned, case):
+        store, _config, stats = loaded_store(case, 1, False)
+        assert store_fingerprint(store) == pinned[case]["store"]
+        assert stats == pinned[case]["load_stats"]
+
+    def test_two_slice_maintained_load(self, pinned, case):
+        store, config, stats = loaded_store(case, 2, True)
+        assert store_fingerprint(store) == pinned[case]["two_slice_store"]
+        assert stats == pinned[case]["two_slice_stats"]
+        check_pref_invariants(store, config, exact=False)

@@ -144,7 +144,7 @@ class TestParameterBoundary:
         partitioned, config = shop_hashed
         with pytest.raises(ValueError, match="bloom_fpr"):
             SimulatedCluster(
-                shop_db, partitioned, config, backend="serial", bloom_fpr=0.0
+                shop_db.schema, partitioned, config, backend="serial", bloom_fpr=0.0
             )
 
     def test_cli_rejects_bad_fpr(self):

@@ -10,10 +10,11 @@ load-bearing correctness mechanism, not redundant belt-and-braces.
 from __future__ import annotations
 
 import pytest
-from helpers import assert_same_rows, shop_database, shop_schema
+from helpers import assert_same_rows, shop_database, shop_schema, store_state
 from repro.cluster import SimulatedCluster
 from repro.errors import (
     AdmissionError,
+    BulkLoadError,
     QueryTimeoutError,
     SqlError,
 )
@@ -251,6 +252,16 @@ class TestClusterServer:
         # customer-derived entry too (propagation can move copies).
         server.insert("orders", [(9002, 2, 1.0)])
         assert len(server.result_cache) == 0
+
+    def test_load_of_a_misspelt_table_is_rejected_whole(self, server):
+        tables = server.cluster.config.tables
+        stored = store_state(server.cluster.partitioned)
+        epochs = server.epochs.snapshot(tables)
+        with pytest.raises(BulkLoadError, match="'order'"):
+            server.load({"order": [(900, 1, 5.0)]})
+        assert store_state(server.cluster.partitioned) == stored
+        assert server.epochs.snapshot(tables) == epochs
+        assert server.epochs.current("order") == 0
 
     def test_unrelated_table_entries_survive_writes(self, server):
         item_sql = "SELECT COUNT(*) AS n FROM item i"
