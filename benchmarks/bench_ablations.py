@@ -20,7 +20,7 @@ from repro.bench import (
     paper_cost_parameters,
     tpch_variants,
 )
-from repro.query import Executor, Query
+from repro.query import ExecOptions, Executor, Query
 from repro.query.expressions import col, lit
 from repro.workloads.tpch import SMALL_TABLES, runtime_queries
 
@@ -36,7 +36,7 @@ def test_ablation_locality_rewrites(benchmark, tpch_db, tpch_specs, report):
     def experiment():
         results = {}
         for locality in (True, False):
-            executor = Executor(partitioned, locality=locality)
+            executor = Executor(partitioned, ExecOptions(locality=locality))
             network = 0
             shuffles = 0
             for plan in queries.values():
@@ -142,8 +142,9 @@ def test_ablation_partition_pruning(benchmark, tpch_db, tpch_specs, report):
     def experiment():
         results = {}
         for name, plan in lookups.items():
-            pruned = Executor(partitioned, optimizations=True).execute(plan)
-            full = Executor(partitioned, optimizations=False).execute(plan)
+            on, off = ExecOptions(optimizations=True), ExecOptions(optimizations=False)
+            pruned = Executor(partitioned, on).execute(plan)
+            full = Executor(partitioned, off).execute(plan)
             assert pruned.rows == full.rows
             results[name] = (
                 pruned.stats.partitions_scanned,

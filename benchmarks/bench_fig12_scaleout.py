@@ -4,21 +4,12 @@ Paper reference: classical partitioning's DR grows linearly with the node
 count (every replicated table is copied to every new node), while SD and
 WD grow sub-linearly (PREF duplicates saturate), so PREF-based designs
 scale out much better.
-
-This file also hosts the engine-level scale-out axis: the same TPC-H
-workload executed by the serial, thread-pool and process-pool scheduling
-backends.  Rows and execution stats must be identical (enforced hard);
-wall-clock per backend is reported, and on a multicore runner the
-process pool must beat serial on at least one heavy query.
 """
 
-import os
-
-from conftest import NODES, TPCDS_SF, TPCH_SF
+from conftest import TPCDS_SF, TPCH_SF
 
 from repro.bench import (
     Variant,
-    compare_backends,
     format_table,
     scaleout_redundancy,
     tpch_variants,
@@ -30,7 +21,6 @@ from repro.design import (
     sd_individual_stars,
 )
 from repro.workloads import tpcds, tpch
-from repro.workloads.tpch import ALL_QUERIES
 
 NODE_COUNTS = [1, 2, 5, 10, 20, 50, 100]
 
@@ -135,61 +125,6 @@ def test_fig12b_tpcds_scaleout(benchmark, tpcds_db, tpcds_specs, report):
         ),
     )
     _assert_growth_shapes(series, cp_name="CP (Individual Stars)")
-
-
-#: The engine-backend comparison workload: the heaviest scan/aggregate
-#: queries (Q1, Q18) plus a representative join pipeline (Q3) and a
-#: selective filter (Q6).
-BACKEND_QUERIES = ("Q1", "Q3", "Q6", "Q18")
-
-
-def test_fig12c_backend_scaleout(tpch_db, report):
-    """Serial vs thread pool vs process pool on one SD-partitioned TPC-H
-    database.  ``compare_backends(check=True)`` raises on any row or
-    ExecutionStats divergence, so passing *is* the equivalence proof; the
-    wall-clock table shows where true multicore execution pays off."""
-    sd = SchemaDrivenDesigner(tpch_db, NODES).design(
-        replicate=tpch.SMALL_TABLES
-    )
-    variant = Variant("SD (wo small tables)", [sd.config])
-    queries = {name: ALL_QUERIES[name]() for name in BACKEND_QUERIES}
-    results = compare_backends(
-        tpch_db,
-        variant,
-        queries,
-        backends=("serial", "thread", "process"),
-        check=True,
-    )
-    backends = list(results)
-    rows = []
-    speedups = {}
-    for name in queries:
-        serial_seconds = results["serial"][name].wall_seconds
-        process_seconds = results["process"][name].wall_seconds
-        speedups[name] = serial_seconds / max(process_seconds, 1e-9)
-        rows.append(
-            (name,)
-            + tuple(
-                round(results[b][name].wall_seconds, 4) for b in backends
-            )
-            + (round(speedups[name], 2),)
-        )
-    report(
-        "fig12c_backend_scaleout",
-        format_table(
-            ["query"] + [f"{b} (s)" for b in backends] + ["process speedup"],
-            rows,
-            title=(
-                "Figure 12(c): engine backends on TPC-H "
-                f"(identical rows+stats enforced; {os.cpu_count()} cores)"
-            ),
-        ),
-    )
-    if (os.cpu_count() or 1) > 1:
-        assert max(speedups.values()) > 1.0, (
-            "process pool should beat serial on at least one heavy query "
-            f"on a multicore runner; speedups={speedups}"
-        )
 
 
 def _assert_growth_shapes(series, cp_name):

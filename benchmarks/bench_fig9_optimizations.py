@@ -14,7 +14,7 @@ from conftest import NODES, TPCH_SF
 
 from repro.bench import format_table, paper_cost_parameters, tpch_variants
 from repro.partitioning import partition_database
-from repro.query import Executor, Query
+from repro.query import ExecOptions, Executor, Query
 from repro.workloads.tpch import SMALL_TABLES
 
 
@@ -56,7 +56,9 @@ def test_fig9_optimizations(benchmark, tpch_db, tpch_specs, report):
         results = {}
         for name, plans in _queries().items():
             for optimizations in (True, False):
-                executor = Executor(partitioned, optimizations=optimizations)
+                executor = Executor(
+                    partitioned, ExecOptions(optimizations=optimizations)
+                )
                 result = executor.execute(plans[optimizations])
                 results[(name, optimizations)] = (
                     result.simulated_seconds(cost),
@@ -112,8 +114,8 @@ def test_q13_outer_join_rewrite(benchmark, tpch_db, tpch_specs, report):
 
     def experiment():
         plan = ALL_QUERIES["Q13"]()
-        local = Executor(partitioned, locality=True).execute(plan)
-        remote = Executor(partitioned, locality=False).execute(plan)
+        local = Executor(partitioned, ExecOptions(locality=True)).execute(plan)
+        remote = Executor(partitioned, ExecOptions(locality=False)).execute(plan)
         assert sorted(local.rows) == sorted(remote.rows)
         return (
             local.simulated_seconds(cost),

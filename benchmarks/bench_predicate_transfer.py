@@ -4,19 +4,18 @@ The fig9-style ablation for the Bloom-filter transfer knob: every table
 hash-partitioned on its primary key (the fig7 "Hashed" baseline, where
 no join is co-partitioned and every join edge shuffles), a set of
 multi-join TPC-H queries run with the knob off and on.  Reported per
-query: bytes shuffled, wall-clock, and simulated deployment-scale
-seconds.  Answers must be identical — the knob only changes how many
+query: bytes shuffled and simulated deployment-scale seconds (wall clock
+is the repo benchmark's business: ``benchmarks/perf``).  Answers must be
+identical — the knob only changes how many
 rows cross the wire, never which rows come back.
 """
-
-import time
 
 from conftest import NODES, TPCH_SF
 
 from repro.bench import format_table, paper_cost_parameters
 from repro.design.baselines import all_hashed
 from repro.partitioning import partition_database
-from repro.query import Executor
+from repro.query import ExecOptions, Executor
 from repro.workloads.tpch import ALL_QUERIES
 
 #: Multi-join queries where transfer prunes hard on a hashed layout
@@ -35,13 +34,12 @@ def test_predicate_transfer_all_hashed(benchmark, tpch_db, report):
         for name in QUERIES:
             plan_builder = ALL_QUERIES[name]
             for transfer in (False, True):
-                executor = Executor(partitioned, predicate_transfer=transfer)
-                start = time.perf_counter()
+                executor = Executor(
+                    partitioned, ExecOptions(predicate_transfer=transfer)
+                )
                 result = executor.execute(plan_builder())
-                wall = time.perf_counter() - start
                 results[(name, transfer)] = (
                     result.stats.network_bytes,
-                    wall,
                     result.simulated_seconds(cost),
                     result.rows,
                 )
@@ -51,8 +49,8 @@ def test_predicate_transfer_all_hashed(benchmark, tpch_db, report):
     rows = []
     reductions = {}
     for name in QUERIES:
-        off_bytes, off_wall, off_sim, off_rows = results[(name, False)]
-        on_bytes, on_wall, on_sim, on_rows = results[(name, True)]
+        off_bytes, off_sim, off_rows = results[(name, False)]
+        on_bytes, on_sim, on_rows = results[(name, True)]
         assert on_rows == off_rows, f"{name}: answers changed under transfer"
         reduction = 100.0 * (off_bytes - on_bytes) / off_bytes if off_bytes else 0.0
         reductions[name] = reduction
@@ -62,7 +60,6 @@ def test_predicate_transfer_all_hashed(benchmark, tpch_db, report):
                 off_bytes,
                 on_bytes,
                 f"{reduction:.1f}%",
-                f"{off_wall * 1000:.0f} -> {on_wall * 1000:.0f}",
                 f"{off_sim:.1f} -> {on_sim:.1f}",
             )
         )
@@ -74,7 +71,6 @@ def test_predicate_transfer_all_hashed(benchmark, tpch_db, report):
                 "bytes off",
                 "bytes on",
                 "reduction",
-                "wall (ms)",
                 "simulated (s)",
             ],
             rows,

@@ -8,7 +8,7 @@ locality/redundancy numbers.
 Options::
 
     python -m repro [--scale SF] [--nodes N] [--seed S]
-    python -m repro explain --query Q3 --analyze --batch-size 256 \
+    python -m repro explain --query Q3 --analyze --predicate-transfer \
         --backends serial,thread,process --check --json-out trace.json
 """
 
@@ -20,7 +20,8 @@ import sys
 from repro.bench import paper_cost_parameters
 from repro.cluster import SimulatedCluster
 from repro.design import QuerySpec, SchemaDrivenDesigner, WorkloadDrivenDesigner
-from repro.engine.rows import DEFAULT_BATCH_SIZE
+from repro.partitioning import partition_database
+from repro.query import ExecOptions, Executor
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES, generate_tpch
 
 
@@ -69,10 +70,6 @@ def explain_main(argv: list[str]) -> int:
     )
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
     parser.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="rows per execution batch (results are invariant to this)",
-    )
-    parser.add_argument(
         "--predicate-transfer", action="store_true",
         help="transfer Bloom filters across the join graph before "
         "execution (results are invariant to this)",
@@ -82,26 +79,31 @@ def explain_main(argv: list[str]) -> int:
         help="target false-positive rate of the transferred Bloom filters",
     )
     args = parser.parse_args(argv)
+    # One options value and one store: what --check certifies is the plan
+    # that cluster.explain renders and every --backends run executes.
+    options = ExecOptions(
+        predicate_transfer=args.predicate_transfer, bloom_fpr=args.bloom_fpr
+    )
 
     database = generate_tpch(scale_factor=args.scale, seed=args.seed)
     design = SchemaDrivenDesigner(database, args.nodes).design(
         replicate=SMALL_TABLES
     )
     build = ALL_QUERIES[args.query]
+    partitioned = partition_database(database, design.config)
+
+    def cluster_on(backend: str | None) -> SimulatedCluster:
+        return SimulatedCluster(
+            database.schema, partitioned, design.config,
+            backend=backend, options=options,
+        )
 
     if args.check:
         # Static parallel-correctness certification of the rewritten plan
         # runs first — a refuted plan is not worth tracing.
-        from repro.partitioning import partition_database
         from repro.query.certify import certify
-        from repro.query.executor import Executor
 
-        partitioned = partition_database(database, design.config)
-        executor = Executor(
-            partitioned,
-            predicate_transfer=args.predicate_transfer,
-            bloom_fpr=args.bloom_fpr,
-        )
+        executor = Executor(partitioned, options)
         verdict = certify(executor.annotate(build()), partitioned)
         if not verdict.certified:
             print(verdict.render(), file=sys.stderr)
@@ -111,11 +113,7 @@ def explain_main(argv: list[str]) -> int:
         print()
 
     if not args.analyze:
-        cluster = SimulatedCluster.partition(
-            database, design.config, batch_size=args.batch_size,
-            predicate_transfer=args.predicate_transfer,
-            bloom_fpr=args.bloom_fpr,
-        )
+        cluster = cluster_on(None)
         try:
             print(cluster.explain(build()))
         finally:
@@ -123,18 +121,11 @@ def explain_main(argv: list[str]) -> int:
         return 0
 
     from repro.obs.explain import dump_trace, trace_to_json, validate_trace
-    from repro.partitioning import partition_database
 
-    partitioned = partition_database(database, design.config)
     backends = [name.strip() for name in args.backends.split(",") if name.strip()]
     traces = {}
     for backend_name in backends:
-        cluster = SimulatedCluster(
-            database.schema, partitioned, design.config, backend=backend_name,
-            batch_size=args.batch_size,
-            predicate_transfer=args.predicate_transfer,
-            bloom_fpr=args.bloom_fpr,
-        )
+        cluster = cluster_on(backend_name)
         try:
             result = cluster.run(build(), analyze=True, query_name=args.query)
         finally:
@@ -203,7 +194,6 @@ def certify_main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
     args = parser.parse_args(argv)
 
-    from repro.partitioning import partition_database
     from repro.partitioning.config import PartitioningConfig
     from repro.partitioning.scheme import PatchedPrefScheme, PrefScheme
     from repro.query.certify import certify

@@ -3,42 +3,33 @@
 from repro.bench.harness import (
     paper_cost_parameters,
     AccuracyPoint,
-    BackendRun,
     LocalityRedundancy,
     QueryRun,
     Variant,
     actual_redundancy,
     bulk_load_variant,
-    compare_backends,
     estimation_accuracy,
-    fuzz_smoke,
     materialize_variant,
     measure_variant,
-    operator_breakdown,
     run_workload,
     scaleout_redundancy,
     tpcds_variants,
     tpch_variants,
 )
-from repro.bench.reporting import format_table, trace_summary_table
+from repro.bench.reporting import format_table
 
 __all__ = [
     "paper_cost_parameters",
     "AccuracyPoint",
-    "BackendRun",
     "LocalityRedundancy",
     "QueryRun",
     "Variant",
     "actual_redundancy",
     "bulk_load_variant",
-    "compare_backends",
     "estimation_accuracy",
-    "fuzz_smoke",
     "format_table",
-    "trace_summary_table",
     "materialize_variant",
     "measure_variant",
-    "operator_breakdown",
     "run_workload",
     "scaleout_redundancy",
     "tpcds_variants",

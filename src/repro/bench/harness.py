@@ -29,9 +29,9 @@ from repro.partitioning.bulk_loader import BulkLoader, BulkLoadStats
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.partitioner import empty_store, partition_database
 from repro.partitioning.scheme import HashScheme, ReplicatedScheme
-from repro.engine.rows import DEFAULT_BATCH_SIZE
 from repro.query.cost import CostParameters
 from repro.query.executor import Executor
+from repro.query.options import ExecOptions
 from repro.query.plan import PlanNode
 from repro.storage.partitioned import PartitionedDatabase
 from repro.storage.table import Database
@@ -347,13 +347,9 @@ def run_workload(
     variant: Variant,
     queries: Mapping[str, PlanNode],
     cost: CostParameters | None = None,
-    optimizations: bool = True,
     backend=None,
     analyze: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    prepared: Sequence[PartitionedDatabase] | None = None,
-    predicate_transfer: bool = False,
-    bloom_fpr: float = 0.01,
+    options: ExecOptions | None = None,
 ) -> dict[str, QueryRun]:
     """Execute *queries* under *variant*, returning simulated runtimes.
 
@@ -362,32 +358,16 @@ def run_workload(
     instance or a name from :data:`~repro.engine.backends.BACKENDS`
     (default: serial execution).  With *analyze* (the default) every run
     carries its query trace, so fig* results come with per-operator
-    measured locality and skew attached.  *batch_size* is the engine's
-    kernel granularity knob (results are invariant in it).  *prepared*
-    short-circuits materialisation with an already-materialised variant
-    (from :func:`materialize_variant`) so callers can separate loading
-    from query execution, e.g. when timing the engine.
-    *predicate_transfer* / *bloom_fpr* switch on Bloom-filter predicate
-    transfer in every executor (results are invariant in the knob).
+    measured locality and skew attached.  *options* is the
+    :class:`~repro.query.options.ExecOptions` of every executor.
     """
     from repro.engine.backends import make_backend
 
     cost = cost or CostParameters()
     backend = make_backend(backend)
-    partitioned = (
-        prepared if prepared is not None else materialize_variant(database, variant)
-    )
     executors = [
-        Executor(
-            dp,
-            optimizations=optimizations,
-            backend=backend,
-            cost=cost,
-            batch_size=batch_size,
-            predicate_transfer=predicate_transfer,
-            bloom_fpr=bloom_fpr,
-        )
-        for dp in partitioned
+        Executor(dp, options, backend=backend, cost=cost)
+        for dp in materialize_variant(database, variant)
     ]
     runs: dict[str, QueryRun] = {}
     for name, plan in queries.items():
@@ -404,140 +384,6 @@ def run_workload(
             trace=result.trace,
         )
     return runs
-
-
-@dataclass
-class BackendRun:
-    """One query under one backend: output, cost model, and wall clock."""
-
-    backend: str
-    query: str
-    rows: list
-    canonical: tuple  #: ``ExecutionStats.canonical()`` of the run
-    wall_seconds: float
-    #: The run's :class:`~repro.obs.span.QueryTrace` (``analyze=True``).
-    trace: object = None
-
-
-def compare_backends(
-    database: Database,
-    variant: Variant,
-    queries: Mapping[str, PlanNode],
-    backends: Mapping[str, object] | Sequence[str] = (
-        "serial",
-        "thread",
-        "process",
-    ),
-    cost: CostParameters | None = None,
-    optimizations: bool = True,
-    check: bool = True,
-    analyze: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    predicate_transfer: bool = False,
-    bloom_fpr: float = 0.01,
-) -> dict[str, dict[str, BackendRun]]:
-    """Run *queries* once per backend and compare outputs and stats.
-
-    This is the scheduling-backend axis of the bench harness: the same
-    partitioned database and plans, executed by each named backend, with
-    real wall-clock timings.  Rows and the cost model's canonical stats
-    must be identical across backends — with ``check=True`` (the default)
-    any divergence raises ``AssertionError`` naming the query, backend
-    and quantity.
-
-    *backends* maps display names to backend instances/names, or is a
-    sequence of names from :data:`~repro.engine.backends.BACKENDS`.
-    *batch_size* sets every executor's kernel granularity.
-    Returns ``{backend name: {query name: BackendRun}}``.
-    """
-    from repro.engine.backends import make_backend
-
-    cost = cost or CostParameters()
-    if not isinstance(backends, Mapping):
-        backends = {name: name for name in backends}
-    partitioned = materialize_variant(database, variant)
-    results: dict[str, dict[str, BackendRun]] = {}
-    for label, spec in backends.items():
-        backend = make_backend(spec)
-        executors = [
-            Executor(
-                dp,
-                optimizations=optimizations,
-                backend=backend,
-                cost=cost,
-                batch_size=batch_size,
-                predicate_transfer=predicate_transfer,
-                bloom_fpr=bloom_fpr,
-            )
-            for dp in partitioned
-        ]
-        runs: dict[str, BackendRun] = {}
-        for name, plan in queries.items():
-            executor = executors[variant.config_for(name)]
-            started = time.perf_counter()
-            result = executor.execute(plan, analyze=analyze, query_name=name)
-            elapsed = time.perf_counter() - started
-            runs[name] = BackendRun(
-                backend=label,
-                query=name,
-                rows=result.rows,
-                canonical=result.stats.canonical(),
-                wall_seconds=elapsed,
-                trace=result.trace,
-            )
-        results[label] = runs
-        if backend is not None:
-            backend.close()
-    if check and len(results) > 1:
-        labels = list(results)
-        reference = results[labels[0]]
-        for label in labels[1:]:
-            for name, run in results[label].items():
-                if run.rows != reference[name].rows:
-                    raise AssertionError(
-                        f"backend {label!r} rows diverge from "
-                        f"{labels[0]!r} on query {name!r}"
-                    )
-                if run.canonical != reference[name].canonical:
-                    raise AssertionError(
-                        f"backend {label!r} ExecutionStats diverge from "
-                        f"{labels[0]!r} on query {name!r}"
-                    )
-                if run.trace is not None and reference[name].trace is not None:
-                    if run.trace.canonical() != reference[name].trace.canonical():
-                        raise AssertionError(
-                            f"backend {label!r} query trace diverges from "
-                            f"{labels[0]!r} on query {name!r}"
-                        )
-    return results
-
-
-def operator_breakdown(
-    runs: Mapping[str, QueryRun],
-) -> list[tuple[str, float, float, int, int]]:
-    """Aggregate per-operator totals over a workload's query runs.
-
-    Returns ``(operator label, max-node work, total work, network bytes,
-    shuffles)`` rows summed over all queries, sorted by total work
-    descending — the per-operator view behind the paper's "where does the
-    runtime go" discussion, ready for :func:`~repro.bench.format_table`.
-    """
-    totals: dict[str, list[float]] = {}
-    for run in runs.values():
-        for op in run.operators:
-            slot = totals.setdefault(op.label, [0.0, 0.0, 0, 0])
-            slot[0] += op.max_node_work
-            slot[1] += op.total_work
-            slot[2] += op.network_bytes
-            slot[3] += op.shuffles
-    return sorted(
-        (
-            (label, slot[0], slot[1], int(slot[2]), int(slot[3]))
-            for label, slot in totals.items()
-        ),
-        key=lambda row: row[2],
-        reverse=True,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -650,42 +496,3 @@ def _partitioned_only_redundancy(
     if base == 0:
         return 0.0
     return stored / base - 1.0
-
-
-# -- differential fuzzing -------------------------------------------------
-
-
-def fuzz_smoke(
-    cases: int = 500,
-    seeds: Sequence[int] = (0,),
-    backends: Sequence[str] = ("serial", "thread", "process"),
-    check_sqlite: bool = True,
-    out: str | None = None,
-):
-    """Bench-harness entry point for the differential fuzzing oracle.
-
-    Runs *cases* generated cases per seed through every backend and the
-    single-node oracles (``repro.fuzz``), raising ``AssertionError`` on
-    the first divergence or invariant violation — the same contract as
-    :func:`compare_backends`, but over randomised schemas, PREF configs,
-    NULL-bearing data and SPJA queries instead of a fixed workload.  On
-    failure the minimised repro is written to *out* (when given) for
-    replay with ``python -m repro.fuzz --replay``.
-
-    Returns ``{seed: FuzzReport}`` for reporting.
-    """
-    from repro.fuzz.runner import run_fuzz
-
-    reports = {}
-    for seed in seeds:
-        report = run_fuzz(
-            cases,
-            seed,
-            backends=tuple(backends),
-            check_sqlite=check_sqlite,
-            out=out,
-        )
-        reports[seed] = report
-        if not report.ok:
-            raise AssertionError(report.summary())
-    return reports

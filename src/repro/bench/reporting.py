@@ -39,44 +39,3 @@ def _fmt(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-def trace_summary_table(runs, title: str | None = None) -> str:
-    """Per-query trace summary for a workload run (Figures 7-9 companion).
-
-    *runs* is the ``{query: QueryRun}`` mapping of
-    :func:`~repro.bench.harness.run_workload` with ``analyze=True``.
-    Reports, per query, the measured join locality (rows that stayed
-    co-partitioned), PREF duplicates eliminated, and the worst output
-    skew over all operators — the observability counterpart of the
-    paper's DL/shuffle-volume discussion.
-    """
-    rows = []
-    for name, run in sorted(runs.items()):
-        trace = run.trace
-        if trace is None:
-            continue
-        joins = trace.joins()
-        localities = [j.locality for j in joins if j.locality is not None]
-        locality = (
-            f"{sum(localities) / len(localities):.0%}" if localities else "-"
-        )
-        dup = sum(span.dup_eliminated for span in trace.spans())
-        skews = [
-            span.skew for span in trace.spans() if span.skew is not None
-        ]
-        worst_skew = f"{max(skews):.2f}" if skews else "-"
-        rows.append(
-            (
-                name,
-                len(joins),
-                locality,
-                int(trace.metrics.counter("engine.rows.shipped")),
-                dup,
-                worst_skew,
-            )
-        )
-    return format_table(
-        ("query", "joins", "locality", "rows shipped", "dup elim", "max skew"),
-        rows,
-        title=title,
-    )

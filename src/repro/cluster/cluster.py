@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING
 from repro.catalog.schema import DatabaseSchema
 from repro.cluster.node import NodeReport
 from repro.engine.backends import Backend, ThreadPoolBackend, make_backend
-from repro.engine.rows import DEFAULT_BATCH_SIZE
 from repro.errors import PartitioningError
 from repro.partitioning.bulk_loader import BulkLoader
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.partitioner import partition_database, partition_rows
 from repro.query.cost import CostParameters
 from repro.query.executor import Executor, QueryResult
+from repro.query.options import ExecOptions
 from repro.query.plan import PlanNode
 from repro.sql.planner import sql_to_plan
 from repro.storage.partitioned import PartitionedDatabase
@@ -69,23 +69,13 @@ class SimulatedCluster:
         cost: Cost parameters of the simulated hardware; stamped onto
             every :class:`QueryResult` so ``result.simulated_seconds()``
             uses them without re-passing.
-        optimizations: Enable the paper's hasS-index rewrites.
-        locality: Ablation switch — ``False`` makes the rewriter ignore
-            the co-partitioning cases (1)-(3) and shuffle every join, as
-            an engine unaware of PREF placement would.
         backend: Engine scheduling backend — an instance or a name from
             :data:`~repro.engine.backends.BACKENDS` (``"serial"``,
             ``"thread"``, ``"process"``).  Default: a thread pool shared
             across this cluster's queries.
-        batch_size: Rows per expression-kernel invocation in the
-            pipeline operators (default
-            :data:`~repro.engine.rows.DEFAULT_BATCH_SIZE`); a pure
-            granularity knob — results are invariant in it.
-        predicate_transfer: Enable Bloom-filter predicate transfer across
-            the join graph (results are invariant in this knob; bytes
-            shuffled and rows shipped drop on non-co-partitioned joins).
-        bloom_fpr: Target false-positive rate of the transferred Bloom
-            filters, in (0, 1).
+        options: The :class:`~repro.query.options.ExecOptions` every
+            query of this cluster runs under (default: ``ExecOptions()``);
+            kept as ``cluster.options`` across :meth:`repartition`.
     """
 
     def __init__(
@@ -94,31 +84,18 @@ class SimulatedCluster:
         partitioned: PartitionedDatabase,
         config: PartitioningConfig,
         cost: CostParameters | None = None,
-        optimizations: bool = True,
-        locality: bool = True,
         backend: Backend | str | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        predicate_transfer: bool = False,
-        bloom_fpr: float = 0.01,
+        options: ExecOptions | None = None,
     ) -> None:
         self.schema = schema
         self.partitioned = partitioned
         self.config = config
         self.cost = cost or CostParameters()
         self.backend = make_backend(backend) or ThreadPoolBackend()
-        self._executor_options = {
-            "optimizations": optimizations,
-            "locality": locality,
-            "batch_size": batch_size,
-            "predicate_transfer": predicate_transfer,
-            "bloom_fpr": bloom_fpr,
-        }
         self.executor = Executor(
-            partitioned,
-            backend=self.backend,
-            cost=self.cost,
-            **self._executor_options,
+            partitioned, options, backend=self.backend, cost=self.cost
         )
+        self.options = self.executor.options
         self.loader = BulkLoader(partitioned, config)
 
     @classmethod
@@ -127,27 +104,12 @@ class SimulatedCluster:
         database: Database,
         config: PartitioningConfig,
         cost: CostParameters | None = None,
-        optimizations: bool = True,
-        locality: bool = True,
         backend: Backend | str | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        predicate_transfer: bool = False,
-        bloom_fpr: float = 0.01,
+        options: ExecOptions | None = None,
     ) -> "SimulatedCluster":
         """Partition *database* under *config* and wrap it in a cluster."""
         partitioned = partition_database(database, config)
-        return cls(
-            database.schema,
-            partitioned,
-            config,
-            cost,
-            optimizations,
-            locality=locality,
-            backend=backend,
-            batch_size=batch_size,
-            predicate_transfer=predicate_transfer,
-            bloom_fpr=bloom_fpr,
-        )
+        return cls(database.schema, partitioned, config, cost, backend, options)
 
     @property
     def node_count(self) -> int:
@@ -272,10 +234,7 @@ class SimulatedCluster:
         self.partitioned = new_partitioned
         self.config = new_config
         self.executor = Executor(
-            new_partitioned,
-            backend=self.backend,
-            cost=self.cost,
-            **self._executor_options,
+            new_partitioned, self.options, backend=self.backend, cost=self.cost
         )
         self.loader = BulkLoader(new_partitioned, new_config)
         return plan

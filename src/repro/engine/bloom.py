@@ -32,9 +32,8 @@ _BLOCKED_INFLATION = 1.5
 def validate_bloom_params(fpr: float, capacity: int | None = None) -> None:
     """Reject unusable Bloom parameters with a clear :class:`ValueError`.
 
-    Mirrors the executor's ``batch_size < 1`` boundary check: a target
-    false-positive rate must be a finite probability strictly between 0
-    and 1, and a capacity (when given) a positive integer.
+    A target false-positive rate must be a finite probability strictly
+    between 0 and 1, and a capacity (when given) a positive integer.
     """
     if isinstance(fpr, bool) or not isinstance(fpr, (int, float)):
         raise ValueError(f"bloom_fpr must be a real number, got {fpr!r}")

@@ -39,7 +39,6 @@ from repro.query.plan import (
 )
 from repro.query.relation import Method, PartInfo, has_column
 from repro.query.rewrite import Annotated
-from repro.engine.rows import DEFAULT_BATCH_SIZE
 from repro.engine.operators import (
     PhysicalAggregate,
     PhysicalBloomProbe,
@@ -58,16 +57,10 @@ from repro.storage.partitioned import PartitionedDatabase
 
 
 def compile_plan(
-    annotated: Annotated,
-    partitioned: PartitionedDatabase,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    annotated: Annotated, partitioned: PartitionedDatabase
 ) -> PhysicalOperator:
     """Lower *annotated* into a physical operator tree, rooted at the
-    implicit gather that lands the result on the coordinator.
-
-    *batch_size* sets how many rows the pipeline operators feed their
-    expression kernels per invocation; results are invariant in it.
-    """
+    implicit gather that lands the result on the coordinator."""
     compiler = _Compiler(partitioned)
     root = compiler.lower(annotated)
     if annotated.props.governing:
@@ -89,7 +82,6 @@ def compile_plan(
     root = PhysicalGather(replace(annotated, props=gather_props), root)
     for op_id, op in enumerate(root.walk()):
         op.op_id = op_id
-        op.batch_size = batch_size
     assign_live_columns(root, root.live)
     return root
 

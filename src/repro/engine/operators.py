@@ -21,8 +21,8 @@ operator through up to three phases:
 Data moves between operators as :class:`~repro.engine.rows.ColumnBatch`
 payloads — one batch per output partition — and the hot loops run as
 columnar kernels (masks, gathers, zipped key building) instead of
-per-row tuple code.  Pipeline operators evaluate their expression
-kernels in chunks of ``batch_size`` rows.  The accounting is
+per-row tuple code.  A pipeline operator runs its expression kernels
+once over the whole partition batch.  The accounting is
 aggregate-identical to the row-at-a-time engine this replaced: the same
 counters reach the same totals (per-row counter bumps are summed into
 one call), histogram-backed calls like ``add_output`` keep exactly one
@@ -45,7 +45,6 @@ from typing import Callable, Sequence
 
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import (
-    DEFAULT_BATCH_SIZE,
     ColumnBatch,
     Row,
     _null_free_key,
@@ -59,11 +58,7 @@ from repro.partitioning.scheme import stable_hash
 from repro.query.aggregates import make_accumulator
 from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
-from repro.query.relation import (
-    DistributedRelation,
-    Method,
-    RelProps,
-)
+from repro.query.relation import Method, RelProps
 from repro.query.rewrite import Annotated
 from repro.storage.partitioned import PartitionedTable
 
@@ -94,7 +89,6 @@ class PhysicalOperator:
         self.output_count = output_count
         self.op_id = -1  # assigned in post-order by the compiler
         self.width = len(self.props.columns)
-        self.batch_size = DEFAULT_BATCH_SIZE  # overridden by the compiler
         #: Output positions the stored batches hold; narrowed by the
         #: compiler's live-column pass.
         self.live: frozenset[int] = frozenset(range(self.width))
@@ -126,36 +120,18 @@ class PhysicalOperator:
         assert batch is not None, f"partition {p} of {self.label} not ready"
         return batch
 
-    def partition_rows(self, p: int) -> list[Row]:
-        """Output partition *p* as row tuples (compat view)."""
-        return self.partition_batch(p).to_rows()
-
     def node_batch(self, node: int) -> ColumnBatch:
         """The batch node *node* works on (single copies live in slot 0)."""
         return self.partition_batch(0 if self.output_count == 1 else node)
-
-    def node_rows(self, node: int) -> list[Row]:
-        """The rows node *node* works on (compat view)."""
-        return self.node_batch(node).to_rows()
 
     def store_batch(self, p: int, batch: ColumnBatch) -> None:
         """Publish output partition *p*."""
         self._partitions[p] = batch
 
-    def store(self, p: int, rows: list[Row]) -> None:
-        """Publish output partition *p* from row tuples (compat)."""
-        self._partitions[p] = ColumnBatch.from_rows(rows, self.width)
-
     def total_rows(self) -> int:
         """Row count over all produced partitions."""
         return sum(
             batch.length for batch in self._partitions if batch is not None
-        )
-
-    def relation(self) -> DistributedRelation:
-        """The completed output as a :class:`DistributedRelation`."""
-        return DistributedRelation(
-            self.props, [self.partition_rows(p) for p in range(self.output_count)]
         )
 
     # -- task protocol -----------------------------------------------------
@@ -221,11 +197,6 @@ class PhysicalOperator:
         """Install a shipped exchange state (inverse of
         :meth:`exchange_state`)."""
         raise NotImplementedError(f"{self.label} has no exchange state")
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _input_method(self, index: int = 0) -> Method:
-        return self.inputs[index].props.part.method
 
 
 # --------------------------------------------------------------------------
@@ -332,16 +303,8 @@ class PhysicalFilter(PhysicalOperator):
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
-        predicate = self.predicate
-        live = self.live
         # Unknown (None) is falsy, so compress rejects it for free.
-        out = ColumnBatch.concat(
-            [
-                chunk.prune(live).compress(predicate(chunk))
-                for chunk in batch.chunks(self.batch_size)
-            ],
-            self.width,
-        )
+        out = batch.prune(self.live).compress(self.predicate(batch))
         ctx.account(
             self, child.props.part.method, p,
             out.length if self.indexed else batch.length,
@@ -379,18 +342,16 @@ class PhysicalBloomProbe(PhysicalOperator):
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
-        pieces = []
-        for chunk in batch.chunks(self.batch_size):
-            mask: list | None = None
-            for positions, bloom in self.filters:
-                hits = bloom.probe_many(chunk.key_values(positions))
-                if mask is None:
-                    mask = hits
-                else:
-                    mask = [a and b for a, b in zip(mask, hits)]
-            chunk = chunk.prune(self.live)
-            pieces.append(chunk if mask is None else chunk.compress(mask))
-        out = ColumnBatch.concat(pieces, self.width)
+        mask: list | None = None
+        for positions, bloom in self.filters:
+            hits = bloom.probe_many(batch.key_values(positions))
+            if mask is None:
+                mask = hits
+            else:
+                mask = [a and b for a, b in zip(mask, hits)]
+        out = batch.prune(self.live)
+        if mask is not None:
+            out = out.compress(mask)
         if p != 0 and self.filter_bytes:
             # Shipping the coordinator-built filters to this node.
             ctx.add_network(self, self.filter_bytes, 0)
@@ -422,14 +383,7 @@ class PhysicalProject(PhysicalOperator):
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
-        fns = self.fns
-        out = ColumnBatch.concat(
-            [
-                ColumnBatch([fn(chunk) for fn in fns], chunk.length)
-                for chunk in batch.chunks(self.batch_size)
-            ],
-            self.width,
-        )
+        out = ColumnBatch([fn(batch) for fn in self.fns], batch.length)
         if self.local_distinct:
             out = distinct_batch(out)
         ctx.account(self, child.props.part.method, p, batch.length)

@@ -30,11 +30,6 @@ if TYPE_CHECKING:
 
 Row = tuple
 
-#: Default number of rows processed per kernel invocation by the pipeline
-#: operators.  Overridable per executor/cluster and via the CLI/bench
-#: ``--batch-size`` knob; results are invariant in it by contract.
-DEFAULT_BATCH_SIZE = 1024
-
 
 def _sort_key(value: object) -> tuple:
     """Total ordering across None and arbitrary mixed values.
@@ -226,30 +221,6 @@ class ColumnBatch:
     def select(self, positions: Sequence[int]) -> "ColumnBatch":
         """A batch holding only the columns at *positions* (aliased)."""
         return ColumnBatch([self.column(p) for p in positions], self.length)
-
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """Rows ``start:stop`` as a new batch."""
-        stop = min(stop, self.length)
-        return ColumnBatch(
-            [
-                None if column is None else column[start:stop]
-                for column in self.columns
-            ],
-            max(stop - start, 0),
-        )
-
-    def chunks(self, size: int) -> Iterator["ColumnBatch"]:
-        """Split into consecutive batches of at most *size* rows.
-
-        A batch already within *size* yields itself (no copying); an
-        empty batch yields nothing.
-        """
-        if self.length <= size:
-            if self.length:
-                yield self
-            return
-        for start in range(0, self.length, size):
-            yield self.slice(start, start + size)
 
     def compress(self, mask: Sequence[object]) -> "ColumnBatch":
         """Rows whose *mask* entry is truthy (None counts as false)."""

@@ -23,6 +23,7 @@ from repro.fuzz.differ import rows_equal
 from repro.fuzz.oracle import evaluate_query
 from repro.partitioning.partitioner import partition_database
 from repro.query.executor import Executor
+from repro.query.options import ExecOptions
 
 #: How many fresh rows each amplification adds per table — enough to
 #: reach every partition of the small fuzz clusters.
@@ -113,23 +114,17 @@ def replay_diverges(
     """Does the distributed engine disagree with the naive oracle here?
 
     Builds the candidate database fresh, partitions it, runs *query*
-    through a serial-backend :class:`Executor` configured with *flags*
-    (the rewriter options that produced the refuted plan), and compares
-    multisets against :func:`evaluate_query`.  Any crash on one side
-    only also counts as divergence.
+    through a serial-backend :class:`Executor` under
+    ``ExecOptions(**flags)`` (the options that produced the refuted
+    plan), and compares multisets against :func:`evaluate_query`.  Any
+    crash on one side only also counts as divergence.
     """
-    flags = flags or {}
+    options = ExecOptions(**(flags or {}))
     database = ir.build_database(candidate)
     config = ir.build_config(candidate)
     config.validate(database.schema)
     partitioned = partition_database(database, config)
-    executor = Executor(
-        partitioned,
-        optimizations=bool(flags.get("optimizations", True)),
-        locality=bool(flags.get("locality", True)),
-        predicate_transfer=bool(flags.get("predicate_transfer", False)),
-        backend=SerialBackend(),
-    )
+    executor = Executor(partitioned, options, backend=SerialBackend())
     plan = ir.build_plan(query)
     tables = ir.case_tables(candidate)
     try:

@@ -7,7 +7,8 @@ repro and shrunk structurally) describing:
 * ``config`` — one partitioning-scheme descriptor per table,
 * ``queries`` — logical plans as nested ``{"op": ...}`` dicts,
 * ``loads`` — optional incremental batches applied via the bulk loader,
-* ``variant`` — rewriter ablation flags for an extra comparison run.
+* ``variant`` — fields of the :class:`~repro.query.options.ExecOptions`
+  an extra comparison run executes under.
 
 This module compiles the IR into the engine's native objects
 (:class:`~repro.storage.table.Database`,

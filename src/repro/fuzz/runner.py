@@ -7,9 +7,10 @@ For every case the runner:
 2. executes every query on the serial backend (the reference) and on
    each requested additional backend, requiring *identical* rows and
    canonical :class:`ExecutionStats`;
-3. re-executes on a rewriter-ablation variant (random
-   ``optimizations``/``locality`` flags) and compares rows — the
-   rewritten and naive plans must agree;
+3. re-executes under the case's ``variant`` — the fields of an
+   :class:`~repro.query.options.ExecOptions`, drawn at random by the
+   generator — and compares rows: the rewritten and naive plans must
+   agree;
 4. cross-checks rows against :class:`LocalExecutor`, the naive IR
    oracle, and sqlite3 (tolerant multiset comparison);
 5. if the case has bulk-load batches, applies them through
@@ -24,7 +25,7 @@ the case passed everything.
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.engine.backends import Backend, SerialBackend, make_backend
 from repro.fuzz import ir
@@ -42,6 +43,7 @@ from repro.partitioning.invariants import InvariantViolation, check_pref_invaria
 from repro.partitioning.partitioner import partition_database
 from repro.query.executor import Executor
 from repro.query.local_executor import LocalExecutor
+from repro.query.options import ExecOptions
 
 DEFAULT_BACKENDS = ("serial", "thread", "process")
 
@@ -89,6 +91,8 @@ def run_case(
         database = ir.build_database(case)
         config = ir.build_config(case)
         config.validate(database.schema)
+        variant = case.get("variant")
+        variant_options = None if variant is None else ExecOptions(**variant)
     except Exception as exc:  # noqa: BLE001 - classified for the shrinker
         return Divergence(f"invalid_case:{type(exc).__name__}", str(exc))
     try:
@@ -106,16 +110,9 @@ def run_case(
         for spec in backends
         if spec != "serial"
     ]
-    variant = case.get("variant")
     variant_executor = (
-        Executor(
-            partitioned,
-            optimizations=bool(variant.get("optimizations", True)),
-            locality=bool(variant.get("locality", True)),
-            predicate_transfer=bool(variant.get("predicate_transfer", False)),
-            backend=SerialBackend(),
-        )
-        if variant is not None
+        Executor(partitioned, variant_options, backend=SerialBackend())
+        if variant_options is not None
         else None
     )
     tables = ir.case_tables(case)
@@ -252,20 +249,11 @@ def _certify_query(
     from repro.fuzz.certify import confirm_refutation
     from repro.query.certify import certify
 
-    targets: list[tuple[str, Executor, dict]] = [("default", reference, {})]
+    targets: list[tuple[str, Executor]] = [("default", reference)]
     if variant_executor is not None:
-        targets.append(
-            (
-                "variant",
-                variant_executor,
-                {
-                    "optimizations": variant_executor.rewriter.optimizations,
-                    "locality": variant_executor.rewriter.locality,
-                    "predicate_transfer": variant_executor.predicate_transfer,
-                },
-            )
-        )
-    for label, executor, flags in targets:
+        targets.append(("variant", variant_executor))
+    for label, executor in targets:
+        flags = asdict(executor.options)
         try:
             annotated = executor.annotate(ir.build_plan(query))
         except Exception as exc:  # noqa: BLE001
@@ -519,12 +507,15 @@ def run_fuzz(
 
     ``variant_overrides`` pins variant-executor flags across every case
     (e.g. ``{"predicate_transfer": True}`` for a dedicated on/off sweep)
-    on top of the generator's per-case random choices.
+    on top of the generator's per-case random choices; a misspelt or
+    mistyped override raises before the sweep starts.
     ``check_certify`` runs the static certifier as a second oracle on
     every plan (kill switch: ``False`` disables it).
     """
     from repro.fuzz.shrinker import shrink
 
+    if variant_overrides:
+        ExecOptions(**variant_overrides)  # validated once, not per case
     report = FuzzReport(seed=seed, cases_requested=cases)
     for index in range(cases):
         case = generate_case(seed, index)

@@ -16,6 +16,7 @@ from repro.query.cost import CostParameters, ExecutionStats
 from repro.query.executor import Executor, QueryResult
 from repro.query.expressions import and_, col, lit, not_, or_
 from repro.query.local_executor import LocalExecutor
+from repro.query.options import ExecOptions
 from repro.query.plan import (
     Aggregate,
     AggregateSpec,
@@ -36,6 +37,7 @@ __all__ = [
     "Certificate",
     "CertifyResult",
     "CostParameters",
+    "ExecOptions",
     "ExecutionStats",
     "Executor",
     "Filter",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.backends import Backend, SerialBackend
-from repro.engine.bloom import validate_bloom_params
 from repro.engine.context import (
     ExecutionContext,
     OperatorStats,
@@ -35,11 +34,11 @@ from repro.engine.context import (
 )
 from repro.engine.rows import (  # noqa: F401  (re-export: local_executor and
     # older callers import shared ordering semantics from here)
-    DEFAULT_BATCH_SIZE,
     _null_pad,
     _sort_key,
 )
 from repro.query.cost import CostParameters, ExecutionStats
+from repro.query.options import ExecOptions
 from repro.query.plan import PlanNode
 from repro.query.relation import is_hidden
 from repro.query.rewrite import Annotated, Rewriter
@@ -108,9 +107,9 @@ class Executor:
 
     Args:
         partitioned: The partitioned database to run on.
-        optimizations: Enable the paper's hasS-index rewrites.
-        locality: Ablation switch — with ``False`` the rewriter ignores
-            the co-partitioning cases and shuffles every join.
+        options: The :class:`~repro.query.options.ExecOptions` every plan
+            is rewritten and run under (default: ``ExecOptions()``); kept
+            as ``self.options``.
         backend: Scheduling backend; defaults to a fresh
             :class:`SerialBackend`.  Backends may be shared between
             executors (the cluster facade shares one thread pool).
@@ -118,43 +117,27 @@ class Executor:
             ``result.simulated_seconds()`` uses the cluster's constants.
         trace: Optional per-task trace hook (receives
             :class:`~repro.engine.context.TraceEvent`).
-        batch_size: Rows per expression-kernel invocation in the
-            pipeline operators (default
-            :data:`~repro.engine.rows.DEFAULT_BATCH_SIZE`).  A pure
-            granularity knob: results are invariant in it.
-        predicate_transfer: Enable Bloom-filter predicate transfer across
-            the join graph (pre-filters scans so fewer rows are shuffled
-            and probed).  Results are invariant in this knob.
-        bloom_fpr: Target false-positive rate for the transferred Bloom
-            filters, in (0, 1).
     """
 
     def __init__(
         self,
         partitioned: PartitionedDatabase,
-        optimizations: bool = True,
-        locality: bool = True,
+        options: ExecOptions | None = None,
         backend: Backend | None = None,
         cost: CostParameters | None = None,
         trace: Callable[[TraceEvent], None] | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        predicate_transfer: bool = False,
-        bloom_fpr: float = 0.01,
     ) -> None:
         self.partitioned = partitioned
         self.count = partitioned.partition_count
+        self.options = ExecOptions() if options is None else options
         self.rewriter = Rewriter(
-            partitioned, optimizations=optimizations, locality=locality
+            partitioned,
+            optimizations=self.options.optimizations,
+            locality=self.options.locality,
         )
         self.backend = backend or SerialBackend()
         self.cost = cost
         self.trace = trace
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
-        validate_bloom_params(bloom_fpr)
-        self.predicate_transfer = bool(predicate_transfer)
-        self.bloom_fpr = float(bloom_fpr)
 
     def annotate(self, plan: PlanNode) -> Annotated:
         """Rewrite *plan* and apply predicate transfer when enabled.
@@ -168,16 +151,13 @@ class Executor:
         plan must be dropped when its tables change (epoch invalidation).
         """
         annotated = self.rewriter.rewrite(plan)
-        if self.predicate_transfer:
+        if self.options.predicate_transfer:
             from repro.query.predicate_transfer import apply_predicate_transfer
 
             annotated = apply_predicate_transfer(
-                annotated, self.partitioned, self.bloom_fpr
+                annotated, self.partitioned, self.options.bloom_fpr
             )
         return annotated
-
-    # Backwards-compatible private alias (pre-serving-layer name).
-    _annotate = annotate
 
     def execute(
         self, plan: PlanNode, analyze: bool = False, query_name: str | None = None
@@ -208,9 +188,7 @@ class Executor:
         # call time keeps every package-first import order working.
         from repro.engine.compile import compile_plan
 
-        root = compile_plan(
-            annotated, self.partitioned, batch_size=self.batch_size
-        )
+        root = compile_plan(annotated, self.partitioned)
         trace_hook = self.trace
         events: list[TraceEvent] = []
         if analyze:

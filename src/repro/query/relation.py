@@ -1,4 +1,4 @@
-"""Runtime relations and the Part/Dup properties of paper Section 2.2.
+"""Relation properties: Part/Dup of paper Section 2.2.
 
 The rewrite process annotates every (intermediate) result ``o`` with:
 
@@ -21,11 +21,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.errors import ExecutionError
 from repro.partitioning.scheme import PrefScheme
 from repro.query.expressions import resolve_column
-
-Row = tuple
 
 HIDDEN_PREFIX = "__"
 
@@ -170,44 +167,3 @@ class RelProps:
     def row_bytes(self) -> int:
         """Nominal bytes per row (all columns)."""
         return sum(self.widths)
-
-
-@dataclass
-class DistributedRelation:
-    """Materialised rows of an (intermediate) result on the cluster.
-
-    ``partitions`` has one row-list per node for partitioned methods, and a
-    single row-list for REPLICATED (the copy every node holds) and GATHERED
-    (the coordinator's copy).
-    """
-
-    props: RelProps
-    partitions: list[list[Row]]
-
-    @property
-    def method(self) -> Method:
-        """Distribution method of this relation."""
-        return self.props.part.method
-
-    @property
-    def is_single_copy(self) -> bool:
-        """True if ``partitions`` holds one logical copy (repl/gathered)."""
-        return self.method in (Method.REPLICATED, Method.GATHERED)
-
-    def total_rows(self) -> int:
-        """Row count over all partitions (one copy for replicated)."""
-        return sum(len(partition) for partition in self.partitions)
-
-    def node_rows(self, node: int) -> list[Row]:
-        """The rows node *node* works on locally."""
-        if self.is_single_copy:
-            return self.partitions[0]
-        return self.partitions[node]
-
-    def gathered_rows(self) -> list[Row]:
-        """All rows as one list (only for single-copy relations)."""
-        if not self.is_single_copy:
-            raise ExecutionError(
-                "gathered_rows() called on a partitioned relation"
-            )
-        return self.partitions[0]

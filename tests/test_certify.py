@@ -35,6 +35,7 @@ from repro.fuzz import ir
 from repro.partitioning import partition_database
 from repro.query.certify import certify
 from repro.query.executor import Executor
+from repro.query.options import ExecOptions
 from repro.query.plan import (
     Aggregate,
     AggregateSpec,
@@ -123,7 +124,7 @@ def test_tpch_ablation_plans_certify(tpch_partitioned, flags):
 def test_tpch_bloom_decorated_plans_certify(tpch_partitioned):
     """Predicate-transfer probes do not disturb placement derivation."""
     partitioned = tpch_partitioned["pref"]
-    executor = Executor(partitioned, predicate_transfer=True)
+    executor = Executor(partitioned, ExecOptions(predicate_transfer=True))
     for name in ("Q3", "Q5", "Q10", "Q18"):
         certify_or_fail(
             executor.annotate(ALL_QUERIES[name]()),

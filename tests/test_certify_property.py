@@ -27,6 +27,7 @@ from repro.fuzz.runner import run_case, run_fuzz
 from repro.partitioning import partition_database
 from repro.query.certify import certify
 from repro.query.executor import Executor
+from repro.query.options import ExecOptions
 from repro.query.rewrite import Rewriter
 
 REPROS = Path(__file__).parent / "fixtures" / "repros"
@@ -44,17 +45,10 @@ def test_every_generated_plan_certifies():
         config = ir.build_config(case)
         config.validate(database.schema)
         partitioned = partition_database(database, config)
-        variant = case.get("variant") or {}
+        variant = case["variant"]
         executors = [
             ("default", Executor(partitioned)),
-            (
-                "variant",
-                Executor(
-                    partitioned,
-                    optimizations=bool(variant.get("optimizations", True)),
-                    locality=bool(variant.get("locality", True)),
-                ),
-            ),
+            ("variant", Executor(partitioned, ExecOptions(**variant))),
         ]
         for qindex, query in enumerate(case["queries"]):
             plan = ir.build_plan(query)

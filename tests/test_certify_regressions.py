@@ -28,6 +28,7 @@ from repro.fuzz.runner import run_case
 from repro.partitioning import partition_database
 from repro.query.certify import _Certifier, certify
 from repro.query.executor import Executor
+from repro.query.options import ExecOptions
 from repro.query.rewrite import Rewriter
 
 REPROS = Path(__file__).parent / "fixtures" / "repros"
@@ -64,20 +65,9 @@ def test_fixture_plans_certify(name):
     """Default and recorded-variant plans of every fixture certify."""
     case = load(name)
     partitioned = build_partitioned(case)
-    variant = case.get("variant") or {}
     executors = [
         ("default", Executor(partitioned)),
-        (
-            "variant",
-            Executor(
-                partitioned,
-                optimizations=bool(variant.get("optimizations", True)),
-                locality=bool(variant.get("locality", True)),
-                predicate_transfer=bool(
-                    variant.get("predicate_transfer", False)
-                ),
-            ),
-        ),
+        ("variant", Executor(partitioned, ExecOptions(**case["variant"]))),
     ]
     for index, query in enumerate(case["queries"]):
         for label, executor in executors:

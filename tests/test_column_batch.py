@@ -1,4 +1,4 @@
-"""ColumnBatch round-trips, sort-key totality, batch-size invariance."""
+"""ColumnBatch round-trips and sort-key totality."""
 
 from __future__ import annotations
 
@@ -8,16 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    all_hashed_config,
-    pref_chain_config,
-    shop_database,
-    shop_schema,
-)
+from helpers import all_hashed_config, shop_schema
 from repro.engine.rows import ColumnBatch, _sort_key
 from repro.partitioning import partition_database
 from repro.query import Executor, LocalExecutor, Query
-from repro.query.expressions import col, lit
 from repro.storage import Database
 
 # -- round trip: rows -> columns -> rows ------------------------------------
@@ -92,9 +86,6 @@ def test_transform_sanity():
     rows = [(i, f"s{i % 3}", None if i % 4 == 0 else i * 0.5) for i in range(10)]
     batch = ColumnBatch.from_rows(rows, 3)
     assert batch.select([2, 0]).to_rows() == [(r[2], r[0]) for r in rows]
-    assert batch.slice(2, 5).to_rows() == rows[2:5]
-    chunked = [chunk.to_rows() for chunk in batch.chunks(4)]
-    assert sum(chunked, []) == rows
     mask = [i % 2 for i in range(10)]
     assert batch.compress(mask).to_rows() == rows[1::2]
     assert batch.take([3, 3, 0]).to_rows() == [rows[3], rows[3], rows[0]]
@@ -105,13 +96,16 @@ def test_transform_sanity():
     [
         lambda batch: batch.take([3, 3, 0]),
         lambda batch: batch.compress([i % 2 for i in range(10)]),
-        lambda batch: batch.slice(2, 5),
         lambda batch: ColumnBatch.concat(
-            [batch.slice(0, 4), ColumnBatch.empty(4), batch.slice(4, 10)], 4
+            [
+                batch.take(range(0, 4)),
+                ColumnBatch.empty(4),
+                batch.take(range(4, 10)),
+            ],
+            4,
         ),
-        lambda batch: ColumnBatch.concat(list(batch.chunks(3)), 4),
     ],
-    ids=["take", "compress", "slice", "concat", "chunks"],
+    ids=["take", "compress", "concat"],
 )
 def test_transforms_carry_pruned_columns_through(transform):
     """A pruned column stays an absent slot at its position; the present
@@ -177,44 +171,3 @@ def test_order_by_mixed_int_string_column():
     expected = [(value,) for value in sorted(mixed, key=_sort_key)]
     assert result.rows == expected
     assert LocalExecutor(database).execute(plan).rows == expected
-
-
-# -- batch size is a pure granularity knob -----------------------------------
-
-
-def _invariance_plans():
-    l = Query.scan("lineitem", alias="l")
-    o = Query.scan("orders", alias="o")
-    c = Query.scan("customer", alias="c")
-    yield o.where(col("o.total") > lit(50.0)).aggregate(
-        aggregates=[("count", None, "cnt"), ("sum", col("o.total"), "s")]
-    ).plan()
-    yield c.join(o, on=[("c.custkey", "o.custkey")]).join(
-        l, on=[("o.orderkey", "l.orderkey")]
-    ).aggregate(
-        group_by=["c.cname"], aggregates=[("sum", col("l.qty"), "q")]
-    ).order_by(["c.cname"]).plan()
-    yield o.select(["o.custkey"], distinct=True).order_by(["custkey"]).plan()
-
-
-@pytest.mark.parametrize("batch_size", [1, 7, 4096])
-def test_batch_size_invariance(batch_size):
-    database = shop_database(seed=7)
-    partitioned = partition_database(database, pref_chain_config(4))
-    reference = Executor(partitioned)  # DEFAULT_BATCH_SIZE
-    probe = Executor(partitioned, batch_size=batch_size)
-    for plan in _invariance_plans():
-        expected = reference.execute(plan, analyze=True)
-        actual = probe.execute(plan, analyze=True)
-        assert actual.rows == expected.rows
-        # Identical canonical traces: same rows through the same
-        # operators with the same exchange accounting, independent of
-        # the chunking granularity.
-        assert actual.trace.canonical() == expected.trace.canonical()
-
-
-def test_batch_size_must_be_positive():
-    database = shop_database(seed=7)
-    partitioned = partition_database(database, pref_chain_config(4))
-    with pytest.raises(ValueError):
-        Executor(partitioned, batch_size=0)

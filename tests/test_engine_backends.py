@@ -31,7 +31,7 @@ from repro.engine import (
     make_backend,
 )
 from repro.partitioning import partition_database
-from repro.query import CostParameters, Executor, LocalExecutor
+from repro.query import CostParameters, ExecOptions, Executor, LocalExecutor
 from repro.sql import sql_to_plan
 from repro.workloads.tpcds import (
     SMALL_TABLES as TPCDS_SMALL_TABLES,
@@ -236,7 +236,8 @@ class TestClusterFacade:
             shop_db, config, backend=SerialBackend()
         )
         unaware = SimulatedCluster.partition(
-            shop_db, config, locality=False, backend=SerialBackend()
+            shop_db, config, backend=SerialBackend(),
+            options=ExecOptions(locality=False),
         )
         sql = (
             "SELECT c.cname, COUNT(*) AS n FROM customer c, orders o "
@@ -318,7 +319,7 @@ class TestObservability:
             shop_db.schema,
         )
         hashed = partition_database(shop_db, all_hashed_config(4))
-        result = Executor(hashed, predicate_transfer=True).execute(plan)
+        result = Executor(hashed, ExecOptions(predicate_transfer=True)).execute(plan)
         pruned = sum(op.bloom_pruned for op in result.operators)
         assert pruned > 0
         header, _rule, *rows = result.explain_operators().splitlines()

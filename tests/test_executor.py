@@ -9,7 +9,7 @@ from helpers import (
     ref_chain_config,
 )
 from repro.partitioning import partition_database
-from repro.query import Executor, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import col, lit
 
 CONFIGS = {
@@ -90,7 +90,7 @@ def plans():
 def test_distributed_matches_local(shop_db, config_name, optimizations):
     config = CONFIGS[config_name](5)
     partitioned = partition_database(shop_db, config)
-    executor = Executor(partitioned, optimizations=optimizations)
+    executor = Executor(partitioned, ExecOptions(optimizations=optimizations))
     local = LocalExecutor(shop_db)
     for name, plan in plans():
         expected = local.execute(plan).rows

@@ -10,7 +10,7 @@ from helpers import (
     shop_database,
 )
 from repro.partitioning import partition_database
-from repro.query import Executor, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import col, lit
 
 
@@ -140,7 +140,7 @@ def test_semi_join_of_semi_join(database):
         partitioned = partition_database(database, config_builder(4))
         for optimizations in (True, False):
             assert_same_rows(
-                Executor(partitioned, optimizations=optimizations)
+                Executor(partitioned, ExecOptions(optimizations=optimizations))
                 .execute(plan)
                 .rows,
                 LocalExecutor(database).execute(plan).rows,
@@ -193,7 +193,7 @@ def test_anti_join_with_replicated_left_counts_once(database):
         partitioned = partition_database(database, config_builder(3))
         for optimizations in (True, False):
             assert_same_rows(
-                Executor(partitioned, optimizations=optimizations)
+                Executor(partitioned, ExecOptions(optimizations=optimizations))
                 .execute(plan)
                 .rows,
                 LocalExecutor(database).execute(plan).rows,
@@ -259,7 +259,7 @@ def test_keyed_semi_anti_join_applies_residual(database, kind):
         partitioned = partition_database(database, config_builder(4))
         for optimizations in (True, False):
             assert_same_rows(
-                Executor(partitioned, optimizations=optimizations)
+                Executor(partitioned, ExecOptions(optimizations=optimizations))
                 .execute(plan)
                 .rows,
                 expected,

@@ -11,7 +11,7 @@ from helpers import (
     shop_database,
 )
 from repro.partitioning import partition_database
-from repro.query import Executor, JoinKind, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, JoinKind, LocalExecutor, Query
 from repro.query.expressions import col, lit
 
 CONFIGS = [pref_chain_config, ref_chain_config, all_hashed_config]
@@ -70,7 +70,7 @@ def test_random_joins_match_reference(plan, seed, config_index, n, optimizations
     database = shop_database(seed=seed, customers=12, orders=30, lineitems=70)
     config = CONFIGS[config_index](n)
     partitioned = partition_database(database, config)
-    executor = Executor(partitioned, optimizations=optimizations)
+    executor = Executor(partitioned, ExecOptions(optimizations=optimizations))
     local = LocalExecutor(database)
     assert_same_rows(executor.execute(plan).rows, local.execute(plan).rows)
 

@@ -6,7 +6,7 @@ from helpers import assert_same_rows
 from repro.bench import materialize_variant, tpch_variants
 from repro.design import QuerySpec
 from repro.partitioning import check_pref_invariants
-from repro.query import Executor, LocalExecutor
+from repro.query import ExecOptions, Executor, LocalExecutor
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
 
 
@@ -61,7 +61,7 @@ def test_unoptimized_execution_also_correct(setup):
     database, variants, expected = setup
     variant = variants["SD (wo small tables)"]
     partitioned = materialize_variant(database, variant)
-    executor = Executor(partitioned[0], optimizations=False)
+    executor = Executor(partitioned[0], ExecOptions(optimizations=False))
     for name in ("Q4", "Q13", "Q20", "Q22"):  # semi/anti/outer heavy
         actual = executor.execute(ALL_QUERIES[name]()).rows
         assert_same_rows(actual, expected[name], places=4)

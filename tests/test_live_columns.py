@@ -42,7 +42,7 @@ from repro.errors import ExecutionError
 from repro.fuzz import ir
 from repro.fuzz.generator import generate_case
 from repro.partitioning import partition_database
-from repro.query import Executor, Query
+from repro.query import ExecOptions, Executor, Query
 from repro.query.expressions import col, lit, resolve_column
 from repro.query.local_executor import LocalExecutor
 from repro.query.plan import (
@@ -78,8 +78,8 @@ def run_tree(root, partition_count, backend=None):
     return ctx.finish()
 
 
-def compiled(partitioned, plan, **knobs):
-    executor = Executor(partitioned, **knobs)
+def compiled(partitioned, plan, options=None):
+    executor = Executor(partitioned, options)
     return compile_plan(executor.annotate(plan), partitioned)
 
 
@@ -139,7 +139,9 @@ def test_tpch_answers_stats_and_traces_hold_on_every_backend(
     backends = {name: make() for name, make in BACKENDS.items()}
     executors = {
         name: Executor(
-            partitioned, backend=backend, predicate_transfer=predicate_transfer
+            partitioned,
+            ExecOptions(predicate_transfer=predicate_transfer),
+            backend=backend,
         )
         for name, backend in backends.items()
     }
@@ -404,18 +406,12 @@ def test_every_read_is_live_on_generated_plans(seed, index):
     config = ir.build_config(case)
     config.validate(database.schema)
     partitioned = partition_database(database, config)
-    variant = case.get("variant") or {}
-    knobs = {
-        "optimizations": bool(variant.get("optimizations", True)),
-        "locality": bool(variant.get("locality", True)),
-        "predicate_transfer": bool(variant.get("predicate_transfer", False)),
-    }
     for query in case["queries"]:
         plan = ir.build_plan(query)
-        for flags in ({}, knobs):
-            pruned = compiled(partitioned, plan, **flags)
+        for options in (ExecOptions(), ExecOptions(**case["variant"])):
+            pruned = compiled(partitioned, plan, options)
             check_reads_are_live(pruned)
-            full = compiled(partitioned, plan, **flags)
+            full = compiled(partitioned, plan, options)
             make_fully_live(full)
             count = partitioned.partition_count
             pruned_stats = run_tree(pruned, count)

@@ -21,7 +21,7 @@ from repro.fuzz.differ import span_tree_diff, span_trees_equal
 from repro.fuzz.generator import generate_case
 from repro.fuzz.runner import run_case
 from repro.partitioning import partition_database
-from repro.query import Executor
+from repro.query import ExecOptions, Executor
 from repro.sql import sql_to_plan
 
 SQL = (
@@ -84,7 +84,7 @@ def test_diff_names_only_the_differing_op_under_bloom_activity():
         "WHERE c.custkey < 5 GROUP BY c.cname",
         database.schema,
     )
-    executor = Executor(partitioned, predicate_transfer=True)
+    executor = Executor(partitioned, ExecOptions(predicate_transfer=True))
     reference = executor.execute(plan, analyze=True).trace
     probe = next(s for s in reference.spans() if s.bloom_pruned)
     [child] = probe.children

@@ -32,7 +32,7 @@ from repro.design import SchemaDrivenDesigner
 from repro.engine import SerialBackend
 from repro.partitioning import HashScheme, PartitioningConfig, partition_database
 from repro.partitioning.scheme import ReplicatedScheme
-from repro.query import Executor
+from repro.query import ExecOptions, Executor
 from repro.sql import sql_to_plan
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
 
@@ -58,9 +58,9 @@ def graph_edge(graph: SchemaGraph, table_a: str, table_b: str):
     raise AssertionError(f"no edge {table_a}-{table_b}")
 
 
-def traced_join(database, config, sql: str, **executor_kwargs):
+def traced_join(database, config, sql: str, options=None):
     partitioned = partition_database(database, config)
-    executor = Executor(partitioned, backend=SerialBackend(), **executor_kwargs)
+    executor = Executor(partitioned, options, backend=SerialBackend())
     result = executor.execute(sql_to_plan(sql, database.schema), analyze=True)
     joins = result.trace.joins()
     assert len(joins) == 1
@@ -133,7 +133,7 @@ def test_locality_ablation_forces_movement(shop_db):
     # measured locality drops below the estimate.
     config = pref_chain_config(4)
     local = traced_join(shop_db, config, JOIN_C_O)
-    shuffled = traced_join(shop_db, config, JOIN_C_O, locality=False)
+    shuffled = traced_join(shop_db, config, JOIN_C_O, ExecOptions(locality=False))
     assert local.locality == 1.0
     assert shuffled.case not in ("case1", "case2", "case3")
     assert shuffled.moved_rows > 0

@@ -3,7 +3,10 @@
 from helpers import assert_same_rows
 from repro.partitioning import HashScheme, PartitioningConfig, PrefScheme
 from repro.partitioning import JoinPredicate, partition_database
-from repro.query import Executor, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, LocalExecutor, Query
+
+WITH = ExecOptions(optimizations=True)
+WITHOUT = ExecOptions(optimizations=False)
 
 
 def customer_orders_partitioned(shop_db, n=6):
@@ -31,8 +34,8 @@ class TestAntiJoinOptimization:
             .plan()
         )
         local = LocalExecutor(shop_db).execute(plan).rows
-        with_opt = Executor(partitioned, optimizations=True).execute(plan)
-        without = Executor(partitioned, optimizations=False).execute(plan)
+        with_opt = Executor(partitioned, WITH).execute(plan)
+        without = Executor(partitioned, WITHOUT).execute(plan)
         assert_same_rows(with_opt.rows, local)
         assert_same_rows(without.rows, local)
 
@@ -46,8 +49,8 @@ class TestAntiJoinOptimization:
             .aggregate(aggregates=[("count", None, "cnt")])
             .plan()
         )
-        with_opt = Executor(partitioned, optimizations=True).execute(plan)
-        without = Executor(partitioned, optimizations=False).execute(plan)
+        with_opt = Executor(partitioned, WITH).execute(plan)
+        without = Executor(partitioned, WITHOUT).execute(plan)
         # Without the hasS rewrite the anti join runs as a remote
         # NOT-EXISTS nested loop: orders of magnitude more row work.
         assert without.stats.rows_processed > 5 * with_opt.stats.rows_processed
@@ -65,12 +68,8 @@ class TestSemiJoinOptimization:
             .plan()
         )
         local = LocalExecutor(shop_db).execute(plan).rows
-        assert_same_rows(
-            Executor(partitioned, optimizations=True).execute(plan).rows, local
-        )
-        assert_same_rows(
-            Executor(partitioned, optimizations=False).execute(plan).rows, local
-        )
+        assert_same_rows(Executor(partitioned, WITH).execute(plan).rows, local)
+        assert_same_rows(Executor(partitioned, WITHOUT).execute(plan).rows, local)
 
     def test_optimized_semi_join_is_cheaper(self, shop_db):
         partitioned = customer_orders_partitioned(shop_db)
@@ -82,8 +81,8 @@ class TestSemiJoinOptimization:
             .aggregate(aggregates=[("count", None, "cnt")])
             .plan()
         )
-        with_opt = Executor(partitioned, optimizations=True).execute(plan)
-        without = Executor(partitioned, optimizations=False).execute(plan)
+        with_opt = Executor(partitioned, WITH).execute(plan)
+        without = Executor(partitioned, WITHOUT).execute(plan)
         assert without.stats.rows_processed > with_opt.stats.rows_processed
 
 

@@ -25,7 +25,7 @@ from repro.partitioning import (
     PartitioningConfig,
     PrefScheme,
 )
-from repro.query import Query
+from repro.query import ExecOptions, Query
 from repro.query.expressions import col, lit
 from repro.storage import Database
 
@@ -177,7 +177,8 @@ class TestServingLayerInvalidation:
         filters built from table contents; a load must drop the cached
         plan too, or re-execution filters through stale Blooms."""
         cluster = SimulatedCluster.partition(
-            _database(), _config(), backend="serial", predicate_transfer=True
+            _database(), _config(), backend="serial",
+            options=ExecOptions(predicate_transfer=True),
         )
         server = cluster.serve(max_inflight=1)
         join_sql = (
@@ -196,7 +197,7 @@ class TestServingLayerInvalidation:
             _database(ORDERS + NEW_ORDERS),
             _config(),
             backend="serial",
-            predicate_transfer=True,
+            options=ExecOptions(predicate_transfer=True),
         )
         try:
             assert_same_rows(after.rows, fresh.sql(join_sql).rows)

@@ -14,8 +14,10 @@ import pytest
 from helpers import assert_same_rows
 from repro.cluster import SimulatedCluster
 from repro.engine.backends import make_backend
-from repro.query import Executor, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import col, lit
+
+TRANSFER_ON = ExecOptions(predicate_transfer=True)
 
 
 def _plans():
@@ -65,7 +67,7 @@ class TestObservationEquivalence:
         for name, plan in _plans():
             truth = LocalExecutor(shop_db).execute(plan).rows
             off = Executor(partitioned).execute(plan).rows
-            on = Executor(partitioned, predicate_transfer=True).execute(plan).rows
+            on = Executor(partitioned, TRANSFER_ON).execute(plan).rows
             if name == "ordered":  # order-sensitive output
                 assert off == on == truth, name
             else:
@@ -79,9 +81,7 @@ class TestObservationEquivalence:
         for spec in ("serial", "thread", "process"):
             backend = make_backend(spec)
             try:
-                executor = Executor(
-                    partitioned, predicate_transfer=True, backend=backend
-                )
+                executor = Executor(partitioned, TRANSFER_ON, backend=backend)
                 result = executor.execute(plan, analyze=True)
             finally:
                 backend.close()
@@ -104,7 +104,7 @@ class TestSavings:
         partitioned, _config = shop_hashed
         plan = dict(_plans())["chain inner"]
         off = Executor(partitioned).execute(plan)
-        on = Executor(partitioned, predicate_transfer=True).execute(plan)
+        on = Executor(partitioned, TRANSFER_ON).execute(plan)
         assert_same_rows(on.rows, off.rows)
         assert on.stats.network_bytes < off.stats.network_bytes
         assert on.stats.rows_shipped < off.stats.rows_shipped
@@ -112,7 +112,7 @@ class TestSavings:
     def test_pruning_shows_in_trace_and_explain(self, shop_hashed):
         partitioned, _config = shop_hashed
         plan = dict(_plans())["chain inner"]
-        executor = Executor(partitioned, predicate_transfer=True)
+        executor = Executor(partitioned, TRANSFER_ON)
         assert "bloom" in executor.explain(plan).lower()
         result = executor.execute(plan, analyze=True)
         probes = [s for s in result.trace.spans() if s.name == "bloom_probe"]
@@ -127,9 +127,7 @@ class TestSavings:
 
         partitioned, _config = shop_hashed
         plan = dict(_plans())["chain inner"]
-        result = Executor(partitioned, predicate_transfer=True).execute(
-            plan, analyze=True
-        )
+        result = Executor(partitioned, TRANSFER_ON).execute(plan, analyze=True)
         assert validate_trace(trace_to_json(result.trace)) == []
 
 
@@ -138,13 +136,14 @@ class TestParameterBoundary:
     def test_executor_rejects_bad_fpr(self, shop_hashed, fpr):
         partitioned, _config = shop_hashed
         with pytest.raises(ValueError, match="bloom_fpr"):
-            Executor(partitioned, predicate_transfer=True, bloom_fpr=fpr)
+            Executor(partitioned, ExecOptions(predicate_transfer=True, bloom_fpr=fpr))
 
     def test_cluster_rejects_bad_fpr(self, shop_db, shop_hashed):
         partitioned, config = shop_hashed
         with pytest.raises(ValueError, match="bloom_fpr"):
             SimulatedCluster(
-                shop_db.schema, partitioned, config, backend="serial", bloom_fpr=0.0
+                shop_db.schema, partitioned, config, backend="serial",
+                options=ExecOptions(bloom_fpr=0.0),
             )
 
     def test_cli_rejects_bad_fpr(self):

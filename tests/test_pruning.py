@@ -9,7 +9,7 @@ from helpers import (
     shop_database,
 )
 from repro.partitioning import partition_database
-from repro.query import Executor, LocalExecutor, Query
+from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import and_, col, lit
 from repro.query.pruning import derive_prune_info, equality_bindings
 
@@ -119,8 +119,8 @@ class TestPrunedExecution:
             .aggregate(aggregates=[("count", None, "n")])
             .plan()
         )
-        pruned = Executor(partitioned, optimizations=True).execute(plan)
-        full = Executor(partitioned, optimizations=False).execute(plan)
+        pruned = Executor(partitioned, ExecOptions(optimizations=True)).execute(plan)
+        full = Executor(partitioned, ExecOptions(optimizations=False)).execute(plan)
         assert pruned.rows == full.rows
         assert pruned.stats.partitions_scanned == 1
         assert full.stats.partitions_scanned == 5
@@ -133,7 +133,7 @@ class TestPrunedExecution:
             .where(col("c.custkey") == lit(4))
             .plan()
         )
-        executor = Executor(partitioned, optimizations=False)
+        executor = Executor(partitioned, ExecOptions(optimizations=False))
         assert executor.execute(plan).stats.partitions_scanned == 5
 
     def test_sql_filters_prune_via_pushdown(self):

@@ -18,7 +18,7 @@ from repro.engine import make_backend
 from repro.engine.compile import compile_plan
 from repro.engine.context import ExecutionContext
 from repro.partitioning import partition_database
-from repro.query import Executor, Query
+from repro.query import ExecOptions, Executor, Query
 from repro.query.rewrite import Rewriter
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
 
@@ -60,8 +60,8 @@ def test_queries_leave_the_store_unchanged(
     before = snapshot(partitioned)
     executor = Executor(
         partitioned,
+        ExecOptions(predicate_transfer=predicate_transfer),
         backend=make_backend(backend),
-        predicate_transfer=predicate_transfer,
     )
     try:
         for build in ALL_QUERIES.values():
