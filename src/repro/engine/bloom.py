@@ -18,9 +18,9 @@ and pruning the carrying row is sound.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.partitioning.scheme import key_has_null, stable_hash
+from repro.partitioning.scheme import KeyMemo, key_has_null, stable_hash
 
 _MASK64 = (1 << 64) - 1
 _BLOCK_BITS = 64
@@ -126,18 +126,12 @@ class BloomFilter:
         index, mask = self._slot(key)
         return self.blocks[index] & mask == mask
 
-    def probe_many(self, keys: Sequence) -> list[bool]:
-        """Vectorized probe over a key column: one boolean per key."""
-        blocks = self.blocks
-        out = []
-        append = out.append
-        for key in keys:
-            if key is None or key_has_null(key):
-                append(False)
-                continue
-            index, mask = self._slot(key)
-            append(blocks[index] & mask == mask)
-        return out
+    def probe_many(self, keys: Iterable) -> list[bool]:
+        """Bulk probe over a key column: ``might_contain`` of every key,
+        computed once per distinct key (a probe column repeats its
+        foreign keys).  The memo lives for the call; a caller probing
+        batch after batch holds its own (``PhysicalBloomProbe``)."""
+        return KeyMemo(self.might_contain).map(keys)
 
     @property
     def bit_count(self) -> int:

@@ -54,7 +54,7 @@ from repro.engine.rows import (
     distinct_batch,
     pad_take,
 )
-from repro.partitioning.scheme import stable_hash
+from repro.partitioning.scheme import KeyMemo, hash_router
 from repro.query.aggregates import make_accumulator
 from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
@@ -335,7 +335,14 @@ class PhysicalBloomProbe(PhysicalOperator):
         indexed: bool,
     ) -> None:
         super().__init__(annotated, [child], child.output_count)
-        self.filters = [(tuple(f.positions), f.bloom) for f in filters]
+        #: (key positions, key -> ``might_contain(key)``) per filter.  The
+        #: memo is shared by every ``run_partition`` task and dies with
+        #: the operator: the filter, which the plan cache may keep, stays
+        #: bits only.
+        self.filters = [
+            (tuple(f.positions), KeyMemo(f.bloom.might_contain))
+            for f in filters
+        ]
         self.indexed = indexed
         self.filter_bytes = sum(f.bloom.byte_size for f in filters)
 
@@ -343,8 +350,8 @@ class PhysicalBloomProbe(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         mask: list | None = None
-        for positions, bloom in self.filters:
-            hits = bloom.probe_many(batch.key_values(positions))
+        for positions, answers in self.filters:
+            hits = answers.map(batch.key_values(positions))
             if mask is None:
                 mask = hits
             else:
@@ -490,6 +497,9 @@ class PhysicalRepartition(PhysicalOperator):
         self.local_distinct = annotated.extra.get("distinct") == "local"
         self.child_method = child.props.part.method
         self.prepare_count = child.output_count
+        #: key -> target partition, shared by every ``prepare_partition``
+        #: task: a join key is hashed once per shuffle, not once per row.
+        self._route = hash_router(node.count)
         self._buckets: list[list[ColumnBatch] | None] = [None] * self.prepare_count
         self._staged: list[ColumnBatch] = []
 
@@ -507,7 +517,7 @@ class PhysicalRepartition(PhysicalOperator):
             keys = list(compress(keys, keep))
             routed = routed.compress(keep)
         skipped = batch.length - routed.length
-        targets = [stable_hash(key) % count for key in keys]
+        targets = self._route.map(keys)
         bucket_indices: list[list[int]] = [[] for _ in range(count)]
         for index, target in enumerate(targets):
             bucket_indices[target].append(index)
@@ -1106,9 +1116,8 @@ class PhysicalAggregate(PhysicalOperator):
         self.count = cluster_count
         self.group_positions = child.props.positions(node.group_by)
         # Single-column groups key their partial-state dicts on the bare
-        # value (no per-row 1-tuples); the output rows and the shuffle
-        # hash re-wrap/unwrap at the edges, so grouping and placement are
-        # identical to the tuple form.
+        # value (no per-row 1-tuples): the output rows re-wrap it, and the
+        # exchange hashes it bare, as a one-column shuffle key is.
         self.single_key = len(self.group_positions) == 1
         self.agg_fns = [
             (
@@ -1204,9 +1213,9 @@ class PhysicalAggregate(PhysicalOperator):
         """Ship compact states to their hash targets and merge."""
         ctx.add_shuffle(self)
         scalar = self.scalar
-        count = self.count
+        route = hash_router(self.count)
         merged: list[dict[tuple, list]] = [
-            {} for _ in range(1 if scalar else count)
+            {} for _ in range(1 if scalar else self.count)
         ]
         key_bytes = self.key_bytes
         shipped_bytes = 0
@@ -1214,17 +1223,8 @@ class PhysicalAggregate(PhysicalOperator):
         for index in range(self.prepare_count):
             partials = self._partials[index]
             assert partials is not None
-            for key, accs in partials.items():
-                target = (
-                    0
-                    if scalar
-                    else stable_hash(
-                        key
-                        if self.single_key or len(key) > 1
-                        else key[0]
-                    )
-                    % count
-                )
+            targets = [0] * len(partials) if scalar else route.map(partials)
+            for (key, accs), target in zip(partials.items(), targets):
                 if target != index:
                     # Plain counters: per-state transfers sum into one
                     # accounting call without changing any total.
@@ -1232,7 +1232,7 @@ class PhysicalAggregate(PhysicalOperator):
                         acc.state_bytes() for acc in accs
                     )
                     shipped_count += 1
-                bucket = merged[0 if scalar else target]
+                bucket = merged[target]
                 existing = bucket.get(key)
                 if existing is None:
                     bucket[key] = accs

@@ -29,9 +29,7 @@ from repro.partitioning.scheme import (
     ReplicatedScheme,
     RoundRobinScheme,
     SchemeKind,
-    set_string_hash_cache_capacity,
     stable_hash,
-    string_hash_cache_info,
 )
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "plan_migration",
     "per_table_redundancy",
     "recommend_patched_pref",
-    "set_string_hash_cache_capacity",
     "stable_hash",
-    "string_hash_cache_info",
     "storage_per_node",
 ]

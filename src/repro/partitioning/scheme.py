@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.errors import PartitioningError
 from repro.partitioning.predicate import JoinPredicate
@@ -189,58 +190,6 @@ PartitioningScheme = (
 
 SeedScheme = HashScheme | RangeScheme | RoundRobinScheme
 
-#: Per-generation capacity of the :func:`stable_hash` string memo.  The
-#: memo keeps at most two generations resident (hot + previous), so the
-#: worst-case footprint is ``2 * _STRING_HASH_CAPACITY`` entries — a hard
-#: bound that sustained serving workloads with unbounded distinct strings
-#: (e.g. streaming inserts of fresh comment text) cannot leak past.
-_STRING_HASH_CAPACITY = 1 << 16
-
-#: Hot generation of the memo: recently used strings.
-_STRING_HASHES: dict[str, int] = {}
-#: Previous generation: demoted on rotation, re-promoted on hit.  This
-#: segmented (2Q-style) scheme approximates LRU with O(1) lookups and no
-#: per-hit reordering: when the hot dict fills, it *becomes* the cold
-#: dict and a fresh hot dict starts; anything in the cold generation that
-#: is touched again moves back to hot, anything untouched is dropped
-#: wholesale on the next rotation.
-_STRING_HASHES_COLD: dict[str, int] = {}
-
-
-def set_string_hash_cache_capacity(capacity: int) -> None:
-    """Resize (and clear) the string-hash memo; mainly for tests.
-
-    ``capacity`` bounds each of the two generations; 0 disables memoising
-    entirely.
-    """
-    global _STRING_HASH_CAPACITY, _STRING_HASHES, _STRING_HASHES_COLD
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    _STRING_HASH_CAPACITY = capacity
-    _STRING_HASHES = {}
-    _STRING_HASHES_COLD = {}
-
-
-def string_hash_cache_info() -> dict:
-    """Sizes and bound of the string-hash memo (for tests/diagnostics)."""
-    return {
-        "capacity": _STRING_HASH_CAPACITY,
-        "hot": len(_STRING_HASHES),
-        "cold": len(_STRING_HASHES_COLD),
-        "resident": len(_STRING_HASHES) + len(_STRING_HASHES_COLD),
-    }
-
-
-def _memoise_string_hash(key: str, value: int) -> None:
-    """Insert into the hot generation, rotating generations when full."""
-    global _STRING_HASHES, _STRING_HASHES_COLD
-    if _STRING_HASH_CAPACITY == 0:
-        return
-    if len(_STRING_HASHES) >= _STRING_HASH_CAPACITY:
-        _STRING_HASHES_COLD = _STRING_HASHES
-        _STRING_HASHES = {}
-    _STRING_HASHES[key] = value
-
 
 def stable_hash(key: object) -> int:
     """A deterministic, process-independent hash for partitioning keys.
@@ -248,10 +197,16 @@ def stable_hash(key: object) -> int:
     Python's builtin ``hash`` is salted for strings, which would make
     partition assignments differ between runs; benchmarks and tests require
     stable placement.
+
+    Keys that compare equal hash equal over every supported value type
+    (``None``, ``bool``, ``int``, ``float``, ``str`` and tuples of them):
+    ``True``, ``1`` and ``1.0`` are one key, as they are to a join and to
+    a ``dict`` — which is what lets :class:`KeyMemo` stand in for
+    per-row calls exactly.
     """
     if type(key) is int:
-        # Exact-type fast path for the dominant case (surrogate keys);
-        # bools fall through to their branch below, same values as ever.
+        # splitmix64-style mixer: arithmetic patterns in key domains (e.g.
+        # sequential surrogate keys) must not correlate with partition ids.
         value = key & 0xFFFFFFFFFFFFFFFF
         value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
         value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
@@ -262,33 +217,13 @@ def stable_hash(key: object) -> int:
             value = (value * 1000003) ^ stable_hash(part)
         return value & 0x7FFFFFFFFFFFFFFF
     if isinstance(key, str):
-        cached = _STRING_HASHES.get(key)
-        if cached is not None:
-            return cached
-        cached = _STRING_HASHES_COLD.get(key)
-        if cached is not None:
-            # Promote: a hit in the previous generation re-enters hot, so
-            # frequently probed strings survive rotations.
-            _memoise_string_hash(key, cached)
-            return cached
         value = 0xCBF29CE484222325
         for char in key:
             value = ((value ^ ord(char)) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        value &= 0x7FFFFFFFFFFFFFFF
-        # Pure function of the string: memoising is observation-free.
-        # Only strings enter this table, so no cross-type key collisions
-        # (the int/bool branches never consult it).
-        _memoise_string_hash(key, value)
-        return value
-    if isinstance(key, bool):
-        return int(key)
+        return value & 0x7FFFFFFFFFFFFFFF
     if isinstance(key, int):
-        # splitmix64-style mixer: arithmetic patterns in key domains (e.g.
-        # sequential surrogate keys) must not correlate with partition ids.
-        value = key & 0xFFFFFFFFFFFFFFFF
-        value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-        value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-        return (value ^ (value >> 31)) & 0x7FFFFFFFFFFFFFFF
+        # bool (and any other int subclass) hashes as its int value.
+        return stable_hash(int(key))
     if isinstance(key, float):
         if key.is_integer():
             return stable_hash(int(key))
@@ -296,6 +231,37 @@ def stable_hash(key: object) -> int:
     if key is None:
         return 0x9E3779B9
     return stable_hash(repr(key))
+
+
+class KeyMemo(dict):
+    """A dict that fills itself from ``fn(key)`` on a miss.
+
+    The bulk-hashing kernel: ``memo.map(keys)`` is one C-level pass of
+    dict lookups, and ``fn`` runs once per *distinct* key — join and
+    grouping keys repeat, so most rows are hits.  ``fn`` must be a pure
+    function that gives equal keys equal values (``stable_hash`` does);
+    then the output equals ``[fn(key) for key in keys]`` exactly, and a
+    memo shared between threads only ever races to store the same value.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[object], object]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.fn(key)
+        return value
+
+    def map(self, keys: Iterable) -> list:
+        """``[fn(key) for key in keys]``, computing each distinct key once."""
+        return list(map(self.__getitem__, keys))
+
+
+def hash_router(count: int) -> KeyMemo:
+    """A memo routing keys to ``stable_hash(key) % count``."""
+    return KeyMemo(lambda key: stable_hash(key) % count)
 
 
 def key_has_null(key: object) -> bool:

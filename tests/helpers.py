@@ -8,6 +8,12 @@ from collections import Counter
 from operator import itemgetter
 
 from repro.catalog import DatabaseSchema, DataType
+from repro.engine.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadPoolBackend,
+)
+from repro.engine.context import ExecutionContext
 from repro.partitioning import (
     HashScheme,
     JoinPredicate,
@@ -17,6 +23,25 @@ from repro.partitioning import (
     ReplicatedScheme,
 )
 from repro.storage import Database
+
+
+#: One factory per execution backend, for backend-equivalence tests.
+BACKENDS = {
+    "serial": SerialBackend,
+    "thread": lambda: ThreadPoolBackend(max_workers=4),
+    # Two workers force real forks (and pickled, pruned batches) even on
+    # a one-core box.
+    "process": lambda: ProcessPoolBackend(max_workers=2),
+}
+
+
+def run_tree(root, partition_count, backend=None):
+    """Run an already-compiled operator tree to completion."""
+    ctx = ExecutionContext(partition_count)
+    for op in root.walk():
+        ctx.register(op)
+    (backend or SerialBackend()).run(root, ctx)
+    return ctx.finish()
 
 
 def normalise_rows(rows, places: int = 6) -> Counter:

@@ -40,6 +40,7 @@ FIXTURES = [
     "semi_distinct_shuffle.json",
     "all_null_aggregates.json",
     "inner_join_equality_through_shuffle.json",
+    "bool_int_join_through_shuffle.json",
 ]
 
 

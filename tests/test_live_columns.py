@@ -22,20 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BACKENDS,
     all_hashed_config,
     assert_same_rows,
-    patch_pref_leaves,
     pref_chain_config,
-)
-from repro.design import SchemaDrivenDesigner
-from repro.design.baselines import all_hashed
-from repro.engine.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
+    run_tree,
 )
 from repro.engine.compile import compile_plan
-from repro.engine.context import ExecutionContext
 from repro.engine.operators import PhysicalHashJoin, PhysicalRepartition
 from repro.engine.rows import ColumnBatch
 from repro.errors import ExecutionError
@@ -58,24 +51,7 @@ from repro.query.plan import (
 )
 from repro.query.relation import has_column
 from repro.sql import sql_to_plan
-from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
-
-BACKENDS = {
-    "serial": SerialBackend,
-    "thread": lambda: ThreadPoolBackend(max_workers=4),
-    # Two workers force real forks (and pickled, pruned batches) even on
-    # a one-core box.
-    "process": lambda: ProcessPoolBackend(max_workers=2),
-}
-
-
-def run_tree(root, partition_count, backend=None):
-    """Run an already-compiled operator tree to completion."""
-    ctx = ExecutionContext(partition_count)
-    for op in root.walk():
-        ctx.register(op)
-    (backend or SerialBackend()).run(root, ctx)
-    return ctx.finish()
+from repro.workloads.tpch import ALL_QUERIES
 
 
 def compiled(partitioned, plan, options=None):
@@ -108,20 +84,6 @@ def make_fully_live(root) -> None:
 
 
 # -- (a) nothing observable moves -------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def tpch_stores(tiny_tpch):
-    pref = SchemaDrivenDesigner(tiny_tpch, 4).design(
-        replicate=SMALL_TABLES
-    ).config
-    return {
-        "sd_pref": partition_database(tiny_tpch, pref),
-        "all_hashed": partition_database(tiny_tpch, all_hashed(tiny_tpch, 4)),
-        "patched_pref": partition_database(
-            tiny_tpch, patch_pref_leaves(pref, tiny_tpch.schema)
-        ),
-    }
 
 
 @pytest.fixture(scope="module")

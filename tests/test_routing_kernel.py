@@ -1,0 +1,412 @@
+"""The routing kernel: each distinct key is hashed once.
+
+``partitioning.scheme.KeyMemo`` stands behind the shuffle
+(``PhysicalRepartition``), the aggregate exchange and the Bloom probe.
+Its contract is exactness: whatever it answers equals the per-row call
+it replaced, for every key type a column can hold.  The per-row
+references live here, in the tests.  Pinned:
+
+* kernel output == ``[stable_hash(k) % count for k in keys]`` over mixed
+  key columns — which needs equal keys to hash equal (``True``/``1``/
+  ``1.0``), the bug fixed alongside;
+* ``BloomFilter.probe_many`` == per-key ``might_contain``, the bit words
+  do not move, and probing leaves nothing on the filter (the memo is the
+  call's, or the probing operator's);
+* every shuffle bucket, every aggregate-exchange target and every
+  Bloom-probe survivor of the 22 TPC-H plans under three designs on
+  three backends equals the per-row reference;
+* a BOOLEAN column joined to an INTEGER one across a shuffle, and
+  pruning ``WHERE flag = 1`` on a table hashed on ``flag``.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import BACKENDS, run_tree
+from repro.catalog.column import Column, DataType
+from repro.catalog.schema import DatabaseSchema
+from repro.engine.bloom import BloomFilter
+from repro.engine.compile import compile_plan
+from repro.engine.operators import (
+    PhysicalAggregate,
+    PhysicalBloomProbe,
+    PhysicalRepartition,
+)
+from repro.partitioning import PartitioningConfig, partition_database
+from repro.partitioning.scheme import (
+    HashScheme,
+    KeyMemo,
+    hash_router,
+    key_has_null,
+    stable_hash,
+)
+from repro.query import ExecOptions, Executor, Query
+from repro.query.expressions import col, lit
+from repro.query.local_executor import LocalExecutor
+from repro.storage.table import Database
+from repro.workloads.tpch import ALL_QUERIES
+
+# -- key columns ------------------------------------------------------------
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(),  # negatives and values past 2**64
+    st.integers(min_value=2**64, max_value=2**70),
+    st.integers(min_value=-3, max_value=3).map(float),  # 1.0 == 1 == True
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+keys = st.one_of(scalars, st.tuples(scalars, scalars))
+key_columns = st.lists(keys, max_size=60)
+
+
+@given(column=key_columns, count=st.integers(min_value=1, max_value=17))
+def test_router_equals_per_row_hashing(column, count):
+    expected = [stable_hash(key) % count for key in column]
+    route = hash_router(count)
+    assert route.map(column) == expected
+    # A filled memo answers the same, in either order.
+    assert route.map(column[::-1]) == expected[::-1]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [True, 1, 1.0],
+        [1.0, True, 1],
+        [1, 1.0, True],
+        [False, 0, 0.0, -0.0],
+        [(True, "x"), (1, "x"), (1.0, "x")],
+        [(1, None), (True, None)],
+    ],
+)
+def test_equal_keys_route_together_in_either_order(column):
+    # A dict holds ``True`` and ``1`` under one entry, so while
+    # ``stable_hash`` told them apart (1 against the splitmix of 1: targets
+    # 1 and 4 of 5) the memo answered the second with the first's value.
+    for count in (5, 7, 10):
+        targets = hash_router(count).map(column)
+        assert targets == [stable_hash(key) % count for key in column]
+        assert len(set(targets)) == 1
+
+
+def test_memo_computes_each_distinct_key_once():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        return key * 2
+
+    memo = KeyMemo(fn)
+    assert memo.map([3, 1, 3, 3, 1]) == [6, 2, 6, 6, 2]
+    assert memo.map(iter([1, 4])) == [2, 8]
+    assert calls == [3, 1, 4]
+    assert memo.map([]) == []
+
+
+def test_shared_router_under_thread_races():
+    """The thread backend's ``prepare_partition`` tasks share one memo
+    unlocked: a race stores the same value twice, never a different one."""
+    column = [(index * 7919) % 5003 for index in range(20_000)]
+    expected = [stable_hash(key) % 10 for key in column]
+    route = hash_router(10)
+    results: list = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def work(slot):
+        start.wait(timeout=30)
+        results[slot] = route.map(column[slot:] + column[:slot])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(len(results))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for slot, got in enumerate(results):
+        assert got == expected[slot:] + expected[:slot]
+    assert len(route) == len(set(column))
+
+
+# -- Bloom probe ------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(inserted=key_columns, probed=key_columns)
+def test_probe_many_equals_per_key_might_contain(inserted, probed):
+    bloom = BloomFilter.sized(max(1, len(inserted)), 0.05)
+    bloom.add_many(inserted)
+    column = probed + inserted
+    expected = [bloom.might_contain(key) for key in column]
+    assert bloom.probe_many(column) == expected
+    # A memo held across batches, as ``PhysicalBloomProbe`` holds one.
+    answers = KeyMemo(bloom.might_contain)
+    assert answers.map(column) == expected
+    assert answers.map(column[::-1]) == expected[::-1]
+
+
+@given(column=key_columns)
+def test_add_many_with_repeats_sets_the_per_key_bits(column):
+    one_by_one = BloomFilter.sized(max(1, len(column)), 0.05)
+    for key in column:
+        one_by_one.add(key)
+    bulk = BloomFilter.sized(max(1, len(column)), 0.05)
+    repeated = column + column[::-1]
+    non_null = [key for key in repeated if not key_has_null(key)]
+    assert bulk.add_many(repeated) == len(non_null)
+    assert bulk.words() == one_by_one.words()
+    before = bulk.words()
+    bulk.probe_many(repeated)
+    assert bulk.words() == before
+
+
+@pytest.mark.parametrize("insert", ["add", "add_many"])
+def test_probe_after_insert_sees_the_new_key(insert):
+    bloom = BloomFilter.sized(64, 0.01)
+    bloom.add_many(range(100, 120))
+    key = next(k for k in range(10_000) if not bloom.might_contain(k))
+    assert bloom.probe_many([key, 100, key]) == [False, True, False]
+    if insert == "add":
+        bloom.add(key)
+    else:
+        bloom.add_many([key])
+    assert bloom.probe_many([key, 100, key]) == [True, True, True]
+
+
+def test_probing_leaves_nothing_on_the_filter():
+    """The filter is its bits: a plan cache that keeps one keeps no probed
+    key with it, and a worker receives no memo."""
+    bloom = BloomFilter.sized(500, 0.01)
+    bloom.add_many(range(500))
+    unprobed = pickle.dumps(bloom)
+    probes = list(range(400, 3000))
+    expected = bloom.probe_many(probes)
+    assert pickle.dumps(bloom) == unprobed
+    clone = pickle.loads(unprobed)
+    assert clone == bloom and clone.words() == bloom.words()
+    assert clone.probe_many(probes) == expected
+
+
+# -- every bucket of every TPC-H plan ---------------------------------------
+
+
+def reference_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
+    """The shuffle as it was before the kernel: one ``stable_hash`` per
+    row.  ``[source][target]`` -> live-column rows in source order."""
+    child = op.inputs[0]
+    live = sorted(op.live)
+    count = op.output_count
+    out = []
+    for p in range(op.prepare_count):
+        batch = child.partition_batch(p)
+        keys = batch.key_values(op.key_positions)
+        rows = batch.select(live).to_rows()
+        dup_bits = [batch.column(q) for q in op.governing]
+        buckets: list[list[tuple]] = [[] for _ in range(count)]
+        for index, key in enumerate(keys):
+            if any(bits[index] for bits in dup_bits):
+                continue
+            buckets[stable_hash(key) % count].append(rows[index])
+        out.append(buckets)
+    return out
+
+
+def routed_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
+    live = sorted(op.live)
+    return [
+        [bucket.select(live).to_rows() for bucket in buckets]
+        for buckets in op._buckets
+    ]
+
+
+def assert_exchange_targets(op: PhysicalAggregate) -> None:
+    """Every merged group sits on the node its key hashes to, per row."""
+    width = len(op.group_positions)
+    for target, staged in enumerate(op._staged):
+        for row in staged.to_rows():
+            key = row[0] if width == 1 else row[:width]
+            assert stable_hash(key) % op.count == target, op.label
+
+
+@pytest.mark.parametrize("config", ["all_hashed", "sd_pref", "patched_pref"])
+def test_every_tpch_bucket_equals_per_row_routing(tpch_stores, config):
+    partitioned = tpch_stores[config]
+    executor = Executor(partitioned)
+    backends = {name: make() for name, make in BACKENDS.items()}
+    shuffles = exchanges = 0
+    try:
+        for query, build in ALL_QUERIES.items():
+            annotated = executor.annotate(build())
+            reference = None
+            for name, backend in backends.items():
+                root = compile_plan(annotated, partitioned)
+                run_tree(root, partitioned.partition_count, backend)
+                ops = list(root.walk())
+                if reference is None:  # serial: inputs are at hand
+                    reference = {
+                        op.op_id: reference_buckets(op)
+                        for op in ops
+                        if isinstance(op, PhysicalRepartition)
+                    }
+                    shuffles += len(reference)
+                for op in ops:
+                    if isinstance(op, PhysicalRepartition):
+                        assert routed_buckets(op) == reference[op.op_id], (
+                            query, name, op.label,
+                        )
+                    elif (
+                        isinstance(op, PhysicalAggregate)
+                        and op.strategy == "two_phase"
+                        and not op.scalar
+                    ):
+                        assert_exchange_targets(op)
+                        exchanges += 1
+    finally:
+        for backend in backends.values():
+            backend.close()
+    assert shuffles and exchanges
+
+
+def reference_survivors(op: PhysicalBloomProbe) -> list[list[tuple]]:
+    """The probe as it was before the kernel: one ``might_contain`` per
+    row and filter.  ``[partition]`` -> surviving live-column rows."""
+    child = op.inputs[0]
+    live = sorted(op.live)
+    out = []
+    for p in range(op.output_count):
+        batch = child.partition_batch(p)
+        keep = [True] * batch.length
+        for transfer in op.annotated.extra["bloom"]:
+            keys = batch.key_values(tuple(transfer.positions))
+            keep = [
+                kept and transfer.bloom.might_contain(key)
+                for kept, key in zip(keep, keys)
+            ]
+        rows = batch.select(live).to_rows()
+        out.append([row for row, kept in zip(rows, keep) if kept])
+    return out
+
+
+@pytest.mark.parametrize("config", ["all_hashed", "sd_pref", "patched_pref"])
+def test_every_tpch_bloom_probe_equals_per_row_probing(tpch_stores, config):
+    """Survivors are compared where the probe's output stays in reach
+    (serial, thread); a forked worker keeps it inside its fused job, so
+    there the probed/pruned counters and every other total must agree."""
+    partitioned = tpch_stores[config]
+    executor = Executor(partitioned, ExecOptions(predicate_transfer=True))
+    backends = {name: make() for name, make in BACKENDS.items()}
+    probes = 0
+    try:
+        for query, build in ALL_QUERIES.items():
+            annotated = executor.annotate(build())
+            reference = serial_stats = None
+            for name, backend in backends.items():
+                root = compile_plan(annotated, partitioned)
+                stats = run_tree(root, partitioned.partition_count, backend)
+                ops = [
+                    op for op in root.walk()
+                    if isinstance(op, PhysicalBloomProbe)
+                ]
+                if reference is None:  # serial: inputs are at hand
+                    reference = {
+                        op.op_id: reference_survivors(op) for op in ops
+                    }
+                    serial_stats = stats
+                    probes += len(reference)
+                assert stats.canonical() == serial_stats.canonical(), (
+                    query, name,
+                )
+                if name == "process":
+                    continue
+                for op in ops:
+                    live = sorted(op.live)
+                    survivors = [
+                        op.partition_batch(p).select(live).to_rows()
+                        for p in range(op.output_count)
+                    ]
+                    assert survivors == reference[op.op_id], (
+                        query, name, op.label,
+                    )
+    finally:
+        for backend in backends.values():
+            backend.close()
+    assert probes
+
+
+# -- the bug the memo's key semantics turned up -----------------------------
+
+
+def flag_database() -> Database:
+    schema = DatabaseSchema()
+    schema.create_table(
+        "a",
+        [Column("id", DataType.INTEGER), Column("flag", DataType.BOOLEAN)],
+        ("id",),
+    )
+    schema.create_table(
+        "b",
+        [Column("id", DataType.INTEGER), Column("bit", DataType.INTEGER)],
+        ("id",),
+    )
+    database = Database(schema)
+    database.load("a", [(index, index % 2 == 0) for index in range(20)])
+    database.load("b", [(index, index % 2) for index in range(6)])
+    return database
+
+
+def flag_store(database: Database, a_columns: tuple[str, ...]):
+    # Five partitions: stable_hash(True) % 5 was 1, stable_hash(1) % 5 is 4.
+    config = PartitioningConfig(5)
+    config.add("a", HashScheme(a_columns, 5))
+    config.add("b", HashScheme(("id",), 5))
+    return partition_database(database, config)
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_boolean_joins_integer_across_a_shuffle(backend):
+    database = flag_database()
+    plan = (
+        Query.scan("a", alias="a")
+        .join(Query.scan("b", alias="b"), on=[("a.flag", "b.bit")])
+        .plan()
+    )
+    reference = LocalExecutor(database).execute(plan)
+    assert len(reference.rows) == 60
+    made = BACKENDS[backend]()
+    try:
+        result = Executor(
+            flag_store(database, ("id",)), backend=made
+        ).execute(plan)
+    finally:
+        made.close()
+    assert sorted(result.rows) == sorted(reference.rows)
+
+
+@pytest.mark.parametrize("literal", [1, True, 1.0, 0, False])
+def test_pruning_a_boolean_hash_key_by_an_equal_literal(literal):
+    database = flag_database()
+    plan = (
+        Query.scan("a", alias="a").where(col("a.flag") == lit(literal)).plan()
+    )
+    reference = LocalExecutor(database).execute(plan)
+    assert len(reference.rows) == 10
+    result = Executor(flag_store(database, ("flag",))).execute(plan)
+    assert sorted(result.rows) == sorted(reference.rows)
+    assert result.stats.partitions_scanned == 1  # pruned, and to the right one
