@@ -49,7 +49,7 @@ def explain_main(argv: list[str]) -> int:
         help="execute the query and show measured locality/skew per operator",
     )
     parser.add_argument(
-        "--backends", default="thread",
+        "--backends", default="serial",
         help="comma-separated engine backends (serial, thread, process)",
     )
     parser.add_argument(

@@ -465,9 +465,6 @@ def estimation_accuracy(
         result = designer.design(replicate=small_tables)
         runtime = time.perf_counter() - started
         estimated = result.estimated_redundancy
-        actual = actual_redundancy(
-            database, Variant("sd", [result.config])
-        )
         # DR of the config includes the replicated small tables; compare
         # the estimate (partitioned tables only) against the same scope.
         actual = _partitioned_only_redundancy(

@@ -9,14 +9,15 @@ over MySQL nodes.  Example::
     print(result.rows, result.simulated_seconds())
     print(result.explain_operators())
 
-Queries run on a pluggable engine backend; the default is a
-:class:`~repro.engine.backends.ThreadPoolBackend` shared by every query
-of the cluster, which executes independent per-partition operator tasks
-concurrently between exchange barriers.  Pass ``backend="serial"`` (or a
-:class:`~repro.engine.backends.SerialBackend` instance) for
-single-threaded execution, or ``backend="process"`` for true multicore
-execution on a fork-capable platform — results and stats are identical
-across all backends by construction (the equivalence suite pins this).
+Queries run on a pluggable engine backend; the default is the
+:class:`~repro.engine.backends.SerialBackend` — the kernels are pure
+Python, so threads add hand-off cost the GIL never pays back (DESIGN
+"Backend matrix" has the stopwatch).  Pass ``backend="thread"`` to run
+independent per-partition operator tasks concurrently between exchange
+barriers on a pool shared by every query of the cluster, or
+``backend="process"`` for true multicore execution on a fork-capable
+platform — results and stats are identical across all backends by
+construction (the equivalence suite pins this).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.catalog.schema import DatabaseSchema
 from repro.cluster.node import NodeReport
-from repro.engine.backends import Backend, ThreadPoolBackend, make_backend
+from repro.engine.backends import Backend, SerialBackend, make_backend
 from repro.errors import PartitioningError
 from repro.partitioning.bulk_loader import BulkLoader
 from repro.partitioning.config import PartitioningConfig
@@ -71,8 +72,8 @@ class SimulatedCluster:
             uses them without re-passing.
         backend: Engine scheduling backend — an instance or a name from
             :data:`~repro.engine.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``).  Default: a thread pool shared
-            across this cluster's queries.
+            ``"thread"``, ``"process"``), shared across this cluster's
+            queries.  Default: serial.
         options: The :class:`~repro.query.options.ExecOptions` every
             query of this cluster runs under (default: ``ExecOptions()``);
             kept as ``cluster.options`` across :meth:`repartition`.
@@ -91,7 +92,7 @@ class SimulatedCluster:
         self.partitioned = partitioned
         self.config = config
         self.cost = cost or CostParameters()
-        self.backend = make_backend(backend) or ThreadPoolBackend()
+        self.backend = make_backend(backend) or SerialBackend()
         self.executor = Executor(
             partitioned, options, backend=self.backend, cost=self.cost
         )

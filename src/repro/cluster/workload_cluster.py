@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.design.estimator import RedundancyEstimator
-from repro.engine.backends import Backend, ThreadPoolBackend
+from repro.engine.backends import Backend, SerialBackend
 from repro.design.workload import QuerySpec
 from repro.design.workload_driven import (
     WorkloadDesignResult,
@@ -49,8 +49,8 @@ class WorkloadCluster:
         self.replicated = tuple(replicate) or design.replicated
         self.cost = cost or CostParameters()
         #: One engine backend shared by every fragment cluster, so a
-        #: routed workload reuses a single scheduler/thread pool.
-        self.backend = backend or ThreadPoolBackend()
+        #: routed workload reuses a single scheduler (and its pool).
+        self.backend = backend or SerialBackend()
         self._estimator = RedundancyEstimator(database, partition_count)
         self.configs: list[PartitioningConfig] = [
             self._covering_config(fragment.config)

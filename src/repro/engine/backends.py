@@ -5,37 +5,32 @@ A backend receives a compiled operator tree and an
 where* each per-(operator, partition) task runs; the operators decide
 *what* each task does.  Tasks account into a recorder
 (:class:`~repro.engine.context.ContextDelta`): the query's context itself
-when tasks run one at a time on the calling thread, a fresh one per task
-or worker job otherwise, merged back on completion.  Merging is
-commutative (and join events are flushed in deterministic order by the
-context), so any schedule that respects the task dependencies produces
-identical rows and identical :class:`~repro.query.cost.ExecutionStats`.
+when tasks run on the calling thread, a fresh one per pooled job
+otherwise, merged back on the calling thread when the job completes.
+Merging is commutative (and join events are flushed in deterministic
+order by the context), so any schedule that respects the task
+dependencies produces identical rows and identical
+:class:`~repro.query.cost.ExecutionStats`.
 
-All backends share one task DAG, built by :func:`build_task_graph`.
-Dependencies, per operator:
+A plan's dataflow is declared once, as slots.  :func:`serial_steps`
+yields every task in serial order; :func:`task_slots` says which
+:class:`Slot` a task writes (an output partition, a prepare state, or an
+exchange state) and which it reads; :func:`build_task_graph` derives the
+dependencies — a task waits for the writers of the slots it reads, and
+for nothing else.  The same slots are the unit of data movement: the
+process pool ships the values a job reads into a worker
+(:class:`TaskPayload`) and the values others read back out
+(:class:`TaskResult`), through :func:`read_slot`/:func:`write_slot`.
 
-* pipeline operator, output partition ``p`` → partition ``p`` of every
-  input (partition 0 for single-copy inputs);
-* barrier operator: ``prepare_partition(p)`` → partition ``p`` of the
-  input; ``exchange()`` → all own prepare tasks and *all* partitions of
-  all inputs; ``run_partition(p)`` → ``exchange()``.
-
-Each task additionally carries explicit data-flow metadata: the
-:class:`Slot` it writes (an output partition, a prepare state, or an
-exchange state) and the slots it reads.  In-process backends ignore the
-slots — tasks read and write the shared operator tree directly.  The
-process-pool backend uses them to build :class:`TaskPayload` messages:
-the slot values a job must carry into a worker, and the slot values the
-worker must ship back, together with the recorder of everything it
-accounted.
-
-:class:`SerialBackend` executes the tasks in plan post-order on the
-calling thread — bitwise-identical to the old monolithic interpreter.
-:class:`ThreadPoolBackend` runs independent partitions concurrently
-between exchange barriers on a shared thread pool (concurrency without
-parallelism: CPython threads cannot speed up pure-Python row loops).
-:class:`ProcessPoolBackend` runs fused per-partition task chains in
-worker processes for true multicore execution; inter-stage row buckets
+:class:`SerialBackend` runs :func:`serial_steps` front to back on the
+calling thread and builds no graph — bitwise-identical to the old
+monolithic interpreter.  The two pools contract the graph into fused jobs
+(:func:`fuse_jobs`) and hand them to the one scheduling loop,
+:func:`run_jobs`; they differ only in what submitting a job means.
+:class:`ThreadPoolBackend` runs a job on a shared thread pool
+(concurrency without parallelism: CPython threads cannot speed up
+pure-Python row loops).  :class:`ProcessPoolBackend` ships it to a forked
+worker process for true multicore execution; inter-stage row buckets
 route back through the coordinator.
 """
 
@@ -48,11 +43,12 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from repro.engine.context import ContextDelta, ExecutionContext, TraceEvent
 from repro.obs.metrics import TIME_BUCKETS
@@ -112,21 +108,82 @@ def run_step(
 
 
 # --------------------------------------------------------------------------
-# The shared task DAG
+# The dataflow declaration: tasks and the slots they read and write
 # --------------------------------------------------------------------------
+
+
+def serial_steps(
+    root: PhysicalOperator,
+) -> Iterator[tuple[PhysicalOperator, str, int]]:
+    """Every task of the plan as ``(op, phase, index)``, in serial order.
+
+    Per operator in post-order: prepares ascending, exchange, output
+    partitions ascending — exactly the old monolithic interpreter's loop
+    structure, so running the steps front to back *is* serial execution,
+    and the order is a topological order of the task graph.
+    """
+    for op in root.walk():
+        if op.barrier:
+            for p in range(op.prepare_count):
+                yield op, "prepare", p
+            yield op, "exchange", 0
+        for p in range(op.output_count):
+            yield op, "partition", p
 
 
 class Slot(NamedTuple):
     """Address of one piece of task state in the operator tree.
 
     ``kind`` is ``"part"`` (output partition ``index``), ``"prep"``
-    (prepare state ``index``), or ``"exch"`` (exchange state, index 0).
-    Slots are the unit of data movement for out-of-process backends.
+    (what ``prepare_partition(index)`` left), or ``"exch"`` (what
+    ``exchange()`` left, index 0).
     """
 
     kind: str
     op_id: int
     index: int
+
+
+def task_slots(
+    op: PhysicalOperator, phase: str, index: int
+) -> tuple[Slot, list[Slot]]:
+    """The slot a task writes and the slots it reads.
+
+    * ``prepare_partition(p)`` reads partition ``p`` of every input
+      (partition 0 of a single-copy input);
+    * ``exchange()`` reads every own prepare state and *all* partitions
+      of all inputs (broadcast ships whole relations, a gather collects
+      them);
+    * ``run_partition(p)`` reads the exchange state if the operator has
+      one, and partition ``p`` of every input if the operator says its
+      partition tasks read their inputs.
+
+    A task writes one slot.  The one exception keeps the dependencies
+    true: a broadcast join's exchange that finds the kept side a single
+    copy stores the whole output itself, and the partition tasks — the
+    declared writers, which wait for that exchange — are then no-ops.
+    """
+
+    def inputs(p: int) -> list[Slot]:
+        return [
+            Slot("part", child.op_id, p if child.output_count > 1 else 0)
+            for child in op.inputs
+        ]
+
+    if phase == "prepare":
+        return Slot("prep", op.op_id, index), inputs(index)
+    if phase == "exchange":
+        return Slot("exch", op.op_id, 0), [
+            Slot("prep", op.op_id, p) for p in range(op.prepare_count)
+        ] + [
+            Slot("part", child.op_id, p)
+            for child in op.inputs
+            for p in range(child.output_count)
+        ]
+    reads = [Slot("exch", op.op_id, 0)] if op.barrier else []
+    if op.partition_reads_inputs:
+        reads += inputs(index)
+    return Slot("part", op.op_id, index), reads
 
 
 def read_slot(ops: dict[int, PhysicalOperator], slot: Slot) -> object:
@@ -135,8 +192,8 @@ def read_slot(ops: dict[int, PhysicalOperator], slot: Slot) -> object:
     if slot.kind == "part":
         return op.partition_batch(slot.index)
     if slot.kind == "prep":
-        return op.prepare_state(slot.index)
-    return op.exchange_state()
+        return op.prepared[slot.index]
+    return op.exchanged
 
 
 def write_slot(
@@ -147,9 +204,9 @@ def write_slot(
     if slot.kind == "part":
         op.store_batch(slot.index, value)
     elif slot.kind == "prep":
-        op.set_prepare_state(slot.index, value)
+        op.prepared[slot.index] = value
     else:
-        op.set_exchange_state(value)
+        op.exchanged = value
 
 
 class EngineTask:
@@ -157,156 +214,225 @@ class EngineTask:
 
     __slots__ = (
         "op", "phase", "index", "order", "writes", "reads",
-        "dependents", "deps", "remaining",
+        "deps", "dependents",
     )
 
     def __init__(
-        self,
-        op: PhysicalOperator,
-        phase: str,
-        index: int,
-        order: int,
-        writes: Slot,
-        reads: list[Slot],
+        self, op: PhysicalOperator, phase: str, index: int, order: int
     ) -> None:
         self.op = op
         self.phase = phase  #: "prepare" | "exchange" | "partition"
         self.index = index
-        self.order = order  #: position in serial (post-)order
-        self.writes = writes
-        self.reads = reads
-        self.dependents: list["EngineTask"] = []
+        self.order = order  #: position in serial order
+        self.writes, self.reads = task_slots(op, phase, index)
+        #: The writers of ``reads``, and the tasks that read ``writes``.
         self.deps: list["EngineTask"] = []
-        self.remaining = 0
+        self.dependents: list["EngineTask"] = []
 
     def run(self, ctx: ContextDelta) -> None:
         """Execute this task, accounting into the recorder *ctx*."""
         run_step(ctx, self.op, self.phase, self.index)
 
 
-def _link(dep: EngineTask, task: EngineTask) -> None:
-    dep.dependents.append(task)
-    task.deps.append(dep)
-    task.remaining += 1
-
-
 def build_task_graph(root: PhysicalOperator) -> list[EngineTask]:
-    """Build the task DAG of the plan rooted at *root*.
+    """The task DAG of the plan rooted at *root*, in serial order.
 
-    The returned list is in serial order — per operator in post-order:
-    prepares ascending, exchange, output partitions ascending — which is
-    exactly the old monolithic interpreter's loop structure, so executing
-    the list front to back *is* serial execution.
+    A task depends on the writers of the slots it reads; serial order
+    puts every writer before its readers.
     """
     tasks: list[EngineTask] = []
-    #: Per operator, the dependency anchors downstream consumers wait on:
-    #: one task per output partition.
-    anchors: dict[int, list[EngineTask]] = {}
-
-    def add(
-        op: PhysicalOperator, phase: str, index: int,
-        writes: Slot, reads: list[Slot],
-    ) -> EngineTask:
-        task = EngineTask(op, phase, index, len(tasks), writes, reads)
+    writer: dict[Slot, EngineTask] = {}
+    for order, step in enumerate(serial_steps(root)):
+        task = EngineTask(*step, order)
+        for slot in task.reads:
+            dep = writer[slot]
+            task.deps.append(dep)
+            dep.dependents.append(task)
+        writer[task.writes] = task
         tasks.append(task)
-        return task
-
-    def child_slot(child: PhysicalOperator, p: int) -> Slot:
-        return Slot("part", child.op_id, p if child.output_count > 1 else 0)
-
-    for op in root.walk():
-        if op.barrier:
-            prepares = [
-                add(
-                    op, "prepare", p,
-                    Slot("prep", op.op_id, p),
-                    [child_slot(child, p) for child in op.inputs],
-                )
-                for p in range(op.prepare_count)
-            ]
-            for p, task in enumerate(prepares):
-                for child in op.inputs:
-                    slot = p if child.output_count > 1 else 0
-                    _link(anchors[child.op_id][slot], task)
-            exchange = add(
-                op, "exchange", 0,
-                Slot("exch", op.op_id, 0),
-                [task.writes for task in prepares]
-                + [
-                    child_slot(child, p)
-                    for child in op.inputs
-                    for p in range(child.output_count)
-                ],
-            )
-            for task in prepares:
-                _link(task, exchange)
-            # The exchange consumes complete inputs (broadcast ships
-            # whole relations, repartition merges every bucket).
-            for child in op.inputs:
-                for anchor in anchors[child.op_id]:
-                    _link(anchor, exchange)
-            outs = []
-            for p in range(op.output_count):
-                reads = [exchange.writes]
-                if op.partition_reads_inputs:
-                    reads += [child_slot(child, p) for child in op.inputs]
-                task = add(op, "partition", p, Slot("part", op.op_id, p), reads)
-                _link(exchange, task)
-                outs.append(task)
-            anchors[op.op_id] = outs
-        else:
-            outs = []
-            for p in range(op.output_count):
-                task = add(
-                    op, "partition", p,
-                    Slot("part", op.op_id, p),
-                    [child_slot(child, p) for child in op.inputs],
-                )
-                for child in op.inputs:
-                    slot = p if child.output_count > 1 else 0
-                    _link(anchors[child.op_id][slot], task)
-                outs.append(task)
-            anchors[op.op_id] = outs
     return tasks
 
 
 # --------------------------------------------------------------------------
-# In-process backends
+# Serial execution
 # --------------------------------------------------------------------------
 
 
 class SerialBackend(Backend):
-    """Runs every task on the calling thread, in plan post-order.
+    """Runs every task on the calling thread, in serial order.
 
-    The task order — per operator: prepares ascending, exchange, output
-    partitions ascending — retraces the interpreter's loops exactly, so
-    results and stats are bitwise-identical to the pre-engine executor.
+    Nothing is scheduled, so no task graph is built: the steps retrace
+    the interpreter's loops exactly, and results and stats are
+    bitwise-identical to the pre-engine executor.
     """
 
     name = "serial"
 
     def run(self, root: PhysicalOperator, ctx: ExecutionContext) -> None:
-        for task in build_task_graph(root):
+        for op, phase, index in serial_steps(root):
+            run_step(ctx, op, phase, index)
+
+
+# --------------------------------------------------------------------------
+# Pooled execution: fused jobs and the one scheduling loop
+# --------------------------------------------------------------------------
+
+
+class _Job:
+    """A fused group of tasks scheduled as one unit."""
+
+    __slots__ = ("steps", "remote", "dependents", "remaining", "exports")
+
+    def __init__(self, steps: list[EngineTask], remote: bool) -> None:
+        self.steps = steps
+        #: Whether the job may run off the calling thread (in a pool).
+        self.remote = remote
+        self.dependents: list["_Job"] = []
+        self.remaining = 0  #: predecessor jobs not yet complete
+        #: Steps whose output a task outside this job (or nobody: the
+        #: root) reads.
+        self.exports: list[EngineTask] = []
+
+    def run(self, ctx: ContextDelta) -> ContextDelta:
+        """Run the steps in order, accounting into *ctx*; returns it."""
+        for task in self.steps:
             task.run(ctx)
+        return ctx
+
+
+def fuse_jobs(tasks: list[EngineTask]) -> list[_Job]:
+    """Contract the task DAG into jobs that minimise coordinator traffic.
+
+    A producer task merges into its consumer's job when both are
+    remote-eligible and *every* reader of the producer's output lives in
+    one of the two jobs — then the rows flow job-locally (through the
+    forked operator tree, in a worker process) instead of round-tripping
+    through the coordinator, and a thread pool pays one hand-off per
+    chain instead of one per task.  Per-partition pipeline chains (scan →
+    filter → aggregate-prepare, or both join inputs plus the probe)
+    collapse into single jobs this way; exchange barriers stay
+    coordinator-side and bound the contraction.
+    """
+    job_of: dict[int, _Job] = {}
+    jobs: list[_Job] = []
+    for task in tasks:
+        job = _Job([task], task.op.remote_eligible(task.phase))
+        job_of[id(task)] = job
+        jobs.append(job)
+    changed = True
+    while changed:
+        changed = False
+        for task in tasks:
+            consumer = job_of[id(task)]
+            if not consumer.remote:
+                continue
+            for dep in task.deps:
+                producer = job_of[id(dep)]
+                if producer is consumer or not producer.remote:
+                    continue
+                if all(
+                    job_of[id(reader)] in (consumer, producer)
+                    for step in producer.steps
+                    for reader in step.dependents
+                ):
+                    consumer.steps.extend(producer.steps)
+                    for step in producer.steps:
+                        job_of[id(step)] = consumer
+                    producer.steps = []
+                    changed = True
+    live = [job for job in jobs if job.steps]
+    for job in live:
+        # Serial order is a topological order of the whole graph, so it
+        # is one for any subset.
+        job.steps.sort(key=lambda task: task.order)
+        predecessors: dict[int, _Job] = {}
+        for step in job.steps:
+            for dep in step.deps:
+                producer = job_of[id(dep)]
+                if producer is not job:
+                    predecessors[id(producer)] = producer
+        job.remaining = len(predecessors)
+        for producer in predecessors.values():
+            producer.dependents.append(job)
+        job.exports = [
+            step
+            for step in job.steps
+            if not step.dependents
+            or any(job_of[id(reader)] is not job for reader in step.dependents)
+        ]
+    return live
+
+
+def run_jobs(
+    jobs: Iterable[_Job],
+    ctx: ExecutionContext,
+    submit: Callable[[_Job], "Future | None"],
+    absorb: Callable[[object], None],
+) -> None:
+    """The scheduling loop of every pooled backend.
+
+    A job starts when its last predecessor completes.  One that may
+    leave the calling thread is offered to *submit*; if that returns a
+    future, the future's result goes to *absorb* when it finishes.  Every
+    other job — exchanges are coordinator work by design — runs here and
+    now, accounting straight into *ctx*.  Everything but the submitted
+    work itself — both callbacks, every recorder merge, every trace-hook
+    call — happens on the calling thread, one at a time, so nothing here
+    takes a lock.
+
+    After the first failure (of an inline job, a submitted one, *submit*
+    or *absorb*) nothing new starts, but everything in flight is awaited
+    before that error is re-raised: a failed query never leaves
+    stragglers mutating operator state while the pool serves the next.
+    """
+    ready = deque(job for job in jobs if not job.remaining)
+    inflight: dict[Future, _Job] = {}
+    error: BaseException | None = None
+
+    def release(job: _Job) -> None:
+        for dependent in job.dependents:
+            dependent.remaining -= 1
+            if not dependent.remaining:
+                ready.append(dependent)
+
+    while True:
+        while ready and error is None:
+            job = ready.popleft()
+            try:
+                future = submit(job) if job.remote else None
+                if future is None:
+                    job.run(ctx)
+                    release(job)
+                else:
+                    inflight[future] = job
+            except BaseException as exc:  # broken pool, pickling, the job
+                error = exc
+        if not inflight:
+            break
+        finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
+        for future in finished:
+            job = inflight.pop(future)
+            try:
+                absorb(future.result())
+                release(job)
+            except BaseException as exc:
+                if error is None:
+                    error = exc
+    if error is not None:
+        raise error
 
 
 class ThreadPoolBackend(Backend):
-    """Runs independent partition tasks concurrently between barriers.
+    """Runs independent partition chains concurrently between barriers.
 
-    Feeds ready tasks of the shared DAG to a :class:`ThreadPoolExecutor`;
-    a task is submitted the moment its last dependency completes, so
-    partition 3 of a filter can run while partition 0 of the downstream
-    join is already probing — there is no per-operator barrier, only the
-    exchange barriers the plan itself demands.
-
-    On task failure no further tasks are scheduled, but every already
-    submitted task is awaited before the error is re-raised — a failed
-    query never leaves stragglers mutating operator state while the pool
-    serves the next query.
-
-    Each task accounts into its own recorder, merged into the query's
-    context under the scheduler lock when the task completes — the only
-    lock on the accounting path.
+    Feeds the fused jobs of the task DAG to a :class:`ThreadPoolExecutor`
+    through :func:`run_jobs`: a job is submitted the moment its last
+    predecessor completes, so partition 3 of a filter can run while
+    partition 0 of the downstream join is already probing — there is no
+    per-operator barrier, only the exchange barriers the plan itself
+    demands.  Each pooled job accounts into its own recorder, merged into
+    the query's context on the calling thread when the job completes;
+    the exchanges themselves run on the calling thread.
 
     The pool is created lazily and reused across queries; ``close()``
     shuts it down.
@@ -335,60 +461,13 @@ class ThreadPoolBackend(Backend):
             pool.shutdown(wait=True)
 
     def run(self, root: PhysicalOperator, ctx: ExecutionContext) -> None:
-        tasks = build_task_graph(root)
-        if not tasks:
-            return
         pool = self._ensure_pool()
-        lock = threading.Lock()
-        done = threading.Event()
-        #: pending: tasks not yet finished; inflight: tasks submitted to
-        #: the pool and not yet finished.  ``done`` fires when all tasks
-        #: finished, or — after a failure — when the last in-flight task
-        #: drained (unreached dependents are abandoned, never started).
-        state: dict[str, object] = {
-            "pending": len(tasks), "inflight": 0, "error": None,
-        }
-
-        def execute(task: EngineTask) -> None:
-            recorder = ctx.delta()
-            try:
-                task.run(recorder)
-                with lock:  # also serialises the trace hook's calls
-                    ctx.merge_delta(recorder)
-            except BaseException as error:  # propagate to the caller
-                with lock:
-                    if state["error"] is None:
-                        state["error"] = error
-                    state["inflight"] = int(state["inflight"]) - 1
-                    if state["inflight"] == 0:
-                        done.set()
-                return
-            ready: list[EngineTask] = []
-            with lock:
-                state["pending"] = int(state["pending"]) - 1
-                state["inflight"] = int(state["inflight"]) - 1
-                if state["pending"] == 0:
-                    done.set()
-                elif state["error"] is None:
-                    for dependent in task.dependents:
-                        dependent.remaining -= 1
-                        if dependent.remaining == 0:
-                            ready.append(dependent)
-                    state["inflight"] = int(state["inflight"]) + len(ready)
-                elif state["inflight"] == 0:
-                    done.set()
-            for next_task in ready:
-                pool.submit(execute, next_task)
-
-        roots = [task for task in tasks if task.remaining == 0]
-        with lock:
-            state["inflight"] = len(roots)
-        for task in roots:
-            pool.submit(execute, task)
-        done.wait()
-        error = state["error"]
-        if error is not None:
-            raise error  # type: ignore[misc]
+        run_jobs(
+            fuse_jobs(build_task_graph(root)),
+            ctx,
+            lambda job: pool.submit(job.run, ctx.delta()),
+            ctx.merge_delta,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -443,79 +522,22 @@ def _execute_payload(payload: TaskPayload) -> TaskResult:
     return TaskResult(exports, delta)
 
 
-class _Job:
-    """A fused group of tasks scheduled as one unit."""
-
-    __slots__ = ("steps", "remote", "dependents", "remaining", "exports")
-
-    def __init__(self, steps: list[EngineTask], remote: bool) -> None:
-        self.steps = steps
-        self.remote = remote
-        self.dependents: list["_Job"] = []
-        self.remaining = 0
-        self.exports: list[EngineTask] = []
-
-
-def fuse_jobs(tasks: list[EngineTask]) -> list[_Job]:
-    """Contract the task DAG into jobs that minimise coordinator traffic.
-
-    A producer task merges into its consumer's job when both are
-    remote-eligible and *every* reader of the producer's output lives in
-    one of the two jobs — then the rows flow worker-locally through the
-    forked operator tree instead of round-tripping through the
-    coordinator.  Per-partition pipeline chains (scan → filter →
-    aggregate-prepare, or both join inputs plus the probe) collapse into
-    single jobs this way; exchange barriers stay coordinator-side and
-    bound the contraction.
-    """
-    job_of: dict[int, _Job] = {}
-    jobs: list[_Job] = []
-    for task in tasks:
-        job = _Job([task], task.op.remote_eligible(task.phase))
-        job_of[id(task)] = job
-        jobs.append(job)
-    changed = True
-    while changed:
-        changed = False
-        for task in tasks:
-            consumer = job_of[id(task)]
-            if not consumer.remote:
-                continue
-            for dep in task.deps:
-                producer = job_of[id(dep)]
-                if producer is consumer or not producer.remote:
-                    continue
-                if all(
-                    job_of[id(reader)] in (consumer, producer)
-                    for step in producer.steps
-                    for reader in step.dependents
-                ):
-                    consumer.steps.extend(producer.steps)
-                    for step in producer.steps:
-                        job_of[id(step)] = consumer
-                    producer.steps = []
-                    changed = True
-    live = [job for job in jobs if job.steps]
-    for job in live:
-        # Serial order is a topological order of the whole graph, so it
-        # is one for any subset.
-        job.steps.sort(key=lambda task: task.order)
-        predecessors: dict[int, _Job] = {}
-        for step in job.steps:
-            for dep in step.deps:
-                producer = job_of[id(dep)]
-                if producer is not job:
-                    predecessors[id(producer)] = producer
-        job.remaining = len(predecessors)
-        for producer in predecessors.values():
-            producer.dependents.append(job)
-        job.exports = [
-            step
-            for step in job.steps
-            if not step.dependents
-            or any(job_of[id(reader)] is not job for reader in step.dependents)
-        ]
-    return live
+def _payload(ops: dict[int, PhysicalOperator], job: _Job) -> TaskPayload:
+    """What a worker needs to run *job*, read off the coordinator's tree."""
+    produced = {task.writes for task in job.steps}
+    preloads = []
+    for task in job.steps:
+        for slot in task.reads:
+            if slot not in produced:
+                produced.add(slot)  # dedupe repeat reads
+                preloads.append((slot, read_slot(ops, slot)))
+    return TaskPayload(
+        steps=tuple(
+            (task.op.op_id, task.phase, task.index) for task in job.steps
+        ),
+        preloads=tuple(preloads),
+        exports=tuple(task.writes for task in job.exports),
+    )
 
 
 class ProcessPoolBackend(Backend):
@@ -524,23 +546,24 @@ class ProcessPoolBackend(Backend):
     The only backend that actually parallelises the pure-Python row loops
     (thread backends serialise on the GIL).  Per query it:
 
-    1. builds the shared task DAG and contracts it into jobs
-       (:func:`fuse_jobs`) so whole per-partition pipelines execute
-       worker-locally;
+    1. builds the task DAG and contracts it into jobs (:func:`fuse_jobs`)
+       so whole per-partition pipelines execute worker-locally;
     2. forks a worker pool *after* compiling the plan — children inherit
        the operator tree and base-table partitions copy-on-write, so only
        inter-stage row buckets and compact aggregation states cross
        process boundaries, always via the coordinator;
-    3. hands every worker job a :class:`TaskPayload` and merges the
-       returned recorder into the query's context — commutatively, so
-       stats are identical to serial execution by construction.
+    3. drives the jobs through :func:`run_jobs`: a worker job ships as a
+       :class:`TaskPayload`, and its :class:`TaskResult` installs the
+       exported slots and merges the recorder into the query's context —
+       commutatively, so stats are identical to serial execution by
+       construction.
 
     Exchange barriers, and any job whose operator state must stay on the
     coordinator, run inline on the coordinator.  Platforms without the
     ``fork`` start method (workers must inherit the compiled tree, which
     holds bound predicate closures) degrade to serial in-process
-    execution.  On failure, in-flight jobs are drained before the error
-    is re-raised, and the next query gets a fresh pool.
+    execution.  The pool lives for one query, so a failed query cannot
+    poison the next.
     """
 
     name = "process_pool"
@@ -554,104 +577,37 @@ class ProcessPoolBackend(Backend):
         return "fork" in multiprocessing.get_all_start_methods()
 
     def run(self, root: PhysicalOperator, ctx: ExecutionContext) -> None:
-        tasks = build_task_graph(root)
-        if not tasks:
-            return
-        if self.max_workers < 2 or not self.fork_available():
-            for task in tasks:
-                task.run(ctx)
-            return
-        with _WORKER_STATE_LOCK:
-            self._run_pooled(root, ctx, tasks)
-
-    def _run_pooled(
-        self,
-        root: PhysicalOperator,
-        ctx: ExecutionContext,
-        tasks: list[EngineTask],
-    ) -> None:
         global _WORKER_STATE
+        if self.max_workers < 2 or not self.fork_available():
+            SerialBackend().run(root, ctx)
+            return
+        jobs = fuse_jobs(build_task_graph(root))
         ops = {op.op_id: op for op in root.walk()}
-        jobs = fuse_jobs(tasks)
-        _WORKER_STATE = (ops, ctx.node_count, ctx.trace is not None)
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        error: BaseException | None = None
-        try:
-            ready = deque(job for job in jobs if job.remaining == 0)
-            futures: dict = {}
-            while ready or futures:
-                while ready and error is None:
-                    job = ready.popleft()
-                    if job.remote and all(
-                        task.op.remote_ready(task.phase, task.index)
-                        for task in job.steps
-                    ):
-                        try:
-                            payload = self._payload(ops, job)
-                            futures[pool.submit(_execute_payload, payload)] = job
-                        except BaseException as exc:  # broken pool, pickling
-                            error = exc
-                            break
-                        continue
-                    try:
-                        for task in job.steps:
-                            task.run(ctx)
-                    except BaseException as exc:
-                        error = exc
-                        break
-                    ready.extend(_complete(job))
-                if not futures:
-                    break
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    job = futures.pop(future)
-                    try:
-                        result: TaskResult = future.result()
-                    except BaseException as exc:
-                        if error is None:
-                            error = exc
-                        continue
-                    for slot, value in result.exports:
-                        write_slot(ops, slot, value)
-                    ctx.merge_delta(result.delta)
-                    if error is None:
-                        ready.extend(_complete(job))
-        finally:
-            pool.shutdown(wait=True)
-            _WORKER_STATE = None
-        if error is not None:
-            raise error
 
-    @staticmethod
-    def _payload(ops: dict[int, PhysicalOperator], job: _Job) -> TaskPayload:
-        produced = {task.writes for task in job.steps}
-        preloads = []
-        for task in job.steps:
-            for slot in task.reads:
-                if slot in produced:
-                    continue
-                produced.add(slot)  # dedupe repeat reads
-                preloads.append((slot, read_slot(ops, slot)))
-        return TaskPayload(
-            steps=tuple(
-                (task.op.op_id, task.phase, task.index) for task in job.steps
-            ),
-            preloads=tuple(preloads),
-            exports=tuple(task.writes for task in job.exports),
-        )
+        def submit(job: _Job) -> Future | None:
+            if all(
+                task.op.remote_ready(task.phase, task.index)
+                for task in job.steps
+            ):
+                return pool.submit(_execute_payload, _payload(ops, job))
+            return None
 
+        def absorb(result: TaskResult) -> None:
+            for slot, value in result.exports:
+                write_slot(ops, slot, value)
+            ctx.merge_delta(result.delta)
 
-def _complete(job: _Job) -> list[_Job]:
-    """Mark *job* finished; return the dependents that became ready."""
-    ready = []
-    for dependent in job.dependents:
-        dependent.remaining -= 1
-        if dependent.remaining == 0:
-            ready.append(dependent)
-    return ready
+        with _WORKER_STATE_LOCK:
+            _WORKER_STATE = (ops, ctx.node_count, ctx.trace is not None)
+            pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context("fork"),
+            )
+            try:
+                run_jobs(jobs, ctx, submit, absorb)
+            finally:
+                pool.shutdown(wait=True)
+                _WORKER_STATE = None
 
 
 # --------------------------------------------------------------------------

@@ -18,13 +18,13 @@ Adding a counter is therefore a field and its call site:
 
 Operators write through one recorder class, :class:`ContextDelta`, and
 never take a lock.  The query's :class:`ExecutionContext` is itself a
-recorder (the serial backend records straight into it); concurrent
-backends give each task or worker job a fresh one (:meth:`delta`) and
-fold it back with :meth:`ExecutionContext.merge_delta` — under the
-scheduler's completion lock for threads, on the coordinator thread for
-processes.  Every quantity is an integer count (work values are row
-counts held in floats, exact far below 2**53), so merging in any order
-reproduces the serial records exactly.
+recorder (the serial backend, and every job a pool runs inline, record
+straight into it); pooled jobs get a fresh one each (:meth:`delta`),
+folded back with :meth:`ExecutionContext.merge_delta` on the thread that
+called the backend — the one scheduling loop absorbs every finished job
+there, threads and processes alike.  Every quantity is an integer count
+(work values are row counts held in floats, exact far below 2**53), so
+merging in any order reproduces the serial records exactly.
 
 Query-level figures are derived, not recorded: :meth:`finish` sums the
 per-operator records into the ``ExecutionStats`` totals and the
@@ -277,14 +277,14 @@ class ExecutionContext(ContextDelta):
         return [self.operators[key] for key in sorted(self.operators)]
 
     def delta(self) -> ContextDelta:
-        """A fresh recorder for one task or worker job of this query."""
+        """A fresh recorder for one pooled job of this query."""
         return ContextDelta(self.node_count, collect_trace=self.trace is not None)
 
     def merge_delta(self, delta: ContextDelta) -> None:
         """Fold a finished recorder into this context.
 
-        Commutative, but not thread-safe: concurrent backends call it
-        under the lock that serialises their task completions.
+        Commutative, but not thread-safe: the scheduling loop calls it
+        from the one thread that runs the query.
         """
         for op_id, record in delta.operators.items():
             self.operators[op_id].merge(record)

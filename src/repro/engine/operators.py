@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import (
@@ -93,6 +93,12 @@ class PhysicalOperator:
         #: compiler's live-column pass.
         self.live: frozenset[int] = frozenset(range(self.width))
         self._partitions: list[ColumnBatch | None] = [None] * output_count
+        #: Task state besides the output partitions (barrier operators):
+        #: what ``prepare_partition(p)`` left, by ``p``, and what
+        #: ``exchange()`` left.  Both are picklable, so backends that run
+        #: tasks outside the coordinator process can ship them.
+        self.prepared: dict[int, object] = {}
+        self.exchanged: object = None
 
     # -- identity ----------------------------------------------------------
 
@@ -148,19 +154,13 @@ class PhysicalOperator:
         """Produce output partition *p*."""
         raise NotImplementedError
 
-    # -- distributed task protocol -----------------------------------------
-    #
-    # Backends that run tasks outside the coordinator process (process
-    # pools today, remote transports tomorrow) move task state through
-    # explicit picklable payloads: output partitions via
-    # ``partition_batch``/``store_batch``, and the two operator-internal
-    # slots below.  Operators that never leave the coordinator keep the
-    # defaults.
+    # -- what the backends ask ---------------------------------------------
 
-    #: True if ``run_partition`` reads the inputs' output partitions
-    #: (pipeline semantics).  Barrier operators whose post-exchange tasks
-    #: consume only their own exchange state set this to False, so remote
-    #: schedulers do not ship child rows the task never reads.
+    #: True if ``run_partition(p)`` reads partition ``p`` of the inputs.
+    #: Barrier operators whose post-exchange tasks consume only their own
+    #: exchange state say False — per instance where it depends on the
+    #: strategy — so a partition task neither waits for nor is shipped
+    #: child rows it never reads.
     partition_reads_inputs: bool = True
 
     def remote_eligible(self, phase: str) -> bool:
@@ -179,24 +179,6 @@ class PhysicalOperator:
         """Dispatch-time refinement of :meth:`remote_eligible` for
         operators whose eligibility depends on runtime state."""
         return True
-
-    def prepare_state(self, p: int) -> object:
-        """The picklable state produced by ``prepare_partition(p)``."""
-        raise NotImplementedError(f"{self.label} has no prepare state")
-
-    def set_prepare_state(self, p: int, state: object) -> None:
-        """Install a shipped prepare state (inverse of
-        :meth:`prepare_state`)."""
-        raise NotImplementedError(f"{self.label} has no prepare state")
-
-    def exchange_state(self) -> object:
-        """The picklable state produced by ``exchange()``."""
-        raise NotImplementedError(f"{self.label} has no exchange state")
-
-    def set_exchange_state(self, state: object) -> None:
-        """Install a shipped exchange state (inverse of
-        :meth:`exchange_state`)."""
-        raise NotImplementedError(f"{self.label} has no exchange state")
 
 
 # --------------------------------------------------------------------------
@@ -480,6 +462,7 @@ class PhysicalRepartition(PhysicalOperator):
     in source order, preserving the serial interpreter's row order."""
 
     barrier = True
+    partition_reads_inputs = False
     name = "repartition"
 
     def __init__(
@@ -500,8 +483,6 @@ class PhysicalRepartition(PhysicalOperator):
         #: key -> target partition, shared by every ``prepare_partition``
         #: task: a join key is hashed once per shuffle, not once per row.
         self._route = hash_router(node.count)
-        self._buckets: list[list[ColumnBatch] | None] = [None] * self.prepare_count
-        self._staged: list[ColumnBatch] = []
 
     def prepare_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
@@ -534,20 +515,20 @@ class PhysicalRepartition(PhysicalOperator):
             if moved:
                 ctx.add_network(self, self.row_bytes * moved, moved)
         ctx.add_dup_eliminated(self, skipped)
-        self._buckets[p] = [routed.take(indices) for indices in bucket_indices]
+        self.prepared[p] = [routed.take(indices) for indices in bucket_indices]
 
     def exchange(self, ctx: ExecutionContext) -> None:
         ctx.add_shuffle(self)
-        self._staged = []
-        for target in range(self.output_count):
-            pieces = []
-            for buckets in self._buckets:
-                assert buckets is not None
-                pieces.append(buckets[target])
-            self._staged.append(ColumnBatch.concat(pieces, self.width))
+        sources = [self.prepared[p] for p in range(self.prepare_count)]
+        self.exchanged = [
+            ColumnBatch.concat(
+                [buckets[target] for buckets in sources], self.width
+            )
+            for target in range(self.output_count)
+        ]
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        batch = self._staged[p]
+        batch = self.exchanged[p]
         if self.local_distinct:
             deduped = distinct_batch(batch)
             ctx.add_dup_eliminated(self, batch.length - deduped.length)
@@ -555,19 +536,15 @@ class PhysicalRepartition(PhysicalOperator):
         ctx.add_output(self, batch.length, p)
         self.store_batch(p, batch)
 
-    partition_reads_inputs = False
 
-    def prepare_state(self, p: int) -> object:
-        return self._buckets[p]
+class _Broadcast(NamedTuple):
+    """What a broadcast join's ``exchange()`` leaves its partition tasks."""
 
-    def set_prepare_state(self, p: int, state: object) -> None:
-        self._buckets[p] = state
-
-    def exchange_state(self) -> object:
-        return self._staged
-
-    def set_exchange_state(self, state: object) -> None:
-        self._staged = state
+    ship_left: bool
+    shipped: ColumnBatch
+    #: The exchange already stored the whole result (both inputs turned
+    #: out to be single copies); the partition tasks have nothing to do.
+    done: bool
 
 
 class PhysicalHashJoin(PhysicalOperator):
@@ -635,10 +612,7 @@ class PhysicalHashJoin(PhysicalOperator):
         self.pad = (
             _null_pad(right.props) if node.kind is JoinKind.LEFT_OUTER else None
         )
-        # Broadcast state, filled by exchange().
-        self._shipped = ColumnBatch.empty(0)
-        self._ship_left = False
-        self._single_done = False
+        self.exchanged = _Broadcast(False, ColumnBatch.empty(0), False)
         # Build-side caches, keyed by batch identity: broadcast probes
         # join every node's rows against the *same* shipped build batch,
         # so the hash table (or partner key set) is built once per query
@@ -993,8 +967,7 @@ class PhysicalHashJoin(PhysicalOperator):
                 bytes_each * shipped.length * max(self.count - 1, 1),
                 shipped.length * max(self.count - 1, 1),
             )
-        self._ship_left = ship_left
-        self._shipped = shipped
+        self.exchanged = _Broadcast(ship_left, shipped, kept_op.is_single_copy)
         if kept_op.is_single_copy:
             # Both inputs are now fully available on every node; computing
             # per partition would emit the result once per node.  Compute
@@ -1015,26 +988,18 @@ class PhysicalHashJoin(PhysicalOperator):
             self.store_batch(0, out)
             for index in range(1, self.output_count):
                 self.store_batch(index, ColumnBatch.empty(self.width))
-            self._single_done = True
 
-    # -- distributed task protocol -----------------------------------------
     # Broadcast probes are heavy batch kernels, so partition tasks stay
     # remote-eligible even though the operator is a barrier; when the
     # exchange already computed the whole result (both inputs single
     # copies), the leftover partition tasks are no-ops that must stay on
-    # the coordinator, where the staged result lives.
+    # the coordinator, where the stored result lives.
 
     def remote_eligible(self, phase: str) -> bool:
         return phase != "exchange"
 
     def remote_ready(self, phase: str, p: int) -> bool:
-        return not (phase == "partition" and self._single_done)
-
-    def exchange_state(self) -> object:
-        return (self._ship_left, self._shipped, self._single_done)
-
-    def set_exchange_state(self, state: object) -> None:
-        self._ship_left, self._shipped, self._single_done = state
+        return not (phase == "partition" and self.exchanged.done)
 
     # -- per-partition execution -------------------------------------------
 
@@ -1063,19 +1028,19 @@ class PhysicalHashJoin(PhysicalOperator):
         self.store_batch(p, out)
 
     def _run_broadcast_partition(self, ctx: ExecutionContext, p: int) -> None:
-        if self._single_done:
-            return  # staged by exchange()
+        ship_left, shipped, done = self.exchanged
+        if done:
+            return  # stored by exchange()
         left, right = self.inputs
-        kept_op = right if self._ship_left else left
-        shipped = self._shipped
+        kept_op = right if ship_left else left
         kept = kept_op.node_batch(p)
-        if self._ship_left:
+        if ship_left:
             out = self._join_batches(shipped, kept)
         else:
             out = self._join_batches(kept, shipped)
         ctx.add_work(self, p, kept.length + shipped.length + out.length)
-        build_rows = kept.length if self._ship_left else shipped.length
-        probe_rows = shipped.length if self._ship_left else kept.length
+        build_rows = kept.length if ship_left else shipped.length
+        probe_rows = shipped.length if ship_left else kept.length
         ctx.add_join_event(self, p, build_rows, probe_rows)
         ctx.add_output(self, out.length, p)
         self.store_batch(p, out)
@@ -1130,10 +1095,10 @@ class PhysicalAggregate(PhysicalOperator):
         ]
         self.key_bytes = 8 * max(len(node.group_by), 1)
         if self.strategy == "two_phase":
+            # The partition tasks only hand out the merged groups.
             self.barrier = True
+            self.partition_reads_inputs = False
             self.prepare_count = child.output_count
-        self._partials: list[dict[tuple, list] | None] = [None] * self.prepare_count
-        self._staged: list[ColumnBatch] = []
 
     @property
     def label(self) -> str:
@@ -1207,7 +1172,7 @@ class PhysicalAggregate(PhysicalOperator):
         child = self.inputs[0]
         batch = child.partition_batch(p)
         ctx.account(self, child.props.part.method, p, batch.length)
-        self._partials[p] = self._partial_states(batch)
+        self.prepared[p] = self._partial_states(batch)
 
     def exchange(self, ctx: ExecutionContext) -> None:
         """Ship compact states to their hash targets and merge."""
@@ -1221,8 +1186,7 @@ class PhysicalAggregate(PhysicalOperator):
         shipped_bytes = 0
         shipped_count = 0
         for index in range(self.prepare_count):
-            partials = self._partials[index]
-            assert partials is not None
+            partials = self.prepared[index]
             targets = [0] * len(partials) if scalar else route.map(partials)
             for (key, accs), target in zip(partials.items(), targets):
                 if target != index:
@@ -1241,7 +1205,7 @@ class PhysicalAggregate(PhysicalOperator):
                         acc.merge_state(other.state())
         if shipped_count:
             ctx.add_network(self, shipped_bytes, shipped_count)
-        self._staged = []
+        staged = self.exchanged = []
         for bucket in merged:
             if scalar and not bucket:
                 bucket[()] = [
@@ -1257,7 +1221,7 @@ class PhysicalAggregate(PhysicalOperator):
                     key + tuple(acc.result() for acc in accs)
                     for key, accs in bucket.items()
                 ]
-            self._staged.append(ColumnBatch.from_rows(rows, self.width))
+            staged.append(ColumnBatch.from_rows(rows, self.width))
 
     # -- execution ---------------------------------------------------------
 
@@ -1277,29 +1241,10 @@ class PhysicalAggregate(PhysicalOperator):
             ctx.add_output(self, out.length, p)
             self.store_batch(p, out)
             return
-        staged = self._staged[p]
+        staged = self.exchanged[p]
         ctx.add_work(self, 0 if self.scalar else p, staged.length)
         ctx.add_output(self, staged.length, p)
         self.store_batch(p, staged)
-
-    # -- distributed task protocol -----------------------------------------
-    # Only consulted for the two_phase (barrier) strategy, whose
-    # run_partition reads the staged merge, never the child; accumulator
-    # objects are plain picklable Python state.
-
-    partition_reads_inputs = False
-
-    def prepare_state(self, p: int) -> object:
-        return self._partials[p]
-
-    def set_prepare_state(self, p: int, state: object) -> None:
-        self._partials[p] = state
-
-    def exchange_state(self) -> object:
-        return self._staged
-
-    def set_exchange_state(self, state: object) -> None:
-        self._staged = state
 
 
 class PhysicalOrderBy(PhysicalOperator):
@@ -1311,6 +1256,7 @@ class PhysicalOrderBy(PhysicalOperator):
     """
 
     barrier = True
+    partition_reads_inputs = False
     name = "order_by"
 
     def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
@@ -1321,7 +1267,6 @@ class PhysicalOrderBy(PhysicalOperator):
             for column, ascending in node.keys
         ]
         self.limit = node.limit
-        self._staged = ColumnBatch.empty(self.width)
 
     def exchange(self, ctx: ExecutionContext) -> None:
         rows = _gather(self.inputs[0], self, ctx).to_rows()
@@ -1332,45 +1277,29 @@ class PhysicalOrderBy(PhysicalOperator):
         if self.limit is not None:
             rows = rows[: self.limit]
         ctx.add_work(self, 0, len(rows))
-        self._staged = ColumnBatch.from_rows(rows, self.width)
+        self.exchanged = ColumnBatch.from_rows(rows, self.width)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        ctx.add_output(self, self._staged.length, 0)
-        self.store_batch(0, self._staged)
-
-    partition_reads_inputs = False
-
-    def exchange_state(self) -> object:
-        return self._staged
-
-    def set_exchange_state(self, state: object) -> None:
-        self._staged = state
+        ctx.add_output(self, self.exchanged.length, 0)
+        self.store_batch(0, self.exchanged)
 
 
 class PhysicalGather(PhysicalOperator):
     """Implicit root: collect the final result on the coordinator."""
 
     barrier = True
+    partition_reads_inputs = False
     name = "gather"
 
     def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
         super().__init__(annotated, [child], 1)
-        self._staged = ColumnBatch.empty(self.width)
 
     def exchange(self, ctx: ExecutionContext) -> None:
-        self._staged = _gather(self.inputs[0], self, ctx)
+        self.exchanged = _gather(self.inputs[0], self, ctx)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        ctx.add_output(self, self._staged.length, 0)
-        self.store_batch(0, self._staged)
-
-    partition_reads_inputs = False
-
-    def exchange_state(self) -> object:
-        return self._staged
-
-    def set_exchange_state(self, state: object) -> None:
-        self._staged = state
+        ctx.add_output(self, self.exchanged.length, 0)
+        self.store_batch(0, self.exchanged)
 
 
 def _gather(

@@ -6,10 +6,8 @@ package initialiser mid-import.
 
 The execution engine moves data between physical operators as
 :class:`ColumnBatch` payloads — a column-oriented container whose columns
-are plain Python lists with a (lazily materialised) validity bitmap per
-column.  SQL NULL is ``None`` in the value list *and* a cleared validity
-bit; the two views are kept consistent by construction, which is what
-lets kernels pick a no-NULL fast path from the bitmap without scanning.
+are plain Python lists.  SQL NULL is ``None`` in the value list; a kernel
+picks its no-NULL fast path with one C-level ``None in column`` scan.
 A batch may be *pruned*: a column no operator above will read is an
 absent slot (``None`` in :attr:`ColumnBatch.columns`), positions
 unchanged.  Absent is not NULL — every read of an absent column raises.
@@ -85,24 +83,19 @@ class ColumnBatch:
             cardinality).
 
     Batches are immutable by convention: operators build new batches from
-    old columns (which may be aliased, never mutated in place).  The
-    per-column validity bitmap is derived lazily from the value lists and
-    cached — ``validity(i)[r]`` is 1 iff ``columns[i][r] is not None`` —
-    so hot kernels can branch to a no-NULL fast path without paying for
-    bitmap maintenance on every transform.
+    old columns (which may be aliased, never mutated in place).
 
-    Batches pickle as (columns, length) — pruned slots stay ``None`` —
+    Batches pickle as their two slots — pruned columns stay ``None`` —
     which is what ships between the coordinator and process-pool workers.
     """
 
-    __slots__ = ("columns", "length", "_validity")
+    __slots__ = ("columns", "length")
 
     def __init__(self, columns: list[list], length: int | None = None) -> None:
         if length is None:
             length = len(columns[0]) if columns else 0
         self.columns = columns
         self.length = length
-        self._validity: list[bytearray | None] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -184,20 +177,6 @@ class ColumnBatch:
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return f"ColumnBatch({self.width} cols x {self.length} rows)"
 
-    # -- validity bitmaps --------------------------------------------------
-
-    def validity(self, index: int) -> bytearray:
-        """The validity bitmap of column *index* (1 = valid, 0 = NULL)."""
-        if self._validity is None:
-            self._validity = [None] * len(self.columns)
-        cached = self._validity[index]
-        if cached is None:
-            cached = bytearray(
-                0 if value is None else 1 for value in self.column(index)
-            )
-            self._validity[index] = cached
-        return cached
-
     def has_nulls(self, index: int) -> bool:
         """True if column *index* contains any NULL."""
         return None in self.column(index)
@@ -259,15 +238,6 @@ class ColumnBatch:
         if len(positions) == 1:
             return self.column(positions[0])
         return self.key_tuples(positions)
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> tuple:
-        return (self.columns, self.length)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.columns, self.length = state
-        self._validity = None
 
 
 def distinct_batch(batch: ColumnBatch) -> ColumnBatch:

@@ -112,7 +112,7 @@ class Executor:
             as ``self.options``.
         backend: Scheduling backend; defaults to a fresh
             :class:`SerialBackend`.  Backends may be shared between
-            executors (the cluster facade shares one thread pool).
+            executors (a cluster shares one across its queries).
         cost: Cost parameters stamped onto every :class:`QueryResult` so
             ``result.simulated_seconds()`` uses the cluster's constants.
         trace: Optional per-task trace hook (receives

@@ -32,7 +32,6 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.engine import vector
 from repro.errors import PlanningError
 
 if TYPE_CHECKING:
@@ -210,17 +209,6 @@ class Comparison(Expression):
         def evaluate(batch: "ColumnBatch") -> list:
             lhs = left(batch)
             rhs = right(batch)
-            if vector.numpy_enabled():
-                larr = vector.as_numeric_array(lhs)
-                if larr is not None:
-                    rarr = vector.as_numeric_array(rhs)
-                    # Same kind category only: int64-vs-float comparison
-                    # in numpy rounds through float64, Python compares
-                    # exactly, so mixed kinds take the scalar path.
-                    if rarr is not None and (
-                        (larr.dtype.kind == "f") == (rarr.dtype.kind == "f")
-                    ):
-                        return compare(larr, rarr).tolist()
             if None in lhs or None in rhs:
                 return [
                     None if (a is None or b is None) else compare(a, b)
@@ -272,21 +260,13 @@ class Arithmetic(Expression):
         apply = _ARITHMETIC[self.op]
         left = self.left.bind_batch(columns)
         right = self.right.bind_batch(columns)
-        # Division stays pure Python (ZeroDivisionError -> NULL); int
-        # ops stay pure Python (numpy int64 wraps, Python ints do not).
-        # Float +,-,* are IEEE-identical in both, so numpy is safe there.
-        numpy_ok = self.op in ("+", "-", "*")
+        # Only division can raise (ZeroDivisionError -> NULL).
+        division = self.op == "/"
 
         def evaluate(batch: "ColumnBatch") -> list:
             lhs = left(batch)
             rhs = right(batch)
-            if numpy_ok and vector.numpy_enabled():
-                larr = vector.as_numeric_array(lhs)
-                if larr is not None and larr.dtype.kind == "f":
-                    rarr = vector.as_numeric_array(rhs)
-                    if rarr is not None and rarr.dtype.kind == "f":
-                        return apply(larr, rarr).tolist()
-            if None in lhs or None in rhs or not numpy_ok:
+            if division or None in lhs or None in rhs:
                 out = []
                 for a, b in zip(lhs, rhs):
                     if a is None or b is None:

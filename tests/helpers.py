@@ -13,6 +13,7 @@ from repro.engine.backends import (
     SerialBackend,
     ThreadPoolBackend,
 )
+from repro.engine.compile import compile_plan
 from repro.engine.context import ExecutionContext
 from repro.partitioning import (
     HashScheme,
@@ -22,6 +23,7 @@ from repro.partitioning import (
     PrefScheme,
     ReplicatedScheme,
 )
+from repro.query import Executor
 from repro.storage import Database
 
 
@@ -33,6 +35,12 @@ BACKENDS = {
     # a one-core box.
     "process": lambda: ProcessPoolBackend(max_workers=2),
 }
+
+
+def compiled(partitioned, plan, options=None):
+    """*plan* rewritten and lowered to its physical operator tree."""
+    executor = Executor(partitioned, options)
+    return compile_plan(executor.annotate(plan), partitioned)
 
 
 def run_tree(root, partition_count, backend=None):

@@ -2,8 +2,8 @@
 
 Every scheduling backend must behave identically at the edges, not just
 on the happy path: an operator raising in any task phase (prepare,
-exchange, run_partition) propagates the same exception type to the
-caller; a failed query leaves no straggler tasks running and the same
+exchange, run_partition — pooled or on the coordinator) propagates the
+same exception type to the caller; a failed query leaves no straggler tasks running and the same
 backend instance serves the next query; an empty task graph returns
 instead of deadlocking (a regression in the thread pool's completion
 counting); and trace events stay well-formed under concurrency.
@@ -21,7 +21,11 @@ from repro.engine import (
     SerialBackend,
     ThreadPoolBackend,
 )
-from repro.engine.operators import PhysicalAggregate, PhysicalScan
+from repro.engine.operators import (
+    PhysicalAggregate,
+    PhysicalGather,
+    PhysicalScan,
+)
 from repro.query import Executor
 from repro.sql import sql_to_plan
 
@@ -48,11 +52,14 @@ SQL = (
     "WHERE c.custkey = o.custkey GROUP BY c.nationkey ORDER BY nk"
 )
 
-#: Fault site per task phase.
+#: Fault site per task phase.  On the pools the first two fail inside a
+#: pooled job, the last two inline on the coordinator (a barrier
+#: operator's partition tasks never leave it).
 FAULTS = {
     "partition": (PhysicalScan, "run_partition"),
     "prepare": (PhysicalAggregate, "prepare_partition"),
     "exchange": (PhysicalAggregate, "exchange"),
+    "coordinator-partition": (PhysicalGather, "run_partition"),
 }
 
 

@@ -172,10 +172,10 @@ def test_tpcds_backends_identical(tpcds_engines, name):
 
 
 class TestClusterFacade:
-    def test_default_backend_is_thread_pool(self, shop_db):
+    def test_default_backend_is_serial(self, shop_db):
         cluster = SimulatedCluster.partition(shop_db, pref_chain_config(4))
         try:
-            assert isinstance(cluster.backend, ThreadPoolBackend)
+            assert isinstance(cluster.backend, SerialBackend)
             assert cluster.executor.backend is cluster.backend
         finally:
             cluster.close()

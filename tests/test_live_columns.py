@@ -25,10 +25,10 @@ from helpers import (
     BACKENDS,
     all_hashed_config,
     assert_same_rows,
+    compiled,
     pref_chain_config,
     run_tree,
 )
-from repro.engine.compile import compile_plan
 from repro.engine.operators import PhysicalHashJoin, PhysicalRepartition
 from repro.engine.rows import ColumnBatch
 from repro.errors import ExecutionError
@@ -52,11 +52,6 @@ from repro.query.plan import (
 from repro.query.relation import has_column
 from repro.sql import sql_to_plan
 from repro.workloads.tpch import ALL_QUERIES
-
-
-def compiled(partitioned, plan, options=None):
-    executor = Executor(partitioned, options)
-    return compile_plan(executor.annotate(plan), partitioned)
 
 
 def live_names(op) -> set[str]:
@@ -142,7 +137,7 @@ def test_every_stored_batch_holds_exactly_the_live_columns(tpch_stores):
             for op in root.walk():
                 batches = [op.partition_batch(p) for p in range(op.output_count)]
                 if isinstance(op, PhysicalRepartition):
-                    batches += [b for buckets in op._buckets for b in buckets]
+                    batches += [b for buckets in op.prepared.values() for b in buckets]
                 for batch in batches:
                     assert batch.width == op.width
                     if batch.length:  # an empty batch has nothing to hold
@@ -164,7 +159,7 @@ def test_q7_all_hashed_shuffles_only_live_columns(tpch_stores):
     assert live_names(shuffle) == expected
     assert live_names(shuffle.inputs[0]) == expected
     assert shuffle.width == 15
-    routed = [b for buckets in shuffle._buckets for b in buckets if b.length]
+    routed = [b for buckets in shuffle.prepared.values() for b in buckets if b.length]
     assert routed
     for bucket in routed:
         assert bucket.present() == shuffle.live
@@ -449,4 +444,3 @@ def test_pruned_batch_pickles_as_it_is():
     assert clone.columns[1] is None and clone.columns[3] is None
     assert clone.present() == frozenset({0, 2})
     assert clone.width == 4 and clone.length == 3
-    assert clone.validity(0) == bytearray([1, 0, 1])

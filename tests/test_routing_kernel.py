@@ -231,15 +231,15 @@ def reference_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
 def routed_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
     live = sorted(op.live)
     return [
-        [bucket.select(live).to_rows() for bucket in buckets]
-        for buckets in op._buckets
+        [bucket.select(live).to_rows() for bucket in op.prepared[source]]
+        for source in range(op.prepare_count)
     ]
 
 
 def assert_exchange_targets(op: PhysicalAggregate) -> None:
     """Every merged group sits on the node its key hashes to, per row."""
     width = len(op.group_positions)
-    for target, staged in enumerate(op._staged):
+    for target, staged in enumerate(op.exchanged):
         for row in staged.to_rows():
             key = row[0] if width == 1 else row[:width]
             assert stable_hash(key) % op.count == target, op.label

@@ -10,7 +10,6 @@ import random
 import sqlite3
 
 from repro.engine.rows import ColumnBatch
-from repro.engine.vector import set_numpy_enabled
 from repro.fuzz.generator import _gen_pred
 from repro.fuzz.ir import expr_from_ir
 from repro.fuzz.sqlite_oracle import _expr_sql
@@ -28,25 +27,16 @@ COLUMNS = ("t.i", "t.f", "t.s", "t.b")
 
 
 def ev(expression, row):
-    """Evaluate through the scalar kernel AND the batch kernel (numpy
-    off and on), asserting all three agree before returning the value —
-    every unit case below therefore pins all evaluation paths at once."""
+    """Evaluate through the scalar kernel AND the batch kernel,
+    asserting the two agree before returning the value — every unit case
+    below therefore pins both evaluation paths at once."""
     scalar = expression.bind(COLUMNS)(row)
     batch = ColumnBatch.from_rows([row], len(COLUMNS))
-    kernel = expression.bind_batch(COLUMNS)
-    previous = set_numpy_enabled(False)
-    try:
-        plain = kernel(batch)
-        set_numpy_enabled(True)
-        accelerated = kernel(batch)
-    finally:
-        set_numpy_enabled(previous)
-    assert len(plain) == 1 and len(accelerated) == 1
-    for value in (plain[0], accelerated[0]):
-        if scalar is None:
-            assert value is None
-        else:
-            assert value is not None and value == scalar
+    (value,) = expression.bind_batch(COLUMNS)(batch)
+    if scalar is None:
+        assert value is None
+    else:
+        assert value is not None and value == scalar
     return scalar
 
 
@@ -189,24 +179,15 @@ def test_random_predicates_match_sqlite():
         expression = expr_from_ir(predicate_ir)
         bound = expression.bind(names)
         engine = [bound(row) for row in rows]
-        # The vectorized kernel must agree with the scalar path exactly,
-        # with the numpy acceleration flag both off and on.
-        kernel = expression.bind_batch(names)
-        previous = set_numpy_enabled(False)
-        try:
-            vector_plain = kernel(batch)
-            set_numpy_enabled(True)
-            vector_numpy = kernel(batch)
-        finally:
-            set_numpy_enabled(previous)
-        for vectorized in (vector_plain, vector_numpy):
-            assert len(vectorized) == len(engine)
-            for scalar_value, batch_value in zip(engine, vectorized):
-                if scalar_value is None:
-                    assert batch_value is None, predicate_ir
-                else:
-                    assert batch_value is not None, predicate_ir
-                    assert batch_value == scalar_value, predicate_ir
+        # The vectorized kernel must agree with the scalar path exactly.
+        vectorized = expression.bind_batch(names)(batch)
+        assert len(vectorized) == len(engine)
+        for scalar_value, batch_value in zip(engine, vectorized):
+            if scalar_value is None:
+                assert batch_value is None, predicate_ir
+            else:
+                assert batch_value is not None, predicate_ir
+                assert batch_value == scalar_value, predicate_ir
         via_sqlite = _sqlite_eval(_expr_sql(predicate_ir), rows)
         for position, (ours, theirs) in enumerate(zip(engine, via_sqlite)):
             assert _same_verdict(ours, theirs), (
