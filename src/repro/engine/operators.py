@@ -55,7 +55,7 @@ from repro.engine.rows import (
     pad_take,
 )
 from repro.partitioning.scheme import KeyMemo, hash_router
-from repro.query.aggregates import make_accumulator
+from repro.query.aggregates import accumulator_factory
 from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import Method, RelProps
@@ -780,9 +780,9 @@ class PhysicalHashJoin(PhysicalOperator):
             if pad is not None:
                 right_idx = [-1 if m is None else m for m in raw]
                 return self._emit_aligned(left_out, right_batch, right_idx)
-            mask = [m is not None for m in raw]
-            if all(mask):
+            if None not in raw:  # every probe row matched (FK -> PK)
                 return self._emit_aligned(left_out, right_batch, raw)
+            mask = [m is not None for m in raw]
             return self._emit_aligned(
                 left_out.compress(mask),
                 right_batch,
@@ -1077,23 +1077,26 @@ class PhysicalAggregate(PhysicalOperator):
         else:
             output_count = 1 if self.scalar else cluster_count
         super().__init__(annotated, [child], output_count)
-        self.node = node
         self.count = cluster_count
         self.group_positions = child.props.positions(node.group_by)
         # Single-column groups key their partial-state dicts on the bare
         # value (no per-row 1-tuples): the output rows re-wrap it, and the
         # exchange hashes it bare, as a one-column shuffle key is.
         self.single_key = len(self.group_positions) == 1
+        #: Argument kernels; None marks COUNT(*) (no argument expression).
         self.agg_fns = [
-            (
-                spec,
-                spec.expr.bind_batch(child.props.columns)
-                if spec.expr
-                else None,
-            )
+            spec.expr.bind_batch(child.props.columns) if spec.expr else None
             for spec in node.aggregates
         ]
-        self.key_bytes = 8 * max(len(node.group_by), 1)
+        #: One accumulator class per aggregate, instantiated per group.
+        self.factories = [
+            accumulator_factory(spec.func) for spec in node.aggregates
+        ]
+        widths = [factory.fixed_state_bytes for factory in self.factories]
+        #: Wire bytes of a shipped state's key and fixed-width accumulators;
+        #: the data-sized slots (COUNT DISTINCT) are charged state by state.
+        self.state_bytes = 8 * max(len(node.group_by), 1) + sum(filter(None, widths))
+        self.data_sized = [i for i, width in enumerate(widths) if width is None]
         if self.strategy == "two_phase":
             # The partition tasks only hand out the merged groups.
             self.barrier = True
@@ -1104,10 +1107,11 @@ class PhysicalAggregate(PhysicalOperator):
     def label(self) -> str:
         return f"aggregate[{self.strategy}]"
 
-    def _aggregate_batch(self, batch: ColumnBatch) -> ColumnBatch:
-        groups = self._partial_states(batch)
-        if not groups and not self.node.group_by:
-            groups[()] = [make_accumulator(spec.func) for spec, _ in self.agg_fns]
+    def _result_batch(self, groups: dict[tuple, list]) -> ColumnBatch:
+        """The final rows of *groups*; a scalar aggregate over no input
+        still yields its one row."""
+        if self.scalar and not groups:
+            groups[()] = [factory() for factory in self.factories]
         if self.single_key:
             rows = [
                 (key,) + tuple(acc.result() for acc in accs)
@@ -1131,11 +1135,9 @@ class PhysicalAggregate(PhysicalOperator):
         row-engine golden traces) are bit-identical; only the per-row
         virtual dispatch across every aggregate disappears.
         """
-        agg_fns = self.agg_fns
-        # Kernels produce whole value columns; None marks the COUNT(*)
-        # sentinel (no argument expression).
+        # Kernels produce whole value columns; None stays None.
         value_columns = [
-            fn(batch) if fn is not None else None for _spec, fn in agg_fns
+            fn(batch) if fn is not None else None for fn in self.agg_fns
         ]
         length = batch.length
         if not self.group_positions:
@@ -1155,9 +1157,10 @@ class PhysicalAggregate(PhysicalOperator):
                     group_rows[key] = [index]
                 else:
                     rows.append(index)
+        factories = self.factories
         groups: dict[tuple, list] = {}
         for key, rows in group_rows.items():
-            accs = [make_accumulator(spec.func) for spec, _ in agg_fns]
+            accs = [factory() for factory in factories]
             groups[key] = accs
             for acc, column in zip(accs, value_columns):
                 if column is None:
@@ -1182,7 +1185,7 @@ class PhysicalAggregate(PhysicalOperator):
         merged: list[dict[tuple, list]] = [
             {} for _ in range(1 if scalar else self.count)
         ]
-        key_bytes = self.key_bytes
+        data_sized = self.data_sized
         shipped_bytes = 0
         shipped_count = 0
         for index in range(self.prepare_count):
@@ -1192,10 +1195,9 @@ class PhysicalAggregate(PhysicalOperator):
                 if target != index:
                     # Plain counters: per-state transfers sum into one
                     # accounting call without changing any total.
-                    shipped_bytes += key_bytes + sum(
-                        acc.state_bytes() for acc in accs
-                    )
                     shipped_count += 1
+                    for slot in data_sized:
+                        shipped_bytes += accs[slot].state_bytes()
                 bucket = merged[target]
                 existing = bucket.get(key)
                 if existing is None:
@@ -1204,24 +1206,9 @@ class PhysicalAggregate(PhysicalOperator):
                     for acc, other in zip(existing, accs):
                         acc.merge_state(other.state())
         if shipped_count:
+            shipped_bytes += shipped_count * self.state_bytes
             ctx.add_network(self, shipped_bytes, shipped_count)
-        staged = self.exchanged = []
-        for bucket in merged:
-            if scalar and not bucket:
-                bucket[()] = [
-                    make_accumulator(spec.func) for spec, _ in self.agg_fns
-                ]
-            if self.single_key:
-                rows = [
-                    (key,) + tuple(acc.result() for acc in accs)
-                    for key, accs in bucket.items()
-                ]
-            else:
-                rows = [
-                    key + tuple(acc.result() for acc in accs)
-                    for key, accs in bucket.items()
-                ]
-            staged.append(ColumnBatch.from_rows(rows, self.width))
+        self.exchanged = [self._result_batch(bucket) for bucket in merged]
 
     # -- execution ---------------------------------------------------------
 
@@ -1230,13 +1217,13 @@ class PhysicalAggregate(PhysicalOperator):
         if self.strategy == "single":
             batch = child.partition_batch(0)
             ctx.add_work(self, 0, batch.length)
-            out = self._aggregate_batch(batch)
+            out = self._result_batch(self._partial_states(batch))
             ctx.add_output(self, out.length, 0)
             self.store_batch(0, out)
             return
         if self.strategy == "local":
             batch = child.partition_batch(p)
-            out = self._aggregate_batch(batch)
+            out = self._result_batch(self._partial_states(batch))
             ctx.add_work(self, p, batch.length + out.length)
             ctx.add_output(self, out.length, p)
             self.store_batch(p, out)

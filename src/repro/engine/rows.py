@@ -203,6 +203,12 @@ class ColumnBatch:
 
     def compress(self, mask: Sequence[object]) -> "ColumnBatch":
         """Rows whose *mask* entry is truthy (None counts as false)."""
+        if len(mask) != self.length:
+            # itertools.compress would stop at the shorter input.
+            raise ExecutionError(
+                f"a mask of {len(mask)} entries cannot filter "
+                f"{self.length} rows"
+            )
         columns = [
             None if column is None else list(compress(column, mask))
             for column in self.columns

@@ -16,7 +16,7 @@ row order, so float accumulation stays bit-identical to the per-row
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ExecutionError
 
@@ -55,9 +55,13 @@ class Accumulator:
         """The final aggregate value."""
         raise NotImplementedError
 
+    #: Nominal wire size of the partial state (network cost model); None
+    #: when it depends on the data, which ``state_bytes`` then answers.
+    fixed_state_bytes: int | None = 8
+
     def state_bytes(self) -> int:
-        """Nominal wire size of the partial state (network cost model)."""
-        return 8
+        """Nominal wire size of this partial state."""
+        return self.fixed_state_bytes
 
 
 class SumAccumulator(Accumulator):
@@ -121,6 +125,8 @@ class CountAccumulator(Accumulator):
 class AvgAccumulator(Accumulator):
     """AVG as (sum, count) so partials merge exactly."""
 
+    fixed_state_bytes = 16
+
     def __init__(self) -> None:
         self._total: float = 0.0
         self._count = 0
@@ -155,9 +161,6 @@ class AvgAccumulator(Accumulator):
         if self._count == 0:
             return None
         return self._total / self._count
-
-    def state_bytes(self) -> int:
-        return 16
 
 
 class MinAccumulator(Accumulator):
@@ -227,6 +230,8 @@ class MaxAccumulator(Accumulator):
 class CountDistinctAccumulator(Accumulator):
     """COUNT(DISTINCT expr) — partials ship the distinct-value sets."""
 
+    fixed_state_bytes = None
+
     def __init__(self) -> None:
         self._values: set = set()
 
@@ -254,7 +259,7 @@ class CountDistinctAccumulator(Accumulator):
         return 8 * max(1, len(self._values))
 
 
-_FACTORIES: dict[str, Callable[[], Accumulator]] = {
+_FACTORIES: dict[str, type[Accumulator]] = {
     "sum": SumAccumulator,
     "count": CountAccumulator,
     "avg": AvgAccumulator,
@@ -264,9 +269,14 @@ _FACTORIES: dict[str, Callable[[], Accumulator]] = {
 }
 
 
-def make_accumulator(func: str) -> Accumulator:
-    """Instantiate the accumulator for aggregate function *func*."""
+def accumulator_factory(func: str) -> type[Accumulator]:
+    """The accumulator class for aggregate function *func*."""
     try:
-        return _FACTORIES[func]()
+        return _FACTORIES[func]
     except KeyError:
         raise ExecutionError(f"unknown aggregate function {func!r}") from None
+
+
+def make_accumulator(func: str) -> Accumulator:
+    """Instantiate the accumulator for aggregate function *func*."""
+    return accumulator_factory(func)()

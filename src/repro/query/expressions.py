@@ -1,9 +1,10 @@
 """A small expression language for filters, projections and aggregates.
 
 Expressions are bound against a relation's column list once, yielding a
-plain ``row -> value`` callable, so per-row evaluation involves no name
-lookups.  Column references may be fully qualified (``orders.custkey``) or
-abbreviated (``custkey``); abbreviations must resolve uniquely.
+plain ``row -> value`` callable (``bind``) or a ``ColumnBatch -> list``
+kernel (``bind_batch``), so evaluation involves no name lookups.  Column
+references may be fully qualified (``orders.custkey``) or abbreviated
+(``custkey``); abbreviations must resolve uniquely.
 
 NULL semantics (the contract the differential fuzzer enforces):
 
@@ -24,12 +25,16 @@ NULL semantics (the contract the differential fuzzer enforces):
 Filters and join residuals accept a row only when the predicate is *truly*
 true; ``None`` is falsy in Python, so call sites that test truthiness
 reject unknown rows for free.
+
+The row closures are this contract's one implementation: the batch kernel
+generated from ``source`` is two-valued and runs only where that is exact.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import PlanningError
@@ -58,6 +63,13 @@ _ARITHMETIC: dict[str, Callable[[object, object], object]] = {
     "/": operator.truediv,
 }
 
+#: Operator -> the Python token generated source holds for it (``/`` has
+#: none: division by zero is NULL, which no two-valued token says).
+_TOKENS = {
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "+": "+", "-": "-", "*": "*",
+}
+
 
 class Expression:
     """Base class for all expressions."""
@@ -67,18 +79,38 @@ class Expression:
         raise NotImplementedError
 
     def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        """Compile a vectorized kernel: ColumnBatch -> list of values.
+        """Compile a batch kernel: ColumnBatch -> list of values, equal
+        element for element to mapping :meth:`bind` over the rows.
 
-        Semantically equivalent to mapping the scalar :meth:`bind`
-        callable over the batch's rows (that is also the default
-        implementation); subclasses override with columnar kernels.
+        It reads only the referenced columns.  When none of them holds a
+        NULL in the batch in hand and :meth:`source` could state the tree
+        in two-valued Python, it is one generated comprehension
+        (:func:`kernel_source`); otherwise the row closure zipped over them.
         """
-        scalar = self.bind(columns)
+        positions = sorted(referenced_positions([self], columns))
+        narrow = [columns[p] for p in positions]
+        scalar = self.bind(narrow)
+        generated = kernel_source(self, narrow)
+        fused = generated and _compile_factory(generated[0])(*generated[1])
 
         def evaluate(batch: "ColumnBatch") -> list:
-            return [scalar(row) for row in batch.iter_rows()]
+            cols = [batch.column(p) for p in positions]
+            if fused and not any(None in c for c in cols):
+                return fused(*cols)
+            rows = zip(*cols) if cols else [()] * batch.length
+            return list(map(scalar, rows))
 
         return evaluate
+
+    #: True when the row closure yields only ``True``/``False``/``None``,
+    #: so Python's ``and``/``or`` over this node's source return a bool.
+    boolean = False
+
+    def source(self, names: "_Names") -> str:
+        """This node as a parenthesised, two-valued Python expression
+        over *names*, equal to the row closure wherever no operand is
+        NULL; raises :class:`_ThreeValued` when no such source exists."""
+        raise _ThreeValued
 
     def referenced_columns(self) -> tuple[str, ...]:
         """Column names referenced by this expression (possibly abbreviated)."""
@@ -148,6 +180,9 @@ class ColumnRef(Expression):
         position = resolve_column(self.name, columns)
         return lambda batch: batch.column(position)
 
+    def source(self, names: "_Names") -> str:
+        return names.column(self.name)
+
     def referenced_columns(self) -> tuple[str, ...]:
         return (self.name,)
 
@@ -169,17 +204,41 @@ class Literal(Expression):
         value = self.value
         return lambda batch: [value] * batch.length
 
+    def source(self, names: "_Names") -> str:
+        if self.value is None:
+            raise _ThreeValued
+        return names.constant(self.value)
+
     def __repr__(self) -> str:
         return f"lit({self.value!r})"
 
 
-@dataclass(eq=False)
-class Comparison(Expression):
-    """Binary comparison producing a boolean."""
+@dataclass(eq=False, repr=False)
+class _Infix(Expression):
+    """``left op right``: what comparison and arithmetic share."""
 
     op: str
     left: Expression
     right: Expression
+
+    def source(self, names: "_Names") -> str:
+        if self.op not in _TOKENS:
+            raise _ThreeValued
+        left, right = self.left.source(names), self.right.source(names)
+        return f"({left} {_TOKENS[self.op]} {right})"
+
+    def referenced_columns(self) -> tuple[str, ...]:
+        return self.left.referenced_columns() + self.right.referenced_columns()
+
+    def __repr__(self) -> str:
+        return f"({self.left!r} {self.op} {self.right!r})"
+
+
+@dataclass(eq=False, repr=False)
+class Comparison(_Infix):
+    """Binary comparison producing a boolean."""
+
+    boolean = True
 
     def __post_init__(self) -> None:
         if self.op not in _COMPARATORS:
@@ -201,37 +260,10 @@ class Comparison(Expression):
 
         return evaluate
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        compare = _COMPARATORS[self.op]
-        left = self.left.bind_batch(columns)
-        right = self.right.bind_batch(columns)
 
-        def evaluate(batch: "ColumnBatch") -> list:
-            lhs = left(batch)
-            rhs = right(batch)
-            if None in lhs or None in rhs:
-                return [
-                    None if (a is None or b is None) else compare(a, b)
-                    for a, b in zip(lhs, rhs)
-                ]
-            return list(map(compare, lhs, rhs))
-
-        return evaluate
-
-    def referenced_columns(self) -> tuple[str, ...]:
-        return self.left.referenced_columns() + self.right.referenced_columns()
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-@dataclass(eq=False)
-class Arithmetic(Expression):
+@dataclass(eq=False, repr=False)
+class Arithmetic(_Infix):
     """Binary arithmetic over numeric values."""
-
-    op: str
-    left: Expression
-    right: Expression
 
     def __post_init__(self) -> None:
         if self.op not in _ARITHMETIC:
@@ -256,37 +288,6 @@ class Arithmetic(Expression):
 
         return evaluate
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        apply = _ARITHMETIC[self.op]
-        left = self.left.bind_batch(columns)
-        right = self.right.bind_batch(columns)
-        # Only division can raise (ZeroDivisionError -> NULL).
-        division = self.op == "/"
-
-        def evaluate(batch: "ColumnBatch") -> list:
-            lhs = left(batch)
-            rhs = right(batch)
-            if division or None in lhs or None in rhs:
-                out = []
-                for a, b in zip(lhs, rhs):
-                    if a is None or b is None:
-                        out.append(None)
-                    else:
-                        try:
-                            out.append(apply(a, b))
-                        except ZeroDivisionError:
-                            out.append(None)
-                return out
-            return list(map(apply, lhs, rhs))
-
-        return evaluate
-
-    def referenced_columns(self) -> tuple[str, ...]:
-        return self.left.referenced_columns() + self.right.referenced_columns()
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
-
 
 @dataclass(eq=False)
 class BooleanOp(Expression):
@@ -294,6 +295,7 @@ class BooleanOp(Expression):
 
     op: str  # "and" | "or"
     operands: tuple[Expression, ...]
+    boolean = True
 
     def bind(self, columns: Sequence[str]) -> RowFn:
         bound = [operand.bind(columns) for operand in self.operands]
@@ -325,55 +327,13 @@ class BooleanOp(Expression):
             return disjunction
         raise PlanningError(f"unknown boolean operator {self.op!r}")
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        bound = [operand.bind_batch(columns) for operand in self.operands]
-        if self.op == "and":
-
-            def conjunction(batch: "ColumnBatch") -> list:
-                operand_values = [fn(batch) for fn in bound]
-                if not any(None in values for values in operand_values):
-                    # Two-valued fast path: plain all() per row.
-                    return [all(values) for values in zip(*operand_values)]
-                out = []
-                for values in zip(*operand_values):
-                    unknown = False
-                    result: object = True
-                    for value in values:
-                        if value is None:
-                            unknown = True
-                        elif not value:
-                            result = False
-                            break
-                    if result:
-                        result = None if unknown else True
-                    out.append(result)
-                return out
-
-            return conjunction
-        if self.op == "or":
-
-            def disjunction(batch: "ColumnBatch") -> list:
-                operand_values = [fn(batch) for fn in bound]
-                if not any(None in values for values in operand_values):
-                    # Two-valued fast path: plain any() per row.
-                    return [any(values) for values in zip(*operand_values)]
-                out = []
-                for values in zip(*operand_values):
-                    unknown = False
-                    result: object = False
-                    for value in values:
-                        if value is None:
-                            unknown = True
-                        elif value:
-                            result = True
-                            break
-                    if not result:
-                        result = None if unknown else False
-                    out.append(result)
-                return out
-
-            return disjunction
-        raise PlanningError(f"unknown boolean operator {self.op!r}")
+    def source(self, names: "_Names") -> str:
+        # and/or return one of their operands, so each must yield a bool.
+        booleans = self.operands and all(o.boolean for o in self.operands)
+        if self.op not in ("and", "or") or not booleans:
+            raise _ThreeValued
+        joiner = f" {self.op} "
+        return "(" + joiner.join(o.source(names) for o in self.operands) + ")"
 
     def referenced_columns(self) -> tuple[str, ...]:
         names: tuple[str, ...] = ()
@@ -386,11 +346,20 @@ class BooleanOp(Expression):
         return "(" + joiner.join(repr(op) for op in self.operands) + ")"
 
 
-@dataclass(eq=False)
-class Negation(Expression):
-    """Logical NOT."""
+@dataclass(eq=False, repr=False)
+class _Unary(Expression):
+    """A boolean-valued node over one operand."""
 
     operand: Expression
+    boolean = True
+
+    def referenced_columns(self) -> tuple[str, ...]:
+        return self.operand.referenced_columns()
+
+
+@dataclass(eq=False, repr=False)
+class Negation(_Unary):
+    """Logical NOT."""
 
     def bind(self, columns: Sequence[str]) -> RowFn:
         bound = self.operand.bind(columns)
@@ -403,28 +372,17 @@ class Negation(Expression):
 
         return evaluate
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        bound = self.operand.bind_batch(columns)
-
-        def evaluate(batch: "ColumnBatch") -> list:
-            return [
-                None if value is None else not value for value in bound(batch)
-            ]
-
-        return evaluate
-
-    def referenced_columns(self) -> tuple[str, ...]:
-        return self.operand.referenced_columns()
+    def source(self, names: "_Names") -> str:
+        return f"(not {self.operand.source(names)})"
 
     def __repr__(self) -> str:
         return f"NOT {self.operand!r}"
 
 
 @dataclass(eq=False)
-class IsNull(Expression):
+class IsNull(_Unary):
     """NULL test (``IS NULL`` / ``IS NOT NULL``)."""
 
-    operand: Expression
     negated: bool = False
 
     def bind(self, columns: Sequence[str]) -> RowFn:
@@ -433,21 +391,15 @@ class IsNull(Expression):
             return lambda row: bound(row) is not None
         return lambda row: bound(row) is None
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        bound = self.operand.bind_batch(columns)
-        if self.negated:
-            return lambda batch: [v is not None for v in bound(batch)]
-        return lambda batch: [v is None for v in bound(batch)]
-
-    def referenced_columns(self) -> tuple[str, ...]:
-        return self.operand.referenced_columns()
+    def source(self, names: "_Names") -> str:
+        token = "is not" if self.negated else "is"
+        return f"({self.operand.source(names)} {token} None)"
 
 
 @dataclass(eq=False)
-class InList(Expression):
+class InList(_Unary):
     """Membership test against a literal list."""
 
-    operand: Expression
     values: tuple
     negated: bool = False
 
@@ -477,31 +429,12 @@ class InList(Expression):
             return negated_membership
         return membership
 
-    def bind_batch(self, columns: Sequence[str]) -> BatchFn:
-        bound = self.operand.bind_batch(columns)
-        values = frozenset(v for v in self.values if v is not None)
-        null_result = None if (values or any(v is None for v in self.values)) else False
-        miss_result = None if any(v is None for v in self.values) else False
-        negated = self.negated
-
-        def membership(batch: "ColumnBatch") -> list:
-            out = []
-            for value in bound(batch):
-                if value is None:
-                    result = null_result
-                elif value in values:
-                    result = True
-                else:
-                    result = miss_result
-                if negated and result is not None:
-                    result = not result
-                out.append(result)
-            return out
-
-        return membership
-
-    def referenced_columns(self) -> tuple[str, ...]:
-        return self.operand.referenced_columns()
+    def source(self, names: "_Names") -> str:
+        if None in self.values:  # a miss is unknown, not false
+            raise _ThreeValued
+        token = "not in" if self.negated else "in"
+        values = names.constant(frozenset(self.values))
+        return f"({self.operand.source(names)} {token} {values})"
 
 
 def col(name: str) -> ColumnRef:
@@ -543,6 +476,69 @@ def referenced_positions(
         if expression is not None
         for name in expression.referenced_columns()
     )
+
+
+class _ThreeValued(Exception):
+    """Raised by ``source``: two-valued code would not equal the row
+    closure (a NULL literal, a NULL in an IN-list, a division, a
+    boolean operator over a non-boolean operand, an unknown node)."""
+
+
+class _Names:
+    """The only identifiers generated source may contain: ``v<i>`` for a
+    value of the i-th column, ``k<i>`` for a bound constant.  Column
+    names and literal values never reach the source text."""
+
+    def __init__(self, columns: Sequence[str]) -> None:
+        self.columns = columns
+        self.constants: list[object] = []
+
+    def column(self, name: str) -> str:
+        return f"v{resolve_column(name, self.columns)}"
+
+    def constant(self, value: object) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+
+def kernel_source(
+    expression: Expression, columns: Sequence[str]
+) -> tuple[str, list[object]] | None:
+    """``(source, constants)`` of *expression*'s fused kernel, or None.
+
+    The source defines ``factory(k0, ...)`` returning ``kernel(c0, ...)``
+    over *columns* (exactly the referenced ones): one comprehension that
+    evaluates the whole tree per row, ``and``/``or`` short-circuiting as
+    the row closure does.  Trees differing only in constants yield the
+    same text, so :func:`_compile_factory` compiles it once.
+    """
+    if not columns:  # nothing to iterate: a constant has no batch length
+        return None
+    names = _Names(columns)
+    try:
+        body = expression.source(names)
+    except _ThreeValued:
+        return None
+    cols = ", ".join(f"c{i}" for i in range(len(columns)))
+    values = ", ".join(f"v{i}" for i in range(len(columns)))
+    feed = cols if len(columns) == 1 else f"zip({cols})"
+    constants = ", ".join(f"k{i}" for i in range(len(names.constants)))
+    source = (
+        f"def factory({constants}):\n"
+        f"    def kernel({cols}):\n"
+        f"        return [{body} for {values} in {feed}]\n"
+        f"    return kernel\n"
+    )
+    return source, names.constants
+
+
+@lru_cache(maxsize=512)
+def _compile_factory(source: str) -> Callable[..., Callable[..., list]]:
+    """The one place source text becomes code (a test counts the sites);
+    that code sees ``zip`` and no other builtin."""
+    namespace: dict[str, object] = {"__builtins__": {}, "zip": zip}
+    exec(source, namespace)
+    return namespace["factory"]  # type: ignore[return-value]
 
 
 def resolve_column(name: str, columns: Sequence[str]) -> int:

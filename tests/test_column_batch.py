@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import all_hashed_config, shop_schema
 from repro.engine.rows import ColumnBatch, _sort_key
+from repro.errors import ExecutionError
 from repro.partitioning import partition_database
 from repro.query import Executor, LocalExecutor, Query
 from repro.storage import Database
@@ -121,6 +122,18 @@ def test_transforms_carry_pruned_columns_through(transform):
     hollow = transform(complete.prune(()))
     assert hollow.present() == frozenset()
     assert hollow.length == expected.length
+
+
+@pytest.mark.parametrize("mask", [[True, True], [True] * 5, []])
+def test_compress_refuses_a_mask_of_the_wrong_length(mask):
+    """``itertools.compress`` stops at the shorter input, and a fully
+    pruned batch takes its length from the mask alone: a kernel that
+    returned a short mask used to lose rows without a word."""
+    batch = ColumnBatch([[1, 2, 3, 4], [5, 6, 7, 8]], 4)
+    for view in (batch, batch.prune({1}), batch.prune(())):
+        with pytest.raises(ExecutionError, match=f"mask of {len(mask)} entries"):
+            view.compress(mask)
+    assert batch.compress([1, None, 0, True]).to_rows() == [(1, 5), (4, 8)]
 
 
 # -- _sort_key: total order over mixed-type columns --------------------------

@@ -31,7 +31,7 @@ from helpers import (
 )
 from repro.engine.operators import PhysicalHashJoin, PhysicalRepartition
 from repro.engine.rows import ColumnBatch
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanningError
 from repro.fuzz import ir
 from repro.fuzz.generator import generate_case
 from repro.partitioning import partition_database
@@ -426,15 +426,37 @@ def test_row_views_of_a_pruned_batch_raise():
         with pytest.raises(ExecutionError, match="column 1 was pruned"):
             view()
     assert batch.select([2, 0]).to_rows() == [("a", 1), ("b", 2)]
-    # A kernel without its own batch form falls back to row views.
+    # Both batch evaluators see the referenced columns and nothing else:
+    # a pruned column the expression never names is not touched, one it
+    # does name raises, and an expression reading a column it did not
+    # declare fails loudly instead of reading NULL.
     from repro.query.expressions import Expression
+
+    batch = ColumnBatch([[1, 2], None, ["a", None]], 2)
+    names = ["a", "b", "c"]
+    assert (col("a") < lit(2)).bind_batch(names)(batch) == [True, False]
+    # NULL-bearing column: the row closure, over columns a and c only.
+    assert (col("c") == lit("a")).bind_batch(names)(batch) == [True, None]
+    with pytest.raises(ExecutionError, match="column 1 was pruned"):
+        (col("a") < col("b")).bind_batch(names)(batch)
 
     class Opaque(Expression):
         def bind(self, columns):
             return lambda row: row[0]
 
-    with pytest.raises(ExecutionError, match="pruned"):
-        Opaque().bind_batch(["a", "b", "c"])(batch)
+    with pytest.raises(IndexError):
+        Opaque().bind_batch(names)(batch)
+
+    class Sneaky(Expression):
+        def referenced_columns(self):
+            return ("c",)
+
+        def bind(self, columns):
+            position = resolve_column("b", columns)
+            return lambda row: row[position]
+
+    with pytest.raises(PlanningError, match="unknown column 'b'"):
+        Sneaky().bind_batch(names)
 
 
 def test_pruned_batch_pickles_as_it_is():

@@ -34,6 +34,7 @@ from repro.catalog.column import Column, DataType
 from repro.catalog.schema import DatabaseSchema
 from repro.engine.bloom import BloomFilter
 from repro.engine.compile import compile_plan
+from repro.engine.context import ExecutionContext
 from repro.engine.operators import (
     PhysicalAggregate,
     PhysicalBloomProbe,
@@ -282,6 +283,46 @@ def test_every_tpch_bucket_equals_per_row_routing(tpch_stores, config):
         for backend in backends.values():
             backend.close()
     assert shuffles and exchanges
+
+
+def test_aggregate_exchange_charges_the_per_state_sum(tpch_stores):
+    """The exchange charges the fixed-width part of every shipped state
+    with one multiplication; the reference is the per-state sum it
+    replaced, COUNT(DISTINCT)'s data-sized sets included."""
+    partitioned = tpch_stores["all_hashed"]
+    plan = (
+        Query.scan("lineitem", alias="l")
+        .aggregate(
+            group_by=["l.l_suppkey", "l.l_returnflag"],
+            aggregates=[
+                ("sum", col("l.l_quantity"), "s"),
+                ("avg", col("l.l_discount"), "a"),
+                ("count_distinct", col("l.l_partkey"), "d"),
+                ("count", None, "n"),
+                ("min", col("l.l_shipdate"), "lo"),
+            ],
+        )
+        .plan()
+    )
+    root = compile_plan(Executor(partitioned).annotate(plan), partitioned)
+    ctx = ExecutionContext(partitioned.partition_count)
+    for op in root.walk():
+        ctx.register(op)
+    BACKENDS["serial"]().run(root, ctx)
+    (op,) = [o for o in root.walk() if isinstance(o, PhysicalAggregate)]
+    assert op.strategy == "two_phase" and op.data_sized
+    shipped_bytes = shipped_states = 0
+    for source in range(op.prepare_count):
+        partials = op._partial_states(op.inputs[0].partition_batch(source))
+        for key, accs in partials.items():
+            if stable_hash(key) % op.count != source:
+                shipped_bytes += 8 * 2 + sum(acc.state_bytes() for acc in accs)
+                shipped_states += 1
+    record = ctx.record(op)
+    assert shipped_states
+    assert (record.network_bytes, record.rows_shipped) == (
+        shipped_bytes, shipped_states,
+    )
 
 
 def reference_survivors(op: PhysicalBloomProbe) -> list[list[tuple]]:
