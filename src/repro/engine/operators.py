@@ -40,8 +40,8 @@ keeps charging the rewriter's logical row widths.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import compress
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, compress, count
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import (
@@ -55,7 +55,7 @@ from repro.engine.rows import (
     pad_take,
 )
 from repro.partitioning.scheme import KeyMemo, hash_router
-from repro.query.aggregates import accumulator_factory
+from repro.query.aggregates import aggregate_function, state_bytes
 from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import Method, RelProps
@@ -64,6 +64,28 @@ from repro.storage.partitioned import PartitionedTable
 
 #: A compiled batch kernel (see ``Expression.bind_batch``).
 BatchFn = Callable[[ColumnBatch], list]
+
+#: Rows per group from which an aggregate folds group by group (index
+#: lists, then a loop with the state in a local: less per row, a fixed
+#: cost per group) instead of row by row (no per-group cost).  Measured,
+#: not configured: EXPERIMENTS.md, "Columnar aggregation state".
+GROUP_FOLD_ROWS = 64
+
+
+def _group_ids(keys: Iterable) -> tuple[list[int], list]:
+    """Dense group ids of *keys* in one C-level pass, and the distinct
+    keys in first-occurrence order (group ``g`` has key ``distinct[g]``)."""
+    ids: dict = defaultdict(count().__next__)
+    gids = list(map(ids.__getitem__, keys))
+    return gids, list(ids)
+
+
+def _index_lists(slots: Iterable[int], slot_count: int) -> list[list[int]]:
+    """``lists[s]`` = the ascending indices ``i`` with ``slots[i] == s``."""
+    lists: list[list[int]] = [[] for _ in range(slot_count)]
+    for index, slot in enumerate(slots):
+        lists[slot].append(index)
+    return lists
 
 
 class PhysicalOperator:
@@ -498,10 +520,7 @@ class PhysicalRepartition(PhysicalOperator):
             keys = list(compress(keys, keep))
             routed = routed.compress(keep)
         skipped = batch.length - routed.length
-        targets = self._route.map(keys)
-        bucket_indices: list[list[int]] = [[] for _ in range(count)]
-        for index, target in enumerate(targets):
-            bucket_indices[target].append(index)
+        bucket_indices = _index_lists(self._route.map(keys), count)
         if self.child_method is Method.REPLICATED:
             # Every node already holds the full content; each just keeps
             # its own hash range — no network traffic.
@@ -1052,11 +1071,15 @@ class PhysicalAggregate(PhysicalOperator):
     * ``single`` — the input is one copy (gathered/replicated); one task;
     * ``local`` — groups are partition-local; one task per partition;
     * ``two_phase`` — per-partition partials (``prepare_partition``, run
-      concurrently), then compact accumulator states ship to their hash
-      targets and merge in the exchange.  Aggregate argument expressions
-      evaluate as batch kernels, but partials accumulate in source row
-      order (and merge in source order), so float accumulation matches
-      the serial row engine bit for bit.
+      concurrently), then the compact states ship to their hash targets
+      and merge in the exchange.
+
+    A group's state is a slot in one state column per aggregate (see
+    :class:`~repro.query.aggregates.AggregateFunction`); a partial is
+    ``(keys, state columns)``, which is also what a prepare task pickles.
+    Groups are numbered in first-occurrence order and every fold runs in
+    ascending row order (merges in source order), so output row order and
+    float accumulation match the serial row engine bit for bit.
     """
 
     name = "aggregate"
@@ -1078,25 +1101,23 @@ class PhysicalAggregate(PhysicalOperator):
             output_count = 1 if self.scalar else cluster_count
         super().__init__(annotated, [child], output_count)
         self.count = cluster_count
+        #: A single position groups, and routes, on the bare value (as a
+        #: one-column shuffle key does), several on tuples.
         self.group_positions = child.props.positions(node.group_by)
-        # Single-column groups key their partial-state dicts on the bare
-        # value (no per-row 1-tuples): the output rows re-wrap it, and the
-        # exchange hashes it bare, as a one-column shuffle key is.
-        self.single_key = len(self.group_positions) == 1
         #: Argument kernels; None marks COUNT(*) (no argument expression).
         self.agg_fns = [
             spec.expr.bind_batch(child.props.columns) if spec.expr else None
             for spec in node.aggregates
         ]
-        #: One accumulator class per aggregate, instantiated per group.
-        self.factories = [
-            accumulator_factory(spec.func) for spec in node.aggregates
-        ]
-        widths = [factory.fixed_state_bytes for factory in self.factories]
-        #: Wire bytes of a shipped state's key and fixed-width accumulators;
-        #: the data-sized slots (COUNT DISTINCT) are charged state by state.
-        self.state_bytes = 8 * max(len(node.group_by), 1) + sum(filter(None, widths))
-        self.data_sized = [i for i, width in enumerate(widths) if width is None]
+        #: One declaration per aggregate; its state is one state column.
+        self.functions = [aggregate_function(spec.func) for spec in node.aggregates]
+        widths = [function.width for function in self.functions]
+        #: Wire bytes of a shipped state's key and fixed-width columns; the
+        #: data-sized ones (COUNT DISTINCT) are charged state by state.
+        self.fixed_state_bytes = 8 * max(len(node.group_by), 1) + sum(
+            filter(None, widths)
+        )
+        self.data_sized = [slot for slot, width in enumerate(widths) if width is None]
         if self.strategy == "two_phase":
             # The partition tasks only hand out the merged groups.
             self.barrier = True
@@ -1107,67 +1128,52 @@ class PhysicalAggregate(PhysicalOperator):
     def label(self) -> str:
         return f"aggregate[{self.strategy}]"
 
-    def _result_batch(self, groups: dict[tuple, list]) -> ColumnBatch:
-        """The final rows of *groups*; a scalar aggregate over no input
-        still yields its one row."""
-        if self.scalar and not groups:
-            groups[()] = [factory() for factory in self.factories]
-        if self.single_key:
-            rows = [
-                (key,) + tuple(acc.result() for acc in accs)
-                for key, accs in groups.items()
-            ]
+    def _result_batch(self, keys: list, columns: list[list]) -> ColumnBatch:
+        """The final rows of the groups *keys* with state *columns*; a
+        scalar aggregate over no input still yields its one row."""
+        if self.scalar and not keys:
+            keys = [()]
+            columns = [[function.fold((), ())] for function in self.functions]
+        if len(self.group_positions) == 1:
+            out = [keys]
         else:
-            rows = [
-                key + tuple(acc.result() for acc in accs)
-                for key, accs in groups.items()
-            ]
-        return ColumnBatch.from_rows(rows, self.width)
+            out = [list(column) for column in zip(*keys)]
+            out = out or [[] for _ in self.group_positions]
+        for function, states in zip(self.functions, columns):
+            out.append(function.result(states))
+        return ColumnBatch(out, len(keys))
 
-    def _partial_states(self, batch: ColumnBatch) -> dict[tuple, list]:
-        """Columnar partial aggregation: group, then accumulate per column.
+    def _partial_states(self, batch: ColumnBatch) -> tuple[list, list[list]]:
+        """Columnar partial aggregation: ``(group keys, state columns)``.
 
-        One pass collects each group's row indices in ascending order;
-        each (group, aggregate) pair then folds its whole value column
-        through one ``add_many`` call.  The per-accumulator fold order is
-        identical to the historical per-row loop — ascending row index
-        within each group — so float partials (and therefore the
-        row-engine golden traces) are bit-identical; only the per-row
-        virtual dispatch across every aggregate disappears.
+        Either shape folds a group's values in ascending row order, so
+        the state columns are identical; which runs is decided by the
+        batch alone (see :data:`GROUP_FOLD_ROWS`).
         """
-        # Kernels produce whole value columns; None stays None.
-        value_columns = [
-            fn(batch) if fn is not None else None for fn in self.agg_fns
+        # Argument kernels produce whole value columns (NULL stays None);
+        # COUNT(*) has no argument and no column.
+        folds = [
+            (function, fn(batch) if fn is not None else None)
+            for function, fn in zip(self.functions, self.agg_fns)
         ]
-        length = batch.length
-        if not self.group_positions:
-            # Scalar aggregate: one group over every row, no key pass.
-            group_rows: dict[tuple, object] = (
-                {(): range(length)} if length else {}
-            )
+        if self.scalar:
+            # One group over every row: no key pass.
+            group_rows = [range(batch.length)] if batch.length else []
+            keys = [()] * len(group_rows)
         else:
-            if self.single_key:
-                keys = batch.column(self.group_positions[0])
-            else:
-                keys = batch.key_tuples(self.group_positions)
-            group_rows = {}
-            for index, key in enumerate(keys):
-                rows = group_rows.get(key)
-                if rows is None:
-                    group_rows[key] = [index]
-                else:
-                    rows.append(index)
-        factories = self.factories
-        groups: dict[tuple, list] = {}
-        for key, rows in group_rows.items():
-            accs = [factory() for factory in factories]
-            groups[key] = accs
-            for acc, column in zip(accs, value_columns):
-                if column is None:
-                    acc.add_count(len(rows))
-                else:
-                    acc.add_many(column, rows)
-        return groups
+            by = [batch.column(position) for position in self.group_positions]
+            # Key tuples stream into the pass; only the distinct ones stay.
+            gids, keys = _group_ids(by[0] if len(by) == 1 else zip(*by))
+            if batch.length < GROUP_FOLD_ROWS * len(keys):
+                return keys, [
+                    function.fold_rows(gids, values, len(keys))
+                    for function, values in folds
+                ]
+            group_rows = _index_lists(gids, len(keys))
+        return keys, [
+            [function.fold(values, rows) for rows in group_rows]
+            for function, values in folds
+        ]
 
     # -- two-phase ---------------------------------------------------------
 
@@ -1178,37 +1184,45 @@ class PhysicalAggregate(PhysicalOperator):
         self.prepared[p] = self._partial_states(batch)
 
     def exchange(self, ctx: ExecutionContext) -> None:
-        """Ship compact states to their hash targets and merge."""
+        """Ship compact states to their hash targets and merge: the
+        sources' partials concatenate in source order and each state
+        column merges with one by-row fold."""
         ctx.add_shuffle(self)
-        scalar = self.scalar
+        partials = [self.prepared[index] for index in range(self.prepare_count)]
         route = hash_router(self.count)
-        merged: list[dict[tuple, list]] = [
-            {} for _ in range(1 if scalar else self.count)
-        ]
-        data_sized = self.data_sized
         shipped_bytes = 0
         shipped_count = 0
-        for index in range(self.prepare_count):
-            partials = self.prepared[index]
-            targets = [0] * len(partials) if scalar else route.map(partials)
-            for (key, accs), target in zip(partials.items(), targets):
-                if target != index:
-                    # Plain counters: per-state transfers sum into one
-                    # accounting call without changing any total.
-                    shipped_count += 1
-                    for slot in data_sized:
-                        shipped_bytes += accs[slot].state_bytes()
-                bucket = merged[target]
-                existing = bucket.get(key)
-                if existing is None:
-                    bucket[key] = accs
-                else:
-                    for acc, other in zip(existing, accs):
-                        acc.merge_state(other.state())
+        for source, (keys, columns) in enumerate(partials):
+            targets = [0] * len(keys) if self.scalar else route.map(keys)
+            shipped_count += len(keys) - targets.count(source)
+            for slot in self.data_sized:
+                shipped_bytes += sum(
+                    state_bytes(state)
+                    for state, target in zip(columns[slot], targets)
+                    if target != source
+                )
         if shipped_count:
-            shipped_bytes += shipped_count * self.state_bytes
+            shipped_bytes += shipped_count * self.fixed_state_bytes
             ctx.add_network(self, shipped_bytes, shipped_count)
-        self.exchanged = [self._result_batch(bucket) for bucket in merged]
+        gids, keys = _group_ids(chain.from_iterable(keys for keys, _ in partials))
+        merged = self._result_batch(
+            keys,
+            [
+                function.merge_rows(
+                    gids,
+                    chain.from_iterable(columns[slot] for _, columns in partials),
+                    len(keys),
+                )
+                for slot, function in enumerate(self.functions)
+            ],
+        )
+        if self.scalar:
+            self.exchanged = [merged]
+        else:
+            self.exchanged = [
+                merged.take(groups)
+                for groups in _index_lists(route.map(keys), self.count)
+            ]
 
     # -- execution ---------------------------------------------------------
 
@@ -1217,13 +1231,13 @@ class PhysicalAggregate(PhysicalOperator):
         if self.strategy == "single":
             batch = child.partition_batch(0)
             ctx.add_work(self, 0, batch.length)
-            out = self._result_batch(self._partial_states(batch))
+            out = self._result_batch(*self._partial_states(batch))
             ctx.add_output(self, out.length, 0)
             self.store_batch(0, out)
             return
         if self.strategy == "local":
             batch = child.partition_batch(p)
-            out = self._result_batch(self._partial_states(batch))
+            out = self._result_batch(*self._partial_states(batch))
             ctx.add_work(self, p, batch.length + out.length)
             ctx.add_output(self, out.length, p)
             self.store_batch(p, out)

@@ -19,6 +19,7 @@ work tuple by tuple.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
@@ -220,10 +221,18 @@ class ColumnBatch:
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """The rows at *indices*, in that order (indices may repeat)."""
-        # map(column.__getitem__, ...) keeps the gather loop in C.
+        if len(indices) > 1:
+            # One C-level call per column, the getter built once for all.
+            gather = itemgetter(*indices)
+        else:
+            # itemgetter() raises on no index and returns a bare value
+            # for one.
+            def gather(column: list) -> list:
+                return [column[index] for index in indices]
+
         return ColumnBatch(
             [
-                None if column is None else list(map(column.__getitem__, indices))
+                None if column is None else list(gather(column))
                 for column in self.columns
             ],
             len(indices),

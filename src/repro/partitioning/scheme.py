@@ -260,8 +260,24 @@ class KeyMemo(dict):
 
 
 def hash_router(count: int) -> KeyMemo:
-    """A memo routing keys to ``stable_hash(key) % count``."""
-    return KeyMemo(lambda key: stable_hash(key) % count)
+    """A memo routing keys to ``stable_hash(key) % count``.
+
+    A composite key is folded as :func:`stable_hash` folds a tuple, over
+    a second memo of its parts: a string or number that recurs across
+    keys (one customer name in many group keys) is hashed once per
+    router, not once per distinct key.
+    """
+    parts = KeyMemo(stable_hash)
+
+    def route(key: object) -> int:
+        if not isinstance(key, tuple):
+            return stable_hash(key) % count
+        value = 0x345678
+        for part in key:
+            value = (value * 1000003) ^ parts[part]
+        return (value & 0x7FFFFFFFFFFFFFFF) % count
+
+    return KeyMemo(route)
 
 
 def key_has_null(key: object) -> bool:

@@ -124,6 +124,29 @@ def test_transforms_carry_pruned_columns_through(transform):
     assert hollow.length == expected.length
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[], [2], [2, 0], [3, 3, 0, 3], list(range(9, -1, -1)) * 3, range(4, 10), (1,)],
+    ids=["none", "one", "two", "repeated", "many", "range", "tuple_of_one"],
+)
+def test_take_gathers_every_length(indices):
+    """``take`` gathers with ``itemgetter(*indices)``, which raises on no
+    index and returns a bare value for one: every length must still give
+    lists of ``len(indices)`` values, pruned slots carried through."""
+    rows = [(i, f"s{i % 3}", None if i % 4 == 0 else i * 0.5) for i in range(10)]
+    batch = ColumnBatch.from_rows(rows, 3)
+    taken = batch.take(indices)
+    assert taken.length == len(indices)
+    assert all(type(column) is list for column in taken.columns)
+    assert taken.to_rows() == [rows[i] for i in indices]
+    pruned = batch.prune({1}).take(indices)
+    assert pruned.length == len(indices) and pruned.present() == {1}
+    assert pruned.column(1) == [rows[i][1] for i in indices]
+    # A one-row batch whose only value is itself a tuple stays a row.
+    nested = ColumnBatch([[(1, 2), (3, 4)]], 2)
+    assert nested.take([1]).columns == [[(3, 4)]]
+
+
 @pytest.mark.parametrize("mask", [[True, True], [True] * 5, []])
 def test_compress_refuses_a_mask_of_the_wrong_length(mask):
     """``itertools.compress`` stops at the shorter input, and a fully

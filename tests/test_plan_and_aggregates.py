@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ExecutionError, PlanningError
 from repro.query import Query
-from repro.query.aggregates import make_accumulator
+from repro.query.aggregates import (
+    aggregate_function,
+    make_accumulator,
+    state_bytes,
+)
 from repro.query.expressions import col, lit
 from repro.query.plan import (
     Aggregate,
@@ -123,6 +127,8 @@ class TestAccumulators:
         assert acc.result() == 2
 
     def test_merge_states(self):
+        # Two partitions' partial states for one group, merged by the
+        # kernel's by-row fold over their concatenation.
         for func, values_a, values_b, expected in [
             ("sum", [1, 2], [3], 6),
             ("count", [1, 2], [3], 3),
@@ -131,18 +137,22 @@ class TestAccumulators:
             ("max", [5], [9], 9),
             ("count_distinct", [1, 2], [2, 3], 3),
         ]:
-            first, second = make_accumulator(func), make_accumulator(func)
-            for value in values_a:
-                first.add(value)
-            for value in values_b:
-                second.add(value)
-            first.merge_state(second.state())
-            assert first.result() == expected, func
+            function = aggregate_function(func)
+            shipped = [
+                function.fold(values, range(len(values)))
+                for values in (values_a, values_b)
+            ]
+            merged = function.merge_rows([0, 0], shipped, 1)
+            assert function.result(merged) == [expected], func
 
     def test_unknown_function(self):
         with pytest.raises(ExecutionError):
             make_accumulator("median")
 
     def test_state_bytes_positive(self):
-        for func in ("sum", "count", "avg", "min", "max", "count_distinct"):
-            assert make_accumulator(func).state_bytes() > 0
+        for func in ("sum", "count", "avg", "min", "max"):
+            assert aggregate_function(func).width > 0
+        distinct = aggregate_function("count_distinct")
+        assert distinct.width is None  # data-sized: charged state by state
+        assert state_bytes(distinct.fold((), ())) > 0
+        assert state_bytes(distinct.fold([1, 2, None, 2], range(4))) == 16

@@ -8,7 +8,8 @@ references live here, in the tests.  Pinned:
 
 * kernel output == ``[stable_hash(k) % count for k in keys]`` over mixed
   key columns — which needs equal keys to hash equal (``True``/``1``/
-  ``1.0``), the bug fixed alongside;
+  ``1.0``), the bug fixed alongside; a composite key is folded part by
+  part over the router's memo of parts, to the same answer;
 * ``BloomFilter.probe_many`` == per-key ``might_contain``, the bit words
   do not move, and probing leaves nothing on the filter (the memo is the
   call's, or the probing operator's);
@@ -98,6 +99,51 @@ def test_equal_keys_route_together_in_either_order(column):
         targets = hash_router(count).map(column)
         assert targets == [stable_hash(key) % count for key in column]
         assert len(set(targets)) == 1
+
+
+composite_keys = st.recursive(
+    scalars,
+    lambda parts: st.lists(parts, max_size=4).map(tuple),
+    max_leaves=8,
+).filter(lambda key: isinstance(key, tuple))
+
+
+@given(
+    column=st.lists(composite_keys, max_size=30),
+    count=st.integers(min_value=1, max_value=17),
+)
+def test_router_folds_composite_keys_as_stable_hash_does(column, count):
+    """The router hashes a tuple part by part over its own memo of parts:
+    the answer is still ``stable_hash(key) % count`` — nested and empty
+    tuples, ``None`` parts and ``True``/``1``/``1.0`` parts included."""
+    route = hash_router(count)
+    expected = [stable_hash(key) % count for key in column]
+    assert route.map(column) == expected
+    assert route.map(column[::-1]) == expected[::-1]
+
+
+def test_router_hashes_a_recurring_part_once(monkeypatch):
+    """One customer name in ten group keys is one ``stable_hash`` call."""
+    from repro.partitioning import scheme
+
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return stable_hash(key)
+
+    column = [(f"Customer#{index % 3}", index % 3, index) for index in range(30)]
+    bare = ["Customer#0", 3, None]
+    expected = [stable_hash(key) % 10 for key in column + bare]
+    monkeypatch.setattr(scheme, "stable_hash", counting)
+    route = hash_router(10)
+    assert route.map(column) == expected[:30]
+    assert sorted(calls, key=repr) == sorted(
+        {part for key in column for part in key}, key=repr
+    )
+    calls.clear()
+    assert route.map(bare) == expected[30:]
+    assert calls == bare  # a bare key is the outer memo's miss
 
 
 def test_memo_computes_each_distinct_key_once():
@@ -311,12 +357,23 @@ def test_aggregate_exchange_charges_the_per_state_sum(tpch_stores):
     BACKENDS["serial"]().run(root, ctx)
     (op,) = [o for o in root.walk() if isinstance(o, PhysicalAggregate)]
     assert op.strategy == "two_phase" and op.data_sized
+    # Per source partition and group: the distinct part keys its state
+    # ships, from the rows the aggregate read.
+    suppkey, returnflag, partkey = op.inputs[0].props.positions(
+        ["l.l_suppkey", "l.l_returnflag", "l.l_partkey"]
+    )
+    fixed = 8 * 2 + 8 + 16 + 8 + 8  # key, sum, avg (total, count), count, min
     shipped_bytes = shipped_states = 0
     for source in range(op.prepare_count):
-        partials = op._partial_states(op.inputs[0].partition_batch(source))
-        for key, accs in partials.items():
+        batch = op.inputs[0].partition_batch(source)
+        parts: dict[tuple, set] = {}
+        for key, part in zip(
+            batch.key_tuples([suppkey, returnflag]), batch.column(partkey)
+        ):
+            parts.setdefault(key, set()).add(part)
+        for key, distinct in parts.items():
             if stable_hash(key) % op.count != source:
-                shipped_bytes += 8 * 2 + sum(acc.state_bytes() for acc in accs)
+                shipped_bytes += fixed + 8 * max(1, len(distinct))
                 shipped_states += 1
     record = ctx.record(op)
     assert shipped_states
