@@ -74,16 +74,10 @@ def explain_main(argv: list[str]) -> int:
         help="transfer Bloom filters across the join graph before "
         "execution (results are invariant to this)",
     )
-    parser.add_argument(
-        "--bloom-fpr", type=float, default=0.01,
-        help="target false-positive rate of the transferred Bloom filters",
-    )
     args = parser.parse_args(argv)
     # One options value and one store: what --check certifies is the plan
     # that cluster.explain renders and every --backends run executes.
-    options = ExecOptions(
-        predicate_transfer=args.predicate_transfer, bloom_fpr=args.bloom_fpr
-    )
+    options = ExecOptions(predicate_transfer=args.predicate_transfer)
 
     database = generate_tpch(scale_factor=args.scale, seed=args.seed)
     design = SchemaDrivenDesigner(database, args.nodes).design(

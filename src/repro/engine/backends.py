@@ -153,7 +153,7 @@ def task_slots(
       (partition 0 of a single-copy input);
     * ``exchange()`` reads every own prepare state and *all* partitions
       of all inputs (broadcast ships whole relations, a gather collects
-      them);
+      them) and of the operators it declares in ``after``;
     * ``run_partition(p)`` reads the exchange state if the operator has
       one, and partition ``p`` of every input if the operator says its
       partition tasks read their inputs.
@@ -177,7 +177,7 @@ def task_slots(
             Slot("prep", op.op_id, p) for p in range(op.prepare_count)
         ] + [
             Slot("part", child.op_id, p)
-            for child in op.inputs
+            for child in (*op.inputs, *op.after)
             for p in range(child.output_count)
         ]
     reads = [Slot("exch", op.op_id, 0)] if op.barrier else []

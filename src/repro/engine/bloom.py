@@ -27,6 +27,8 @@ _BLOCK_BITS = 64
 _LN2 = math.log(2.0)
 #: Bit-budget inflation compensating the blocked layout's FPR penalty.
 _BLOCKED_INFLATION = 1.5
+#: Target false-positive rate of the filters predicate transfer builds.
+TRANSFER_FPR = 0.01
 
 
 def validate_bloom_params(fpr: float, capacity: int | None = None) -> None:
@@ -130,7 +132,7 @@ class BloomFilter:
         """Bulk probe over a key column: ``might_contain`` of every key,
         computed once per distinct key (a probe column repeats its
         foreign keys).  The memo lives for the call; a caller probing
-        batch after batch holds its own (``PhysicalBloomProbe``)."""
+        batch after batch holds its own (``BloomTransfer``)."""
         return KeyMemo(self.might_contain).map(keys)
 
     @property

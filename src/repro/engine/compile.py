@@ -9,9 +9,10 @@ backend can schedule partition by partition.
 The compiler also appends the implicit finalisation the interpreter
 performed inline: a PREF duplicate-elimination pass when the root result
 still carries governing dup columns, then a gather onto the coordinator.
-Operator ids are assigned in post-order, which keeps deferred
-join-event flushing (see :mod:`repro.engine.context`) byte-compatible
-with serial execution.
+Operator ids are assigned in ``walk()`` order (post-order, with an
+operator's declared ``after`` producers ahead of it), which keeps
+deferred join-event flushing (see :mod:`repro.engine.context`)
+byte-compatible with serial execution.
 
 Last comes the live-column pass (:func:`assign_live_columns`): top-down
 from the gather, every operator is told which of its output positions
@@ -40,6 +41,7 @@ from repro.query.plan import (
 from repro.query.relation import Method, PartInfo, has_column
 from repro.query.rewrite import Annotated
 from repro.engine.operators import (
+    BloomTransfer,
     PhysicalAggregate,
     PhysicalBloomProbe,
     PhysicalDedup,
@@ -110,8 +112,11 @@ def assign_live_columns(op: PhysicalOperator, demand: frozenset[int]) -> None:
         op.live = demand
         needs = demand | referenced_positions([node.condition], columns)
     elif isinstance(op, PhysicalBloomProbe):
+        # The probed keys, and the keys filters for other sites are built
+        # from (which only happen to be live when the join above the
+        # probe is the one that produced the edge).
         op.live = demand
-        needs = demand.union(*(positions for positions, _ in op.filters))
+        needs = demand | op.key_positions()
     elif isinstance(op, PhysicalDedup):
         op.live = demand
         needs = demand.union(op.positions)
@@ -176,6 +181,8 @@ class _Compiler:
     def __init__(self, partitioned: PartitionedDatabase) -> None:
         self.partitioned = partitioned
         self.count = partitioned.partition_count
+        #: The one predicate-transfer pass the plan's Bloom probes share.
+        self.transfer = BloomTransfer()
 
     def lower(self, annotated: Annotated) -> PhysicalOperator:
         node = annotated.node
@@ -223,9 +230,8 @@ class _Compiler:
 
     def _bloom_probe(self, annotated: Annotated) -> PhysicalOperator:
         child = self.lower(annotated.inputs[0])
-        filters = annotated.extra.get("bloom", ())
         indexed = _scan_adjacent(annotated.inputs[0])
-        return PhysicalBloomProbe(annotated, child, filters, indexed)
+        return PhysicalBloomProbe(annotated, child, indexed, self.transfer)
 
     def _project(self, annotated: Annotated) -> PhysicalOperator:
         node: Project = annotated.node

@@ -41,8 +41,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain, compress, count
+from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from repro.engine.bloom import TRANSFER_FPR, BloomFilter
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import (
     ColumnBatch,
@@ -98,6 +100,11 @@ class PhysicalOperator:
     prepare_count: int = 0
     #: Human-readable name for per-operator stats (set by subclasses).
     name: str = "op"
+    #: Operators elsewhere in the plan (not inputs) whose whole output
+    #: this operator's ``exchange()`` reads.  Declared so that operator
+    #: order and task dependencies cover the read (``walk``,
+    #: ``backends.task_slots``).
+    after: Sequence["PhysicalOperator"] = ()
 
     def __init__(
         self,
@@ -129,10 +136,16 @@ class PhysicalOperator:
         """Stable display label, e.g. ``HashJoin(...)``."""
         return self.name
 
-    def walk(self):
-        """Yield the subtree in post-order (inputs before the operator)."""
-        for child in self.inputs:
-            yield from child.walk()
+    def walk(self, _seen: set[int] | None = None):
+        """Yield the plan below this operator in dependency order: the
+        inputs and the ``after`` producers before the operator that reads
+        them, each operator once."""
+        seen = set() if _seen is None else _seen
+        if id(self) in seen:
+            return
+        seen.add(id(self))
+        for producer in (*self.inputs, *self.after):
+            yield from producer.walk(seen)
         yield self
 
     # -- output storage ----------------------------------------------------
@@ -317,60 +330,168 @@ class PhysicalFilter(PhysicalOperator):
         self.store_batch(p, out)
 
 
+class _Pruning(NamedTuple):
+    """What the transfer pass leaves one probe."""
+
+    #: Keep-mask per output partition; None when no filter was kept.
+    masks: list[list[bool]] | None = None
+    #: The kept filters, and their summed wire size.
+    filters: int = 0
+    filter_bytes: int = 0
+
+
+class BloomTransfer:
+    """The predicate-transfer pass of one compiled plan, shared by its
+    probes and run once — in the exchange of whichever probe the schedule
+    reaches first — over the outputs of every probe's child.
+
+    Sites are ranked by surviving rows; a forward sweep (small relations
+    first) and a backward sweep push a Bloom filter, built from the source
+    site's *surviving* keys, across every edge.  A filter that prunes
+    nothing is dropped; a kept one narrows its target's keep-masks, so
+    later edges build from the narrowed key set.
+    """
+
+    def __init__(self) -> None:
+        #: Site alias -> its probe, filled in as the compiler lowers them.
+        self.probes: dict[str, "PhysicalBloomProbe"] = {}
+        self._pruning: dict[str, _Pruning] | None = None
+
+    def pruning(self, site: str) -> _Pruning:
+        """The outcome for *site*; the first call runs the pass."""
+        if self._pruning is None:
+            self._pruning = self._run()
+        return self._pruning[site]
+
+    def _run(self) -> dict[str, _Pruning]:
+        batches = {
+            site: [
+                probe.inputs[0].partition_batch(p)
+                for p in range(probe.output_count)
+            ]
+            for site, probe in self.probes.items()
+        }
+        alive = {
+            site: sum(batch.length for batch in parts)
+            for site, parts in batches.items()
+        }
+        pruning = dict.fromkeys(batches, _Pruning())
+        ranked = sorted(batches, key=lambda site: (alive[site], site))
+        rank = {site: position for position, site in enumerate(ranked)}
+        edges = [e for probe in self.probes.values() for e in probe.edges]
+        forward = sorted(
+            (e for e in edges if rank[e.source] < rank[e.target]),
+            key=lambda e: (rank[e.target], rank[e.source], e),
+        )
+        backward = sorted(
+            (e for e in edges if rank[e.source] > rank[e.target]),
+            key=lambda e: (-rank[e.target], -rank[e.source], e),
+        )
+        for edge in forward + backward:
+            if not alive[edge.target]:
+                continue
+            keys: set = set()
+            alive_at_source = pruning[edge.source].masks
+            for p, batch in enumerate(batches[edge.source]):
+                column = batch.key_values(edge.source_positions)
+                if alive_at_source is not None:
+                    column = compress(column, alive_at_source[p])
+                keys.update(column)
+            keys.discard(None)
+            # An empty source still builds a (tiny) filter that prunes
+            # every probe — no partner can exist.
+            bloom = BloomFilter.sized(max(1, len(keys)), TRANSFER_FPR)
+            bloom.add_many(keys)
+            answers = KeyMemo(bloom.might_contain)
+            kept = pruning[edge.target]
+            masks = [
+                answers.map(batch.key_values(edge.positions))
+                for batch in batches[edge.target]
+            ]
+            if kept.masks is not None:
+                masks = [
+                    list(map(and_, old, new))
+                    for old, new in zip(kept.masks, masks)
+                ]
+            survivors = sum(mask.count(True) for mask in masks)
+            if survivors == alive[edge.target]:
+                continue
+            alive[edge.target] = survivors
+            pruning[edge.target] = _Pruning(
+                masks, kept.filters + 1, kept.filter_bytes + bloom.byte_size
+            )
+        return pruning
+
+
 class PhysicalBloomProbe(PhysicalOperator):
     """Predicate-transfer probe: drop rows whose join keys miss a Bloom
     filter built from the other side of a join edge.
 
-    Filters are built once on the coordinator at plan time and travel
-    with the operator; the coordinator ships them to every other node
-    before scanning starts, which the accounting charges as one filter
-    payload per non-coordinator partition.  Probing is per-key and
-    NULL-rejecting, so results are invariant in the knob (a pruned row
-    could never have survived the downstream join).
+    A barrier: its ``exchange()`` takes this site's outcome of the plan's
+    one :class:`BloomTransfer` pass (running it if no probe has yet),
+    which reads the outputs of the *other* probes' children too — the
+    ``after`` declaration.  The coordinator builds the filters and ships
+    the kept ones to every other node, which the accounting charges as
+    one filter payload per non-coordinator partition.  Probing is per-key
+    and NULL-rejecting, so results are invariant in the knob (a pruned
+    row could never have survived the downstream join).  A probe that
+    kept no filter hands its child's batches on and charges nothing.
     """
 
+    barrier = True
     name = "bloom_probe"
 
     def __init__(
         self,
         annotated: Annotated,
         child: PhysicalOperator,
-        filters: Sequence,
         indexed: bool,
+        transfer: BloomTransfer,
     ) -> None:
         super().__init__(annotated, [child], child.output_count)
-        #: (key positions, key -> ``might_contain(key)``) per filter.  The
-        #: memo is shared by every ``run_partition`` task and dies with
-        #: the operator: the filter, which the plan cache may keep, stays
-        #: bits only.
-        self.filters = [
-            (tuple(f.positions), KeyMemo(f.bloom.might_contain))
-            for f in filters
-        ]
+        self.site: str = annotated.extra["site"]
+        #: The incoming :class:`~repro.query.predicate_transfer.TransferEdge`s.
+        self.edges = tuple(annotated.extra["bloom"])
         self.indexed = indexed
-        self.filter_bytes = sum(f.bloom.byte_size for f in filters)
+        self.transfer = transfer
+        transfer.probes[self.site] = self
+
+    @property
+    def after(self) -> list[PhysicalOperator]:
+        return [
+            probe.inputs[0]
+            for probe in self.transfer.probes.values()
+            if probe is not self
+        ]
+
+    def key_positions(self) -> set[int]:
+        """The child positions the pass reads at this site: the probed
+        keys of the incoming edges, the build keys of the outgoing ones."""
+        reads = {q for edge in self.edges for q in edge.positions}
+        for probe in self.transfer.probes.values():
+            for edge in probe.edges:
+                if edge.source == self.site:
+                    reads.update(edge.source_positions)
+        return reads
+
+    def exchange(self, ctx: ExecutionContext) -> None:
+        self.exchanged = self.transfer.pruning(self.site)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
-        mask: list | None = None
-        for positions, answers in self.filters:
-            hits = answers.map(batch.key_values(positions))
-            if mask is None:
-                mask = hits
-            else:
-                mask = [a and b for a, b in zip(mask, hits)]
+        masks, _filters, filter_bytes = self.exchanged
         out = batch.prune(self.live)
-        if mask is not None:
-            out = out.compress(mask)
-        if p != 0 and self.filter_bytes:
-            # Shipping the coordinator-built filters to this node.
-            ctx.add_network(self, self.filter_bytes, 0)
-        ctx.account(
-            self, child.props.part.method, p,
-            out.length if self.indexed else batch.length,
-        )
-        ctx.add_bloom(self, batch.length, batch.length - out.length)
+        if masks is not None:
+            out = out.compress(masks[p])
+            if p != 0:
+                # Shipping the coordinator-built filters to this node.
+                ctx.add_network(self, filter_bytes, 0)
+            ctx.account(
+                self, child.props.part.method, p,
+                out.length if self.indexed else batch.length,
+            )
+            ctx.add_bloom(self, batch.length, batch.length - out.length)
         ctx.add_output(self, out.length, p)
         self.store_batch(p, out)
 

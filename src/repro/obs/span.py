@@ -69,9 +69,10 @@ class OperatorSpan(OperatorStats):
 
     The measured fields are inherited — a span is the operator's
     :class:`~repro.engine.context.OperatorStats` record — and the fields
-    declared here are static: ``name`` … ``bloom_filters`` come from the
-    rewriter's :class:`~repro.query.rewrite.Annotated` plan, the
-    live-column pair from the compiled operator.  ``rows_in``
+    declared here are static: ``name`` … ``case`` come from the
+    rewriter's :class:`~repro.query.rewrite.Annotated` plan,
+    ``bloom_filters`` and the live-column pair from the compiled
+    operator.  ``rows_in``
     is derived — the sum of the children's ``rows_out`` (None for leaves).
     """
 
@@ -82,7 +83,7 @@ class OperatorSpan(OperatorStats):
     governing: tuple[str, ...] = ()
     strategy: str | None = None  #: Join/aggregate strategy hint.
     case: str | None = None  #: Locality case ("case1" | "case2" | "case3").
-    bloom_filters: int = 0  #: Predicate-transfer Bloom filters attached.
+    bloom_filters: int = 0  #: Bloom filters this probe kept and applied.
     #: The output columns the compiled operator materialises (some
     #: ancestor reads them), of ``total_columns`` in the logical relation.
     live_columns: tuple[str, ...] = ()
@@ -269,7 +270,7 @@ def build_trace(
             governing=tuple(props.governing),
             strategy=extra.get("strategy"),
             case=extra.get("case"),
-            bloom_filters=len(extra.get("bloom", ())),
+            bloom_filters=op.exchanged.filters if op.name == "bloom_probe" else 0,
             live_columns=tuple(
                 props.columns[index] for index in sorted(op.live)
             ),

@@ -169,16 +169,9 @@ class BulkLoader:
 
     def _invalidate_effective_hash(self, table: str) -> None:
         """Drop verified hash placement of *table* and its referencers."""
-        frontier = [table]
-        seen = set()
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            if self.partitioned.has_table(current):
-                self.partitioned.table(current).effective_hash = None
-            frontier.extend(self.config.referencing_tables(current))
+        for affected in self.config.write_closure(table):
+            if self.partitioned.has_table(affected):
+                self.partitioned.table(affected).effective_hash = None
 
     # -- locality maintenance ----------------------------------------------------
 

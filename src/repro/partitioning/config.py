@@ -101,6 +101,19 @@ class PartitioningConfig:
             and scheme.referenced_table == table
         )
 
+    def write_closure(self, table: str) -> frozenset[str]:
+        """*table* plus every table that references it, transitively: the
+        tables whose stored contents a write to *table* can touch (PREF
+        locality maintenance copies referencing tuples along)."""
+        seen: set[str] = set()
+        frontier = [table]
+        while frontier:
+            current = frontier.pop()
+            if current not in seen:
+                seen.add(current)
+                frontier.extend(self.referencing_tables(current))
+        return frozenset(seen)
+
     def chain_to_seed(self, table: str) -> list[tuple[str, JoinPredicate]]:
         """The PREF chain from *table* to its seed.
 

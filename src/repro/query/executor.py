@@ -145,18 +145,16 @@ class Executor:
         The returned annotated plan is immutable as far as execution is
         concerned: :func:`~repro.engine.compile.compile_plan` only reads
         it, so one annotated plan may back many (even concurrent)
-        executions — the serving layer's plan cache relies on this.  With
-        predicate transfer enabled the annotation embeds Bloom filters
-        built from the *current* table contents, so a cached annotated
-        plan must be dropped when its tables change (epoch invalidation).
+        executions — the serving layer's plan cache relies on this.  It
+        carries no data: it depends on the plan and on the store facts
+        the rewriter reads (governing duplicates, effective hashing,
+        patch counts), not on the rows.
         """
         annotated = self.rewriter.rewrite(plan)
         if self.options.predicate_transfer:
             from repro.query.predicate_transfer import apply_predicate_transfer
 
-            annotated = apply_predicate_transfer(
-                annotated, self.partitioned, self.options.bloom_fpr
-            )
+            annotated = apply_predicate_transfer(annotated)
         return annotated
 
     def execute(

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.bloom import validate_bloom_params
-
 
 @dataclass(frozen=True)
 class ExecOptions:
@@ -27,14 +25,11 @@ class ExecOptions:
             an engine unaware of PREF placement would.
         predicate_transfer: Transfer Bloom filters across the join graph
             (pre-filters scans so fewer rows are shuffled and probed).
-        bloom_fpr: Target false-positive rate of the transferred Bloom
-            filters, in (0, 1).
     """
 
     optimizations: bool = True
     locality: bool = True
     predicate_transfer: bool = False
-    bloom_fpr: float = 0.01
 
     def __post_init__(self) -> None:
         for name in ("optimizations", "locality", "predicate_transfer"):
@@ -43,4 +38,3 @@ class ExecOptions:
                 raise ValueError(
                     f"{name} must be True or False, got {value!r}"
                 )
-        validate_bloom_params(self.bloom_fpr)

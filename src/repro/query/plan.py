@@ -288,10 +288,12 @@ class BloomProbe(PlanNode):
     """Prune rows whose join keys cannot find a partner (predicate transfer).
 
     Inserted over a scan (or its adjacent filters) by the predicate-transfer
-    scheduler; the actual Bloom filters travel in the annotation's
-    ``extra["bloom"]``, keeping the plan node itself immutable and hashable.
+    scheduler; the candidate transfer edges travel in the annotation's
+    ``extra["bloom"]`` as data-free descriptors, keeping the plan node
+    itself immutable and hashable — the filters are built at run time.
     ``columns`` names the probed key columns and ``sources`` the scan
-    aliases whose keys built each filter (for EXPLAIN output).
+    aliases whose keys may build a filter (for EXPLAIN output); both are
+    empty over a scan that only builds filters for others.
     """
 
     child: PlanNode
@@ -302,6 +304,8 @@ class BloomProbe(PlanNode):
         return (self.child,)
 
     def _label(self) -> str:
+        if not self.sources:
+            return "BloomProbe(build only)"
         return (
             f"BloomProbe([{', '.join(self.columns)}] "
             f"<- {', '.join(self.sources)})"

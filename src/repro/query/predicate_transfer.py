@@ -2,25 +2,30 @@
 
 Implements the pre-filtering idea of "Predicate Transfer: Efficient
 Pre-Filtering on Multi-Join Queries" (Yang et al.) on top of the PREF
-rewriter's annotated plans.  After the locality rewrite, the scheduler:
+rewriter's annotated plans.  This module is the *plan-time* half and is
+purely structural — it reads the annotated plan and nothing else:
 
-1. collects every base-table scan (with its scan-adjacent filter chain)
+1. collect every base-table scan (with its scan-adjacent filter chain)
    and every equi-join edge whose key columns trace back, origin-intact,
    to those scans;
-2. simulates the transfer on the coordinator — masks start from the
-   scan-adjacent predicates, then a forward pass (small relations first)
-   and a backward pass push Bloom filters built from each side's
-   surviving keys across every eligible edge;
-3. wraps each scan whose simulation pruned at least one row in a
-   :class:`~repro.query.plan.BloomProbe` node carrying the built filters,
-   so the physical operators drop partner-less rows *before* any
-   shuffle or join probe touches them.
+2. wrap the anchor (scan plus adjacent filters) of every scan an eligible
+   edge touches — pruned and build-only sites alike — in a
+   :class:`~repro.query.plan.BloomProbe` node whose ``extra["bloom"]``
+   lists the site's incoming :class:`TransferEdge` descriptors.
+
+No row is read and no filter is built here, so the annotation depends on
+the plan and the partitioning configuration only.  The *run-time* half is
+the engine's (:class:`~repro.engine.operators.BloomTransfer`): it builds
+each filter from the source scan's own surviving output, keeps it only if
+it prunes, and hands every probe its keep-masks, so the physical operators
+drop partner-less rows *before* any shuffle or join probe touches them.
 
 Soundness rests on three facts: filters are built from a superset of the
-keys that side can present at runtime (base values after scan-adjacent
-filters only), Bloom filters have no false negatives, and pruning is a
-pure function of the join-key value (all copies of a base tuple carry the
-same key, so PREF duplicate bits and ``hasS`` bits stay consistent).
+keys that side can present to the join (anchor output, narrowed only by
+other sound filters), Bloom filters have no false negatives, and pruning
+is a pure function of the join-key value (all copies of a base tuple
+carry the same key, so PREF duplicate bits and ``hasS`` bits stay
+consistent).
 Eligibility is per join kind: both sides of INNER and SEMI joins may be
 pruned, but only the non-preserved (right) side of LEFT_OUTER and ANTI
 joins — pruning the preserved side would drop rows the join keeps.  NULL
@@ -35,15 +40,13 @@ operator above the scan; transfers stay enabled there and the knob
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.catalog.statistics import build_histogram
-from repro.engine.bloom import BloomFilter
-from repro.engine.rows import ColumnBatch
+from repro.errors import PlanningError
 from repro.query.plan import BloomProbe, Filter, Join, JoinKind, OrderBy, Scan
 from repro.query.relation import Method
 from repro.query.rewrite import Annotated
-from repro.storage.partitioned import PartitionedDatabase
 
 #: Join kinds whose *right* input may be pruned (rows there are kept only
 #: when a partner exists, or serve purely as a match-existence set).
@@ -55,60 +58,40 @@ _PRUNE_RIGHT = frozenset(
 _PRUNE_LEFT = frozenset((JoinKind.INNER, JoinKind.SEMI))
 
 
-@dataclass(frozen=True)
-class TransferFilter:
-    """One Bloom filter attached to a scan by the transfer scheduler.
+@dataclass(frozen=True, order=True)
+class TransferEdge:
+    """A directed transfer edge: prune *target* with keys from *source*.
+
+    Data-free: the filter itself is built at run time from the source
+    site's surviving rows, and kept only if it prunes the target.
 
     Attributes:
-        positions: Key column positions in the probed scan's output batch.
+        target: Alias of the probed scan.
+        source: Alias of the scan whose keys build the filter.
         columns: The probed column names (for EXPLAIN).
-        source: Alias of the scan whose keys built the filter.
-        bloom: The filter itself (ships to pool workers with the operator).
-        built_keys: Distinct non-NULL keys inserted at build time.
+        positions: Key column positions in the probed scan's output.
+        source_positions: The matching positions in the source's output.
     """
 
-    positions: tuple[int, ...]
-    columns: tuple[str, ...]
+    target: str
     source: str
-    bloom: BloomFilter
-    built_keys: int
+    columns: tuple[str, ...]
+    positions: tuple[int, ...]
+    source_positions: tuple[int, ...]
 
 
-@dataclass
-class _Site:
-    """One base-table scan with its scan-adjacent filter chain."""
+class _Site(NamedTuple):
+    """One base-table scan and the top of its scan-adjacent filter chain."""
 
     scan: Annotated
     anchor: Annotated
-    alias: str
-    table: str
-    conditions: list = field(default_factory=list)
-    columns: list[list] | None = None
-    alive: list[int] | None = None
-    filters: list[TransferFilter] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Edge:
-    """A directed transfer edge: prune *target* with keys from *source*."""
-
-    source_alias: str
-    target_alias: str
-    source_positions: tuple[int, ...]
-    target_positions: tuple[int, ...]
-    target_columns: tuple[str, ...]
-
-
-def apply_predicate_transfer(
-    annotated: Annotated,
-    partitioned: PartitionedDatabase,
-    fpr: float = 0.01,
-) -> Annotated:
+def apply_predicate_transfer(annotated: Annotated) -> Annotated:
     """Insert :class:`BloomProbe` nodes into an annotated physical plan.
 
     Mutates the annotated tree in place (it is built fresh per query) and
-    returns its root.  A no-op when the plan has no eligible join edges
-    or when no filter would prune anything.
+    returns its root.  A no-op when the plan has no eligible join edges.
     """
     parents: dict[int, Annotated] = {}
     for node, parent in _walk(annotated):
@@ -116,30 +99,10 @@ def apply_predicate_transfer(
             parents[id(node)] = parent
     sites = _collect_sites(annotated, parents)
     edges = _collect_edges(annotated, sites)
-    if not edges:
-        return annotated
-    touched = {e.source_alias for e in edges} | {e.target_alias for e in edges}
-    for alias in touched:
-        _materialize(sites[alias], partitioned)
-    rank = {
-        alias: position
-        for position, alias in enumerate(
-            sorted(touched, key=lambda a: (len(sites[a].alive), a))
-        )
-    }
-    forward = sorted(
-        (e for e in edges if rank[e.source_alias] < rank[e.target_alias]),
-        key=lambda e: (rank[e.target_alias], rank[e.source_alias], e.target_columns),
-    )
-    backward = sorted(
-        (e for e in edges if rank[e.source_alias] > rank[e.target_alias]),
-        key=lambda e: (-rank[e.target_alias], -rank[e.source_alias], e.target_columns),
-    )
-    for edge in forward + backward:
-        _transfer(sites[edge.source_alias], sites[edge.target_alias], edge, fpr)
-    for site in sites.values():
-        if site.filters:
-            _attach(site, parents, annotated)
+    touched = {e.source for e in edges} | {e.target for e in edges}
+    for alias in sorted(touched):
+        incoming = tuple(e for e in edges if e.target == alias)
+        _attach(alias, sites[alias].anchor, incoming, parents)
     return annotated
 
 
@@ -160,25 +123,17 @@ def _collect_sites(
     for node, _parent in _walk(annotated):
         if not isinstance(node.node, Scan):
             continue
-        site = _Site(
-            scan=node,
-            anchor=node,
-            alias=node.node.name,
-            table=node.node.table,
-        )
-        current = node
+        anchor = node
         while True:
-            parent = parents.get(id(current))
+            parent = parents.get(id(anchor))
             if (
                 parent is None
                 or not isinstance(parent.node, Filter)
                 or len(parent.inputs) != 1
             ):
                 break
-            site.conditions.append(parent.node.condition)
-            site.anchor = parent
-            current = parent
-        sites[site.alias] = site
+            anchor = parent
+        sites[node.node.name] = _Site(node, anchor)
     return sites
 
 
@@ -201,8 +156,8 @@ def _reachable(annotated: Annotated) -> set[str]:
 
 def _collect_edges(
     annotated: Annotated, sites: dict[str, _Site]
-) -> list[_Edge]:
-    edges: set[_Edge] = set()
+) -> list[TransferEdge]:
+    edges: set[TransferEdge] = set()
     for node, _parent in _walk(annotated):
         if not isinstance(node.node, Join) or len(node.inputs) != 2:
             continue
@@ -234,15 +189,13 @@ def _collect_edges(
             rcolumns = tuple(p[3] for p in pairs)
             if join.kind in _PRUNE_RIGHT and _prunable(sites[ralias]):
                 edges.add(
-                    _Edge(lalias, ralias, lpositions, rpositions, rcolumns)
+                    TransferEdge(ralias, lalias, rcolumns, rpositions, lpositions)
                 )
             if join.kind in _PRUNE_LEFT and _prunable(sites[lalias]):
                 edges.add(
-                    _Edge(ralias, lalias, rpositions, lpositions, lcolumns)
+                    TransferEdge(lalias, ralias, lcolumns, lpositions, rpositions)
                 )
-    return sorted(
-        edges, key=lambda e: (e.target_alias, e.source_alias, e.target_columns)
-    )
+    return sorted(edges)
 
 
 def _prunable(site: _Site) -> bool:
@@ -264,7 +217,7 @@ def _resolve(
     """
     try:
         origin = side.props.origin_of(column)
-    except Exception:
+    except PlanningError:
         return None
     if origin is None or "." not in column:
         return None
@@ -272,7 +225,7 @@ def _resolve(
     if alias not in aliases:
         return None
     site = sites.get(alias)
-    if site is None or origin != (site.table, base):
+    if site is None or origin != (site.scan.node.table, base):
         return None
     try:
         position = site.scan.props.columns.index(column)
@@ -281,104 +234,27 @@ def _resolve(
     return alias, position, column
 
 
-# -- the transfer simulation -------------------------------------------------
-
-
-def _materialize(site: _Site, partitioned: PartitionedDatabase) -> None:
-    """Load the scan's base columns and apply its adjacent predicates."""
-    if site.columns is not None:
-        return
-    table = partitioned.table(site.table)
-    replicated = site.scan.props.part.method is Method.REPLICATED
-    partitions = (
-        table.partitions[:1] if replicated else table.partitions
-    )
-    width = len(site.scan.props.columns)
-    pieces = []
-    for partition in partitions:
-        if not partition.row_count:
-            continue
-        # Aliases the stored lists: the simulation only reads them.
-        columns = list(partition.columns)
-        if site.scan.props.part.method is Method.PREF:
-            columns += [partition.dup, partition.has_partner]
-        pieces.append(ColumnBatch(columns, partition.row_count))
-    batch = ColumnBatch.concat(pieces, width)
-    site.columns = batch.columns if batch.columns else [[] for _ in range(width)]
-    alive = list(range(batch.length))
-    for condition in site.conditions:
-        if not alive:
-            break
-        predicate = condition.bind_batch(site.scan.props.columns)
-        mask = predicate(batch)
-        alive = [index for index in alive if mask[index]]
-    site.alive = alive
-
-
-def _keys_at(columns: list[list], positions: tuple[int, ...], alive: list[int]):
-    if len(positions) == 1:
-        column = columns[positions[0]]
-        return [column[index] for index in alive]
-    selected = [columns[p] for p in positions]
-    return [tuple(column[index] for column in selected) for index in alive]
-
-
-def _transfer(source: _Site, target: _Site, edge: _Edge, fpr: float) -> None:
-    if not target.alive:
-        return
-    source_keys = set(
-        _keys_at(source.columns, edge.source_positions, source.alive)
-    )
-    source_keys.discard(None)
-    # Sized from the catalog's frequency statistics over the surviving
-    # source keys; an empty source still builds a (tiny) filter that
-    # prunes every probe — no partner can exist.
-    histogram = build_histogram(list(source_keys))
-    bloom = BloomFilter.sized(max(1, histogram.distinct_count), fpr)
-    built = bloom.add_many(source_keys)
-    target_keys = _keys_at(target.columns, edge.target_positions, target.alive)
-    hits = bloom.probe_many(target_keys)
-    survivors = [
-        index for index, hit in zip(target.alive, hits) if hit
-    ]
-    pruned = len(target.alive) - len(survivors)
-    if pruned <= 0:
-        return
-    target.alive = survivors
-    target.filters.append(
-        TransferFilter(
-            positions=edge.target_positions,
-            columns=edge.target_columns,
-            source=source.alias,
-            bloom=bloom,
-            built_keys=built,
-        )
-    )
-
-
 # -- plan surgery ------------------------------------------------------------
 
 
 def _attach(
-    site: _Site, parents: dict[int, Annotated], root: Annotated
+    alias: str,
+    anchor: Annotated,
+    incoming: tuple[TransferEdge, ...],
+    parents: dict[int, Annotated],
 ) -> None:
-    """Wrap the site's anchor in a BloomProbe carrying its filters."""
-    columns = tuple(
-        dict.fromkeys(c for f in site.filters for c in f.columns)
-    )
-    sources = tuple(dict.fromkeys(f.source for f in site.filters))
-    anchor = site.anchor
+    """Wrap site *alias*'s anchor in a BloomProbe listing its incoming
+    edges (none for a site that only builds filters for others)."""
+    columns = tuple(dict.fromkeys(c for e in incoming for c in e.columns))
+    sources = tuple(dict.fromkeys(e.source for e in incoming))
     probe = Annotated(
         BloomProbe(anchor.node, columns, sources),
         anchor.props,
         (anchor,),
-        pristine=frozenset(),
-        extra={"strategy": "bloom_probe", "bloom": tuple(site.filters)},
+        extra={"strategy": "bloom_probe", "site": alias, "bloom": incoming},
     )
-    parent = parents.get(id(anchor))
-    if parent is None:
-        # A scan at the root joins nothing; edges require a Join above.
-        return
+    # A touched site sits below the Join that produced its edge.
+    parent = parents[id(anchor)]
     parent.inputs = tuple(
         probe if child is anchor else child for child in parent.inputs
     )

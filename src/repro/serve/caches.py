@@ -9,10 +9,10 @@ exactly the entries that read that table, never the whole cache.
 * The **plan cache** stores ``(logical plan, annotated plan, tables)``.
   Re-executing a cached annotation skips parsing, planning and the
   rewriter; the physical compile still runs per execution because
-  physical operators hold per-run state.  Annotations are data-dependent
-  only under predicate transfer (Bloom filters embed table contents),
-  but entries are epoch-invalidated uniformly — a dropped plan costs one
-  re-plan, a stale Bloom filter would cost wrong answers.
+  physical operators hold per-run state.  An annotation carries no rows,
+  but the rewriter reads three store facts a write can move (governing
+  duplicates, effective hashing, patch counts), so entries are
+  epoch-invalidated like results — a dropped plan costs one re-plan.
 * The **result cache** stores the finished rows.  Entries are only
   served while every dependent table's epoch is unchanged, enforced by
   invalidation (not by revalidation on read — the regression "teeth"

@@ -27,17 +27,9 @@ class EpochTracker:
         self._epochs: dict[str, int] = {table: 0 for table in config.tables}
         #: table -> every table whose contents a write to it can touch
         #: (itself plus transitive referencers).
-        self._closure: dict[str, frozenset[str]] = {}
-        for table in config.tables:
-            seen: set[str] = set()
-            frontier = [table]
-            while frontier:
-                current = frontier.pop()
-                if current in seen:
-                    continue
-                seen.add(current)
-                frontier.extend(config.referencing_tables(current))
-            self._closure[table] = frozenset(seen)
+        self._closure: dict[str, frozenset[str]] = {
+            table: config.write_closure(table) for table in config.tables
+        }
 
     def closure(self, table: str) -> frozenset[str]:
         """Tables affected by a write to *table* (including itself).

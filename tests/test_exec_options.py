@@ -33,7 +33,7 @@ FLAGS = ("optimizations", "locality", "predicate_transfer")
 class TestTheValue:
     def test_defaults(self):
         options = ExecOptions()
-        assert dataclasses.astuple(options) == (True, True, False, 0.01)
+        assert dataclasses.astuple(options) == (True, True, False)
 
     def test_frozen_hashable_replaceable(self):
         options = ExecOptions(locality=False)
@@ -50,27 +50,18 @@ class TestTheValue:
         with pytest.raises(ValueError, match=f"{flag} must be True or False"):
             ExecOptions(**{flag: value})
 
-    @pytest.mark.parametrize(
-        "fpr",
-        [0.0, 1.0, -0.1, 2.0, float("nan"), float("inf"), True, "0.5"],
-    )
-    def test_bad_fpr_rejected(self, fpr):
-        with pytest.raises(ValueError, match="bloom_fpr"):
-            ExecOptions(bloom_fpr=fpr)
-
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError):
             ExecOptions(localty=False)
         with pytest.raises(TypeError):
             ExecOptions(batch_size=1024)
+        with pytest.raises(TypeError):
+            ExecOptions(bloom_fpr=0.01)
 
 
 class TestDeclaredOnce:
-    def test_exactly_four_fields(self):
-        assert {f.name for f in dataclasses.fields(ExecOptions)} == {
-            *FLAGS,
-            "bloom_fpr",
-        }
+    def test_exactly_three_fields(self):
+        assert {f.name for f in dataclasses.fields(ExecOptions)} == {*FLAGS}
 
     @pytest.mark.parametrize(
         "callable_",

@@ -4,7 +4,8 @@ The knob must never change answers — only how many rows cross the wire.
 These tests pin that equivalence against the single-node LocalExecutor
 ground truth and across engine backends (equal canonical traces), then
 check the savings actually materialise on a non-co-partitioned layout,
-and that bad Bloom parameters are rejected at the construction boundary.
+that an annotated plan carries no data (it stays right across writes),
+and that a probe which keeps no filter is free.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 import pytest
 
 from helpers import assert_same_rows
-from repro.cluster import SimulatedCluster
+from repro.design.baselines import all_hashed
 from repro.engine.backends import make_backend
+from repro.partitioning import partition_database
+from repro.partitioning.bulk_loader import BulkLoader
 from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import col, lit
+from repro.sql import sql_to_plan
 
 TRANSFER_ON = ExecOptions(predicate_transfer=True)
 
@@ -131,28 +135,62 @@ class TestSavings:
         assert validate_trace(trace_to_json(result.trace)) == []
 
 
-class TestParameterBoundary:
-    @pytest.mark.parametrize("fpr", [0.0, 1.0, -0.1, 2.0, float("nan"), float("inf")])
-    def test_executor_rejects_bad_fpr(self, shop_hashed, fpr):
-        partitioned, _config = shop_hashed
-        with pytest.raises(ValueError, match="bloom_fpr"):
-            Executor(partitioned, ExecOptions(predicate_transfer=True, bloom_fpr=fpr))
+class TestPlansCarryNoData:
+    """The annotation is structural; filters are built from the rows the
+    run itself scans."""
 
-    def test_cluster_rejects_bad_fpr(self, shop_db, shop_hashed):
-        partitioned, config = shop_hashed
-        with pytest.raises(ValueError, match="bloom_fpr"):
-            SimulatedCluster(
-                shop_db.schema, partitioned, config, backend="serial",
-                options=ExecOptions(bloom_fpr=0.0),
+    SQL = (
+        "SELECT COUNT(*) AS n FROM orders o JOIN customer c "
+        "ON o.o_custkey = c.c_custkey WHERE c.c_acctbal > 9000"
+    )
+
+    def test_stale_annotation_answers_like_a_fresh_plan(self, small_tpch):
+        """On the parent the annotation embedded a filter over the old
+        customers, and re-executing it after the inserts lost the new
+        order (one short of the fresh plan and of knob-off)."""
+        config = all_hashed(small_tpch, 4)
+        partitioned = partition_database(small_tpch, config)
+        plan = sql_to_plan(self.SQL, small_tpch.schema)
+        executor = Executor(partitioned, TRANSFER_ON)
+        annotated = executor.annotate(plan)
+        explained = annotated.explain()
+        assert "BloomProbe" in explained
+        ((before,),) = executor.execute_annotated(annotated).rows
+        customers = small_tpch.table("customer").rows
+        orders = small_tpch.table("orders").rows
+        custkey = max(row[0] for row in customers) + 1
+        orderkey = max(row[0] for row in orders) + 1
+        loader = BulkLoader(partitioned, config)
+        loader.insert(
+            "customer", [(custkey, "Customer#new", 3, "BUILDING", 9500.0, "11-111")]
+        )
+        loader.insert("orders", [(orderkey, custkey, *orders[0][2:])])
+        assert Executor(partitioned).execute(plan).rows == [(before + 1,)]
+        assert executor.execute(plan).rows == [(before + 1,)]
+        assert executor.execute_annotated(annotated).rows == [(before + 1,)]
+        assert executor.annotate(plan).explain() == explained
+
+    def test_probes_that_keep_no_filter_cost_nothing(self, tpch_stores):
+        """Every order has line items and every line item an order, so
+        neither filter prunes: the probes pass their input on, and the run
+        is charged exactly what the knob-off run is."""
+        partitioned = tpch_stores["all_hashed"]
+        plan = (
+            Query.scan("lineitem", alias="l")
+            .join(
+                Query.scan("orders", alias="o"),
+                on=[("l.l_orderkey", "o.o_orderkey")],
             )
-
-    def test_cli_rejects_bad_fpr(self):
-        from repro.__main__ import explain_main
-
-        with pytest.raises(ValueError, match="bloom_fpr"):
-            explain_main(
-                [
-                    "--query", "Q6", "--scale", "0.001",
-                    "--predicate-transfer", "--bloom-fpr", "0",
-                ]
-            )
+            .aggregate(aggregates=[("count", None, "n")])
+            .plan()
+        )
+        off = Executor(partitioned).execute(plan)
+        on = Executor(partitioned, TRANSFER_ON).execute(plan, analyze=True)
+        probes = [s for s in on.trace.spans() if s.name == "bloom_probe"]
+        assert len(probes) == 2
+        for span in probes:
+            assert span.bloom_filters == span.bloom_probed == 0
+            assert span.network_bytes == span.total_work == 0
+            assert span.rows_out == span.rows_in > 0
+        assert on.rows == off.rows
+        assert on.stats.canonical() == off.stats.canonical()

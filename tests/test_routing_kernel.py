@@ -12,10 +12,11 @@ references live here, in the tests.  Pinned:
   part over the router's memo of parts, to the same answer;
 * ``BloomFilter.probe_many`` == per-key ``might_contain``, the bit words
   do not move, and probing leaves nothing on the filter (the memo is the
-  call's, or the probing operator's);
+  call's, or the transfer pass's);
 * every shuffle bucket, every aggregate-exchange target and every
   Bloom-probe survivor of the 22 TPC-H plans under three designs on
-  three backends equals the per-row reference;
+  three backends equals the per-row reference (for the probes, the whole
+  transfer pass redone a row and a key at a time);
 * a BOOLEAN column joined to an INTEGER one across a shuffle, and
   pruning ``WHERE flag = 1`` on a table hashed on ``flag``.
 """
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 from helpers import BACKENDS, run_tree
 from repro.catalog.column import Column, DataType
 from repro.catalog.schema import DatabaseSchema
-from repro.engine.bloom import BloomFilter
+from repro.engine.bloom import TRANSFER_FPR, BloomFilter
 from repro.engine.compile import compile_plan
 from repro.engine.context import ExecutionContext
 from repro.engine.operators import (
@@ -382,70 +383,103 @@ def test_aggregate_exchange_charges_the_per_state_sum(tpch_stores):
     )
 
 
-def reference_survivors(op: PhysicalBloomProbe) -> list[list[tuple]]:
-    """The probe as it was before the kernel: one ``might_contain`` per
-    row and filter.  ``[partition]`` -> surviving live-column rows."""
-    child = op.inputs[0]
-    live = sorted(op.live)
-    out = []
-    for p in range(op.output_count):
-        batch = child.partition_batch(p)
-        keep = [True] * batch.length
-        for transfer in op.annotated.extra["bloom"]:
-            keys = batch.key_values(tuple(transfer.positions))
-            keep = [
-                kept and transfer.bloom.might_contain(key)
-                for kept, key in zip(keep, keys)
-            ]
-        rows = batch.select(live).to_rows()
-        out.append([row for row, kept in zip(rows, keep) if kept])
-    return out
+def reference_transfer(probes: list[PhysicalBloomProbe]) -> dict[str, tuple]:
+    """The transfer pass one row and one key at a time, from the probes'
+    inputs alone: ``site -> (surviving (partition, row) pairs, kept
+    filters)``.  Each filter is rebuilt with ``BloomFilter.add`` from the
+    source site's surviving rows and probed with ``might_contain``."""
+    inputs = {
+        op.site: [
+            op.inputs[0].partition_batch(p) for p in range(op.output_count)
+        ]
+        for op in probes
+    }
+    alive = {
+        site: [(p, i) for p, batch in enumerate(parts) for i in range(batch.length)]
+        for site, parts in inputs.items()
+    }
+
+    def keys(site, positions):
+        columns = [
+            batch.key_values(positions) for batch in inputs[site]
+        ]
+        return [columns[p][i] for p, i in alive[site]]
+
+    ranked = sorted(alive, key=lambda site: (len(alive[site]), site))
+    rank = {site: position for position, site in enumerate(ranked)}
+    edges = [edge for op in probes for edge in op.edges]
+    forward = sorted(
+        (e for e in edges if rank[e.source] < rank[e.target]),
+        key=lambda e: (rank[e.target], rank[e.source], e),
+    )
+    backward = sorted(
+        (e for e in edges if rank[e.source] > rank[e.target]),
+        key=lambda e: (-rank[e.target], -rank[e.source], e),
+    )
+    kept = dict.fromkeys(alive, 0)
+    for edge in forward + backward:
+        built = {
+            key for key in keys(edge.source, edge.source_positions)
+            if key is not None
+        }
+        bloom = BloomFilter.sized(max(1, len(built)), TRANSFER_FPR)
+        for key in built:
+            bloom.add(key)
+        survivors = [
+            where
+            for where, key in zip(
+                alive[edge.target], keys(edge.target, edge.positions)
+            )
+            if bloom.might_contain(key)
+        ]
+        if len(survivors) < len(alive[edge.target]):
+            alive[edge.target] = survivors
+            kept[edge.target] += 1
+    return {site: (alive[site], kept[site]) for site in alive}
 
 
 @pytest.mark.parametrize("config", ["all_hashed", "sd_pref", "patched_pref"])
 def test_every_tpch_bloom_probe_equals_per_row_probing(tpch_stores, config):
-    """Survivors are compared where the probe's output stays in reach
-    (serial, thread); a forked worker keeps it inside its fused job, so
-    there the probed/pruned counters and every other total must agree."""
+    """On every backend the probes' inputs and outputs end up on the
+    coordinator (the pass runs in an exchange), so the per-row reference
+    is rebuilt from each run's own inputs and compared with its outputs;
+    the cost-model totals must agree across the backends as well."""
     partitioned = tpch_stores[config]
     executor = Executor(partitioned, ExecOptions(predicate_transfer=True))
     backends = {name: make() for name, make in BACKENDS.items()}
-    probes = 0
+    probes = filters = 0
     try:
         for query, build in ALL_QUERIES.items():
             annotated = executor.annotate(build())
-            reference = serial_stats = None
+            serial_stats = None
             for name, backend in backends.items():
                 root = compile_plan(annotated, partitioned)
                 stats = run_tree(root, partitioned.partition_count, backend)
+                serial_stats = serial_stats or stats
+                assert stats.canonical() == serial_stats.canonical(), (
+                    query, name,
+                )
                 ops = [
                     op for op in root.walk()
                     if isinstance(op, PhysicalBloomProbe)
                 ]
-                if reference is None:  # serial: inputs are at hand
-                    reference = {
-                        op.op_id: reference_survivors(op) for op in ops
-                    }
-                    serial_stats = stats
-                    probes += len(reference)
-                assert stats.canonical() == serial_stats.canonical(), (
-                    query, name,
-                )
-                if name == "process":
-                    continue
+                reference = reference_transfer(ops)
                 for op in ops:
+                    where = (query, name, op.label, op.site)
+                    survivors, kept = reference[op.site]
+                    assert op.exchanged.filters == kept, where
                     live = sorted(op.live)
-                    survivors = [
-                        op.partition_batch(p).select(live).to_rows()
-                        for p in range(op.output_count)
-                    ]
-                    assert survivors == reference[op.op_id], (
-                        query, name, op.label,
-                    )
+                    for p in range(op.output_count):
+                        rows = op.inputs[0].partition_batch(p).select(live).to_rows()
+                        assert op.partition_batch(p).select(live).to_rows() == [
+                            rows[i] for q, i in survivors if q == p
+                        ], where
+                    probes += 1
+                    filters += kept
     finally:
         for backend in backends.values():
             backend.close()
-    assert probes
+    assert filters and probes > filters  # some probes keep no filter
 
 
 # -- the bug the memo's key semantics turned up -----------------------------

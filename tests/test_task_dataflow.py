@@ -3,14 +3,18 @@
 ``engine/backends.py`` declares a plan's dataflow once — the slot every
 task writes and the slots it reads (``task_slots``) — and derives the
 task dependencies, the fused jobs and the process pool's payloads from
-it.  Pinned here, for all 22 TPC-H plans under three designs:
+it.  Pinned here, for all 22 TPC-H plans under three designs, with
+predicate transfer off and on (on, a Bloom probe's exchange reads the
+outputs of operators that are not its inputs — its declared ``after``):
 
+* ``root.walk()`` yields every operator once, producers before readers;
 * every task's ``deps`` are the writers of its ``reads``, and serial
   order is a topological order of the graph;
 * on an instrumented serial run, every slot a task actually reads is one
   it declared (so a pool that ships or waits for exactly the declared
   reads never starves a task) — with teeth: the old class-level
-  ``PhysicalAggregate.partition_reads_inputs = False`` fails it.
+  ``PhysicalAggregate.partition_reads_inputs = False`` fails it, and so
+  does a Bloom probe whose ``after`` is left empty.
 
 And for ``run_jobs`` on hand-built jobs with fake ``submit``/``absorb``:
 an inline failure, a pooled failure and an ``absorb`` failure each
@@ -31,22 +35,60 @@ from repro.engine.backends import (
     _Job,
     build_task_graph,
     run_jobs,
+    task_slots,
 )
 from repro.engine.context import ExecutionContext
-from repro.engine.operators import PhysicalAggregate, PhysicalOperator
+from repro.engine.operators import (
+    PhysicalAggregate,
+    PhysicalBloomProbe,
+    PhysicalOperator,
+)
+from repro.query import ExecOptions
 from repro.workloads.tpch import ALL_QUERIES
 
 CONFIGS = ["all_hashed", "sd_pref", "patched_pref"]
+#: Every sweep below runs with predicate transfer off and on (inside the
+#: test, so its id stays the design's name).
+TRANSFER = [ExecOptions(), ExecOptions(predicate_transfer=True)]
 
 
-# -- (a) dependencies derive from the slots ---------------------------------
+# -- (a) operator order and dependencies derive from the declaration --------
+
+
+def sweep():
+    """Every (query, options) pair the tests below cover."""
+    return [(query, options) for query in ALL_QUERIES for options in TRANSFER]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_walk_yields_each_operator_once_producers_first(tpch_stores, config):
+    partitioned = tpch_stores[config]
+    probes = {False: 0, True: 0}
+    for query, options in sweep():
+        root = compiled(partitioned, ALL_QUERIES[query](), options)
+        order = list(root.walk())
+        assert [op.op_id for op in order] == list(range(len(order))), query
+        assert order[-1] is root
+        position = {id(op): index for index, op in enumerate(order)}
+        assert len(position) == len(order), f"{query}: an operator twice"
+        for op in order:
+            for producer in (*op.inputs, *op.after):
+                assert position[id(producer)] < position[id(op)], (
+                    query, producer.label, op.label,
+                )
+        probes[options.predicate_transfer] += sum(
+            isinstance(op, PhysicalBloomProbe) for op in order
+        )
+    assert probes[True] and not probes[False]
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_deps_are_the_writers_of_the_reads(tpch_stores, config):
     partitioned = tpch_stores[config]
-    for query in ALL_QUERIES:
-        tasks = build_task_graph(compiled(partitioned, ALL_QUERIES[query]()))
+    for query, options in sweep():
+        tasks = build_task_graph(
+            compiled(partitioned, ALL_QUERIES[query](), options)
+        )
         writer = {task.writes: task for task in tasks}
         assert len(writer) == len(tasks), f"{query}: a slot has two writers"
         for position, task in enumerate(tasks):
@@ -77,7 +119,7 @@ class _RecordingDict(dict):
         return super().__getitem__(p)
 
 
-def actual_reads(monkeypatch, partitioned, query):
+def actual_reads(monkeypatch, partitioned, query, options=None):
     """Run *query* serially with every slot read instrumented; return
     ``(task, slots it read)`` per task."""
     seen: set[Slot] = set()
@@ -113,7 +155,7 @@ def actual_reads(monkeypatch, partitioned, query):
             property(get_exchanged, set_exchanged),
             raising=False,
         )
-        root = compiled(partitioned, ALL_QUERIES[query]())
+        root = compiled(partitioned, ALL_QUERIES[query](), options)
         ctx = ExecutionContext(partitioned.partition_count)
         for op in root.walk():
             ctx.register(op)
@@ -137,11 +179,11 @@ def undeclared(reads):
 def test_every_actual_read_is_declared(tpch_stores, config, monkeypatch):
     partitioned = tpch_stores[config]
     kinds = set()
-    for query in ALL_QUERIES:
-        reads = actual_reads(monkeypatch, partitioned, query)
+    for query, options in sweep():
+        reads = actual_reads(monkeypatch, partitioned, query, options)
         for task, extra in undeclared(reads):
             raise AssertionError(
-                f"{query}/{config}: {task.op.label} {task.phase} "
+                f"{query}/{config}/{options}: {task.op.label} {task.phase} "
                 f"{task.index} read undeclared {extra}"
             )
         kinds.update(slot.kind for _task, seen in reads for slot in seen)
@@ -164,6 +206,28 @@ def test_class_level_aggregate_flag_is_caught(tpch_stores, monkeypatch):
     offenders = undeclared(actual_reads(monkeypatch, partitioned, "Q13"))
     assert offenders
     assert all(task.op.label == "aggregate[local]" for task, _ in offenders)
+
+
+def test_probe_without_after_is_caught(tpch_stores, monkeypatch):
+    """Teeth: the transfer pass runs in the first probe's exchange and
+    reads the other sites' scans, which are not that probe's inputs.
+    With ``after`` left empty the declaration no longer covers them."""
+    partitioned = tpch_stores["all_hashed"]
+    reads = actual_reads(
+        monkeypatch, partitioned, "Q3", ExecOptions(predicate_transfer=True)
+    )
+    assert not undeclared(reads)
+    monkeypatch.setattr(PhysicalBloomProbe, "after", ())
+    offenders = [
+        (task, seen - set(task_slots(task.op, task.phase, task.index)[1]))
+        for task, seen in reads
+    ]
+    offenders = [(task, extra) for task, extra in offenders if extra]
+    assert offenders
+    for task, extra in offenders:
+        assert isinstance(task.op, PhysicalBloomProbe)
+        assert task.phase == "exchange"
+        assert {slot.kind for slot in extra} == {"part"}
 
 
 # -- (c) the scheduling loop on hand-built jobs ------------------------------
