@@ -62,6 +62,7 @@ from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import Method, RelProps
 from repro.query.rewrite import Annotated
+from repro.storage.partition import Partition, build_key_table
 from repro.storage.partitioned import PartitionedTable
 
 #: A compiled batch kernel (see ``Expression.bind_batch``).
@@ -88,6 +89,30 @@ def _index_lists(slots: Iterable[int], slot_count: int) -> list[list[int]]:
     for index, slot in enumerate(slots):
         lists[slot].append(index)
     return lists
+
+
+def _key_matches(
+    table: dict, keys: Iterable
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """Probe *keys* against a build table (a key's value: one row index,
+    or a list or array of them): the matching (probe row, build row)
+    pairs, in probe order and then build order, and per probe row its
+    ``(start, stop)`` run in those pairs — empty for a miss."""
+    left_idx: list[int] = []
+    right_idx: list[int] = []
+    spans: list[tuple[int, int]] = []
+    for i, matches in enumerate(map(table.get, keys)):
+        start = len(right_idx)
+        if matches is None:
+            pass
+        elif matches.__class__ is int:
+            left_idx.append(i)
+            right_idx.append(matches)
+        else:
+            left_idx.extend([i] * len(matches))
+            right_idx.extend(matches)
+        spans.append((start, len(right_idx)))
+    return left_idx, right_idx, spans
 
 
 class PhysicalOperator:
@@ -164,6 +189,11 @@ class PhysicalOperator:
     def node_batch(self, node: int) -> ColumnBatch:
         """The batch node *node* works on (single copies live in slot 0)."""
         return self.partition_batch(0 if self.output_count == 1 else node)
+
+    def node_stored(self, node: int) -> Partition | None:
+        """The stored partition that :meth:`node_batch` aliases row for
+        row, if any (only a scan's output can)."""
+        return None
 
     def store_batch(self, p: int, batch: ColumnBatch) -> None:
         """Publish output partition *p*."""
@@ -257,6 +287,20 @@ class PhysicalScan(PhysicalOperator):
         return ColumnBatch(
             [*partition.columns, *bitmaps], partition.row_count
         ).prune(self.live)
+
+    def node_stored(self, node: int) -> Partition | None:
+        """None when the batch is not the store's own columns: patched-PREF
+        deliveries were appended to a copy, ``allowed`` pruned the
+        partition, or the batch was shipped in from another process."""
+        p = 0 if self.output_count == 1 else node
+        batch = self._partitions[p]
+        partition = self.table.partitions[p]
+        if batch is None or batch.length != partition.row_count:
+            return None
+        for column, stored in zip(batch.columns, partition.columns):
+            if column is not None and column is not stored:
+                return None
+        return partition
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         if self.replicated:
@@ -744,11 +788,10 @@ class PhysicalHashJoin(PhysicalOperator):
         #: ``live`` by the compiler's live-column pass.
         self.left_out = left.live
         self.right_out = right.live
-        if node.on:
-            self.left_positions = [left.props.position(l) for l, _ in node.on]
-            self.right_positions = [right.props.position(r) for _, r in node.on]
-        else:
-            self.left_positions = self.right_positions = []
+        self.left_positions = tuple(left.props.position(l) for l, _ in node.on)
+        self.right_positions = tuple(
+            right.props.position(r) for _, r in node.on
+        )
         self.pad = (
             _null_pad(right.props) if node.kind is JoinKind.LEFT_OUTER else None
         )
@@ -772,8 +815,13 @@ class PhysicalHashJoin(PhysicalOperator):
     # -- batch-level join --------------------------------------------------
 
     def _join_batches(
-        self, left_batch: ColumnBatch, right_batch: ColumnBatch
+        self,
+        left_batch: ColumnBatch,
+        right_batch: ColumnBatch,
+        stored: Partition | None = None,
     ) -> ColumnBatch:
+        """Join two batches; *stored* is the partition *right_batch*
+        aliases, if any, whose kept key index then serves as the build."""
         node = self.node
         if not node.on:
             rows = self._nested_loop(
@@ -781,71 +829,35 @@ class PhysicalHashJoin(PhysicalOperator):
             )
             return ColumnBatch.from_rows(rows, self.width)
         left_keys = left_batch.key_values(self.left_positions)
-        right_keys = right_batch.key_values(self.right_positions)
         if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
-            return self._semi_anti(
-                left_batch, left_keys, right_batch, right_keys
-            )
-        return self._equi_join(left_batch, left_keys, right_batch, right_keys)
+            return self._semi_anti(left_batch, left_keys, right_batch, stored)
+        return self._equi_join(left_batch, left_keys, right_batch, stored)
 
-    def _build_table(
-        self, right_batch: ColumnBatch, right_keys: list
+    def _table(
+        self, right_batch: ColumnBatch, stored: Partition | None
     ) -> tuple[dict, bool]:
-        """(key -> right row index/indices, build-side-unique).
+        """The build side's hash table and whether its keys are unique
+        (see :func:`~repro.storage.partition.build_key_table`).
 
-        Single-column joins key on the bare value (no tuple building);
-        multi-column joins key on tuples.  NULL-bearing keys never match
-        (SQL equality), so they never enter the table.
-
-        The build is optimistic: ``dict(zip(keys, range(n)))`` runs at C
-        speed and, when no key repeats (the common FK -> PK case), is the
-        finished table — values are bare int indices and the second
-        element is True.  Only a build side with duplicate keys falls
-        back to the Python loop that accumulates index lists in
-        insertion order (values are lists, second element False).
+        A stored build side answers from the partition's key index, so a
+        table with repeated keys is built once per write, not per query;
+        any other build side is built here, once per batch.
         """
-        n = len(right_keys)
-        if len(self.right_positions) == 1:
-            nulls = right_keys.count(None)
-            if not self._dup_build:
-                table = dict(zip(right_keys, range(n)))
-                if nulls:
-                    del table[None]
-                if len(table) == n - nulls:
-                    return table, True
-                self._dup_build = True
-            table = defaultdict(list)
-            if nulls:
-                for index, key in enumerate(right_keys):
-                    if key is not None:
-                        table[key].append(index)
-            else:
-                for index, key in enumerate(right_keys):
-                    table[key].append(index)
-            return table, False
-        has_nulls = any(
-            right_batch.has_nulls(p) for p in self.right_positions
-        )
-        if not has_nulls and not self._dup_build:
-            table = dict(zip(right_keys, range(n)))
-            if len(table) == n:
-                return table, True
+        if stored is not None:
+            table, unique = stored.key_table(
+                self.right_positions, not self._dup_build
+            )
+        else:
+            cached = self._table_cache
+            if cached is not None and cached[0] is right_batch:
+                return cached[1], cached[2]
+            table, unique = build_key_table(
+                [right_batch.column(p) for p in self.right_positions],
+                not self._dup_build,
+            )
+            self._table_cache = (right_batch, table, unique)
+        if not unique:
             self._dup_build = True
-        table = defaultdict(list)
-        for index, key in enumerate(right_keys):
-            if has_nulls and not _null_free_key(key):
-                continue
-            table[key].append(index)
-        return table, False
-
-    def _cached_table(
-        self, right_batch: ColumnBatch, right_keys: list
-    ) -> tuple[dict, bool]:
-        cached = self._table_cache
-        if cached is not None and cached[0] is right_batch:
-            return cached[1], cached[2]
-        table, unique = self._build_table(right_batch, right_keys)
-        self._table_cache = (right_batch, table, unique)
         return table, unique
 
     def _combined(
@@ -904,9 +916,9 @@ class PhysicalHashJoin(PhysicalOperator):
         left_batch: ColumnBatch,
         left_keys: list,
         right_batch: ColumnBatch,
-        right_keys: list,
+        stored: Partition | None,
     ) -> ColumnBatch:
-        table, unique = self._cached_table(right_batch, right_keys)
+        table, unique = self._table(right_batch, stored)
         residual = self.residual_batch
         pad = self.pad
         if residual is None and unique:
@@ -928,50 +940,33 @@ class PhysicalHashJoin(PhysicalOperator):
                 right_batch,
                 list(compress(raw, mask)),
             )
-        if unique:
-            # The slow paths below fan matches out per probe row; give
-            # them the list-valued view of the unique table.
-            table = {key: (index,) for key, index in table.items()}
-        left_idx: list[int] = []
-        right_idx: list[int] = []
         if residual is None:
             # NULL-bearing probe keys miss for free: the table only
             # holds NULL-free keys, and no tuple equals one of those.
-            if pad is None:
-                for i, key in enumerate(left_keys):
-                    matches = table.get(key)
-                    if matches:
-                        left_idx.extend([i] * len(matches))
-                        right_idx.extend(matches)
-            else:
-                for i, key in enumerate(left_keys):
-                    matches = table.get(key)
-                    if matches:
-                        left_idx.extend([i] * len(matches))
-                        right_idx.extend(matches)
-                    else:
+            left_idx: list[int] = []
+            right_idx: list[int] = []
+            for i, matches in enumerate(map(table.get, left_keys)):
+                if matches is None:
+                    if pad is not None:
                         left_idx.append(i)
                         right_idx.append(-1)
+                elif matches.__class__ is int:
+                    left_idx.append(i)
+                    right_idx.append(matches)
+                else:
+                    left_idx.extend([i] * len(matches))
+                    right_idx.extend(matches)
             return self._emit(left_batch, left_idx, right_batch, right_idx)
         # A residual restricts which key matches survive: evaluate it
         # once over every candidate pair, then keep survivors in
         # left-row order, padding rows whose matches all failed.
-        spans: list[tuple[int, int, int]] = []
-        for i, key in enumerate(left_keys):
-            matches = table.get(key)
-            if matches:
-                start = len(right_idx)
-                left_idx.extend([i] * len(matches))
-                right_idx.extend(matches)
-                spans.append((i, start, len(right_idx)))
-            elif pad is not None:
-                spans.append((i, 0, 0))
+        left_idx, right_idx, spans = _key_matches(table, left_keys)
         mask = residual(
             self._combined(left_batch, left_idx, right_batch, right_idx)
         )
         final_left: list[int] = []
         final_right: list[int] = []
-        for i, start, stop in spans:
+        for i, (start, stop) in enumerate(spans):
             emitted = False
             for pos in range(start, stop):
                 if mask[pos]:
@@ -988,7 +983,7 @@ class PhysicalHashJoin(PhysicalOperator):
         left_batch: ColumnBatch,
         left_keys: list,
         right_batch: ColumnBatch,
-        right_keys: list,
+        stored: Partition | None,
     ) -> ColumnBatch:
         expect = self.node.kind is JoinKind.SEMI
         residual = self.residual_batch
@@ -997,6 +992,7 @@ class PhysicalHashJoin(PhysicalOperator):
             if cached is not None and cached[0] is right_batch:
                 keys = cached[1]
             else:
+                right_keys = right_batch.key_values(self.right_positions)
                 if len(self.right_positions) == 1:
                     keys = set(right_keys)
                     keys.discard(None)
@@ -1029,21 +1025,8 @@ class PhysicalHashJoin(PhysicalOperator):
         # A residual restricts which key matches count as partners: a
         # left row matches only if some key-equal right row also
         # satisfies the residual on the combined row.
-        partners, unique = self._cached_table(right_batch, right_keys)
-        if unique:
-            partners = {key: (index,) for key, index in partners.items()}
-        left_idx: list[int] = []
-        right_idx: list[int] = []
-        spans: list[tuple[int, int]] = []
-        for i, key in enumerate(left_keys):
-            matches = partners.get(key)
-            if matches:
-                start = len(right_idx)
-                left_idx.extend([i] * len(matches))
-                right_idx.extend(matches)
-                spans.append((start, len(right_idx)))
-            else:
-                spans.append((0, 0))
+        partners, _unique = self._table(right_batch, stored)
+        left_idx, right_idx, spans = _key_matches(partners, left_keys)
         mask = residual(
             self._combined(left_batch, left_idx, right_batch, right_idx)
         )
@@ -1148,10 +1131,14 @@ class PhysicalHashJoin(PhysicalOperator):
             self._run_broadcast_partition(ctx, p)
             return
         left, right = self.inputs
+        # The stored partition travels as an argument, never through an
+        # attribute: a pool runs this join's partition tasks concurrently.
         if self.single:
             left_batch = left.partition_batch(0)
             right_batch = right.partition_batch(0)
-            out = self._join_batches(left_batch, right_batch)
+            out = self._join_batches(
+                left_batch, right_batch, right.node_stored(0)
+            )
             ctx.add_work(self, 0, left_batch.length + right_batch.length)
             ctx.add_join_event(self, 0, right_batch.length, left_batch.length)
             ctx.add_output(self, out.length, 0)
@@ -1159,7 +1146,7 @@ class PhysicalHashJoin(PhysicalOperator):
             return
         left_batch = left.node_batch(p)
         right_batch = right.node_batch(p)
-        out = self._join_batches(left_batch, right_batch)
+        out = self._join_batches(left_batch, right_batch, right.node_stored(p))
         ctx.add_work(
             self, p, left_batch.length + right_batch.length + out.length
         )

@@ -10,6 +10,8 @@ maintain the guarantees that query processing relies on:
 * **Canonical copies** — exactly one copy of every base tuple has dup == 0.
 * **Partner bits** — hasS is set on (all copies of) r iff a partner exists
   anywhere in S.
+* **Key indexes** — every join-key index a partition keeps equals a fresh
+  build over its stored columns (no write left one stale).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.partitioning.scheme import (
     PrefScheme,
     key_has_null,
 )
+from repro.storage.partition import build_key_table
 from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
 
 
@@ -46,6 +49,7 @@ def check_pref_invariants(
     Raises:
         InvariantViolation: Naming the table and the violated condition.
     """
+    check_key_indexes(partitioned)
     for table_name in config.tables:
         scheme = config.scheme_of(table_name)
         if not isinstance(scheme, PrefScheme):
@@ -165,6 +169,29 @@ def _check_pref_table(
                 f"{name}: tuple {source_id} hasS bits {observed} inconsistent "
                 f"with partner existence {expected_partner}"
             )
+
+
+def check_key_indexes(partitioned: PartitionedDatabase) -> None:
+    """Every join-key index a partition of *partitioned* keeps equals a
+    fresh build over its stored columns.
+
+    Raises:
+        InvariantViolation: Naming the table, partition and key columns.
+    """
+    for table in partitioned.tables.values():
+        for partition in table.partitions:
+            for positions, kept in (partition.key_index or {}).items():
+                if kept is None:  # built once, not kept
+                    continue
+                fresh, _unique = build_key_table(
+                    [partition.columns[position] for position in positions],
+                    compact=True,
+                )
+                if kept != fresh:
+                    raise InvariantViolation(
+                        f"{table.name}: partition {partition.partition_id} "
+                        f"keeps a stale key index on columns {positions}"
+                    )
 
 
 def _check_canonical_copies(table: PartitionedTable) -> None:

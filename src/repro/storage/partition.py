@@ -2,9 +2,8 @@
 
 A partition stores its tuples column-wise — ``columns[c][i]`` is the value
 of column ``c`` in stored row ``i``, ``None`` for NULL — which is exactly
-the layout a scan hands to the engine, so scans alias the stored lists and
-nothing derived can go stale.  Three parallel lists describe each stored
-row:
+the layout a scan hands to the engine, so scans alias the stored lists.
+Three parallel lists describe each stored row:
 
 * ``source_ids`` — the global id of the base tuple each stored row is a copy
   of.  PREF partitioning may place copies of the same base tuple in several
@@ -19,13 +18,21 @@ row:
 Readers (the engine included) must treat every stored list as read-only;
 all mutation goes through :meth:`Partition.extend`, :meth:`compress`,
 :meth:`set_row` and :meth:`set_has_partner`.
+
+Besides those five stored fields a partition holds exactly one derived
+structure, :attr:`Partition.key_index`: the hash tables joins build over
+its key columns (:func:`build_key_table`), kept between queries.  The rule
+that keeps it right: every mutator drops it, and no reader mutates it — a
+build installs a new mapping and a probe only reads the tables.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from array import array
+from collections import defaultdict
+from itertools import compress, repeat
+from operator import is_not, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import RowShapeError
 
@@ -37,10 +44,72 @@ def row_key(positions: Sequence[int]) -> Callable[[Row], object]:
     return itemgetter(*positions)
 
 
+def build_key_table(
+    columns: Sequence[list], try_unique: bool = True, compact: bool = False
+) -> tuple[dict, bool]:
+    """The hash table of a join's build side: ``(table, unique)``.
+
+    *columns* are the key columns; a key is the bare value of one column
+    or the tuple of several (as :func:`row_key`).  A key holding NULL
+    never matches (SQL equality), so it never enters the table.  A key
+    maps to its row indices, ascending; *unique* is True when no key
+    repeats, and then every value is a bare row index.
+
+    With *try_unique* the build is optimistic: ``dict(zip(keys,
+    range(n)))`` runs at C speed and, when no key repeats (the common FK
+    -> PK case), is the finished table.  Otherwise — or when the caller
+    already knows keys repeat — one Python pass groups the rows: into a
+    list per key, or with *compact* into the form worth keeping, a bare
+    index for a key stored once and an ``array('l')`` for a repeated one
+    (no int object or collectable list per row, at about twice the build
+    time of the lists).
+    """
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    rows: Sequence[int] = range(len(keys))
+    if any(None in column for column in columns):
+        if len(columns) == 1:
+            valid = list(map(is_not, keys, repeat(None)))
+        else:
+            valid = [None not in key for key in keys]
+        rows = list(compress(rows, valid))
+        keys = list(compress(keys, valid))
+    if try_unique:
+        table = dict(zip(keys, rows))
+        if len(table) == len(keys):
+            return table, True
+    if compact:
+        return _compact_groups(zip(rows, keys))
+    lists: defaultdict = defaultdict(list)
+    for index, key in zip(rows, keys):
+        lists[key].append(index)
+    return lists, False
+
+
+def _compact_groups(pairs: Iterable[tuple[int, object]]) -> tuple[dict, bool]:
+    """The compact table of ``(row index, key)`` *pairs*: one C-level
+    ``setdefault`` a pair, and only a repeated key's rows take the branch
+    that starts or extends its array."""
+    table: dict = {}
+    setdefault = table.setdefault
+    unique = True
+    for index, key in pairs:
+        slot = setdefault(key, index)
+        if slot is not index:  # the key was stored before
+            if slot.__class__ is int:
+                table[key] = array("l", (slot, index))
+                unique = False
+            else:
+                slot.append(index)
+    return table, unique
+
+
 class Partition:
     """Columns of one partition plus the PREF bitmap indexes."""
 
-    __slots__ = ("partition_id", "columns", "source_ids", "dup", "has_partner")
+    __slots__ = (
+        "partition_id", "columns", "source_ids", "dup", "has_partner",
+        "key_index",
+    )
 
     def __init__(self, partition_id: int, width: int) -> None:
         self.partition_id = partition_id
@@ -48,6 +117,10 @@ class Partition:
         self.source_ids: list[int] = []
         self.dup: list[int] = []
         self.has_partner: list[int] = []
+        #: Derived, not stored (see :meth:`key_table`): key positions ->
+        #: the compact table over those columns, or None where it was
+        #: built once and not kept; the whole slot is None after a write.
+        self.key_index: dict[tuple[int, ...], dict | None] | None = None
 
     # -- mutation ------------------------------------------------------------
 
@@ -74,6 +147,7 @@ class Partition:
                 f"partition {self.partition_id}: rows do not all have "
                 f"{len(self.columns)} values"
             )
+        self.key_index = None
         for column, column_values in zip(self.columns, values):
             column.extend(column_values)
         self.source_ids.extend(source_ids)
@@ -94,6 +168,7 @@ class Partition:
 
     def compress(self, keep: Sequence[object]) -> None:
         """Drop every stored row whose *keep* entry is falsy, in order."""
+        self.key_index = None
         self.columns = [list(compress(column, keep)) for column in self.columns]
         self.source_ids = list(compress(self.source_ids, keep))
         self.dup = list(compress(self.dup, keep))
@@ -106,11 +181,13 @@ class Partition:
                 f"partition {self.partition_id}: row has {len(row)} values, "
                 f"expected {len(self.columns)}"
             )
+        self.key_index = None
         for column, value in zip(self.columns, row):
             column[index] = value
 
     def set_has_partner(self, index: int, has_partner: bool = True) -> None:
         """Set the ``hasS`` bit of stored row *index*."""
+        self.key_index = None
         self.has_partner[index] = int(has_partner)
 
     # -- reading -------------------------------------------------------------
@@ -143,6 +220,40 @@ class Partition:
         if len(positions) == 1:
             return self.columns[positions[0]]
         return list(zip(*(self.columns[position] for position in positions)))
+
+    def key_table(
+        self, positions: tuple[int, ...], try_unique: bool = True
+    ) -> tuple[dict, bool]:
+        """:func:`build_key_table` over the columns at *positions*.
+
+        From the second build since the last write on, a table in which
+        some key repeats is built compact and kept in :attr:`key_index`
+        until the next write.  A unique one is a single C-level call to
+        rebuild and is not worth its memory, so it is built per call.
+
+        Concurrent readers race benignly: their builds are identical and
+        the last install wins.  A write must not overlap a read (the
+        serving layer's readers-writer lock sees to it), or a table built
+        from the old columns could be installed after the write's drop.
+        """
+        index = self.key_index or {}
+        table = index.get(positions)
+        if table is not None:
+            return table, False
+        # The first build since a write only notes the positions: a
+        # partition written between every two reads (bulk loading) never
+        # pays for the compact form, and the next build keeps it.
+        compact = positions in index
+        table, unique = build_key_table(
+            [self.columns[position] for position in positions],
+            try_unique,
+            compact,
+        )
+        if not unique:
+            # Installed whole, never updated in place: a concurrent reader
+            # holding the previous mapping still sees a consistent one.
+            self.key_index = {**index, positions: table if compact else None}
+        return table, unique
 
     def canonical_rows(self) -> Iterator[Row]:
         """Yield only rows whose ``dup`` bit is 0."""

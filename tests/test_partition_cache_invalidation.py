@@ -1,7 +1,8 @@
 """Reads after writes: a query sees every bulk-load mutation.
 
-A partition stores the columns the scan hands out, so there is no derived
-form that a write could leave stale.  These tests pin the behaviour that
+A partition stores the columns the scan hands out; its one derived form,
+the joins' key index, is dropped by every write (``test_key_index.py``
+drives each writer against it).  These tests pin the behaviour that
 used to depend on a hand-called cache hook: the hasS flip after a
 referenced-side insert, a delete and an in-place update are each visible
 to the very next query.

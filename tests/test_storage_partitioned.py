@@ -33,12 +33,15 @@ class TestPartition:
         assert partition.has_partner == [1, 1, 0]
 
     def test_stores_exactly_five_fields(self):
-        """Columns are the stored form: nothing derived rides along."""
+        """Columns are the stored form: five stored fields and one
+        derived index, which starts (and after every write is) absent."""
         partition = make_table().partitions[0]
         assert partition.__slots__ == (
-            "partition_id", "columns", "source_ids", "dup", "has_partner"
+            "partition_id", "columns", "source_ids", "dup", "has_partner",
+            "key_index",
         )
         assert not hasattr(partition, "__dict__")
+        assert partition.key_index is None
 
     def test_extend_stores_columns_and_rows_is_a_view(self):
         partition = make_table().partitions[1]
