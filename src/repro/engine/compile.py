@@ -9,7 +9,10 @@ backend can schedule partition by partition.
 The compiler also appends the implicit finalisation the interpreter
 performed inline: a PREF duplicate-elimination pass when the root result
 still carries governing dup columns, then a gather onto the coordinator.
-Operator ids are assigned in ``walk()`` order (post-order, with an
+Every shuffle and aggregate exchange is handed the store's routing memo
+for its target count (``PartitionedDatabase.router``), so a key routed
+by an earlier query is not hashed again.  Operator ids are assigned in
+``walk()`` order (post-order, with an
 operator's declared ``after`` producers ahead of it), which keeps
 deferred join-event flushing (see :mod:`repro.engine.context`)
 byte-compatible with serial execution.
@@ -264,7 +267,13 @@ class _Compiler:
         governing = (
             child.props.positions(child.props.governing) if node.dedup else ()
         )
-        return PhysicalRepartition(annotated, child, key_positions, governing)
+        return PhysicalRepartition(
+            annotated,
+            child,
+            key_positions,
+            governing,
+            self.partitioned.router(node.count),
+        )
 
     def _join(self, annotated: Annotated) -> PhysicalOperator:
         left = self.lower(annotated.inputs[0])
@@ -273,7 +282,9 @@ class _Compiler:
 
     def _aggregate(self, annotated: Annotated) -> PhysicalOperator:
         child = self.lower(annotated.inputs[0])
-        return PhysicalAggregate(annotated, child, self.count)
+        return PhysicalAggregate(
+            annotated, child, self.count, self.partitioned.router(self.count)
+        )
 
     def _order_by(self, annotated: Annotated) -> PhysicalOperator:
         child = self.lower(annotated.inputs[0])

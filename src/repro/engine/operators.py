@@ -56,13 +56,13 @@ from repro.engine.rows import (
     distinct_batch,
     pad_take,
 )
-from repro.partitioning.scheme import KeyMemo, hash_router
+from repro.partitioning.scheme import KeyMemo
 from repro.query.aggregates import aggregate_function, state_bytes
 from repro.query.expressions import referenced_positions
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import Method, RelProps
 from repro.query.rewrite import Annotated
-from repro.storage.partition import Partition, build_key_table
+from repro.storage.partition import Partition, build_key_table, index_lists
 from repro.storage.partitioned import PartitionedTable
 
 #: A compiled batch kernel (see ``Expression.bind_batch``).
@@ -81,14 +81,6 @@ def _group_ids(keys: Iterable) -> tuple[list[int], list]:
     ids: dict = defaultdict(count().__next__)
     gids = list(map(ids.__getitem__, keys))
     return gids, list(ids)
-
-
-def _index_lists(slots: Iterable[int], slot_count: int) -> list[list[int]]:
-    """``lists[s]`` = the ascending indices ``i`` with ``slots[i] == s``."""
-    lists: list[list[int]] = [[] for _ in range(slot_count)]
-    for index, slot in enumerate(slots):
-        lists[slot].append(index)
-    return lists
 
 
 def _key_matches(
@@ -646,7 +638,12 @@ class PhysicalRepartition(PhysicalOperator):
     """Hash shuffle.  ``prepare_partition`` routes one source partition
     into per-target bucket batches (independent per source, so backends
     run the routing concurrently); ``exchange`` concatenates the buckets
-    in source order, preserving the serial interpreter's row order."""
+    in source order, preserving the serial interpreter's row order.
+
+    A source that is a bare stored partition (no governing bits to apply)
+    is routed by the partition's kept buckets (``Partition.buckets``),
+    built once per write; any other source through *route*, the store's
+    routing memo."""
 
     barrier = True
     partition_reads_inputs = False
@@ -658,6 +655,7 @@ class PhysicalRepartition(PhysicalOperator):
         child: PhysicalOperator,
         key_positions: Sequence[int],
         governing_positions: Sequence[int],
+        route: KeyMemo,
     ) -> None:
         node: Repartition = annotated.node
         super().__init__(annotated, [child], node.count)
@@ -667,25 +665,28 @@ class PhysicalRepartition(PhysicalOperator):
         self.local_distinct = annotated.extra.get("distinct") == "local"
         self.child_method = child.props.part.method
         self.prepare_count = child.output_count
-        #: key -> target partition, shared by every ``prepare_partition``
-        #: task: a join key is hashed once per shuffle, not once per row.
-        self._route = hash_router(node.count)
+        #: key -> target partition (``stable_hash(key) % count``).
+        self._route = route
 
     def prepare_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
         count = self.output_count
         # Keys and dup bits are read here; only live columns are routed.
-        keys = batch.key_values(self.key_positions)
         routed = batch.prune(self.live)
-        if self.governing:
-            keep = all_false_mask(
-                [batch.column(q) for q in self.governing], batch.length
-            )
-            keys = list(compress(keys, keep))
-            routed = routed.compress(keep)
+        stored = None if self.governing else child.node_stored(p)
+        if stored is not None:
+            bucket_indices = stored.buckets(self.key_positions, count, self._route)
+        else:
+            keys = batch.key_values(self.key_positions)
+            if self.governing:
+                keep = all_false_mask(
+                    [batch.column(q) for q in self.governing], batch.length
+                )
+                keys = list(compress(keys, keep))
+                routed = routed.compress(keep)
+            bucket_indices = index_lists(self._route.map(keys), count)
         skipped = batch.length - routed.length
-        bucket_indices = _index_lists(self._route.map(keys), count)
         if self.child_method is Method.REPLICATED:
             # Every node already holds the full content; each just keeps
             # its own hash range — no network traffic.
@@ -1197,6 +1198,7 @@ class PhysicalAggregate(PhysicalOperator):
         annotated: Annotated,
         child: PhysicalOperator,
         cluster_count: int,
+        route: KeyMemo,
     ) -> None:
         node: Aggregate = annotated.node
         self.strategy = annotated.extra["strategy"]
@@ -1209,6 +1211,8 @@ class PhysicalAggregate(PhysicalOperator):
             output_count = 1 if self.scalar else cluster_count
         super().__init__(annotated, [child], output_count)
         self.count = cluster_count
+        #: The exchange's group key -> target (``stable_hash(key) % count``).
+        self._route = route
         #: A single position groups, and routes, on the bare value (as a
         #: one-column shuffle key does), several on tuples.
         self.group_positions = child.props.positions(node.group_by)
@@ -1277,7 +1281,7 @@ class PhysicalAggregate(PhysicalOperator):
                     function.fold_rows(gids, values, len(keys))
                     for function, values in folds
                 ]
-            group_rows = _index_lists(gids, len(keys))
+            group_rows = index_lists(gids, len(keys))
         return keys, [
             [function.fold(values, rows) for rows in group_rows]
             for function, values in folds
@@ -1297,7 +1301,7 @@ class PhysicalAggregate(PhysicalOperator):
         column merges with one by-row fold."""
         ctx.add_shuffle(self)
         partials = [self.prepared[index] for index in range(self.prepare_count)]
-        route = hash_router(self.count)
+        route = self._route
         shipped_bytes = 0
         shipped_count = 0
         for source, (keys, columns) in enumerate(partials):
@@ -1329,7 +1333,7 @@ class PhysicalAggregate(PhysicalOperator):
         else:
             self.exchanged = [
                 merged.take(groups)
-                for groups in _index_lists(route.map(keys), self.count)
+                for groups in index_lists(route.map(keys), self.count)
             ]
 
     # -- execution ---------------------------------------------------------

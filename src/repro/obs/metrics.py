@@ -33,6 +33,7 @@ not).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 #: Default buckets for row-count distributions (upper bounds, inclusive).
 ROW_BUCKETS: tuple[float, ...] = (
@@ -63,9 +64,14 @@ TIMING_PREFIX = "time."
 
 
 class Histogram:
-    """A fixed-bucket histogram; merging sums per-bucket counts."""
+    """A fixed-bucket histogram; merging sums per-bucket counts.
 
-    __slots__ = ("name", "buckets", "counts", "count", "total")
+    It also keeps the smallest and largest sample (merged by min and max,
+    and outside :meth:`canonical`), which bound what :meth:`quantile`
+    reads between two bucket bounds.
+    """
+
+    __slots__ = ("name", "buckets", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, buckets: tuple[float, ...]) -> None:
         if not buckets or buckets[-1] != float("inf"):
@@ -75,14 +81,18 @@ class Histogram:
         self.counts = [0] * len(self.buckets)
         self.count = 0
         self.total = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                break
+        # The first bucket whose (inclusive) upper bound is >= value.
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def merge(self, other: "Histogram") -> None:
         if other.buckets != self.buckets:
@@ -94,6 +104,8 @@ class Histogram:
             self.counts[index] += count
         self.count += other.count
         self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     def canonical(self) -> tuple:
         """Comparable form: buckets and counts, no float totals."""
@@ -102,12 +114,12 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Estimated *q*-quantile (0 < q <= 1) from the bucket counts.
 
-        Returns the upper bound of the bucket the quantile rank falls
-        into — a conservative (over-)estimate, the usual convention for
-        fixed-bucket histograms.  When the rank lands in the open-ended
-        final bucket, the largest finite boundary is returned instead (an
-        under-estimate; the histogram cannot resolve beyond its range).
-        Returns 0.0 for an empty histogram.
+        The rank ``q * count`` falls into one bucket; the estimate
+        interpolates linearly within it, between the bucket's bounds
+        narrowed to the smallest and largest sample (the open-ended final
+        bucket ends at the largest).  So it never leaves the observed
+        range: 100 samples of 3 ms give a p99 of 3 ms, not the 5 ms
+        bucket bound.  Returns 0.0 for an empty histogram.
         """
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {q}")
@@ -116,14 +128,13 @@ class Histogram:
         rank = q * self.count
         cumulative = 0
         for index, bucket_count in enumerate(self.counts):
+            if bucket_count and cumulative + bucket_count >= rank:
+                lower = max(self.buckets[index - 1], self.min) if index else self.min
+                upper = min(self.buckets[index], self.max)
+                fraction = (rank - cumulative) / bucket_count
+                return lower + (upper - lower) * fraction
             cumulative += bucket_count
-            if cumulative >= rank:
-                bound = self.buckets[index]
-                if bound == float("inf"):
-                    finite = [b for b in self.buckets if b != float("inf")]
-                    return finite[-1] if finite else 0.0
-                return bound
-        return 0.0  # pragma: no cover - cumulative always reaches count
+        return self.max  # pragma: no cover - cumulative always reaches count
 
     def as_dict(self) -> dict:
         return {

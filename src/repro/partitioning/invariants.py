@@ -10,8 +10,10 @@ maintain the guarantees that query processing relies on:
 * **Canonical copies** — exactly one copy of every base tuple has dup == 0.
 * **Partner bits** — hasS is set on (all copies of) r iff a partner exists
   anywhere in S.
-* **Key indexes** — every join-key index a partition keeps equals a fresh
-  build over its stored columns (no write left one stale).
+* **Derived state** — every structure the store keeps beside its stored
+  rows equals a fresh build: each partition's join tables and shuffle
+  buckets, each table's partition indexes, each routing memo (no write
+  left one stale, no memo answers what ``stable_hash`` would not).
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.scheme import (
     PatchedPrefScheme,
     PrefScheme,
+    hash_router,
     key_has_null,
+    stable_hash,
 )
-from repro.storage.partition import build_key_table
+from repro.storage.partition import build_buckets, build_key_table
 from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
 
 
@@ -49,7 +53,7 @@ def check_pref_invariants(
     Raises:
         InvariantViolation: Naming the table and the violated condition.
     """
-    check_key_indexes(partitioned)
+    check_derived_state(partitioned)
     for table_name in config.tables:
         scheme = config.scheme_of(table_name)
         if not isinstance(scheme, PrefScheme):
@@ -171,26 +175,64 @@ def _check_pref_table(
             )
 
 
+def check_derived_state(partitioned: PartitionedDatabase) -> None:
+    """Every derived structure *partitioned* keeps equals a fresh build by
+    the routine that built it: each partition's kept entries
+    (:func:`check_key_indexes`), each table's cached partition indexes,
+    and each routing memo's entries (a route is ``stable_hash(key) %
+    count``, whatever the memo was fed).
+
+    Raises:
+        InvariantViolation: Naming the stale structure.
+    """
+    check_key_indexes(partitioned)
+    for table in partitioned.tables.values():
+        for columns, index in table.partition_indexes.items():
+            fresh = table.build_partition_index(columns)
+            if index.as_mapping() != fresh.as_mapping():
+                raise InvariantViolation(
+                    f"{table.name}: stale partition index on {columns}"
+                )
+    for count, route in partitioned.routers.items():
+        for key, target in list(route.items()):
+            if target != stable_hash(key) % count:
+                raise InvariantViolation(
+                    f"routing memo for {count} targets sends {key!r} to "
+                    f"{target}, not {stable_hash(key) % count}"
+                )
+
+
 def check_key_indexes(partitioned: PartitionedDatabase) -> None:
-    """Every join-key index a partition of *partitioned* keeps equals a
-    fresh build over its stored columns.
+    """Every entry a partition of *partitioned* keeps in its derived slot
+    equals a fresh build over its stored columns: a join table by
+    :func:`build_key_table`, shuffle buckets by :func:`build_buckets`
+    over a fresh router.
 
     Raises:
         InvariantViolation: Naming the table, partition and key columns.
     """
     for table in partitioned.tables.values():
         for partition in table.partitions:
-            for positions, kept in (partition.key_index or {}).items():
+            for entry, kept in (partition.key_index or {}).items():
                 if kept is None:  # built once, not kept
                     continue
-                fresh, _unique = build_key_table(
-                    [partition.columns[position] for position in positions],
-                    compact=True,
-                )
+                if isinstance(entry[0], tuple):  # (key positions, count)
+                    positions, count = entry
+                    kind = f"shuffle buckets for {count} targets"
+                    fresh = build_buckets(
+                        partition.keys(positions), hash_router(count), count
+                    )
+                else:
+                    positions = entry
+                    kind = "key index"
+                    fresh, _unique = build_key_table(
+                        [partition.columns[position] for position in positions],
+                        compact=True,
+                    )
                 if kept != fresh:
                     raise InvariantViolation(
                         f"{table.name}: partition {partition.partition_id} "
-                        f"keeps a stale key index on columns {positions}"
+                        f"keeps a stale {kind} on columns {positions}"
                     )
 
 

@@ -242,16 +242,26 @@ class KeyMemo(dict):
     function that gives equal keys equal values (``stable_hash`` does);
     then the output equals ``[fn(key) for key in keys]`` exactly, and a
     memo shared between threads only ever races to store the same value.
+
+    With a *limit* the memo holds at most that many keys: a miss that
+    would store one more clears it whole first.  A pure ``fn`` makes a
+    clear invisible in the answers; it only costs the misses that refill.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "limit")
 
-    def __init__(self, fn: Callable[[object], object]) -> None:
+    def __init__(
+        self, fn: Callable[[object], object], limit: int | None = None
+    ) -> None:
         super().__init__()
         self.fn = fn
+        self.limit = limit
 
     def __missing__(self, key: object) -> object:
-        value = self[key] = self.fn(key)
+        value = self.fn(key)
+        if self.limit is not None and len(self) >= self.limit:
+            self.clear()
+        self[key] = value
         return value
 
     def map(self, keys: Iterable) -> list:
@@ -259,15 +269,16 @@ class KeyMemo(dict):
         return list(map(self.__getitem__, keys))
 
 
-def hash_router(count: int) -> KeyMemo:
+def hash_router(count: int, limit: int | None = None) -> KeyMemo:
     """A memo routing keys to ``stable_hash(key) % count``.
 
     A composite key is folded as :func:`stable_hash` folds a tuple, over
     a second memo of its parts: a string or number that recurs across
     keys (one customer name in many group keys) is hashed once per
-    router, not once per distinct key.
+    router, not once per distinct key.  *limit* bounds each of the two
+    memos (see :class:`KeyMemo`).
     """
-    parts = KeyMemo(stable_hash)
+    parts = KeyMemo(stable_hash, limit)
 
     def route(key: object) -> int:
         if not isinstance(key, tuple):
@@ -277,7 +288,7 @@ def hash_router(count: int) -> KeyMemo:
             value = (value * 1000003) ^ parts[part]
         return (value & 0x7FFFFFFFFFFFFFFF) % count
 
-    return KeyMemo(route)
+    return KeyMemo(route, limit)
 
 
 def key_has_null(key: object) -> bool:

@@ -20,10 +20,14 @@ all mutation goes through :meth:`Partition.extend`, :meth:`compress`,
 :meth:`set_row` and :meth:`set_has_partner`.
 
 Besides those five stored fields a partition holds exactly one derived
-structure, :attr:`Partition.key_index`: the hash tables joins build over
-its key columns (:func:`build_key_table`), kept between queries.  The rule
-that keeps it right: every mutator drops it, and no reader mutates it — a
-build installs a new mapping and a probe only reads the tables.
+slot, :attr:`Partition.key_index`, kept between queries.  It holds two
+kinds of entry, each a function of the stored columns built by one
+routine: the hash tables joins build over its key columns
+(:func:`build_key_table`, keyed by the key positions) and the buckets a
+shuffle routes its rows into (:func:`build_buckets`, keyed by the key
+positions and the target count).  The rule that keeps them right: every
+mutator drops the slot, and no reader mutates an entry — a build
+installs a new mapping and a probe or a shuffle only reads.
 """
 
 from __future__ import annotations
@@ -32,9 +36,12 @@ from array import array
 from collections import defaultdict
 from itertools import compress, repeat
 from operator import is_not, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import RowShapeError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.partitioning.scheme import KeyMemo
 
 Row = tuple
 
@@ -42,6 +49,21 @@ Row = tuple
 def row_key(positions: Sequence[int]) -> Callable[[Row], object]:
     """Row -> key function; scalars for single columns, tuples otherwise."""
     return itemgetter(*positions)
+
+
+def index_lists(slots: Iterable[int], slot_count: int) -> list[list[int]]:
+    """``lists[s]`` = the ascending indices ``i`` with ``slots[i] == s``."""
+    lists: list[list[int]] = [[] for _ in range(slot_count)]
+    for index, slot in enumerate(slots):
+        lists[slot].append(index)
+    return lists
+
+
+def build_buckets(keys: Sequence, route: KeyMemo, count: int) -> list[array]:
+    """The shuffle buckets of rows with *keys*: per target ``t`` of
+    *count*, the ascending indices ``i`` with ``route[keys[i]] == t``, as
+    an ``array('l')`` (no int object per row)."""
+    return [array("l", rows) for rows in index_lists(route.map(keys), count)]
 
 
 def build_key_table(
@@ -117,10 +139,11 @@ class Partition:
         self.source_ids: list[int] = []
         self.dup: list[int] = []
         self.has_partner: list[int] = []
-        #: Derived, not stored (see :meth:`key_table`): key positions ->
-        #: the compact table over those columns, or None where it was
-        #: built once and not kept; the whole slot is None after a write.
-        self.key_index: dict[tuple[int, ...], dict | None] | None = None
+        #: Derived, not stored: key positions -> the compact join table
+        #: over those columns, or None where it was built once and not
+        #: kept (:meth:`key_table`); (key positions, count) -> the shuffle
+        #: buckets (:meth:`buckets`).  The whole slot is None after a write.
+        self.key_index: dict[tuple, dict | list[array] | None] | None = None
 
     # -- mutation ------------------------------------------------------------
 
@@ -254,6 +277,27 @@ class Partition:
             # holding the previous mapping still sees a consistent one.
             self.key_index = {**index, positions: table if compact else None}
         return table, unique
+
+    def buckets(
+        self, positions: tuple[int, ...], count: int, route: KeyMemo
+    ) -> list[array]:
+        """:func:`build_buckets` over the columns at *positions*: the
+        stored rows a shuffle on those columns sends to each of *count*
+        targets, built on the first call since the last write and kept in
+        :attr:`key_index` until the next one.
+
+        *route* must be a pure ``key -> stable_hash(key) % count`` memo
+        (the store's :meth:`~repro.storage.partitioned.PartitionedDatabase.
+        router`), so the buckets are a function of the columns alone.
+        Concurrent readers race as :meth:`key_table`'s do.
+        """
+        index = self.key_index or {}
+        entry = (positions, count)
+        kept = index.get(entry)
+        if kept is None:
+            kept = build_buckets(self.keys(positions), route, count)
+            self.key_index = {**index, entry: kept}
+        return kept
 
     def canonical_rows(self) -> Iterator[Row]:
         """Yield only rows whose ``dup`` bit is 0."""

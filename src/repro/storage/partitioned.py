@@ -14,11 +14,21 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError, UnknownObjectError
-from repro.partitioning.scheme import PartitioningScheme, SchemeKind
+from repro.partitioning.scheme import (
+    KeyMemo,
+    PartitioningScheme,
+    SchemeKind,
+    hash_router,
+)
 from repro.storage.partition import Partition, row_key
 from repro.storage.partition_index import PartitionIndex
 
 Row = tuple
+
+#: Keys each of a routing memo's two memos (whole keys, key parts) holds
+#: before it is cleared whole.  Measured, not configured: EXPERIMENTS.md,
+#: "Store-owned routing".
+ROUTING_MEMO_KEYS = 1 << 15
 
 
 class PartitionedTable:
@@ -172,12 +182,23 @@ class PartitionedTable:
         key = tuple(columns)
         index = self._indexes.get(key)
         if index is None:
-            index = PartitionIndex(key)
-            positions = self.schema.positions(key)
-            for partition in self.partitions:
-                index.add_all(partition.keys(positions), partition.partition_id)
-            self._indexes[key] = index
+            index = self._indexes[key] = self.build_partition_index(key)
         return index
+
+    def build_partition_index(self, columns: tuple[str, ...]) -> PartitionIndex:
+        """A fresh partition index over *columns* from the stored rows: the
+        one routine that builds one (the cache and the invariant checker
+        both call it)."""
+        index = PartitionIndex(columns)
+        positions = self.schema.positions(columns)
+        for partition in self.partitions:
+            index.add_all(partition.keys(positions), partition.partition_id)
+        return index
+
+    @property
+    def partition_indexes(self) -> Mapping[tuple[str, ...], PartitionIndex]:
+        """The cached partition indexes by columns (a snapshot of the cache)."""
+        return dict(self._indexes)
 
     def invalidate_indexes(self) -> None:
         """Drop cached partition indexes (after non-incremental mutation)."""
@@ -203,13 +224,48 @@ class PartitionedTable:
 
 
 class PartitionedDatabase:
-    """The partitioned database ``DP``: partitioned tables plus cluster size."""
+    """The partitioned database ``DP``: partitioned tables plus cluster size.
+
+    The store also owns the derived state that is a function of keys
+    alone: one routing memo per target count (:meth:`router`), shared by
+    every query and server thread that reads it.
+    """
 
     def __init__(self, partition_count: int) -> None:
         if partition_count < 1:
             raise StorageError("partition_count must be >= 1")
         self.partition_count = partition_count
         self._tables: dict[str, PartitionedTable] = {}
+        self._routers: dict[int, KeyMemo] = {}
+
+    def __getstate__(self) -> dict:
+        # A copy starts with no routing memo: it is derived, and its
+        # closures do not pickle.
+        return {**self.__dict__, "_routers": {}}
+
+    def router(self, count: int) -> KeyMemo:
+        """The memo routing a key to ``stable_hash(key) % count``
+        (:func:`~repro.partitioning.scheme.hash_router`), one per *count*.
+
+        A route is a pure function of the key, so the memo is never stale:
+        writes do not touch it and it lives as long as the store (a
+        repartitioned or migrated cluster gets a new store, and a new
+        memo).  It is bounded by :data:`ROUTING_MEMO_KEYS` and cleared
+        whole when a miss would pass that.  Threads share it unlocked — a
+        race stores the same value twice, or clears early — and a forked
+        worker fills its own copy.
+        """
+        route = self._routers.get(count)
+        if route is None:
+            route = self._routers.setdefault(
+                count, hash_router(count, ROUTING_MEMO_KEYS)
+            )
+        return route
+
+    @property
+    def routers(self) -> Mapping[int, KeyMemo]:
+        """The routing memos built so far, by target count (a snapshot)."""
+        return dict(self._routers)
 
     def add_table(self, table: PartitionedTable) -> PartitionedTable:
         """Register a partitioned table (partition counts must agree)."""

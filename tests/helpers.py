@@ -23,6 +23,7 @@ from repro.partitioning import (
     PrefScheme,
     ReplicatedScheme,
 )
+from repro.partitioning.scheme import stable_hash
 from repro.query import Executor
 from repro.storage import Database
 
@@ -50,6 +51,38 @@ def run_tree(root, partition_count, backend=None):
         ctx.register(op)
     (backend or SerialBackend()).run(root, ctx)
     return ctx.finish()
+
+
+def reference_buckets(op) -> list[list[list[tuple]]]:
+    """A shuffle's buckets as one ``stable_hash`` per row computes them:
+    ``[source][target]`` -> live-column rows in source order, for the
+    ``PhysicalRepartition`` *op* after a run (the per-row reference of
+    ``test_routing_kernel.py`` and ``test_store_routing.py``)."""
+    child = op.inputs[0]
+    live = sorted(op.live)
+    count = op.output_count
+    out = []
+    for p in range(op.prepare_count):
+        batch = child.partition_batch(p)
+        keys = batch.key_values(op.key_positions)
+        rows = batch.select(live).to_rows()
+        dup_bits = [batch.column(q) for q in op.governing]
+        buckets: list[list[tuple]] = [[] for _ in range(count)]
+        for index, key in enumerate(keys):
+            if any(bits[index] for bits in dup_bits):
+                continue
+            buckets[stable_hash(key) % count].append(rows[index])
+        out.append(buckets)
+    return out
+
+
+def routed_buckets(op) -> list[list[list[tuple]]]:
+    """What *op*'s prepare tasks routed, in :func:`reference_buckets`' shape."""
+    live = sorted(op.live)
+    return [
+        [bucket.select(live).to_rows() for bucket in op.prepared[source]]
+        for source in range(op.prepare_count)
+    ]
 
 
 def normalise_rows(rows, places: int = 6) -> Counter:

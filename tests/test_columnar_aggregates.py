@@ -31,7 +31,7 @@ from repro.engine import operators
 from repro.engine.context import ExecutionContext
 from repro.engine.operators import PhysicalAggregate, PhysicalOperator
 from repro.engine.rows import ColumnBatch
-from repro.partitioning.scheme import stable_hash
+from repro.partitioning.scheme import hash_router, stable_hash
 from repro.query import aggregates
 from repro.query.aggregates import AGGREGATES, make_accumulator
 from repro.query.expressions import col
@@ -77,7 +77,10 @@ def aggregate_op(partitions, group_by, strategy, specs=SPECS) -> PhysicalAggrega
     )
     node = Aggregate(Scan("t"), group_by, specs)
     op = PhysicalAggregate(
-        Annotated(node, props, extra={"strategy": strategy}), child, NODES
+        Annotated(node, props, extra={"strategy": strategy}),
+        child,
+        NODES,
+        hash_router(NODES),
     )
     child.op_id, op.op_id = 0, 1
     return op

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BACKENDS, run_tree
+from helpers import BACKENDS, reference_buckets, routed_buckets, run_tree
 from repro.catalog.column import Column, DataType
 from repro.catalog.schema import DatabaseSchema
 from repro.engine.bloom import TRANSFER_FPR, BloomFilter
@@ -253,35 +253,6 @@ def test_probing_leaves_nothing_on_the_filter():
 
 
 # -- every bucket of every TPC-H plan ---------------------------------------
-
-
-def reference_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
-    """The shuffle as it was before the kernel: one ``stable_hash`` per
-    row.  ``[source][target]`` -> live-column rows in source order."""
-    child = op.inputs[0]
-    live = sorted(op.live)
-    count = op.output_count
-    out = []
-    for p in range(op.prepare_count):
-        batch = child.partition_batch(p)
-        keys = batch.key_values(op.key_positions)
-        rows = batch.select(live).to_rows()
-        dup_bits = [batch.column(q) for q in op.governing]
-        buckets: list[list[tuple]] = [[] for _ in range(count)]
-        for index, key in enumerate(keys):
-            if any(bits[index] for bits in dup_bits):
-                continue
-            buckets[stable_hash(key) % count].append(rows[index])
-        out.append(buckets)
-    return out
-
-
-def routed_buckets(op: PhysicalRepartition) -> list[list[list[tuple]]]:
-    live = sorted(op.live)
-    return [
-        [bucket.select(live).to_rows() for bucket in op.prepared[source]]
-        for source in range(op.prepare_count)
-    ]
 
 
 def assert_exchange_targets(op: PhysicalAggregate) -> None:

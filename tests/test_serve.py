@@ -170,16 +170,56 @@ class TestReferencedTables:
 
 class TestHistogramQuantile:
     def test_quantiles_from_buckets(self):
+        """Interpolated within the rank's bucket, whose bounds are narrowed
+        to the smallest and largest sample."""
         histogram = Histogram("t", LATENCY_BUCKETS)
         for value in (0.0001, 0.0001, 0.0001, 0.2):
             histogram.observe(value)
-        assert histogram.quantile(0.5) == 0.0002  # bucket upper bound
-        assert histogram.quantile(0.99) == 0.25
+        # Rank 2 of the 3 samples in (0, 0.0002], which starts at 0.0001.
+        assert histogram.quantile(0.5) == pytest.approx(0.0001 + 0.0001 * 2 / 3)
+        # Rank 3.96: 0.96 of the way through (0.1, 0.25], which ends at 0.2.
+        assert histogram.quantile(0.99) == pytest.approx(0.1 + 0.1 * 0.96)
+        assert histogram.quantile(1.0) == 0.2
 
-    def test_overflow_bucket_returns_largest_finite_bound(self):
+    def test_p99_of_equal_samples_is_the_sample_not_the_bucket_bound(self):
+        histogram = Histogram("t", LATENCY_BUCKETS)
+        for _ in range(100):
+            histogram.observe(0.003)
+        # The sample's bucket is (2.5 ms, 5 ms]: the old estimate was 5 ms.
+        assert histogram.counts[LATENCY_BUCKETS.index(0.005)] == 100
+        assert histogram.quantile(0.99) == 0.003
+        assert histogram.quantile(0.5) == 0.003
+
+    def test_overflow_bucket_is_bounded_by_the_largest_sample(self):
         histogram = Histogram("t", (1.0, float("inf")))
         histogram.observe(50.0)
-        assert histogram.quantile(0.99) == 1.0
+        assert histogram.quantile(0.99) == 50.0
+        histogram.observe(10.0)
+        assert histogram.quantile(0.5) == 10.0 + 40.0 * 0.5
+
+    def test_observe_buckets_as_the_linear_scan_did(self):
+        """``bisect_left``: a sample on a bound belongs to that bound's
+        bucket, past the last finite bound to the open-ended one."""
+        histogram = Histogram("t", (1.0, 8.0, float("inf")))
+        for value in (0.0, 1.0, 1.5, 8.0, 8.000001, 1e9):
+            histogram.observe(value)
+        assert histogram.counts == [2, 2, 2]
+
+    def test_min_and_max_merge_and_stay_out_of_canonical(self):
+        left = Histogram("t", LATENCY_BUCKETS)
+        right = Histogram("t", LATENCY_BUCKETS)
+        left.observe(0.003)
+        right.observe(0.004)
+        right.observe(0.0041)
+        left.merge(right)
+        assert (left.min, left.max) == (0.003, 0.0041)
+        assert left.quantile(1.0) == 0.0041
+        # Same counts, other extremes: canonically the same histogram.
+        other = Histogram("t", LATENCY_BUCKETS)
+        for value in (0.0026, 0.0049, 0.005):
+            other.observe(value)
+        assert other.canonical() == left.canonical()
+        assert set(left.as_dict()) == {"buckets", "counts", "count", "total"}
 
     def test_empty_and_invalid(self):
         histogram = Histogram("t", LATENCY_BUCKETS)
