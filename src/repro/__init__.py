@@ -3,9 +3,11 @@
 A from-scratch reproduction of Zamanian, Binnig and Salama,
 "Locality-aware Partitioning in Parallel Database Systems" (SIGMOD 2015):
 the PREF partitioning scheme, query processing over PREF-partitioned tables
-on a simulated shared-nothing cluster, bulk loading with partition indexes,
-and the schema-driven (SD) and workload-driven (WD) automated partitioning
-design algorithms, evaluated with TPC-H and TPC-DS style workloads.
+on a simulated shared-nothing cluster, bulk loading that routes each batch
+by the partitions storing its keys (the paper's partition-index probe,
+read from the stored key columns), and the schema-driven (SD) and
+workload-driven (WD) automated partitioning design algorithms, evaluated
+with TPC-H and TPC-DS style workloads.
 """
 
 from repro.catalog import (

@@ -1,8 +1,10 @@
 """Bulk loading of partitioned tables (paper Section 2.3).
 
 New tuples for a PREF-partitioned table are routed with a *partition index*
-on the referenced attribute of the referenced table, avoiding a join: one
-hash look-up per inserted tuple yields the exact set of target partitions.
+on the referenced attribute of the referenced table, avoiding a join: each
+inserted tuple's key yields the exact set of target partitions.  The
+lookup reads the referenced table's stored key columns once per batch, so
+there is no index to keep in step with later writes.
 That routing is Definition 1 applied to a batch, so the loader places rows
 with :func:`repro.partitioning.partitioner.place_rows` — the routine
 ``partition_database`` runs — and adds what only a loader needs: batch
@@ -246,9 +248,7 @@ class BulkLoader:
     def delete(self, table: str, where: Callable[[Row], bool]) -> int:
         """Delete rows matching *where* from every partition of *table*.
 
-        Returns the number of row copies removed.  If any were, the cached
-        partition indexes are dropped (deletion is rare in the paper's
-        warehousing setting).
+        Returns the number of row copies removed.
         """
         target = self.partitioned.table(table)
         removed = 0
@@ -271,8 +271,6 @@ class BulkLoader:
                 len(entries) for entries in kept_patches.values()
             )
             target.replace_patches(kept_patches)
-        if removed:
-            target.invalidate_indexes()
         return removed
 
     def update(
@@ -312,15 +310,23 @@ class BulkLoader:
             if where(row)
         ]
         patched = [
-            (entries, index, (checked(row), source_id))
-            for entries in target.patches.values()
+            (partition_id, index, (checked(row), source_id))
+            for partition_id, entries in target.patches.items()
             for index, (row, source_id) in enumerate(entries)
             if where(row)
         ]
         for partition, index, new_row in stored:
             partition.set_row(index, new_row)
-        for entries, index, entry in patched:
-            entries[index] = entry
+        if patched:
+            # New lists, installed whole: no list the table handed out is
+            # rewritten in place.
+            patches = {
+                partition_id: list(entries)
+                for partition_id, entries in target.patches.items()
+            }
+            for partition_id, index, entry in patched:
+                patches[partition_id][index] = entry
+            target.replace_patches(patches)
         return len(stored) + len(patched)
 
     def _protected_columns(self, table: str) -> set[str]:

@@ -12,8 +12,8 @@ maintain the guarantees that query processing relies on:
   anywhere in S.
 * **Derived state** — every structure the store keeps beside its stored
   rows equals a fresh build: each partition's join tables and shuffle
-  buckets, each table's partition indexes, each routing memo (no write
-  left one stale, no memo answers what ``stable_hash`` would not).
+  buckets, each routing memo (no write left one stale, no memo answers
+  what ``stable_hash`` would not).
 """
 
 from __future__ import annotations
@@ -178,21 +178,13 @@ def _check_pref_table(
 def check_derived_state(partitioned: PartitionedDatabase) -> None:
     """Every derived structure *partitioned* keeps equals a fresh build by
     the routine that built it: each partition's kept entries
-    (:func:`check_key_indexes`), each table's cached partition indexes,
-    and each routing memo's entries (a route is ``stable_hash(key) %
-    count``, whatever the memo was fed).
+    (:func:`check_key_index`) and each routing memo's entries (a route
+    is ``stable_hash(key) % count``, whatever the memo was fed).
 
     Raises:
         InvariantViolation: Naming the stale structure.
     """
-    check_key_indexes(partitioned)
-    for table in partitioned.tables.values():
-        for columns, index in table.partition_indexes.items():
-            fresh = table.build_partition_index(columns)
-            if index.as_mapping() != fresh.as_mapping():
-                raise InvariantViolation(
-                    f"{table.name}: stale partition index on {columns}"
-                )
+    check_key_index(partitioned)
     for count, route in partitioned.routers.items():
         for key, target in list(route.items()):
             if target != stable_hash(key) % count:
@@ -202,7 +194,7 @@ def check_derived_state(partitioned: PartitionedDatabase) -> None:
                 )
 
 
-def check_key_indexes(partitioned: PartitionedDatabase) -> None:
+def check_key_index(partitioned: PartitionedDatabase) -> None:
     """Every entry a partition of *partitioned* keeps in its derived slot
     equals a fresh build over its stored columns: a join table by
     :func:`build_key_table`, shuffle buckets by :func:`build_buckets`

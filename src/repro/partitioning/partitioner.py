@@ -9,7 +9,8 @@ bitmap indexes of Section 2.1 are maintained during placement.
 :func:`place_rows` is the one routine that turns rows into placed copies.
 It does not care where the rows come from: :func:`partition_database`
 feeds it the tables of a :class:`Database`, the bulk loader a load batch
-(Section 2.3 — the partition-index probe *is* condition (1)), and online
+(Section 2.3 — the partition-index probe *is* condition (1), answered
+from the referenced table's stored key columns), and online
 repartitioning the canonical rows of the store being replaced.
 """
 
@@ -91,7 +92,7 @@ def partition_rows(
     """An empty store for *config*, bulk-loaded with ``rows_of(table)``.
 
     Tables are placed in dependency order, so a PREF table finds its
-    referenced table (and the partition index over it) complete.
+    referenced table complete.
     """
     store = empty_store(schema, config)
     for table in store.tables.values():
@@ -110,22 +111,25 @@ def place_rows(
     """Place *rows* (new base tuples, as tuples) into *target*.
 
     The scheme is looked at once per batch; the copies are staged and
-    reach the partitions, the patch lists and the cached partition indexes
-    together at the end, so a batch that raises part-way stores nothing.
+    reach the partitions and the patch lists together at the end, so a
+    batch that raises part-way stores nothing.
 
     Args:
         target: The table of *partitioned* receiving the rows.
-        partitioned: The store; a PREF *target* routes through the
-            partition index of its referenced table in here, which must
-            already hold the partners (Section 2.3).
+        partitioned: The store; a PREF *target* looks its batch's keys up
+            in the stored key columns of its referenced table in here
+            (:meth:`~repro.storage.partitioned.PartitionedTable.
+            partitions_holding`, once per batch), which must already hold
+            the partners (Section 2.3).
         rows: The base tuples, each of the table's arity.
         cursor: Partition the next round-robin tuple (ROUND_ROBIN scheme,
             PREF orphan) goes to; pass what the previous batch returned.
 
     Returns:
         ``(stored, index_lookups, cursor)``: the copies stored, per
-        partition in stored order; the partition-index probes made; and
-        the round-robin cursor after the batch.
+        partition in stored order; the partition-index probes made (one
+        per non-NULL PREF key); and the round-robin cursor after the
+        batch.
     """
     scheme = target.scheme
     count = target.partition_count
@@ -149,36 +153,34 @@ def place_rows(
                 # The copy on partition 0 is the canonical one.
                 add(partition_id, row, source_id, partition_id != 0)
     elif isinstance(scheme, PrefScheme):
-        referenced = partitioned.table(scheme.referenced_table)
-        partitions_of = referenced.partition_index(
-            scheme.referenced_columns
-        ).partitions_of
         extract = row_key(
             target.schema.positions(scheme.referencing_columns(target.name))
         )
+        rows = list(rows)
+        keys = list(map(extract, rows))
+        # A NULL key never matches a partner, so it is not probed.
+        probed = [key for key in keys if not key_has_null(key)]
+        index_lookups = len(probed)
+        # Ascending partition ids, shared by every row with the key.
+        partitions_of = partitioned.table(
+            scheme.referenced_table
+        ).partitions_holding(scheme.referenced_columns, set(probed)).get
         # Plain PREF: a cap of every partition, which no tuple exceeds.
         max_copies = (
             scheme.max_copies if isinstance(scheme, PatchedPrefScheme) else count
         )
-        for row in rows:
+        for row, key in zip(rows, keys):
             source_id = allocate()
-            key = extract(row)
-            if key_has_null(key):
-                # A NULL key never matches a partner; no index probe needed.
-                partitions = ()
-            else:
-                index_lookups += 1
-                partitions = partitions_of(key)
-            if partitions:
+            placed = partitions_of(key)
+            if placed:
                 # Condition (1): a copy into every partition with a partner.
                 # The lowest partition id holds the canonical copy (dup = 0).
                 # Patched PREF stores only the max_copies lowest-id copies;
                 # the rest go to the patch list for the residual shuffle.
-                placed = sorted(partitions)
                 if len(placed) > max_copies:
                     for partition_id in placed[max_copies:]:
                         staged.add_patch(partition_id, row, source_id)
-                    del placed[max_copies:]
+                    placed = placed[:max_copies]
                 for rank, partition_id in enumerate(placed):
                     add(partition_id, row, source_id, rank > 0)
             else:

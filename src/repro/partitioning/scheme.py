@@ -296,7 +296,7 @@ def key_has_null(key: object) -> bool:
 
     NULL never satisfies an equality predicate, so a referencing tuple
     whose PREF key contains NULL is partner-less by definition — the
-    partition index must not be consulted for it (Python's ``None == None``
+    referenced keys must not be probed for it (Python's ``None == None``
     would otherwise pair NULL keys up).
     """
     if isinstance(key, tuple):

@@ -8,9 +8,9 @@ partitions that provably contain no matching rows:
 * **PREF tables with verified effective-hash placement** — same, through the
   derived chain columns;
 * **PREF tables filtered on their partitioning-predicate columns** — the
-  partition index that bulk loading maintains (paper Section 2.3) maps the
+  partition-index lookup bulk loading uses (paper Section 2.3) maps the
   key to exactly the partitions holding copies, including round-robin
-  orphans (the index is built over the table's own rows).
+  orphans (it reads the table's own stored key columns).
 
 The rewriter attaches a :class:`PruneInfo` to the scan; the executor skips
 the excluded partitions entirely.
@@ -45,7 +45,8 @@ class PruneInfo:
     Attributes:
         kind: ``hash`` (compute the partition from the key),
             ``effective_hash`` (same, via derived chain columns), or
-            ``partition_index`` (look the key up in the partition index).
+            ``partition_index`` (the partitions storing the key, read
+            from the stored key columns).
         columns: Unqualified column names forming the pruning key, in the
             order the partitioning scheme expects.
         values: The literal key values, aligned with ``columns``.
@@ -67,7 +68,8 @@ class PruneInfo:
                 (stable_hash(key) % table.partition_count,)
             )
         if self.kind == "partition_index":
-            return table.partition_index(self.columns).partitions_of(key)
+            holding = table.partitions_holding(self.columns, {key})
+            return frozenset(holding.get(key, ()))
         raise PlanningError(f"unknown prune kind {self.kind!r}")
 
 

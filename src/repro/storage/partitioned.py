@@ -2,15 +2,15 @@
 
 A :class:`PartitionedTable` is the result of applying a partitioning scheme
 to a base table: ``partition_count`` :class:`~repro.storage.partition.Partition`
-objects, plus cached partition indexes, plus — for PREF tables — a pointer to
-the scheme's seed table (the first non-PREF table along the chain of
-partitioning predicates, paper Definition 1).  Writers buffer row copies in
-a :class:`StagedCopies` and flush them to the partitions a batch at a time.
+objects plus — for PREF tables — a pointer to the scheme's seed table (the
+first non-PREF table along the chain of partitioning predicates, paper
+Definition 1).  Writers buffer row copies in a :class:`StagedCopies` and
+flush them to the partitions a batch at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError, UnknownObjectError
@@ -20,8 +20,7 @@ from repro.partitioning.scheme import (
     SchemeKind,
     hash_router,
 )
-from repro.storage.partition import Partition, row_key
-from repro.storage.partition_index import PartitionIndex
+from repro.storage.partition import Partition
 
 Row = tuple
 
@@ -53,7 +52,6 @@ class PartitionedTable:
             Partition(partition_id, len(schema))
             for partition_id in range(partition_count)
         ]
-        self._indexes: dict[tuple[str, ...], PartitionIndex] = {}
         self._next_source_id = 0
         #: For PREF tables whose chain predicates compose into a functional
         #: mapping from own columns to the seed's hash key (classic REF
@@ -170,39 +168,26 @@ class PartitionedTable:
         """Rows in the fullest partition (per-node storage/scan proxy)."""
         return max(partition.row_count for partition in self.partitions)
 
-    # -- partition indexes ----------------------------------------------------
+    # -- placement lookups ----------------------------------------------------
 
-    def partition_index(self, columns: Sequence[str]) -> PartitionIndex:
-        """Return (building and caching on demand) a partition index.
+    def partitions_holding(
+        self, columns: Sequence[str], keys: set
+    ) -> dict[Hashable, list[int]]:
+        """``{key: ascending partition ids}``: for each of *keys* that some
+        partition stores (a duplicate copy counts) under *columns*, the
+        partitions storing it.  Keys no partition stores are left out.
 
-        The index maps each distinct value of *columns* to every partition
-        that stores a row (including duplicate copies) with that value —
-        exactly the structure paper Section 2.3 uses for bulk loading.
+        This answers paper Section 2.3's partition-index probe from the
+        stored key columns: one C-level ``keys.intersection`` per
+        partition and nothing kept, so no write can leave it stale.
         """
-        key = tuple(columns)
-        index = self._indexes.get(key)
-        if index is None:
-            index = self._indexes[key] = self.build_partition_index(key)
-        return index
-
-    def build_partition_index(self, columns: tuple[str, ...]) -> PartitionIndex:
-        """A fresh partition index over *columns* from the stored rows: the
-        one routine that builds one (the cache and the invariant checker
-        both call it)."""
-        index = PartitionIndex(columns)
         positions = self.schema.positions(columns)
+        holding: dict[Hashable, list[int]] = {}
         for partition in self.partitions:
-            index.add_all(partition.keys(positions), partition.partition_id)
-        return index
-
-    @property
-    def partition_indexes(self) -> Mapping[tuple[str, ...], PartitionIndex]:
-        """The cached partition indexes by columns (a snapshot of the cache)."""
-        return dict(self._indexes)
-
-    def invalidate_indexes(self) -> None:
-        """Drop cached partition indexes (after non-incremental mutation)."""
-        self._indexes.clear()
+            partition_id = partition.partition_id
+            for key in keys.intersection(partition.keys(positions)):
+                holding.setdefault(key, []).append(partition_id)
+        return holding
 
     # -- iteration -------------------------------------------------------------
 
@@ -330,9 +315,9 @@ class StagedCopies:
     Placement decides one row at a time, the column store wants batches:
     callers :meth:`add` copies (and :meth:`add_patch` capped overflow) as
     they are placed and :meth:`flush` once, which hands every partition
-    its copies in one ``extend`` (in the order they were added), records
-    them in the table's cached partition indexes and appends the patch
-    entries.  Nothing reaches the table before the flush.
+    its copies in one ``extend`` (in the order they were added) and
+    appends the patch entries.  Nothing reaches the table before the
+    flush.
     """
 
     __slots__ = ("_table", "_buffers", "_patches")
@@ -369,17 +354,8 @@ class StagedCopies:
         The buffers are handed over, not copied: flush once.
         """
         table = self._table
-        indexes = [
-            (index, row_key(table.schema.positions(columns)))
-            for columns, index in table._indexes.items()
-        ]
         for partition, buffers in zip(table.partitions, self._buffers):
-            rows = buffers[0]
-            if not rows:
-                continue
             partition.extend(*buffers)
-            for index, extract in indexes:
-                index.add_all(map(extract, rows), partition.partition_id)
         for patch in self._patches:
             table.add_patch(*patch)
         return [buffers[0] for buffers in self._buffers]

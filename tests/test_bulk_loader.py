@@ -25,6 +25,28 @@ def empty_shop() -> Database:
     return Database(shop_schema())
 
 
+def line_partitions(partitioned, orderkey) -> list[int]:
+    """The partitions storing a lineitem of *orderkey*, read off the
+    stored column rather than through any lookup routine."""
+    return [
+        partition.partition_id
+        for partition in partitioned.table("lineitem").partitions
+        if orderkey in partition.columns[1]
+    ]
+
+
+def order_copies(partitioned, orderkey) -> list[tuple[int, int, int]]:
+    """``(partition id, dup, hasS)`` of every stored copy of *orderkey*."""
+    return [
+        (partition.partition_id, dup, has_partner)
+        for partition in partitioned.table("orders").partitions
+        for key, dup, has_partner in zip(
+            partition.columns[0], partition.dup, partition.has_partner
+        )
+        if key == orderkey
+    ]
+
+
 class TestInserts:
     def test_insert_into_seed_table(self):
         database = empty_shop()
@@ -120,10 +142,12 @@ class TestRejectedBatch:
         config = patched_shop_config(4, max_copies=1)
         partitioned = partition_database(shop_db, config)
         loader = BulkLoader(partitioned, config)
-        lineitems = partitioned.table("lineitem").partition_index(("orderkey",))
         # shop_db has lineitems for orders 60..65, which do not exist.
+        holding = partitioned.table("lineitem").partitions_holding(
+            ("orderkey",), set(range(60, 66))
+        )
         scattered = next(
-            key for key in range(60, 66) if len(lineitems.partitions_of(key)) > 1
+            key for key in range(60, 66) if len(holding.get(key, ())) > 1
         )
         plan = sql_to_plan(
             "SELECT COUNT(*) AS n FROM orders o "
@@ -155,6 +179,69 @@ class TestRejectedBatch:
         assert orders.total_rows == 60
         loader.insert("orders", [(900, 1, 5.0)])
         assert orders.effective_hash is None
+
+
+class TestPlacementReadsTheStore:
+    """A PREF insert routes by the referenced table as it is stored at the
+    insert.  Each history changes lineitem after a first lookup on it, so
+    an order placed by a lookup answered from before the change lands in
+    the wrong partitions."""
+
+    @pytest.fixture
+    def store(self, shop_db):
+        config = pref_chain_config(4)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        # A customer with orders already, so its propagated copies are exact.
+        custkey = shop_db.table("orders").rows[0][1]
+        loader.insert("orders", [(400, custkey, 1.0)])  # a first lookup
+        return partitioned, config, loader, custkey
+
+    @staticmethod
+    def assert_placed_by_lineitems(partitioned, config, orderkey):
+        expected = line_partitions(partitioned, orderkey)
+        assert len(expected) > 1
+        assert order_copies(partitioned, orderkey) == [
+            (partition_id, int(rank > 0), 1)
+            for rank, partition_id in enumerate(expected)
+        ]
+        check_pref_invariants(partitioned, config, exact=True)
+
+    def test_after_the_referenced_table_grew(self, store):
+        partitioned, config, loader, custkey = store
+        loader.insert("lineitem", [(1000 + i, 500, 0, 1) for i in range(8)])
+        loader.insert("orders", [(500, custkey, 1.0)])
+        self.assert_placed_by_lineitems(partitioned, config, 500)
+
+    def test_after_the_referenced_table_shrank(self, store):
+        partitioned, config, loader, custkey = store
+        # shop_db has lineitems for orders 60..65, which do not exist.
+        orderkey = next(
+            key
+            for key in range(60, 66)
+            if len(line_partitions(partitioned, key)) > 1
+        )
+        assert loader.delete("lineitem", lambda row: row[1] == orderkey)
+        loader.insert("orders", [(orderkey, custkey, 1.0)])
+        copies = order_copies(partitioned, orderkey)
+        assert len(copies) == 1 and copies[0][1:] == (0, 0)
+        check_pref_invariants(partitioned, config, exact=True)
+
+    def test_after_a_non_key_column_was_updated(self, store):
+        """The update changes no key, so the order follows the lineitems
+        as they stood after the insert that preceded it."""
+        partitioned, config, loader, custkey = store
+        loader.insert("lineitem", [(1000 + i, 501, 0, 1) for i in range(8)])
+        assert (
+            loader.update(
+                "lineitem",
+                lambda row: row[1] == 501,
+                lambda row: (*row[:3], row[3] + 1),
+            )
+            == 8
+        )
+        loader.insert("orders", [(501, custkey, 1.0)])
+        self.assert_placed_by_lineitems(partitioned, config, 501)
 
 
 class TestReferencedSideMaintenance:
@@ -288,6 +375,38 @@ class TestUpdatesAndDeletes:
             )
         assert state() == before
 
+    def test_patched_pref_update_installs_new_patch_lists(self, shop_db):
+        config = patched_shop_config(4, max_copies=1)
+        partitioned = partition_database(shop_db, config)
+        loader = BulkLoader(partitioned, config)
+        orders = partitioned.table("orders")
+        assert orders.patch_count
+        handed_out = {pid: orders.patches_for(pid) for pid in orders.patches}
+        patches = {pid: list(entries) for pid, entries in handed_out.items()}
+        stored = [p.rows for p in orders.partitions]
+        sources = {sid for entries in patches.values() for _row, sid in entries}
+        patched_to = {sid: orders.patch_partitions_of(sid) for sid in sources}
+
+        def bump(row):
+            return (row[0], row[1], row[2] + 1.0)
+
+        assert loader.update("orders", lambda row: True, bump) == (
+            orders.total_rows + orders.patch_count
+        )
+        assert [p.rows for p in orders.partitions] == [
+            [bump(row) for row in rows] for rows in stored
+        ]
+        assert orders.patches == {
+            pid: [(bump(row), sid) for row, sid in entries]
+            for pid, entries in patches.items()
+        }
+        # Installed whole through the table: no list it handed out changed.
+        assert handed_out == patches
+        assert {sid: orders.patch_partitions_of(sid) for sid in sources} == (
+            patched_to
+        )
+        check_pref_invariants(partitioned, config)
+
     def test_update_arity_change_rejected(self, shop_db):
         config = pref_chain_config(4)
         partitioned = partition_database(shop_db, config)
@@ -300,15 +419,15 @@ class TestUpdatesAndDeletes:
         partitioned = partition_database(shop_db, config)
         loader = BulkLoader(partitioned, config)
         orders = partitioned.table("orders")
-        index = orders.partition_index(("custkey",))
-        columns = [p.columns for p in orders.partitions]
+        route = partitioned.router(4)
+        for partition in orders.partitions:
+            partition.buckets((1,), 4, route)  # fills each key_index slot
+        kept = [(p.columns, p.key_index) for p in orders.partitions]
         assert loader.delete("orders", lambda row: False) == 0
-        assert orders.partition_index(("custkey",)) is index
         assert all(
-            p.columns is kept for p, kept in zip(orders.partitions, columns)
+            p.columns is columns and p.key_index is index
+            for p, (columns, index) in zip(orders.partitions, kept)
         )
-        assert loader.delete("orders", lambda row: row[0] == 1) >= 1
-        assert orders.partition_index(("custkey",)) is not index
 
     def test_ragged_insert_rejected_before_any_write(self):
         config = pref_chain_config(4)

@@ -8,10 +8,11 @@ from helpers import (
     ref_chain_config,
     shop_database,
 )
-from repro.partitioning import partition_database
+from repro.partitioning import BulkLoader, partition_database
 from repro.query import ExecOptions, Executor, LocalExecutor, Query
 from repro.query.expressions import and_, col, lit
 from repro.query.pruning import derive_prune_info, equality_bindings
+from repro.storage import Database
 
 
 class TestEqualityBindings:
@@ -135,6 +136,72 @@ class TestPrunedExecution:
         )
         executor = Executor(partitioned, ExecOptions(optimizations=False))
         assert executor.execute(plan).stats.partitions_scanned == 5
+
+    def test_partition_index_pruning_follows_writes(self):
+        """Every key is looked up once, then lineitem and orders are
+        written: order 700 is new, order 5 gains partner partitions, order
+        3 is deleted.  Answers equal ``LocalExecutor`` on a mirror with the
+        same history, and an orders scan visits exactly the partitions
+        that store the key, so a lookup from before the writes fails."""
+        database = shop_database(seed=6)
+        config = pref_chain_config(5)
+        partitioned = partition_database(database, config)
+        orders = partitioned.table("orders")
+        executor = Executor(partitioned)
+
+        def holding(orderkey):
+            return [
+                p.partition_id for p in orders.partitions if orderkey in p.columns[0]
+            ]
+
+        def scan(orderkey):
+            return Query.scan("orders", alias="o").where(
+                col("o.orderkey") == lit(orderkey)
+            )
+
+        plans = {
+            orderkey: (
+                scan(orderkey).plan(),
+                scan(orderkey)
+                .join(
+                    Query.scan("lineitem", alias="l"),
+                    on=[("o.orderkey", "l.orderkey")],
+                )
+                .plan(),
+            )
+            for orderkey in (700, 5, 3)
+        }
+        for plan, joined in plans.values():
+            assert derive_prune_info(orders, "o", plan.condition).kind == (
+                "partition_index"
+            )
+            executor.execute(plan)
+            executor.execute(joined)
+        grown_before = holding(5)
+        assert len(holding(3)) > 1
+        added = {
+            "lineitem": [(1000 + i, key, 0, 1) for key in (700, 5) for i in range(8)],
+            "orders": [(700, 1, 5.0)],
+        }
+        loader = BulkLoader(partitioned, config)
+        loader.load(added)
+        assert loader.delete("orders", lambda row: row[0] == 3)
+        assert set(holding(5)) > set(grown_before)
+        mirror = Database(database.schema)
+        for name, table in database.tables.items():
+            kept = [
+                row for row in table.rows if name != "orders" or row[0] != 3
+            ]
+            mirror.load(name, kept + added.get(name, []))
+        local = LocalExecutor(mirror)
+        for orderkey, (plan, joined) in plans.items():
+            result = executor.execute(plan)
+            assert result.stats.partitions_scanned == len(holding(orderkey))
+            assert_same_rows(result.rows, local.execute(plan).rows)
+            assert_same_rows(
+                executor.execute(joined).rows, local.execute(joined).rows
+            )
+        assert holding(3) == []
 
     def test_sql_filters_prune_via_pushdown(self):
         database = shop_database(seed=6, orphans=False)

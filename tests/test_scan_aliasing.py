@@ -22,7 +22,7 @@ from repro.engine import make_backend
 from repro.engine.compile import compile_plan
 from repro.engine.context import ExecutionContext
 from repro.partitioning import partition_database
-from repro.partitioning.invariants import check_key_indexes
+from repro.partitioning.invariants import check_key_index
 from repro.query import ExecOptions, Executor, Query
 from repro.query.rewrite import Rewriter
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
@@ -92,7 +92,7 @@ def test_queries_leave_the_store_unchanged(
         executor.backend.close()
     assert snapshot(partitioned) == before
     assert kept_indexes(partitioned) == kept
-    check_key_indexes(partitioned)
+    check_key_index(partitioned)
 
 
 def test_scan_batches_alias_the_stored_columns(stores):

@@ -1,4 +1,4 @@
-"""Tests for partitions, partition indexes and partitioned tables."""
+"""Tests for partitions and partitioned tables."""
 
 import pickle
 
@@ -7,7 +7,7 @@ import pytest
 from repro.catalog import Column, DataType, TableSchema
 from repro.errors import RowShapeError, StorageError
 from repro.partitioning import HashScheme
-from repro.storage import PartitionedDatabase, PartitionedTable, PartitionIndex
+from repro.storage import PartitionedDatabase, PartitionedTable
 
 
 def make_table(n: int = 3) -> PartitionedTable:
@@ -89,32 +89,6 @@ class TestPartition:
             assert getattr(clone, field) == getattr(partition, field)
 
 
-class TestPartitionIndex:
-    def test_add_and_lookup(self):
-        index = PartitionIndex(("k",))
-        index.add(5, 0)
-        index.add(5, 2)
-        index.add(7, 1)
-        assert index.partitions_of(5) == frozenset({0, 2})
-        assert index.partitions_of(7) == frozenset({1})
-        assert index.partitions_of(99) == frozenset()
-        assert 5 in index and 99 not in index
-        assert len(index) == 2
-
-    def test_add_all(self):
-        index = PartitionIndex(("k",))
-        index.add_all([1, 2, 1], 3)
-        assert index.partitions_of(1) == frozenset({3})
-        assert dict(index.items())[2] == frozenset({3})
-
-    def test_as_mapping_is_snapshot(self):
-        index = PartitionIndex(("k",))
-        index.add(1, 0)
-        snapshot = index.as_mapping()
-        index.add(1, 1)
-        assert snapshot[1] == frozenset({0})
-
-
 class TestPartitionedTable:
     def test_row_accounting(self):
         table = make_table()
@@ -127,15 +101,26 @@ class TestPartitionedTable:
         assert table.max_partition_rows == 1
         assert sorted(table.canonical_rows()) == [(1, "a"), (2, "b")]
 
-    def test_partition_index_built_and_cached(self):
+    def test_partitions_holding_reads_the_stored_keys(self):
         table = make_table()
-        table.partitions[0].append((1, "a"), 0)
         table.partitions[2].append((1, "a"), 0, duplicate=True)
-        index = table.partition_index(["k"])
-        assert index.partitions_of(1) == frozenset({0, 2})
-        assert table.partition_index(["k"]) is index
-        table.invalidate_indexes()
-        assert table.partition_index(["k"]) is not index
+        table.partitions[0].extend(
+            [(1, "a"), (1, "b"), (2, "c")], [0, 1, 2], [0, 0, 0], [1, 1, 1]
+        )
+        assert table.partitions_holding(["k"], {1, 2, 99}) == {
+            1: [0, 2],  # ascending, a duplicate copy counts, once a partition
+            2: [0],
+        }
+        assert table.partitions_holding(["k", "v"], {(1, "b"), (1, "z")}) == {
+            (1, "b"): [0]
+        }
+        # Nothing is kept: the next call reads the partitions as they are.
+        table.partitions[0].compress([False, True, True])
+        table.partitions[1].append((1, "d"), 3)
+        assert table.partitions_holding(["k"], {1}) == {1: [0, 1, 2]}
+        table.partitions[0].set_row(0, (5, "b"))
+        assert table.partitions_holding(["k"], {1, 5}) == {1: [1, 2], 5: [0]}
+        assert table.partitions_holding(["k"], set()) == {}
 
     def test_source_id_allocation(self):
         table = make_table()

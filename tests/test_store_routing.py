@@ -18,8 +18,7 @@ no answer and no count.  Pinned here:
 * a repartitioned or migrated cluster, and a pickled store, start with
   no memo;
 * the invariant checker has teeth: it catches a mutator that skips its
-  drop, a ``StagedCopies.flush`` that skips the partition indexes, and a
-  routing memo fed an impure function;
+  drop and a routing memo fed an impure function;
 * two served sessions read through the shared memo and kept buckets
   while a writer inserts orders: every answer is a consistent snapshot.
 """
@@ -61,7 +60,7 @@ from repro.partitioning.scheme import KeyMemo, stable_hash
 from repro.query import Executor, Query
 from repro.storage import partitioned as store_module
 from repro.storage.partition import Partition
-from repro.storage.partitioned import ROUTING_MEMO_KEYS, StagedCopies
+from repro.storage.partitioned import ROUTING_MEMO_KEYS
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
 
 # -- warm equals cold --------------------------------------------------------
@@ -388,34 +387,6 @@ def test_a_mutator_that_keeps_the_buckets_is_caught(
         check_derived_state(shuffled)
 
 
-def _flush_without_indexes(self):
-    """``StagedCopies.flush`` minus the partition-index upkeep."""
-    table = self._table
-    for partition, buffers in zip(table.partitions, self._buffers):
-        if buffers[0]:
-            partition.extend(*buffers)
-    for patch in self._patches:
-        table.add_patch(*patch)
-    return [buffers[0] for buffers in self._buffers]
-
-
-@pytest.mark.parametrize("skip", [False, True])
-def test_a_flush_that_skips_the_partition_index_is_caught(
-    shop_pref, monkeypatch, skip
-):
-    partitioned, config = shop_pref
-    lineitem = partitioned.table("lineitem")
-    assert ("orderkey",) in lineitem.partition_indexes
-    if skip:
-        monkeypatch.setattr(StagedCopies, "flush", _flush_without_indexes)
-    BulkLoader(partitioned, config).insert("lineitem", [(5000, 5000, 1, 2)])
-    if not skip:
-        check_pref_invariants(partitioned, config)
-        return
-    with pytest.raises(InvariantViolation, match="stale partition index"):
-        check_pref_invariants(partitioned, config)
-
-
 def test_a_memo_fed_an_impure_function_is_caught(shop_db, monkeypatch):
     ticks = count()
 
@@ -443,7 +414,7 @@ def test_sessions_share_memo_and_buckets_while_a_writer_inserts():
     """Two sessions run the shuffled join (new literals, so no result-cache
     hits) while a writer inserts orders one at a time.  Every answer
     equals the join over some prefix of the inserts, and afterwards the
-    store — memo, kept buckets, partition indexes — passes the checker."""
+    store — memo and kept buckets — passes the checker."""
     database = shop_database(seed=21)
     config = all_hashed_config(4)
     inserts = [(9000 + k, k % 20, float(k)) for k in range(8)]
