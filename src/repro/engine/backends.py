@@ -30,8 +30,8 @@ monolithic interpreter.  The two pools contract the graph into fused jobs
 :class:`ThreadPoolBackend` runs a job on a shared thread pool
 (concurrency without parallelism: CPython threads cannot speed up
 pure-Python row loops).  :class:`ProcessPoolBackend` ships it to a forked
-worker process for true multicore execution; inter-stage row buckets
-route back through the coordinator.
+worker process for true multicore execution; inter-stage rows route
+back through the coordinator.
 """
 
 from __future__ import annotations
@@ -550,8 +550,9 @@ class ProcessPoolBackend(Backend):
        so whole per-partition pipelines execute worker-locally;
     2. forks a worker pool *after* compiling the plan — children inherit
        the operator tree and base-table partitions copy-on-write, so only
-       inter-stage row buckets and compact aggregation states cross
-       process boundaries, always via the coordinator;
+       inter-stage rows (a shuffle sender's routed batch and index lists)
+       and compact aggregation states cross process boundaries, always
+       via the coordinator;
     3. drives the jobs through :func:`run_jobs`: a worker job ships as a
        :class:`TaskPayload`, and its :class:`TaskResult` installs the
        exported slots and merges the recorder into the query's context —

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain, compress, count
-from operator import and_
+from operator import and_, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.bloom import TRANSFER_FPR, BloomFilter
@@ -223,10 +223,11 @@ class PhysicalOperator:
     def remote_eligible(self, phase: str) -> bool:
         """Whether *phase* tasks may run outside the coordinator.
 
-        Exchanges are coordinator work by design — they are where row
-        buckets cross task boundaries.  Prepare tasks and pipeline
-        partition tasks are independent per-partition batch kernels and
-        ship well.
+        Exchanges, and the partition tasks after them, are coordinator
+        work by design — that is where rows cross task boundaries (a
+        shuffle's receivers gather from every sender).  Prepare tasks and
+        pipeline partition tasks are independent per-partition batch
+        kernels and ship well.
         """
         if phase == "exchange":
             return False
@@ -635,15 +636,20 @@ class PhysicalPartnerFilter(PhysicalOperator):
 
 
 class PhysicalRepartition(PhysicalOperator):
-    """Hash shuffle.  ``prepare_partition`` routes one source partition
-    into per-target bucket batches (independent per source, so backends
-    run the routing concurrently); ``exchange`` concatenates the buckets
-    in source order, preserving the serial interpreter's row order.
+    """Hash shuffle, split like the paper's exchange: senders route,
+    receivers gather, and each shipped value is copied once.
 
-    A source that is a bare stored partition (no governing bits to apply)
-    is routed by the partition's kept buckets (``Partition.buckets``),
-    built once per write; any other source through *route*, the store's
-    routing memo."""
+    ``prepare_partition(p)`` routes source *p* and copies no rows: its
+    state is ``(routed batch, bucket indices)``, the batch holding the
+    live columns (aliased unless governing dup bits dropped rows) and one
+    ascending index list per target.  A source that is a bare stored
+    partition (no governing bits to apply) takes the partition's kept
+    buckets (``Partition.buckets``), built once per write; any other
+    source is routed through *route*, the store's routing memo.
+    ``exchange()`` publishes the senders' states and does no row work.
+    ``run_partition(p)`` builds target *p*: per live column one new list,
+    extended by one ``itemgetter`` per (source, target) in source order —
+    the serial interpreter's row order."""
 
     barrier = True
     partition_reads_inputs = False
@@ -700,20 +706,33 @@ class PhysicalRepartition(PhysicalOperator):
             if moved:
                 ctx.add_network(self, self.row_bytes * moved, moved)
         ctx.add_dup_eliminated(self, skipped)
-        self.prepared[p] = [routed.take(indices) for indices in bucket_indices]
+        self.prepared[p] = (routed, bucket_indices)
 
     def exchange(self, ctx: ExecutionContext) -> None:
         ctx.add_shuffle(self)
-        sources = [self.prepared[p] for p in range(self.prepare_count)]
-        self.exchanged = [
-            ColumnBatch.concat(
-                [buckets[target] for buckets in sources], self.width
-            )
-            for target in range(self.output_count)
-        ]
+        self.exchanged = [self.prepared[p] for p in range(self.prepare_count)]
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        batch = self.exchanged[p]
+        # (source columns, getter, one row) per non-empty bucket, in
+        # source order; itemgetter returns a bare value for one index.
+        gathers = []
+        length = 0
+        for routed, buckets in self.exchanged:
+            bucket = buckets[p]
+            if bucket:
+                gathers.append(
+                    (routed.columns, itemgetter(*bucket), len(bucket) == 1)
+                )
+                length += len(bucket)
+        columns: list[list | None] = [None] * self.width
+        for index in self.live:
+            column = columns[index] = []
+            for source, getter, one_row in gathers:
+                if one_row:
+                    column.append(getter(source[index]))
+                else:
+                    column.extend(getter(source[index]))
+        batch = ColumnBatch(columns, length)
         if self.local_distinct:
             deduped = distinct_batch(batch)
             ctx.add_dup_eliminated(self, batch.length - deduped.length)

@@ -77,12 +77,29 @@ def reference_buckets(op) -> list[list[list[tuple]]]:
 
 
 def routed_buckets(op) -> list[list[list[tuple]]]:
-    """What *op*'s prepare tasks routed, in :func:`reference_buckets`' shape."""
+    """What *op*'s prepare tasks routed, in :func:`reference_buckets`' shape:
+    each source's state is ``(routed batch, bucket indices)``."""
     live = sorted(op.live)
-    return [
-        [bucket.select(live).to_rows() for bucket in op.prepared[source]]
-        for source in range(op.prepare_count)
-    ]
+    out = []
+    for source in range(op.prepare_count):
+        routed, buckets = op.prepared[source]
+        rows = routed.select(live).to_rows()
+        out.append([[rows[index] for index in bucket] for bucket in buckets])
+    return out
+
+
+def assert_gathered_in_source_order(op) -> None:
+    """Every output partition of the ``PhysicalRepartition`` *op* holds
+    its sources' buckets (:func:`routed_buckets`) concatenated in source
+    order (first occurrences only, under a local DISTINCT)."""
+    live = sorted(op.live)
+    routed = routed_buckets(op)
+    for target in range(op.output_count):
+        expected = [row for buckets in routed for row in buckets[target]]
+        got = op.partition_batch(target).select(live).to_rows()
+        if op.local_distinct:
+            expected = list(dict.fromkeys(expected))
+        assert got == expected, (op.label, target)
 
 
 def normalise_rows(rows, places: int = 6) -> Counter:

@@ -137,7 +137,7 @@ def test_every_stored_batch_holds_exactly_the_live_columns(tpch_stores):
             for op in root.walk():
                 batches = [op.partition_batch(p) for p in range(op.output_count)]
                 if isinstance(op, PhysicalRepartition):
-                    batches += [b for buckets in op.prepared.values() for b in buckets]
+                    batches += [routed for routed, _ in op.prepared.values()]
                 for batch in batches:
                     assert batch.width == op.width
                     if batch.length:  # an empty batch has nothing to hold
@@ -159,10 +159,10 @@ def test_q7_all_hashed_shuffles_only_live_columns(tpch_stores):
     assert live_names(shuffle) == expected
     assert live_names(shuffle.inputs[0]) == expected
     assert shuffle.width == 15
-    routed = [b for buckets in shuffle.prepared.values() for b in buckets if b.length]
+    routed = [b for b, _ in shuffle.prepared.values() if b.length]
     assert routed
-    for bucket in routed:
-        assert bucket.present() == shuffle.live
+    for batch in routed:
+        assert batch.present() == shuffle.live
     # No shuffle of the plan routes a column nothing above reads: the
     # widest (38-column rows under full-width execution) carries four.
     for op in root.walk():

@@ -31,7 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BACKENDS, reference_buckets, routed_buckets, run_tree
+from helpers import (
+    BACKENDS,
+    assert_gathered_in_source_order,
+    reference_buckets,
+    routed_buckets,
+    run_tree,
+)
 from repro.catalog.column import Column, DataType
 from repro.catalog.schema import DatabaseSchema
 from repro.engine.bloom import TRANSFER_FPR, BloomFilter
@@ -290,6 +296,7 @@ def test_every_tpch_bucket_equals_per_row_routing(tpch_stores, config):
                         assert routed_buckets(op) == reference[op.op_id], (
                             query, name, op.label,
                         )
+                        assert_gathered_in_source_order(op)
                     elif (
                         isinstance(op, PhysicalAggregate)
                         and op.strategy == "two_phase"

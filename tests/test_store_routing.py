@@ -12,7 +12,8 @@ no answer and no count.  Pinned here:
   ``BulkLoader`` insert, delete and update between the runs — give the
   rows and canonical stats of a fresh store with the same history, and
   every shuffle bucket equals the per-row ``stable_hash(key) % count``
-  reference;
+  reference, and every shuffle target is its sources' buckets in source
+  order;
 * the memo never holds more keys than its bound, and a clear changes no
   answer;
 * a repartitioned or migrated cluster, and a pickled store, start with
@@ -35,6 +36,7 @@ import pytest
 from helpers import (
     BACKENDS,
     all_hashed_config,
+    assert_gathered_in_source_order,
     assert_same_rows,
     normalise_rows,
     patch_pref_leaves,
@@ -122,11 +124,10 @@ def run_plans(partitioned, plans, backend) -> list:
     for plan in plans:
         root = compile_plan(executor.annotate(plan), partitioned)
         stats = run_tree(root, partitioned.partition_count, backend)
-        buckets = {
-            op.op_id: routed_buckets(op)
-            for op in root.walk()
-            if isinstance(op, PhysicalRepartition)
-        }
+        shuffles = [op for op in root.walk() if isinstance(op, PhysicalRepartition)]
+        for op in shuffles:
+            assert_gathered_in_source_order(op)
+        buckets = {op.op_id: routed_buckets(op) for op in shuffles}
         rows = root.partition_batch(0).to_rows()
         outcomes.append((rows, stats.canonical(), buckets))
     return outcomes
