@@ -3,9 +3,9 @@
 The fuzzer generates random schemas, partitioning configurations (PREF
 chains included), NULL-bearing skewed data and SPJA queries; runs every
 query on the serial, thread and process backends of the engine; and
-cross-checks rows against three independent references — the
-:class:`~repro.query.local_executor.LocalExecutor`, a naive evaluator
-written directly against the case IR, and ``sqlite3``.  PREF invariants
+checks rows against the single-node answer of
+:class:`~repro.query.local_executor.LocalExecutor`, which ``sqlite3`` —
+sharing no code with the engine — checks in turn.  PREF invariants
 (:func:`~repro.partitioning.invariants.check_pref_invariants`) are checked
 after the initial partitioning and after every bulk load.
 
@@ -14,7 +14,7 @@ as a replayable JSON repro: ``python -m repro.fuzz --replay repro.json``.
 """
 
 from repro.fuzz.generator import generate_case
-from repro.fuzz.ir import build_config, build_database, build_plan, case_tables
+from repro.fuzz.ir import build_config, build_database, build_plan
 from repro.fuzz.runner import Divergence, FuzzReport, run_case, run_fuzz
 from repro.fuzz.shrinker import shrink
 
@@ -24,7 +24,6 @@ __all__ = [
     "build_config",
     "build_database",
     "build_plan",
-    "case_tables",
     "generate_case",
     "run_case",
     "run_fuzz",

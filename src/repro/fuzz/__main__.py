@@ -1,8 +1,8 @@
 """``python -m repro.fuzz`` — the differential fuzzing oracle CLI.
 
 Runs seeded random cases through the serial/thread/process backends and
-the single-node oracles (LocalExecutor, naive IR evaluator, sqlite3),
-checking PREF invariants after every partition and bulk-load step.  On
+the single-node reference (LocalExecutor, checked by sqlite3), checking
+PREF invariants after every partition and bulk-load step.  On
 the first divergence the case is minimised and written to a replayable
 JSON repro; the exit status is 1.
 
@@ -35,11 +35,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backends",
         default=",".join(DEFAULT_BACKENDS),
         help="comma-separated engine backends (serial is always the reference)",
-    )
-    parser.add_argument(
-        "--no-sqlite",
-        action="store_true",
-        help="skip the sqlite3 cross-check",
     )
     parser.add_argument(
         "--no-certify",
@@ -89,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         divergence = run_case(
             case,
             backends=backends,
-            check_sqlite=not args.no_sqlite,
             check_certify=not args.no_certify,
         )
         if divergence is None:
@@ -110,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         args.cases,
         args.seed,
         backends=backends,
-        check_sqlite=not args.no_sqlite,
         shrink_divergent=not args.no_shrink,
         out=args.out,
         max_shrink=args.max_shrink,

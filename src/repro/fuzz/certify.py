@@ -6,7 +6,8 @@ the plan's distributed evaluation can disagree with the global result on
 from the fuzz case the plan came from, it synthesizes a small family of
 amplified databases (extra rows spreading keys across partitions,
 partner-less NULL-key rows) and replays the query on each through the
-distributed engine and the naive single-node oracle.  The first database
+distributed engine and the single-node
+:class:`~repro.query.local_executor.LocalExecutor`.  The first database
 on which the two disagree is the confirmed counterexample attached to
 the divergence/repro; if none disagrees, the refutation stays
 unconfirmed (still a fuzz failure for rewriter-emitted plans — the
@@ -20,9 +21,9 @@ import copy
 from repro.engine.backends import SerialBackend
 from repro.fuzz import ir
 from repro.fuzz.differ import rows_equal
-from repro.fuzz.oracle import evaluate_query
 from repro.partitioning.partitioner import partition_database
 from repro.query.executor import Executor
+from repro.query.local_executor import LocalExecutor
 from repro.query.options import ExecOptions
 
 #: How many fresh rows each amplification adds per table — enough to
@@ -111,13 +112,14 @@ def amplify_case(case: dict) -> list[dict]:
 def replay_diverges(
     candidate: dict, query: dict, flags: dict | None = None
 ) -> bool:
-    """Does the distributed engine disagree with the naive oracle here?
+    """Does the distributed engine disagree with LocalExecutor here?
 
     Builds the candidate database fresh, partitions it, runs *query*
     through a serial-backend :class:`Executor` under
     ``ExecOptions(**flags)`` (the options that produced the refuted
-    plan), and compares multisets against :func:`evaluate_query`.  Any
-    crash on one side only also counts as divergence.
+    plan), and compares multisets against :class:`LocalExecutor` over the
+    same database.  An engine crash confirms the divergence; a
+    ``LocalExecutor`` crash does not.
     """
     options = ExecOptions(**(flags or {}))
     database = ir.build_database(candidate)
@@ -125,17 +127,15 @@ def replay_diverges(
     config.validate(database.schema)
     partitioned = partition_database(database, config)
     executor = Executor(partitioned, options, backend=SerialBackend())
-    plan = ir.build_plan(query)
-    tables = ir.case_tables(candidate)
     try:
-        engine_rows = executor.execute(plan).rows
+        engine_rows = executor.execute(ir.build_plan(query)).rows
     except Exception:  # noqa: BLE001 - engine crash: divergence confirmed
         return True
     try:
-        _columns, oracle_rows = evaluate_query(tables, query)
-    except Exception:  # noqa: BLE001 - oracle crash: not a confirmation
+        local_rows = LocalExecutor(database).execute(ir.build_plan(query)).rows
+    except Exception:  # noqa: BLE001 - reference crash: not a confirmation
         return False
-    return not rows_equal(engine_rows, oracle_rows)
+    return not rows_equal(engine_rows, local_rows)
 
 
 def confirm_refutation(
@@ -144,8 +144,8 @@ def confirm_refutation(
     """Search for a database on which the refuted plan provably diverges.
 
     Returns a self-contained single-query case (replayable through
-    ``python -m repro.fuzz --replay``) whose engine rows differ from the
-    naive oracle, or ``None`` if no candidate diverged.
+    ``python -m repro.fuzz --replay``) whose engine rows differ from
+    :class:`LocalExecutor`'s, or ``None`` if no candidate diverged.
     """
     for candidate in amplify_case(case):
         try:

@@ -13,9 +13,9 @@ repro and shrunk structurally) describing:
 This module compiles the IR into the engine's native objects
 (:class:`~repro.storage.table.Database`,
 :class:`~repro.partitioning.config.PartitioningConfig`, plan nodes and
-expressions).  The naive oracle (:mod:`repro.fuzz.oracle`) and the SQL
-translation (:mod:`repro.fuzz.sqlite_oracle`) interpret the *same* IR
-independently, which is what makes the comparison differential.
+expressions).  The SQL translation (:mod:`repro.fuzz.sqlite_oracle`)
+interprets the *same* IR independently of those objects, which is what
+makes the comparison differential.
 
 Expression IR nodes (``{"t": ...}``):
 
@@ -128,32 +128,6 @@ def build_config(case: dict) -> PartitioningConfig:
             raise ValueError(f"unknown scheme kind {kind!r}")
         config.add(table, scheme)
     return config
-
-
-def case_tables(case: dict) -> dict[str, tuple[list[str], list[tuple]]]:
-    """Current logical content per table: ``{name: (columns, rows)}``.
-
-    This is the mutable table state the naive and sqlite oracles evaluate
-    against; the runner appends load batches to it as it applies them to
-    the partitioned database.
-    """
-    return {
-        table["name"]: (
-            [name for name, _dtype, _null in table["columns"]],
-            [tuple(row) for row in table["rows"]],
-        )
-        for table in case["tables"]
-    }
-
-
-def column_types(case: dict) -> dict[str, dict[str, str]]:
-    """Column dtype names per table: ``{table: {column: dtype}}``."""
-    return {
-        table["name"]: {
-            name: dtype for name, dtype, _null in table["columns"]
-        }
-        for table in case["tables"]
-    }
 
 
 # -- expressions -----------------------------------------------------------

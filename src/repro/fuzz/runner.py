@@ -11,8 +11,9 @@ For every case the runner:
    :class:`~repro.query.options.ExecOptions`, drawn at random by the
    generator — and compares rows: the rewritten and naive plans must
    agree;
-4. cross-checks rows against :class:`LocalExecutor`, the naive IR
-   oracle, and sqlite3 (tolerant multiset comparison);
+4. compares rows with the single-node answer of :class:`LocalExecutor`,
+   and that answer with sqlite3, which shares no code with either
+   (tolerant multiset comparisons);
 5. if the case has bulk-load batches, applies them through
    :class:`BulkLoader`, re-checks invariants (``exact=False`` — stale
    round-robin copies of formerly partner-less tuples are legal), and
@@ -36,7 +37,6 @@ from repro.fuzz.differ import (
     span_trees_equal,
 )
 from repro.fuzz.generator import generate_case
-from repro.fuzz.oracle import OracleError, evaluate_query
 from repro.fuzz.sqlite_oracle import SqlTranslationError, run_sqlite
 from repro.partitioning.bulk_loader import BulkLoader
 from repro.partitioning.invariants import InvariantViolation, check_pref_invariants
@@ -83,7 +83,6 @@ class Divergence:
 def run_case(
     case: dict,
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
-    check_sqlite: bool = True,
     check_certify: bool = True,
 ) -> Divergence | None:
     """Run one case through every check; None means fully consistent."""
@@ -115,11 +114,6 @@ def run_case(
         if variant_options is not None
         else None
     )
-    tables = ir.case_tables(case)
-    schemas = {
-        table["name"]: [(name, dtype) for name, dtype, _null in table["columns"]]
-        for table in case["tables"]
-    }
 
     phases: list[tuple[str, dict | None]] = [("initial", None)]
     if case.get("loads"):
@@ -143,7 +137,6 @@ def run_case(
                 )
             for name, rows in batches.items():
                 database.load(name, rows)
-                tables[name][1].extend(rows)
         for index, query in enumerate(case["queries"]):
             divergence = _check_query(
                 query,
@@ -153,9 +146,6 @@ def run_case(
                 others,
                 variant_executor,
                 database,
-                tables,
-                schemas,
-                check_sqlite,
                 partitioned=partitioned if check_certify else None,
                 case=case,
             )
@@ -178,9 +168,7 @@ def _trace_dumps(serial_trace, other_trace, spec: str) -> str:
 
 #: Divergence kinds that mean "the distributed result is wrong" — the
 #: kinds a statically certified plan must never produce.
-_RESULT_KINDS = frozenset(
-    {"backend_rows", "rewrite_rows", "local_rows", "oracle_rows"}
-)
+_RESULT_KINDS = frozenset({"backend_rows", "rewrite_rows", "local_rows"})
 
 
 def _check_query(
@@ -191,9 +179,6 @@ def _check_query(
     others: list[tuple[str, Executor]],
     variant_executor: Executor | None,
     database,
-    tables: dict,
-    schemas: dict,
-    check_sqlite: bool,
     partitioned=None,
     case: dict | None = None,
 ) -> Divergence | None:
@@ -201,13 +186,12 @@ def _check_query(
     if partitioned is not None:
         certify_divergence, certified = _certify_query(
             query, index, phase, reference, variant_executor,
-            partitioned, case, tables,
+            partitioned, case, database,
         )
         if certify_divergence is not None:
             return certify_divergence
     divergence = _check_query_dynamic(
-        query, index, phase, reference, others, variant_executor,
-        database, tables, schemas, check_sqlite,
+        query, index, phase, reference, others, variant_executor, database
     )
     if (
         divergence is not None
@@ -233,16 +217,16 @@ def _certify_query(
     variant_executor: Executor | None,
     partitioned,
     case: dict | None,
-    tables: dict,
+    database,
 ) -> tuple[Divergence | None, bool]:
     """Run the static certifier over the default and variant plans.
 
     Returns ``(divergence, certified)``: a refutation becomes a
     ``certify_refuted`` divergence when its synthesized counterexample
-    demonstrably diverges on the naive oracle, or ``certify_unconfirmed``
-    otherwise (the rewriter must only emit certifiable plans, so both
-    are failures); ``certified`` is True when every checked plan got a
-    certificate.
+    demonstrably diverges from :class:`LocalExecutor`, or
+    ``certify_unconfirmed`` otherwise (the rewriter must only emit
+    certifiable plans, so both are failures); ``certified`` is True when
+    every checked plan got a certificate.
     """
     import copy as _copy
 
@@ -297,9 +281,9 @@ def _certify_query(
             effective = _copy.deepcopy(case)
             effective["loads"] = {}
             for table in effective["tables"]:
-                current = tables.get(table["name"])
-                if current is not None:
-                    table["rows"] = [list(row) for row in current[1]]
+                table["rows"] = [
+                    list(row) for row in database.table(table["name"]).rows
+                ]
             counterexample = confirm_refutation(effective, query, flags)
         if counterexample is not None:
             payload["counterexample"] = counterexample
@@ -307,7 +291,7 @@ def _certify_query(
                 Divergence(
                     "certify_refuted",
                     f"{label} plan statically refuted; the synthesized "
-                    "counterexample diverges on the naive oracle\n"
+                    "counterexample diverges from LocalExecutor\n"
                     + result.render(),
                     phase,
                     index,
@@ -338,9 +322,6 @@ def _check_query_dynamic(
     others: list[tuple[str, Executor]],
     variant_executor: Executor | None,
     database,
-    tables: dict,
-    schemas: dict,
-    check_sqlite: bool,
 ) -> Divergence | None:
     try:
         plan = ir.build_plan(query)
@@ -424,32 +405,19 @@ def _check_query_dynamic(
             index,
         )
     try:
-        _columns, oracle_rows = evaluate_query(tables, query)
-    except OracleError as exc:
-        return Divergence(f"error:oracle:{type(exc).__name__}", str(exc), phase, index)
-    if not rows_equal(oracle_rows, expected.rows):
+        sqlite_rows = run_sqlite(database, query)
+    except (SqlTranslationError, sqlite3.Error) as exc:
         return Divergence(
-            "oracle_rows",
-            "naive oracle rows differ from engine result\n"
-            + diff_summary("oracle", oracle_rows, "engine", expected.rows),
+            f"error:sqlite:{type(exc).__name__}", str(exc), phase, index
+        )
+    if not rows_equal(sqlite_rows, local.rows):
+        return Divergence(
+            "sqlite_rows",
+            "sqlite3 rows differ from LocalExecutor\n"
+            + diff_summary("sqlite", sqlite_rows, "local", local.rows),
             phase,
             index,
         )
-    if check_sqlite:
-        try:
-            sqlite_rows = run_sqlite(schemas, tables, query)
-        except (SqlTranslationError, sqlite3.Error) as exc:
-            return Divergence(
-                f"error:sqlite:{type(exc).__name__}", str(exc), phase, index
-            )
-        if not rows_equal(sqlite_rows, oracle_rows):
-            return Divergence(
-                "sqlite_rows",
-                "sqlite3 rows differ from naive oracle\n"
-                + diff_summary("sqlite", sqlite_rows, "oracle", oracle_rows),
-                phase,
-                index,
-            )
     return None
 
 
@@ -495,7 +463,6 @@ def run_fuzz(
     cases: int,
     seed: int,
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
-    check_sqlite: bool = True,
     shrink_divergent: bool = True,
     out: str | None = None,
     max_shrink: int = 250,
@@ -524,7 +491,6 @@ def run_fuzz(
         divergence = run_case(
             case,
             backends=backends,
-            check_sqlite=check_sqlite,
             check_certify=check_certify,
         )
         report.cases_run += 1
@@ -544,8 +510,7 @@ def run_fuzz(
                 found = run_case(
                     candidate,
                     backends=backends,
-                    check_sqlite=check_sqlite,
-                    check_certify=check_certify,
+                            check_certify=check_certify,
                 )
                 return found is not None and found.kind == kind
 
@@ -557,8 +522,7 @@ def run_fuzz(
             final = run_case(
                 report.shrunk_case,
                 backends=backends,
-                check_sqlite=check_sqlite,
-                check_certify=check_certify,
+                    check_certify=check_certify,
             )
             if final is not None:
                 report.divergence = final

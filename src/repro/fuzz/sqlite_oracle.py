@@ -1,9 +1,12 @@
-"""Second, external reference: translate the case IR to SQL for sqlite3.
+"""The independent reference: translate the case IR to SQL for sqlite3.
 
-The stdlib ``sqlite3`` engine has had its NULL semantics battle-tested
-for decades, which makes it the ideal cross-check for the hand-written
-oracle — if both agree with each other and with the engine, the odds of
-a shared misunderstanding of three-valued logic are small.
+:class:`~repro.query.local_executor.LocalExecutor` is the fuzzer's
+single-node answer, but it shares the engine's plan nodes and
+expressions.  The stdlib ``sqlite3`` engine shares no code with either
+and has had its NULL semantics battle-tested for decades, so the runner
+checks every ``LocalExecutor`` answer against it — a misunderstanding of
+three-valued logic common to the engine and ``LocalExecutor`` shows up
+here.
 
 Translation notes (where sqlite differs from naive Python evaluation):
 
@@ -21,13 +24,18 @@ from __future__ import annotations
 
 import sqlite3
 
+from repro.catalog.column import DataType
+from repro.catalog.schema import DatabaseSchema
+from repro.errors import UnknownObjectError
+from repro.storage.table import Database
+
 Row = tuple
 
 _TYPE_AFFINITY = {
-    "integer": "INTEGER",
-    "float": "REAL",
-    "varchar": "TEXT",
-    "boolean": "INTEGER",
+    DataType.INTEGER: "INTEGER",
+    DataType.FLOAT: "REAL",
+    DataType.VARCHAR: "TEXT",
+    DataType.BOOLEAN: "INTEGER",
 }
 
 _AGG_SQL = {
@@ -42,36 +50,25 @@ class SqlTranslationError(Exception):
     """The query IR has no faithful SQL rendering."""
 
 
-def run_sqlite(
-    schemas: dict[str, list[tuple[str, str]]],
-    tables: dict[str, tuple[list[str], list[Row]]],
-    query: dict,
-) -> list[Row]:
-    """Evaluate *query* in an in-memory sqlite database.
+def run_sqlite(database: Database, query: dict) -> list[Row]:
+    """Evaluate *query* over *database*'s current rows in in-memory sqlite.
 
-    Args:
-        schemas: ``{table: [(column, dtype), ...]}``.
-        tables: Current content, ``{table: (columns, rows)}``.
-        query: Query IR.
-
-    Returns:
-        Result rows (order unspecified).
+    Returns the result rows (order unspecified).
     """
-    sql = query_sql(query, schemas)
+    sql = query_sql(query, database.schema)
     connection = sqlite3.connect(":memory:")
     try:
-        for name, columns in schemas.items():
+        for name, table in database.tables.items():
+            columns = table.schema.columns
             decls = ", ".join(
-                f'{_quote(col)} {_TYPE_AFFINITY[dtype]}'
-                for col, dtype in columns
+                f"{_quote(column.name)} {_TYPE_AFFINITY[column.dtype]}"
+                for column in columns
             )
             connection.execute(f"CREATE TABLE {_quote(name)} ({decls})")
-            _cols, rows = tables[name]
-            if rows:
+            if table.rows:
                 marks = ", ".join("?" * len(columns))
                 connection.executemany(
-                    f"INSERT INTO {_quote(name)} VALUES ({marks})",
-                    [tuple(row) for row in rows],
+                    f"INSERT INTO {_quote(name)} VALUES ({marks})", table.rows
                 )
         return [tuple(row) for row in connection.execute(sql)]
     finally:
@@ -81,25 +78,24 @@ def run_sqlite(
 # -- query translation -----------------------------------------------------
 
 
-def query_sql(node: dict, schemas: dict[str, list[tuple[str, str]]]) -> str:
+def query_sql(node: dict, schema: DatabaseSchema) -> str:
     """Render query IR *node* as a single sqlite SELECT statement."""
     op = node["op"]
     if op == "scan":
         alias = node.get("alias") or node["table"]
         try:
-            columns = schemas[node["table"]]
-        except KeyError:
+            columns = schema.table(node["table"]).column_names
+        except UnknownObjectError:
             raise SqlTranslationError(
                 f"unknown table {node['table']!r}"
             ) from None
         qualified = ", ".join(
-            f"{_quote(col)} AS {_quote(f'{alias}.{col}')}"
-            for col, _dtype in columns
+            f"{_quote(col)} AS {_quote(f'{alias}.{col}')}" for col in columns
         )
         return f"SELECT {qualified} FROM {_quote(node['table'])}"
     if op == "filter":
         return (
-            f"SELECT * FROM ({query_sql(node['input'], schemas)}) "
+            f"SELECT * FROM ({query_sql(node['input'], schema)}) "
             f"WHERE {_expr_sql(node['pred'])}"
         )
     if op == "project":
@@ -110,22 +106,22 @@ def query_sql(node: dict, schemas: dict[str, list[tuple[str, str]]]) -> str:
         )
         return (
             f"SELECT {distinct}{outputs} "
-            f"FROM ({query_sql(node['input'], schemas)})"
+            f"FROM ({query_sql(node['input'], schema)})"
         )
     if op == "join":
-        return _join_sql(node, schemas)
+        return _join_sql(node, schema)
     if op == "aggregate":
-        return _aggregate_sql(node, schemas)
+        return _aggregate_sql(node, schema)
     if op == "order_by":
         # No LIMIT is ever generated; ordering is invisible to the
         # multiset comparison, so the node is a pass-through.
-        return f"SELECT * FROM ({query_sql(node['input'], schemas)})"
+        return f"SELECT * FROM ({query_sql(node['input'], schema)})"
     raise SqlTranslationError(f"unknown query IR op {op!r}")
 
 
-def _join_sql(node: dict, schemas: dict) -> str:
-    left = query_sql(node["left"], schemas)
-    right = query_sql(node["right"], schemas)
+def _join_sql(node: dict, schema: DatabaseSchema) -> str:
+    left = query_sql(node["left"], schema)
+    right = query_sql(node["right"], schema)
     conds = [
         f"{_quote(l)} = {_quote(r)}" for l, r in node.get("on", ())
     ]
@@ -146,7 +142,7 @@ def _join_sql(node: dict, schemas: dict) -> str:
     raise SqlTranslationError(f"unknown join kind {kind!r}")
 
 
-def _aggregate_sql(node: dict, schemas: dict) -> str:
+def _aggregate_sql(node: dict, schema: DatabaseSchema) -> str:
     group_by = list(node.get("group_by", ()))
     selects = [_quote(name) for name in group_by]
     for func, expr, name in node["aggs"]:
@@ -166,7 +162,7 @@ def _aggregate_sql(node: dict, schemas: dict) -> str:
             raise SqlTranslationError(f"unknown aggregate {func!r}")
     sql = (
         f"SELECT {', '.join(selects)} "
-        f"FROM ({query_sql(node['input'], schemas)})"
+        f"FROM ({query_sql(node['input'], schema)})"
     )
     if group_by:
         sql += " GROUP BY " + ", ".join(_quote(name) for name in group_by)

@@ -69,16 +69,13 @@ def test_certified_plans_agree_across_backends():
         divergence = run_case(
             case,
             backends=("serial", "thread", "process"),
-            check_sqlite=False,
             check_certify=True,
         )
         assert divergence is None, f"case {index}: {divergence.describe()}"
 
 
 def test_fuzz_run_with_certify_oracle_is_clean():
-    report = run_fuzz(
-        30, seed=1, backends=("serial",), check_sqlite=False, out=None
-    )
+    report = run_fuzz(30, seed=1, backends=("serial",), out=None)
     assert report.ok, report.summary()
 
 
@@ -96,7 +93,6 @@ def test_saved_repro_carries_refutation_payload(tmp_path, monkeypatch):
         1,
         seed=0,
         backends=("serial",),
-        check_sqlite=False,
         out=str(out),
         max_shrink=40,
     )
@@ -109,12 +105,8 @@ def test_saved_repro_carries_refutation_payload(tmp_path, monkeypatch):
     counterexample = payload["counterexample"]
     # The embedded counterexample is itself a replayable case that still
     # diverges under the bug...
-    divergence = run_case(
-        counterexample, backends=("serial",), check_sqlite=False
-    )
+    divergence = run_case(counterexample, backends=("serial",))
     assert divergence is not None
     # ...and everything is clean once the bug is removed again.
     monkeypatch.undo()
-    assert (
-        run_case(saved, backends=("serial",), check_sqlite=False) is None
-    )
+    assert run_case(saved, backends=("serial",)) is None

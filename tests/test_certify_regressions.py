@@ -10,7 +10,7 @@ guards the certifier and the engine at once.
 The PR3 acceptance test resurrects the historical LEFT OUTER
 equivalence-merge bug and requires the whole refutation pipeline to
 work: static refutation, counterexample synthesis, demonstrable
-divergence of that counterexample on the naive oracle, and a saved
+divergence of that counterexample from LocalExecutor, and a saved
 repro carrying the refutation payload.
 """
 
@@ -117,9 +117,9 @@ def test_resurrected_bug_refutation_counterexample_diverges(monkeypatch):
     )
     assert replay_diverges(
         counterexample, counterexample["queries"][0], counterexample["variant"]
-    ), "the attached counterexample must diverge on the naive oracle"
+    ), "the attached counterexample must diverge from LocalExecutor"
 
-    divergence = run_case(case, backends=("serial",), check_sqlite=False)
+    divergence = run_case(case, backends=("serial",))
     assert divergence is not None
     assert divergence.kind == "certify_refuted"
     assert divergence.payload is not None
@@ -132,7 +132,7 @@ def test_counterexample_is_clean_on_fixed_rewriter():
     case = load("pr3_left_outer_null_group.json")
     assert not replay_diverges(
         case, case["queries"][0], case["variant"]
-    ), "fixed rewriter must agree with the naive oracle on the PR3 case"
+    ), "fixed rewriter must agree with LocalExecutor on this fixture"
 
 
 def test_join_equality_survives_a_shuffle_and_has_teeth(monkeypatch):

@@ -1,12 +1,12 @@
 """The differential fuzzing harness itself: generator, runner, shrinker."""
 
 from repro.fuzz import generate_case, run_case, run_fuzz
-from repro.fuzz.ir import build_plan, case_tables, load_case, save_case
-from repro.fuzz.oracle import evaluate_query
+from repro.fuzz.ir import build_database, build_plan, load_case, save_case
 from repro.fuzz.shrinker import _ddmin, shrink
 from repro.fuzz.sqlite_oracle import run_sqlite
 from repro.fuzz.differ import rows_equal
 from repro.fuzz.__main__ import main
+from repro.query.local_executor import LocalExecutor
 
 
 class TestGenerator:
@@ -31,23 +31,25 @@ class TestGenerator:
 
 
 class TestOracles:
-    def test_naive_oracle_agrees_with_sqlite(self):
-        checked = 0
+    def test_local_executor_agrees_with_sqlite(self):
+        """Both phases: the initial tables, then after the case's loads."""
+        checked = {"initial": 0, "after_load": 0}
         for index in range(15):
             case = generate_case(3, index)
-            tables = case_tables(case)
-            schemas = {
-                table["name"]: [
-                    (name, dtype) for name, dtype, _null in table["columns"]
-                ]
-                for table in case["tables"]
-            }
-            for query in case["queries"]:
-                _columns, naive = evaluate_query(tables, query)
-                via_sqlite = run_sqlite(schemas, tables, query)
-                assert rows_equal(naive, via_sqlite)
-                checked += 1
-        assert checked > 10
+            database = build_database(case)
+            phases = [("initial", {})]
+            if case["loads"]:
+                phases.append(("after_load", case["loads"]))
+            for phase, loads in phases:
+                for name, rows in loads.items():
+                    database.load(name, rows)
+                for query in case["queries"]:
+                    local = LocalExecutor(database).execute(build_plan(query))
+                    via_sqlite = run_sqlite(database, query)
+                    assert rows_equal(local.rows, via_sqlite), (index, phase)
+                    checked[phase] += 1
+        assert checked["initial"] > 10
+        assert checked["after_load"] > 0
 
 
 class TestRunner:

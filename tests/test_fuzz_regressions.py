@@ -2,12 +2,12 @@
 
 Each regression case is a hand-pinned (or fuzzer-minimised) IR dict run
 through the full differential pipeline: partitioning, invariants, all
-backends, the rewriter-ablation variant, LocalExecutor, the naive
-oracle and sqlite3.  ``run_case`` returning ``None`` means every check
-agreed.
+backends, the rewriter-ablation variant, LocalExecutor and sqlite3.
+``run_case`` returning ``None`` means every check agreed.
 """
 
 from repro.fuzz.runner import run_case, run_fuzz
+from repro.query import local_executor
 from repro.query.expressions import Comparison
 
 
@@ -108,6 +108,35 @@ def test_null_join_keys_never_match():
         assert_consistent(_case([parent, child], config, [join]))
 
 
+def test_local_null_join_keys_bug_is_caught(monkeypatch):
+    """Meta-check: let NULL join keys match in LocalExecutor only.  The
+    engine stays right, the plan certifies, so the disagreement is a
+    certified plan's result diverging from the single-node answer."""
+    child = _table(
+        "c",
+        [["id", "integer", False], ["fk", "integer", True]],
+        [[10, 1], [11, None], [12, None], [13, 9]],
+    )
+    config = {"c": {"kind": "hash", "columns": ["id"]}}
+    queries = [
+        {
+            "op": "join",
+            "kind": kind,
+            "on": [["a0.fk", "a1.fk"]],
+            "residual": None,
+            "left": _scan("c", "a0"),
+            "right": _scan("c", "a1"),
+        }
+        for kind in ("inner", "semi")
+    ]
+    case = _case([child], config, queries)
+    assert run_case(case, backends=("serial",)) is None
+    monkeypatch.setattr(local_executor, "_null_free", lambda key: True)
+    divergence = run_case(case, backends=("serial",))
+    assert divergence is not None
+    assert divergence.kind == "certify_contradiction:local_rows"
+
+
 def test_null_comparison_filters():
     """col = NULL and col = col keep no rows when NULL is involved."""
     table = _table(
@@ -178,7 +207,10 @@ def test_all_null_aggregates():
 
 def test_reintroducing_null_equals_null_is_caught(tmp_path, monkeypatch):
     """Meta-check: patch the NULL=NULL bug back in and the fuzzer must
-    fail within the CI budget, producing a minimised, replayable repro."""
+    fail within the CI budget, producing a minimised, replayable repro.
+    The bug is shared by the engine and LocalExecutor (both bind the
+    same expressions), so sqlite3, the reference that shares no code
+    with them, is the check that catches it."""
     original_bind = Comparison.bind
 
     def buggy_bind(self, columns):
@@ -206,18 +238,15 @@ def test_reintroducing_null_equals_null_is_caught(tmp_path, monkeypatch):
         60,
         seed=0,
         backends=("serial",),
-        check_sqlite=False,
         out=str(out),
         max_shrink=120,
     )
     assert not report.ok, "fuzzer failed to catch the reintroduced bug"
+    assert report.divergence.kind == "sqlite_rows", report.summary()
     assert report.shrunk_case is not None
     assert out.exists()
     # The minimised repro still reproduces under the bug...
-    assert run_case(report.shrunk_case, backends=("serial",), check_sqlite=False)
+    assert run_case(report.shrunk_case, backends=("serial",))
     # ...and is clean once the bug is removed again.
     monkeypatch.setattr(Comparison, "bind", original_bind)
-    assert (
-        run_case(report.shrunk_case, backends=("serial",), check_sqlite=False)
-        is None
-    )
+    assert run_case(report.shrunk_case, backends=("serial",)) is None

@@ -111,10 +111,7 @@ def test_runner_catches_broken_worker_delta(monkeypatch):
     # backend_trace divergence.  Every backend records through the one
     # ContextDelta class, so the lie is confined to forked workers.
     case = generate_case(seed=11, index=0)
-    assert (
-        run_case(case, backends=("serial", "process"), check_sqlite=False)
-        is None
-    )
+    assert run_case(case, backends=("serial", "process")) is None
 
     real_add_output = ContextDelta.add_output
 
@@ -123,9 +120,7 @@ def test_runner_catches_broken_worker_delta(monkeypatch):
         real_add_output(self, op, rows + in_worker, partition=partition)
 
     monkeypatch.setattr(ContextDelta, "add_output", lying_add_output)
-    divergence = run_case(
-        case, backends=("serial", "process"), check_sqlite=False
-    )
+    divergence = run_case(case, backends=("serial", "process"))
     assert divergence is not None
     assert divergence.kind == "backend_trace"
     assert "span tree differs from serial" in divergence.detail
