@@ -9,7 +9,7 @@ Options::
 
     python -m repro [--scale SF] [--nodes N] [--seed S]
     python -m repro explain --query Q3 --analyze --predicate-transfer \
-        --backends serial,thread,process --check --json-out trace.json
+        --backends serial,thread --check --json-out trace.json
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 from repro.bench import paper_cost_parameters
 from repro.cluster import SimulatedCluster
 from repro.design import QuerySpec, SchemaDrivenDesigner, WorkloadDrivenDesigner
+from repro.engine.backends import backend_names
 from repro.partitioning import partition_database
 from repro.query import ExecOptions, Executor
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES, generate_tpch
@@ -50,7 +51,7 @@ def explain_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--backends", default="serial",
-        help="comma-separated engine backends (serial, thread, process)",
+        help="comma-separated engine backends (serial, thread)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -75,6 +76,10 @@ def explain_main(argv: list[str]) -> int:
         "execution (results are invariant to this)",
     )
     args = parser.parse_args(argv)
+    try:
+        backends = backend_names(args.backends)
+    except ValueError as exc:
+        parser.error(str(exc))
     # One options value and one store: what --check certifies is the plan
     # that cluster.explain renders and every --backends run executes.
     options = ExecOptions(predicate_transfer=args.predicate_transfer)
@@ -116,7 +121,6 @@ def explain_main(argv: list[str]) -> int:
 
     from repro.obs.explain import dump_trace, trace_to_json, validate_trace
 
-    backends = [name.strip() for name in args.backends.split(",") if name.strip()]
     traces = {}
     for backend_name in backends:
         cluster = cluster_on(backend_name)

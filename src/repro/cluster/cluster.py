@@ -14,10 +14,9 @@ Queries run on a pluggable engine backend; the default is the
 Python, so threads add hand-off cost the GIL never pays back (DESIGN
 "Backend matrix" has the stopwatch).  Pass ``backend="thread"`` to run
 independent per-partition operator tasks concurrently between exchange
-barriers on a pool shared by every query of the cluster, or
-``backend="process"`` for true multicore execution on a fork-capable
-platform — results and stats are identical across all backends by
-construction (the equivalence suite pins this).
+barriers on a pool shared by every query of the cluster — results and
+stats are identical across backends by construction (the equivalence
+suite pins this).
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ class SimulatedCluster:
             uses them without re-passing.
         backend: Engine scheduling backend — an instance or a name from
             :data:`~repro.engine.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``), shared across this cluster's
-            queries.  Default: serial.
+            ``"thread"``), shared across this cluster's queries.  Default:
+            serial.
         options: The :class:`~repro.query.options.ExecOptions` every
             query of this cluster runs under (default: ``ExecOptions()``);
             kept as ``cluster.options`` across :meth:`repartition`.

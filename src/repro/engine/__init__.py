@@ -21,10 +21,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.backends import (
         Backend,
-        ProcessPoolBackend,
         SerialBackend,
-        TaskPayload,
-        TaskResult,
         ThreadPoolBackend,
         build_task_graph,
         make_backend,
@@ -44,9 +41,6 @@ _EXPORTS = {
     "Backend": "repro.engine.backends",
     "SerialBackend": "repro.engine.backends",
     "ThreadPoolBackend": "repro.engine.backends",
-    "ProcessPoolBackend": "repro.engine.backends",
-    "TaskPayload": "repro.engine.backends",
-    "TaskResult": "repro.engine.backends",
     "build_task_graph": "repro.engine.backends",
     "make_backend": "repro.engine.backends",
     "compile_plan": "repro.engine.compile",

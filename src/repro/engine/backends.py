@@ -17,37 +17,24 @@ yields every task in serial order; :func:`task_slots` says which
 :class:`Slot` a task writes (an output partition, a prepare state, or an
 exchange state) and which it reads; :func:`build_task_graph` derives the
 dependencies — a task waits for the writers of the slots it reads, and
-for nothing else.  The same slots are the unit of data movement: the
-process pool ships the values a job reads into a worker
-(:class:`TaskPayload`) and the values others read back out
-(:class:`TaskResult`), through :func:`read_slot`/:func:`write_slot`.
+for nothing else.
 
 :class:`SerialBackend` runs :func:`serial_steps` front to back on the
 calling thread and builds no graph — bitwise-identical to the old
-monolithic interpreter.  The two pools contract the graph into fused jobs
-(:func:`fuse_jobs`) and hand them to the one scheduling loop,
-:func:`run_jobs`; they differ only in what submitting a job means.
-:class:`ThreadPoolBackend` runs a job on a shared thread pool
+monolithic interpreter.  :class:`ThreadPoolBackend` contracts the graph
+into fused jobs (:func:`fuse_jobs`) and hands them to the scheduling loop,
+:func:`run_jobs`, which runs each job on a shared thread pool
 (concurrency without parallelism: CPython threads cannot speed up
-pure-Python row loops).  :class:`ProcessPoolBackend` ships it to a forked
-worker process for true multicore execution; inter-stage rows route
-back through the coordinator.
+pure-Python row loops).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from repro.engine.context import ContextDelta, ExecutionContext, TraceEvent
@@ -96,10 +83,7 @@ def run_step(
     started = time.perf_counter()
     fn(*args)
     elapsed = time.perf_counter() - started
-    if multiprocessing.current_process().name == "MainProcess":
-        worker = threading.current_thread().name
-    else:
-        worker = f"pid:{os.getpid()}"
+    worker = threading.current_thread().name
     ctx.metrics.inc(f"engine.tasks.{phase}")
     ctx.metrics.observe("time.task_seconds", elapsed, TIME_BUCKETS)
     ctx.record_trace(
@@ -186,29 +170,6 @@ def task_slots(
     return Slot("part", op.op_id, index), reads
 
 
-def read_slot(ops: dict[int, PhysicalOperator], slot: Slot) -> object:
-    """Fetch the current value of *slot* from the operator tree."""
-    op = ops[slot.op_id]
-    if slot.kind == "part":
-        return op.partition_batch(slot.index)
-    if slot.kind == "prep":
-        return op.prepared[slot.index]
-    return op.exchanged
-
-
-def write_slot(
-    ops: dict[int, PhysicalOperator], slot: Slot, value: object
-) -> None:
-    """Install *value* into *slot* of the operator tree."""
-    op = ops[slot.op_id]
-    if slot.kind == "part":
-        op.store_batch(slot.index, value)
-    elif slot.kind == "prep":
-        op.prepared[slot.index] = value
-    else:
-        op.exchanged = value
-
-
 class EngineTask:
     """One schedulable unit: an operator phase on one partition."""
 
@@ -281,7 +242,7 @@ class SerialBackend(Backend):
 class _Job:
     """A fused group of tasks scheduled as one unit."""
 
-    __slots__ = ("steps", "remote", "dependents", "remaining", "exports")
+    __slots__ = ("steps", "remote", "dependents", "remaining")
 
     def __init__(self, steps: list[EngineTask], remote: bool) -> None:
         self.steps = steps
@@ -289,9 +250,6 @@ class _Job:
         self.remote = remote
         self.dependents: list["_Job"] = []
         self.remaining = 0  #: predecessor jobs not yet complete
-        #: Steps whose output a task outside this job (or nobody: the
-        #: root) reads.
-        self.exports: list[EngineTask] = []
 
     def run(self, ctx: ContextDelta) -> ContextDelta:
         """Run the steps in order, accounting into *ctx*; returns it."""
@@ -301,17 +259,15 @@ class _Job:
 
 
 def fuse_jobs(tasks: list[EngineTask]) -> list[_Job]:
-    """Contract the task DAG into jobs that minimise coordinator traffic.
+    """Contract the task DAG into jobs that minimise pool hand-offs.
 
     A producer task merges into its consumer's job when both are
     remote-eligible and *every* reader of the producer's output lives in
-    one of the two jobs — then the rows flow job-locally (through the
-    forked operator tree, in a worker process) instead of round-tripping
-    through the coordinator, and a thread pool pays one hand-off per
-    chain instead of one per task.  Per-partition pipeline chains (scan →
+    one of the two jobs — then the pool pays one hand-off per chain
+    instead of one per task.  Per-partition pipeline chains (scan →
     filter → aggregate-prepare, or both join inputs plus the probe)
-    collapse into single jobs this way; exchange barriers stay
-    coordinator-side and bound the contraction.
+    collapse into single jobs this way; exchange barriers stay on the
+    calling thread and bound the contraction.
     """
     job_of: dict[int, _Job] = {}
     jobs: list[_Job] = []
@@ -354,27 +310,21 @@ def fuse_jobs(tasks: list[EngineTask]) -> list[_Job]:
         job.remaining = len(predecessors)
         for producer in predecessors.values():
             producer.dependents.append(job)
-        job.exports = [
-            step
-            for step in job.steps
-            if not step.dependents
-            or any(job_of[id(reader)] is not job for reader in step.dependents)
-        ]
     return live
 
 
 def run_jobs(
     jobs: Iterable[_Job],
     ctx: ExecutionContext,
-    submit: Callable[[_Job], "Future | None"],
+    submit: Callable[[_Job], Future],
     absorb: Callable[[object], None],
 ) -> None:
-    """The scheduling loop of every pooled backend.
+    """The scheduling loop of the pooled backend.
 
     A job starts when its last predecessor completes.  One that may
-    leave the calling thread is offered to *submit*; if that returns a
-    future, the future's result goes to *absorb* when it finishes.  Every
-    other job — exchanges are coordinator work by design — runs here and
+    leave the calling thread goes to *submit*, and the result of the
+    future it returns goes to *absorb* when it finishes.  Every other
+    job — exchanges stay on the calling thread by design — runs here and
     now, accounting straight into *ctx*.  Everything but the submitted
     work itself — both callbacks, every recorder merge, every trace-hook
     call — happens on the calling thread, one at a time, so nothing here
@@ -399,13 +349,12 @@ def run_jobs(
         while ready and error is None:
             job = ready.popleft()
             try:
-                future = submit(job) if job.remote else None
-                if future is None:
+                if job.remote:
+                    inflight[submit(job)] = job
+                else:
                     job.run(ctx)
                     release(job)
-                else:
-                    inflight[future] = job
-            except BaseException as exc:  # broken pool, pickling, the job
+            except BaseException as exc:  # broken pool, the job
                 error = exc
         if not inflight:
             break
@@ -471,147 +420,6 @@ class ThreadPoolBackend(Backend):
 
 
 # --------------------------------------------------------------------------
-# Process pool: true multicore execution
-# --------------------------------------------------------------------------
-
-
-class TaskPayload(NamedTuple):
-    """Message shipped to a worker: what to run and what it reads.
-
-    Attributes:
-        steps: ``(op_id, phase, index)`` triples, in dependency order.
-        preloads: slot values the steps read that were produced outside
-            this job (the worker installs them before running).
-        exports: slots whose values must ship back to the coordinator
-            because tasks outside this job read them.
-    """
-
-    steps: tuple[tuple[int, str, int], ...]
-    preloads: tuple[tuple[Slot, object], ...]
-    exports: tuple[Slot, ...]
-
-
-class TaskResult(NamedTuple):
-    """Message shipped back: exported slot values plus the job's recorder."""
-
-    exports: tuple[tuple[Slot, object], ...]
-    delta: ContextDelta
-
-
-#: Fork-inherited worker state: (operators by id, node count, trace flag).
-#: Set by the coordinator immediately before it creates a worker pool so
-#: the forked children inherit the compiled operator tree (closures and
-#: all) without pickling it.
-_WORKER_STATE: tuple[dict[int, "PhysicalOperator"], int, bool] | None = None
-
-#: Serialises process-backend runs: the fork-inherited global above is
-#: per-query state.
-_WORKER_STATE_LOCK = threading.Lock()
-
-
-def _execute_payload(payload: TaskPayload) -> TaskResult:
-    """Worker-side entry point: run one fused job against the forked tree."""
-    assert _WORKER_STATE is not None, "worker forked without engine state"
-    ops, node_count, collect_trace = _WORKER_STATE
-    delta = ContextDelta(node_count, collect_trace=collect_trace)
-    for slot, value in payload.preloads:
-        write_slot(ops, slot, value)
-    for op_id, phase, index in payload.steps:
-        run_step(delta, ops[op_id], phase, index)
-    exports = tuple((slot, read_slot(ops, slot)) for slot in payload.exports)
-    return TaskResult(exports, delta)
-
-
-def _payload(ops: dict[int, PhysicalOperator], job: _Job) -> TaskPayload:
-    """What a worker needs to run *job*, read off the coordinator's tree."""
-    produced = {task.writes for task in job.steps}
-    preloads = []
-    for task in job.steps:
-        for slot in task.reads:
-            if slot not in produced:
-                produced.add(slot)  # dedupe repeat reads
-                preloads.append((slot, read_slot(ops, slot)))
-    return TaskPayload(
-        steps=tuple(
-            (task.op.op_id, task.phase, task.index) for task in job.steps
-        ),
-        preloads=tuple(preloads),
-        exports=tuple(task.writes for task in job.exports),
-    )
-
-
-class ProcessPoolBackend(Backend):
-    """Runs fused per-partition task chains in worker processes.
-
-    The only backend that actually parallelises the pure-Python row loops
-    (thread backends serialise on the GIL).  Per query it:
-
-    1. builds the task DAG and contracts it into jobs (:func:`fuse_jobs`)
-       so whole per-partition pipelines execute worker-locally;
-    2. forks a worker pool *after* compiling the plan — children inherit
-       the operator tree and base-table partitions copy-on-write, so only
-       inter-stage rows (a shuffle sender's routed batch and index lists)
-       and compact aggregation states cross process boundaries, always
-       via the coordinator;
-    3. drives the jobs through :func:`run_jobs`: a worker job ships as a
-       :class:`TaskPayload`, and its :class:`TaskResult` installs the
-       exported slots and merges the recorder into the query's context —
-       commutatively, so stats are identical to serial execution by
-       construction.
-
-    Exchange barriers, and any job whose operator state must stay on the
-    coordinator, run inline on the coordinator.  Platforms without the
-    ``fork`` start method (workers must inherit the compiled tree, which
-    holds bound predicate closures) degrade to serial in-process
-    execution.  The pool lives for one query, so a failed query cannot
-    poison the next.
-    """
-
-    name = "process_pool"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or (os.cpu_count() or 2)
-
-    @staticmethod
-    def fork_available() -> bool:
-        """True if this platform supports fork-based worker pools."""
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def run(self, root: PhysicalOperator, ctx: ExecutionContext) -> None:
-        global _WORKER_STATE
-        if self.max_workers < 2 or not self.fork_available():
-            SerialBackend().run(root, ctx)
-            return
-        jobs = fuse_jobs(build_task_graph(root))
-        ops = {op.op_id: op for op in root.walk()}
-
-        def submit(job: _Job) -> Future | None:
-            if all(
-                task.op.remote_ready(task.phase, task.index)
-                for task in job.steps
-            ):
-                return pool.submit(_execute_payload, _payload(ops, job))
-            return None
-
-        def absorb(result: TaskResult) -> None:
-            for slot, value in result.exports:
-                write_slot(ops, slot, value)
-            ctx.merge_delta(result.delta)
-
-        with _WORKER_STATE_LOCK:
-            _WORKER_STATE = (ops, ctx.node_count, ctx.trace is not None)
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                run_jobs(jobs, ctx, submit, absorb)
-            finally:
-                pool.shutdown(wait=True)
-                _WORKER_STATE = None
-
-
-# --------------------------------------------------------------------------
 # Backend selection
 # --------------------------------------------------------------------------
 
@@ -622,9 +430,23 @@ BACKENDS: dict[str, Callable[..., Backend]] = {
     "serial": SerialBackend,
     "thread": ThreadPoolBackend,
     "thread_pool": ThreadPoolBackend,
-    "process": ProcessPoolBackend,
-    "process_pool": ProcessPoolBackend,
 }
+
+
+def backend_names(text: str) -> tuple[str, ...]:
+    """The backend names of a comma-separated list (``"serial,thread"``).
+
+    Raises ValueError on an empty list or a name not in :data:`BACKENDS`,
+    so a command line can reject it before any work starts.
+    """
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    for name in names or ("",):
+        if name not in BACKENDS:
+            raise ValueError(
+                f"unknown engine backend {name!r}; expected a comma-separated "
+                f"list of {', '.join(sorted(BACKENDS))}"
+            )
+    return names
 
 
 def make_backend(

@@ -5,7 +5,7 @@ and sets ``k`` bits inside it (register-blocked layout, one cache line of
 one in this simulation).  Hashing is anchored on
 :func:`repro.partitioning.scheme.stable_hash`, the engine's
 process-stable hash, so a filter built from the same key set is
-bit-identical on every backend and in every worker process.
+bit-identical on every backend and in every interpreter run.
 
 Blocked filters trade a slightly worse false-positive rate for probe
 locality; sizing inflates the classic Bloom bit budget to compensate, so
@@ -160,12 +160,6 @@ class BloomFilter:
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key
         return hash((self.block_count, self.k, tuple(self.blocks)))
-
-    def __getstate__(self) -> tuple:
-        return (self.blocks, self.block_count, self.k, self.capacity, self.fpr)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.blocks, self.block_count, self.k, self.capacity, self.fpr = state
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return (

@@ -133,15 +133,15 @@ class TraceEvent:
     phase: str  #: "prepare" | "exchange" | "partition"
     node_id: int | None
     seconds: float
-    #: Where the task ran ("pid:<n>" for process-pool workers, a thread
-    #: name otherwise).  Excluded from canonical trace comparisons.
+    #: The name of the thread the task ran on.  Excluded from canonical
+    #: trace comparisons.
     worker: str | None = None
 
 
 class ContextDelta:
     """The recorder: what operators write their accounting to.
 
-    Picklable and single-owner — one task, one worker job, or (as an
+    Single-owner — one task, one pooled job, or (as an
     :class:`ExecutionContext`) one serially executed query — so no call
     takes a lock.  ``metrics`` holds only what has no per-operator home:
     the per-partition row histogram and the ``engine.tasks.*`` /

@@ -141,8 +141,7 @@ class PhysicalOperator:
         self._partitions: list[ColumnBatch | None] = [None] * output_count
         #: Task state besides the output partitions (barrier operators):
         #: what ``prepare_partition(p)`` left, by ``p``, and what
-        #: ``exchange()`` left.  Both are picklable, so backends that run
-        #: tasks outside the coordinator process can ship them.
+        #: ``exchange()`` left.
         self.prepared: dict[int, object] = {}
         self.exchanged: object = None
 
@@ -216,27 +215,22 @@ class PhysicalOperator:
     #: True if ``run_partition(p)`` reads partition ``p`` of the inputs.
     #: Barrier operators whose post-exchange tasks consume only their own
     #: exchange state say False — per instance where it depends on the
-    #: strategy — so a partition task neither waits for nor is shipped
-    #: child rows it never reads.
+    #: strategy — so a partition task does not wait for child rows it
+    #: never reads.
     partition_reads_inputs: bool = True
 
     def remote_eligible(self, phase: str) -> bool:
-        """Whether *phase* tasks may run outside the coordinator.
+        """Whether *phase* tasks may run on a pool worker.
 
-        Exchanges, and the partition tasks after them, are coordinator
-        work by design — that is where rows cross task boundaries (a
+        Exchanges, and the partition tasks after them, run on the calling
+        thread by design — that is where rows cross task boundaries (a
         shuffle's receivers gather from every sender).  Prepare tasks and
         pipeline partition tasks are independent per-partition batch
-        kernels and ship well.
+        kernels.
         """
         if phase == "exchange":
             return False
         return phase == "prepare" or not self.barrier
-
-    def remote_ready(self, phase: str, p: int) -> bool:
-        """Dispatch-time refinement of :meth:`remote_eligible` for
-        operators whose eligibility depends on runtime state."""
-        return True
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +277,8 @@ class PhysicalScan(PhysicalOperator):
 
     def node_stored(self, node: int) -> Partition | None:
         """None when the batch is not the store's own columns: patched-PREF
-        deliveries were appended to a copy, ``allowed`` pruned the
-        partition, or the batch was shipped in from another process."""
+        deliveries were appended to a copy, or ``allowed`` pruned the
+        partition."""
         p = 0 if self.output_count == 1 else node
         batch = self._partitions[p]
         partition = self.table.partitions[p]
@@ -1135,14 +1129,10 @@ class PhysicalHashJoin(PhysicalOperator):
     # Broadcast probes are heavy batch kernels, so partition tasks stay
     # remote-eligible even though the operator is a barrier; when the
     # exchange already computed the whole result (both inputs single
-    # copies), the leftover partition tasks are no-ops that must stay on
-    # the coordinator, where the stored result lives.
+    # copies), the leftover partition tasks are no-ops.
 
     def remote_eligible(self, phase: str) -> bool:
         return phase != "exchange"
-
-    def remote_ready(self, phase: str, p: int) -> bool:
-        return not (phase == "partition" and self.exchanged.done)
 
     # -- per-partition execution -------------------------------------------
 
@@ -1204,7 +1194,7 @@ class PhysicalAggregate(PhysicalOperator):
 
     A group's state is a slot in one state column per aggregate (see
     :class:`~repro.query.aggregates.AggregateFunction`); a partial is
-    ``(keys, state columns)``, which is also what a prepare task pickles.
+    ``(keys, state columns)``.
     Groups are numbered in first-occurrence order and every fold runs in
     ascending row order (merges in source order), so output row order and
     float accumulation match the serial row engine bit for bit.

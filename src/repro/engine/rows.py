@@ -85,9 +85,6 @@ class ColumnBatch:
 
     Batches are immutable by convention: operators build new batches from
     old columns (which may be aliased, never mutated in place).
-
-    Batches pickle as their two slots — pruned columns stay ``None`` —
-    which is what ships between the coordinator and process-pool workers.
     """
 
     __slots__ = ("columns", "length")

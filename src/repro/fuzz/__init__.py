@@ -2,7 +2,7 @@
 
 The fuzzer generates random schemas, partitioning configurations (PREF
 chains included), NULL-bearing skewed data and SPJA queries; runs every
-query on the serial, thread and process backends of the engine; and
+query on the serial and thread backends of the engine; and
 checks rows against the single-node answer of
 :class:`~repro.query.local_executor.LocalExecutor`, which ``sqlite3`` —
 sharing no code with the engine — checks in turn.  PREF invariants

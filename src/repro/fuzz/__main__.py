@@ -1,6 +1,6 @@
 """``python -m repro.fuzz`` — the differential fuzzing oracle CLI.
 
-Runs seeded random cases through the serial/thread/process backends and
+Runs seeded random cases through the serial and thread backends and
 the single-node reference (LocalExecutor, checked by sqlite3), checking
 PREF invariants after every partition and bulk-load step.  On
 the first divergence the case is minimised and written to a replayable
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.engine.backends import backend_names
 from repro.fuzz.ir import load_case
 from repro.fuzz.runner import DEFAULT_BACKENDS, run_case, run_fuzz
 
@@ -34,7 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backends",
         default=",".join(DEFAULT_BACKENDS),
-        help="comma-separated engine backends (serial is always the reference)",
+        help="comma-separated engine backends (serial, thread); serial is "
+        "always the reference",
     )
     parser.add_argument(
         "--no-certify",
@@ -73,9 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         "--quiet", action="store_true", help="suppress progress output"
     )
     args = parser.parse_args(argv)
-    backends = tuple(
-        spec.strip() for spec in args.backends.split(",") if spec.strip()
-    )
+    try:
+        backends = backend_names(args.backends)
+    except ValueError as exc:
+        parser.error(str(exc))
     if "serial" not in backends:
         backends = ("serial",) + backends
 

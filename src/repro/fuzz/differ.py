@@ -2,7 +2,7 @@
 
 Two comparison strengths:
 
-* **exact** — used between engine backends (serial vs thread vs process):
+* **exact** — used between engine backends (serial vs thread):
   the backends are required to produce *identical* row lists and
   canonical :class:`~repro.query.cost.ExecutionStats`.
 * **tolerant multiset** — used against the oracles: row order is

@@ -45,10 +45,10 @@ from repro.query.executor import Executor
 from repro.query.local_executor import LocalExecutor
 from repro.query.options import ExecOptions
 
-DEFAULT_BACKENDS = ("serial", "thread", "process")
+DEFAULT_BACKENDS = ("serial", "thread")
 
-#: Reused pools: thread/process backends are safely shareable between
-#: executors and cases (the process backend forks per query anyway).
+#: Reused pools: a thread backend is safely shareable between executors
+#: and cases.
 _SHARED: dict[str, Backend] = {}
 
 

@@ -2,7 +2,7 @@
 
 ``repro.obs`` has three layers:
 
-* :mod:`repro.obs.metrics` — a process-safe :class:`MetricsRegistry` of
+* :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters and histograms whose deltas merge commutatively alongside the
   cost stats (identical totals on every backend);
 * :mod:`repro.obs.span` — the :class:`QueryTrace`/:class:`OperatorSpan`

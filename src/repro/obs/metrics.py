@@ -1,4 +1,4 @@
-"""A process-safe registry of counters and histograms for the engine.
+"""A thread-safe registry of counters and histograms for the engine.
 
 Every recorder of a query (:class:`~repro.engine.context.ContextDelta`,
 the query's :class:`~repro.engine.context.ExecutionContext` included)
@@ -9,7 +9,7 @@ finished recorders in through :meth:`MetricsRegistry.merge`.  The
 context derives them from the per-operator records when the query
 finishes.  Both paths only ever sum integers, which is what makes the
 totals independent of task-completion order and identical across the
-serial/thread/process backends.
+serial and thread backends.
 
 A counter at zero and a counter that was never touched are the same
 observation: derived counters are emitted only when non-zero, and
@@ -157,20 +157,6 @@ class MetricsRegistry:
         self.counters: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock() if locked else None
-
-    def __getstate__(self) -> dict:
-        # Locks cannot cross pickle/deepcopy; the copy keeps the same
-        # locked-ness and gets a fresh lock on restore.
-        return {
-            "counters": self.counters,
-            "histograms": self.histograms,
-            "locked": self._lock is not None,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.counters = state["counters"]
-        self.histograms = state["histograms"]
-        self._lock = threading.Lock() if state["locked"] else None
 
     # -- recording ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ the per-partition :class:`TaskSpan` list of the engine tasks that ran for
 it and the rewriter's static ``Part``/``Dup`` annotations for side-by-side
 display.
 
-Traces are plain data (no references into the engine), picklable and
+Traces are plain data (no references into the engine) and
 JSON-exportable (:func:`repro.obs.explain.trace_to_json`).
 
 Canonicalisation
@@ -56,7 +56,7 @@ class TaskSpan:
     phase: str  #: "prepare" | "exchange" | "partition"
     node_id: int | None  #: Partition index; None for exchange barriers.
     seconds: float  #: Wall time (excluded from canonical comparisons).
-    worker: str | None = None  #: Thread name or "pid:<n>" (excluded too).
+    worker: str | None = None  #: Thread name (excluded too).
 
     def canonical(self) -> tuple:
         """Comparable form: where it ran logically, not physically."""

@@ -223,11 +223,6 @@ class PartitionedDatabase:
         self._tables: dict[str, PartitionedTable] = {}
         self._routers: dict[int, KeyMemo] = {}
 
-    def __getstate__(self) -> dict:
-        # A copy starts with no routing memo: it is derived, and its
-        # closures do not pickle.
-        return {**self.__dict__, "_routers": {}}
-
     def router(self, count: int) -> KeyMemo:
         """The memo routing a key to ``stable_hash(key) % count``
         (:func:`~repro.partitioning.scheme.hash_router`), one per *count*.
@@ -237,8 +232,7 @@ class PartitionedDatabase:
         repartitioned or migrated cluster gets a new store, and a new
         memo).  It is bounded by :data:`ROUTING_MEMO_KEYS` and cleared
         whole when a miss would pass that.  Threads share it unlocked — a
-        race stores the same value twice, or clears early — and a forked
-        worker fills its own copy.
+        race stores the same value twice, or clears early.
         """
         route = self._routers.get(count)
         if route is None:

@@ -8,11 +8,7 @@ from collections import Counter
 from operator import itemgetter
 
 from repro.catalog import DatabaseSchema, DataType
-from repro.engine.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
+from repro.engine.backends import SerialBackend, ThreadPoolBackend
 from repro.engine.compile import compile_plan
 from repro.engine.context import ExecutionContext
 from repro.partitioning import (
@@ -32,9 +28,6 @@ from repro.storage import Database
 BACKENDS = {
     "serial": SerialBackend,
     "thread": lambda: ThreadPoolBackend(max_workers=4),
-    # Two workers force real forks (and pickled, pruned batches) even on
-    # a one-core box.
-    "process": lambda: ProcessPoolBackend(max_workers=2),
 }
 
 

@@ -67,7 +67,7 @@ def test_declared_counter_reaches_every_consumer(probes_counter, monkeypatch):
     database = shop_database(seed=7)
     partitioned = partition_database(database, pref_chain_config(4))
     plan = sql_to_plan("SELECT COUNT(*) AS n FROM orders o", database.schema)
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "thread"):
         backend = make_backend(name, max_workers=2)
         try:
             result = Executor(partitioned, backend=backend).execute(

@@ -2,7 +2,7 @@
 
 Every scheduling backend must behave identically at the edges, not just
 on the happy path: an operator raising in any task phase (prepare,
-exchange, run_partition — pooled or on the coordinator) propagates the
+exchange, run_partition — pooled or on the calling thread) propagates the
 same exception type to the caller; a failed query leaves no straggler tasks running and the same
 backend instance serves the next query; an empty task graph returns
 instead of deadlocking (a regression in the thread pool's completion
@@ -14,13 +14,8 @@ import time
 
 import pytest
 
-from helpers import assert_same_rows
-from repro.engine import (
-    ExecutionContext,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
+from helpers import BACKENDS, assert_same_rows
+from repro.engine import ExecutionContext, SerialBackend, ThreadPoolBackend
 from repro.engine.operators import (
     PhysicalAggregate,
     PhysicalGather,
@@ -31,19 +26,12 @@ from repro.sql import sql_to_plan
 
 
 class BoomError(RuntimeError):
-    """Injected operator failure (picklable by reference, so worker
-    processes can ship it back to the coordinator)."""
+    """Injected operator failure."""
 
 
 def _boom(self, *args, **kwargs):
     raise BoomError("injected failure")
 
-
-BACKENDS = {
-    "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadPoolBackend(max_workers=4),
-    "process": lambda: ProcessPoolBackend(max_workers=2),
-}
 
 #: Exercises every task phase: scans (partition), a two-phase aggregate
 #: (prepare + exchange), a co-partitioned join, and a gathering order-by.
@@ -52,9 +40,9 @@ SQL = (
     "WHERE c.custkey = o.custkey GROUP BY c.nationkey ORDER BY nk"
 )
 
-#: Fault site per task phase.  On the pools the first two fail inside a
-#: pooled job, the last two inline on the coordinator (a barrier
-#: operator's partition tasks never leave it).
+#: Fault site per task phase.  On the thread pool the first two fail
+#: inside a pooled job, the last two inline on the calling thread (a
+#: barrier operator's partition tasks never leave it).
 FAULTS = {
     "partition": (PhysicalScan, "run_partition"),
     "prepare": (PhysicalAggregate, "prepare_partition"),
@@ -148,7 +136,7 @@ def test_thread_pool_drains_inflight_before_raising(
         backend.close()
 
 
-@pytest.mark.parametrize("backend_name", ["thread", "process"])
+@pytest.mark.parametrize("backend_name", ["thread"])
 def test_trace_events_well_formed_under_concurrency(
     shop_db, shop_pref, backend_name
 ):

@@ -4,18 +4,23 @@ Pins the four properties the transfer scheduler's soundness argument
 leans on: no false negatives ever, a measured false-positive rate at or
 near the sizing target, NULL keys never entering (or matching) a filter
 under SQL three-valued logic, and bit-identical filters regardless of
-insertion order or builder process.
+insertion order or builder interpreter.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine.bloom import BloomFilter, validate_bloom_params
 
 
@@ -121,13 +126,6 @@ class TestNullKeys:
         assert bloom.probe_many([None, (3, None), 5]) == [False, False, True]
 
 
-def _build_filter(payload):
-    keys, capacity, fpr = payload
-    bloom = BloomFilter.sized(capacity, fpr)
-    bloom.add_many(keys)
-    return bloom.words()
-
-
 class TestBitIdentity:
     def test_insertion_order_is_irrelevant(self):
         rng = random.Random(9)
@@ -154,7 +152,24 @@ class TestBitIdentity:
         keys = _mixed_keys(rng, 400)
         local = BloomFilter.sized(len(keys), 0.01)
         local.add_many(keys)
-        context = multiprocessing.get_context("fork")
-        with context.Pool(1) as pool:
-            remote_words = pool.apply(_build_filter, ((keys, len(keys), 0.01),))
-        assert remote_words == local.words()
+        # A fresh interpreter, with its own string-hash seed, builds the
+        # filter from the same keys.
+        script = (
+            "import ast, sys\n"
+            "from repro.engine.bloom import BloomFilter\n"
+            "keys = ast.literal_eval(sys.stdin.read())\n"
+            "bloom = BloomFilter.sized(len(keys), 0.01)\n"
+            "bloom.add_many(keys)\n"
+            "print(list(bloom.words()))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": "12345",
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=repr(keys), capture_output=True, text=True, env=env,
+            check=True,
+        )
+        assert tuple(ast.literal_eval(done.stdout)) == local.words()

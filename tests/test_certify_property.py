@@ -63,12 +63,12 @@ def test_every_generated_plan_certifies():
 
 
 def test_certified_plans_agree_across_backends():
-    """Certified cases pass serial/thread/process row + trace equality."""
+    """Certified cases pass serial/thread row + trace equality."""
     for index in range(8):
         case = generate_case(3, index)
         divergence = run_case(
             case,
-            backends=("serial", "thread", "process"),
+            backends=("serial", "thread"),
             check_certify=True,
         )
         assert divergence is None, f"case {index}: {divergence.describe()}"

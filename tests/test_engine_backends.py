@@ -24,7 +24,6 @@ from repro.bench import Variant, materialize_variant, tpch_variants
 from repro.cluster import SimulatedCluster
 from repro.design import QuerySpec, SchemaDrivenDesigner
 from repro.engine import (
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     format_operator_stats,
@@ -45,7 +44,7 @@ def canonical_stats(stats):
     return stats.canonical()
 
 
-# -- TPC-H: all 22 queries, serial vs thread vs process vs local reference --
+# -- TPC-H: all 22 queries, serial vs thread vs local reference ------------
 
 
 @pytest.fixture(scope="module")
@@ -61,27 +60,21 @@ def tpch_engines(small_tpch):
     pool = ThreadPoolBackend(max_workers=4)
     serial = Executor(partitioned, backend=SerialBackend())
     threaded = Executor(partitioned, backend=pool)
-    forked = Executor(partitioned, backend=ProcessPoolBackend(max_workers=2))
     local = LocalExecutor(small_tpch)
-    yield serial, threaded, forked, local
+    yield serial, threaded, local
     pool.close()
 
 
 @pytest.mark.parametrize("name", list(ALL_QUERIES))
 def test_tpch_backends_identical(tpch_engines, name):
-    serial, threaded, forked, local = tpch_engines
+    serial, threaded, local = tpch_engines
     build = ALL_QUERIES[name]
     serial_result = serial.execute(build())
     threaded_result = threaded.execute(build())
-    forked_result = forked.execute(build())
     # Rows must match exactly (same values, same order), not just as sets:
     # concurrent backends reorder work, never output.
     assert threaded_result.rows == serial_result.rows
     assert canonical_stats(threaded_result.stats) == canonical_stats(
-        serial_result.stats
-    )
-    assert forked_result.rows == serial_result.rows
-    assert canonical_stats(forked_result.stats) == canonical_stats(
         serial_result.stats
     )
     reference = local.execute(build())
@@ -89,7 +82,7 @@ def test_tpch_backends_identical(tpch_engines, name):
 
 
 def test_tpch_operator_stats_reconcile(tpch_engines):
-    serial, _threaded, _forked, _local = tpch_engines
+    serial, _threaded, _local = tpch_engines
     result = serial.execute(ALL_QUERIES["Q3"]())
     operators = result.operators
     assert operators, "QueryResult.operators should expose the physical plan"
@@ -143,25 +136,19 @@ def tpcds_engines():
     pool = ThreadPoolBackend(max_workers=4)
     serial = Executor(partitioned, backend=SerialBackend())
     threaded = Executor(partitioned, backend=pool)
-    forked = Executor(partitioned, backend=ProcessPoolBackend(max_workers=2))
     local = LocalExecutor(database)
-    yield database, serial, threaded, forked, local
+    yield database, serial, threaded, local
     pool.close()
 
 
 @pytest.mark.parametrize("name", list(TPCDS_QUERIES))
 def test_tpcds_backends_identical(tpcds_engines, name):
-    database, serial, threaded, forked, local = tpcds_engines
+    database, serial, threaded, local = tpcds_engines
     plan = sql_to_plan(TPCDS_QUERIES[name], database.schema)
     serial_result = serial.execute(plan)
     threaded_result = threaded.execute(plan)
-    forked_result = forked.execute(plan)
     assert threaded_result.rows == serial_result.rows
     assert canonical_stats(threaded_result.stats) == canonical_stats(
-        serial_result.stats
-    )
-    assert forked_result.rows == serial_result.rows
-    assert canonical_stats(forked_result.stats) == canonical_stats(
         serial_result.stats
     )
     reference = local.execute(plan)
@@ -186,8 +173,6 @@ class TestClusterFacade:
             ("serial", SerialBackend),
             ("thread", ThreadPoolBackend),
             ("thread_pool", ThreadPoolBackend),
-            ("process", ProcessPoolBackend),
-            ("process_pool", ProcessPoolBackend),
         ],
     )
     def test_backend_selected_by_name(self, shop_db, name, kind):
@@ -204,6 +189,11 @@ class TestClusterFacade:
     def test_make_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             make_backend("distributed-mainframe")
+        with pytest.raises(ValueError, match="unknown engine backend") as raised:
+            make_backend("process")
+        listed = str(raised.value).split(";", 1)[1]
+        assert "'serial'" in listed and "'thread'" in listed
+        assert "process" not in listed
         backend = SerialBackend()
         assert make_backend(backend) is backend
         assert make_backend(None) is None
@@ -254,6 +244,28 @@ class TestClusterFacade:
             without_locality.stats.network_bytes
             > with_locality.stats.network_bytes
         )
+
+
+@pytest.mark.parametrize("name", ["process", "bogus", "serial,process"])
+@pytest.mark.parametrize("cli", ["explain", "fuzz"])
+def test_unknown_backend_name_is_a_usage_error(cli, name, capsys):
+    """Both command lines reject a bad ``--backends`` name while parsing
+    arguments: exit 2 and a message that lists the valid names."""
+    if cli == "explain":
+        from repro.__main__ import main
+
+        argv = ["explain", "--analyze", "--backends", name]
+    else:
+        from repro.fuzz.__main__ import main
+
+        argv = ["--cases", "1", "--backends", name]
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "unknown engine backend" in message
+    assert "serial" in message and "thread" in message
+    assert message.count("process") == (name != "bogus")
 
 
 @pytest.mark.parametrize(

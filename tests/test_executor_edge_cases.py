@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import (
+    BACKENDS,
     all_hashed_config,
     assert_same_rows,
     pref_chain_config,
@@ -20,6 +21,24 @@ def database():
 
 
 CONFIGS = [all_hashed_config, pref_chain_config, ref_chain_config]
+
+
+def rows_on_every_backend(partitioned, plan, options=None):
+    """The serial rows, after checking that every backend gives the same
+    rows and canonical stats."""
+    results = {}
+    for name, make in BACKENDS.items():
+        backend = make()
+        try:
+            executor = Executor(partitioned, options, backend=backend)
+            results[name] = executor.execute(plan)
+        finally:
+            backend.close()
+    serial = results["serial"]
+    for name, result in results.items():
+        assert result.rows == serial.rows, name
+        assert result.stats.canonical() == serial.stats.canonical(), name
+    return serial.rows
 
 
 @pytest.mark.parametrize("config_builder", CONFIGS)
@@ -65,7 +84,10 @@ def test_join_against_aggregated_subplan(database, config_builder):
 
 
 def test_join_with_scalar_aggregate_side(database):
-    """Joining against a GATHERED scalar-aggregate relation."""
+    """Joining against a GATHERED scalar-aggregate relation.
+
+    The broadcast join's exchange stores the whole result, so its
+    partition tasks are no-ops; on a pool they run on worker threads."""
     average = Query.scan("orders", alias="o").aggregate(
         aggregates=[("count", None, "total_orders")]
     )
@@ -78,7 +100,7 @@ def test_join_with_scalar_aggregate_side(database):
     for config_builder in CONFIGS:
         partitioned = partition_database(database, config_builder(3))
         assert_same_rows(
-            Executor(partitioned).execute(plan).rows,
+            rows_on_every_backend(partitioned, plan),
             LocalExecutor(database).execute(plan).rows,
         )
 
@@ -179,7 +201,8 @@ def test_in_list_and_null_filters_distributed(database):
 
 
 def test_anti_join_with_replicated_left_counts_once(database):
-    """Regression: a replicated preserved side must not multiply results."""
+    """Regression: a replicated preserved side must not multiply results
+    (on every backend: the broadcast join's partition tasks are no-ops)."""
     plan = (
         Query.scan("nation", alias="n")
         .anti_join(
@@ -193,9 +216,9 @@ def test_anti_join_with_replicated_left_counts_once(database):
         partitioned = partition_database(database, config_builder(3))
         for optimizations in (True, False):
             assert_same_rows(
-                Executor(partitioned, ExecOptions(optimizations=optimizations))
-                .execute(plan)
-                .rows,
+                rows_on_every_backend(
+                    partitioned, plan, ExecOptions(optimizations=optimizations)
+                ),
                 LocalExecutor(database).execute(plan).rows,
             )
 

@@ -15,7 +15,6 @@ rows and canonical stats on every backend.
 
 from __future__ import annotations
 
-import pickle
 import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +35,7 @@ from repro.cluster import SimulatedCluster
 from repro.design import SchemaDrivenDesigner
 from repro.design.baselines import all_hashed
 from repro.engine.context import ExecutionContext
+from repro.engine.rows import ColumnBatch
 from repro.partitioning import (
     HashScheme,
     InvariantViolation,
@@ -352,9 +352,13 @@ def test_a_scan_reports_only_the_partition_its_batch_aliases(patched_cluster):
     # appended to a copy of its columns.
     assert scan.node_stored(0) is customer.partitions[0]
     assert scan.node_stored(1) is None
-    # A batch shipped in from another process is a copy too.
-    shipped = pickle.loads(pickle.dumps(scan.partition_batch(0)))
-    scan.store_batch(0, shipped)
+    # A batch whose columns are copies of the stored ones is a copy too.
+    stored = scan.partition_batch(0)
+    copied = ColumnBatch(
+        [None if column is None else list(column) for column in stored.columns],
+        stored.length,
+    )
+    scan.store_batch(0, copied)
     assert scan.node_stored(0) is None
     # So is the empty batch of a partition that ``allowed`` pruned.
     scan.allowed = frozenset()

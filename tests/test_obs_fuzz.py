@@ -11,8 +11,8 @@ naming the offending operator.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import re
+import threading
 
 from helpers import all_hashed_config, pref_chain_config, shop_database
 from repro.engine import SerialBackend
@@ -105,22 +105,22 @@ def test_diff_names_only_the_differing_op_under_bloom_activity():
 
 
 def test_runner_catches_broken_worker_delta(monkeypatch):
-    # Over-counting rows_out in the recorders the process backend's
-    # workers ship back is invisible to the stats check (rows_out is
+    # Over-counting rows_out in the recorders the thread backend's
+    # workers hand back is invisible to the stats check (rows_out is
     # breakdown-only) — the span-tree oracle must flag it as a
     # backend_trace divergence.  Every backend records through the one
-    # ContextDelta class, so the lie is confined to forked workers.
+    # ContextDelta class, so the lie is confined to pool threads.
     case = generate_case(seed=11, index=0)
-    assert run_case(case, backends=("serial", "process")) is None
+    assert run_case(case, backends=("serial", "thread")) is None
 
     real_add_output = ContextDelta.add_output
 
     def lying_add_output(self, op, rows, partition=0):
-        in_worker = multiprocessing.current_process().name != "MainProcess"
+        in_worker = threading.current_thread() is not threading.main_thread()
         real_add_output(self, op, rows + in_worker, partition=partition)
 
     monkeypatch.setattr(ContextDelta, "add_output", lying_add_output)
-    divergence = run_case(case, backends=("serial", "process"))
+    divergence = run_case(case, backends=("serial", "thread"))
     assert divergence is not None
     assert divergence.kind == "backend_trace"
     assert "span tree differs from serial" in divergence.detail

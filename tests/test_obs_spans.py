@@ -6,11 +6,11 @@ The observability contract has two halves:
   physical plan exactly (post-order op_ids, children nested, one span per
   operator) and its counters reconcile with the query result; and
 * behavioural — the canonical (timing-free) trace is a pure function of
-  the compiled plan, so serial, thread and process backends must produce
+  the compiled plan, so the serial and thread backends must produce
   equal canonical traces and equal merged metric totals, and merging
   recorders (:class:`~repro.engine.context.ContextDelta`, one per
-  thread-pool task or worker job) must be order-independent (task
-  completion order is nondeterministic).
+  thread-pool job) must be order-independent (task completion order is
+  nondeterministic).
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from collections import Counter
 import pytest
 
 from helpers import pref_chain_config, shop_database
-from repro.engine import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
+from repro.engine import SerialBackend, ThreadPoolBackend
 from repro.engine.backends import build_task_graph
 from repro.engine.compile import compile_plan
 from repro.engine.context import ContextDelta, ExecutionContext, TraceEvent
@@ -53,11 +49,9 @@ def traced_engines():
     database = shop_database(seed=7)
     partitioned = partition_database(database, pref_chain_config(4))
     thread_pool = ThreadPoolBackend(max_workers=4)
-    process_pool = ProcessPoolBackend(max_workers=2)
     engines = {
         "serial": Executor(partitioned, backend=SerialBackend()),
         "thread": Executor(partitioned, backend=thread_pool),
-        "process": Executor(partitioned, backend=process_pool),
     }
     yield database, engines
     thread_pool.close()
@@ -105,17 +99,15 @@ def test_backend_traces_identical(traced_engines, sql):
         for name, engine in engines.items()
     }
     reference = results["serial"].trace
-    for name in ("thread", "process"):
-        trace = results[name].trace
-        assert trace.canonical() == reference.canonical(), (
-            f"{name} trace diverges from serial for {sql!r}"
-        )
-        # Merged metric totals match exactly (timings are excluded by
-        # canonicalisation but counters must be bit-identical).
-        assert trace.metrics.canonical() == reference.metrics.canonical()
+    trace = results["thread"].trace
+    assert trace.canonical() == reference.canonical(), (
+        f"thread trace diverges from serial for {sql!r}"
+    )
+    # Merged metric totals match exactly (timings are excluded by
+    # canonicalisation but counters must be bit-identical).
+    assert trace.metrics.canonical() == reference.metrics.canonical()
     # Backends label their traces so exports are attributable.
-    assert results["thread"].trace.backend == "thread_pool"
-    assert results["process"].trace.backend == "process_pool"
+    assert trace.backend == "thread_pool"
 
 
 def test_trace_not_collected_without_analyze(traced_engines):

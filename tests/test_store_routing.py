@@ -16,8 +16,7 @@ no answer and no count.  Pinned here:
   order;
 * the memo never holds more keys than its bound, and a clear changes no
   answer;
-* a repartitioned or migrated cluster, and a pickled store, start with
-  no memo;
+* a repartitioned or migrated cluster starts with no memo;
 * the invariant checker has teeth: it catches a mutator that skips its
   drop and a routing memo fed an impure function;
 * two served sessions read through the shared memo and kept buckets
@@ -26,7 +25,6 @@ no answer and no count.  Pinned here:
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 from itertools import count
@@ -191,8 +189,7 @@ def test_warm_runs_and_writes_equal_a_fresh_store(tiny_tpch, tpch_configs, desig
                 check_pref_invariants(partitioned, config)
         finally:
             backend.close()
-        if name != "process" and design == "all_hashed":
-            # (A forked worker fills, and drops, its own copies.)
+        if design == "all_hashed":
             assert partitioned.routers[4] and kept_buckets(partitioned)
 
 
@@ -304,21 +301,6 @@ def test_repartition_and_migrate_start_with_an_empty_memo(shop_db):
             assert cluster.partitioned.routers[4]
     finally:
         cluster.close()
-
-
-def test_a_pickled_store_leaves_the_memo_out(shop_hashed):
-    partitioned, _config = shop_hashed
-    executor = Executor(partitioned)
-    plan = (
-        Query.scan("customer", alias="c")
-        .join(Query.scan("orders", alias="o"), on=[("c.custkey", "o.custkey")])
-        .plan()
-    )
-    expected = executor.execute(plan).rows
-    assert partitioned.routers
-    clone = pickle.loads(pickle.dumps(partitioned))
-    assert not clone.routers and partitioned.routers
-    assert_same_rows(Executor(clone).execute(plan).rows, expected)
 
 
 # -- the checker has teeth ---------------------------------------------------

@@ -2,17 +2,17 @@
 
 ``engine/backends.py`` declares a plan's dataflow once — the slot every
 task writes and the slots it reads (``task_slots``) — and derives the
-task dependencies, the fused jobs and the process pool's payloads from
-it.  Pinned here, for all 22 TPC-H plans under three designs, with
-predicate transfer off and on (on, a Bloom probe's exchange reads the
+task dependencies and the thread pool's fused jobs from it.  Pinned
+here, for all 22 TPC-H plans under three designs, with predicate
+transfer off and on (on, a Bloom probe's exchange reads the
 outputs of operators that are not its inputs — its declared ``after``):
 
 * ``root.walk()`` yields every operator once, producers before readers;
 * every task's ``deps`` are the writers of its ``reads``, and serial
   order is a topological order of the graph;
 * on an instrumented serial run, every slot a task actually reads is one
-  it declared (so a pool that ships or waits for exactly the declared
-  reads never starves a task) — with teeth: the old class-level
+  it declared (so a pool that waits for exactly the declared reads never
+  starves a task) — with teeth: the old class-level
   ``PhysicalAggregate.partition_reads_inputs = False`` fails it, and so
   does a Bloom probe whose ``after`` is left empty.
 
@@ -192,9 +192,8 @@ def test_every_actual_read_is_declared(tpch_stores, config, monkeypatch):
 
 def test_class_level_aggregate_flag_is_caught(tpch_stores, monkeypatch):
     """Teeth: a ``local`` aggregate reads its input partition.  Declaring
-    the whole class input-free (right only for ``two_phase``) is what the
-    process pool tripped over on Q13: ``partition 0 of join[local] not
-    ready``."""
+    the whole class input-free (right only for ``two_phase``) once made a
+    pool fail on Q13: ``partition 0 of join[local] not ready``."""
     partitioned = tpch_stores["sd_pref"]
     root = compiled(partitioned, ALL_QUERIES["Q13"]())
     assert any(
@@ -306,20 +305,16 @@ def test_run_jobs_runs_everything_once_in_dependency_order():
     scan = [job(started, f"scan{p}", seconds=0.01) for p in range(3)]
     exchange = job(started, "exchange", remote=False, after=scan)
     probes = [job(started, f"probe{p}", after=[exchange]) for p in range(3)]
-    declined = job(started, "declined", after=probes)
     merged = []
 
     def submit(made):
-        if made is declined:
-            return None  # a submit may decline: the job then runs inline
         return pool.submit(made.run, made)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        run_jobs([*scan, exchange, *probes, declined], None, submit, merged.append)
+        run_jobs([*scan, exchange, *probes], None, submit, merged.append)
     assert sorted(started[:3]) == ["scan0", "scan1", "scan2"]
     assert started[3] == "exchange"
-    assert sorted(started[4:7]) == ["probe0", "probe1", "probe2"]
-    assert started[7:] == ["declined"]
+    assert sorted(started[4:]) == ["probe0", "probe1", "probe2"]
     # absorb saw each pooled job's result exactly once.
     assert sorted(merged, key=id) == sorted(scan + probes, key=id)
     run_jobs([], None, submit, merged.append)  # no jobs: returns at once
