@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
         Backend,
         SerialBackend,
         ThreadPoolBackend,
-        build_task_graph,
         make_backend,
     )
     from repro.engine.compile import compile_plan
@@ -41,7 +40,6 @@ _EXPORTS = {
     "Backend": "repro.engine.backends",
     "SerialBackend": "repro.engine.backends",
     "ThreadPoolBackend": "repro.engine.backends",
-    "build_task_graph": "repro.engine.backends",
     "make_backend": "repro.engine.backends",
     "compile_plan": "repro.engine.compile",
     "ContextDelta": "repro.engine.context",

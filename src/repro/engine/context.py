@@ -18,13 +18,13 @@ Adding a counter is therefore a field and its call site:
 
 Operators write through one recorder class, :class:`ContextDelta`, and
 never take a lock.  The query's :class:`ExecutionContext` is itself a
-recorder (the serial backend, and every job a pool runs inline, record
-straight into it); pooled jobs get a fresh one each (:meth:`delta`),
-folded back with :meth:`ExecutionContext.merge_delta` on the thread that
-called the backend — the one scheduling loop absorbs every finished job
-there, threads and processes alike.  Every quantity is an integer count
-(work values are row counts held in floats, exact far below 2**53), so
-merging in any order reproduces the serial records exactly.
+recorder (the serial backend, and every phase the thread pool runs
+inline, record straight into it); each task the pool runs gets a fresh
+one (:meth:`delta`), folded back with :meth:`ExecutionContext.merge_delta`
+on the thread that called the backend once the task's phase has ended.
+Every quantity is an integer count (work values are row counts held in
+floats, exact far below 2**53), so merging in any order reproduces the
+serial records exactly.
 
 Query-level figures are derived, not recorded: :meth:`finish` sums the
 per-operator records into the ``ExecutionStats`` totals and the
@@ -141,7 +141,7 @@ class TraceEvent:
 class ContextDelta:
     """The recorder: what operators write their accounting to.
 
-    Single-owner — one task, one pooled job, or (as an
+    Single-owner — one pooled task, or (as an
     :class:`ExecutionContext`) one serially executed query — so no call
     takes a lock.  ``metrics`` holds only what has no per-operator home:
     the per-partition row histogram and the ``engine.tasks.*`` /
@@ -277,14 +277,14 @@ class ExecutionContext(ContextDelta):
         return [self.operators[key] for key in sorted(self.operators)]
 
     def delta(self) -> ContextDelta:
-        """A fresh recorder for one pooled job of this query."""
+        """A fresh recorder for one pooled task of this query."""
         return ContextDelta(self.node_count, collect_trace=self.trace is not None)
 
     def merge_delta(self, delta: ContextDelta) -> None:
         """Fold a finished recorder into this context.
 
-        Commutative, but not thread-safe: the scheduling loop calls it
-        from the one thread that runs the query.
+        Commutative, but not thread-safe: the backend calls it from the
+        one thread that runs the query.
         """
         for op_id, record in delta.operators.items():
             self.operators[op_id].merge(record)

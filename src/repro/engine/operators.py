@@ -118,9 +118,8 @@ class PhysicalOperator:
     #: Human-readable name for per-operator stats (set by subclasses).
     name: str = "op"
     #: Operators elsewhere in the plan (not inputs) whose whole output
-    #: this operator's ``exchange()`` reads.  Declared so that operator
-    #: order and task dependencies cover the read (``walk``,
-    #: ``backends.task_slots``).
+    #: this operator's ``exchange()`` reads.  ``walk`` yields them before
+    #: this operator, so the schedule has run them when the exchange does.
     after: Sequence["PhysicalOperator"] = ()
 
     def __init__(
@@ -212,21 +211,14 @@ class PhysicalOperator:
 
     # -- what the backends ask ---------------------------------------------
 
-    #: True if ``run_partition(p)`` reads partition ``p`` of the inputs.
-    #: Barrier operators whose post-exchange tasks consume only their own
-    #: exchange state say False — per instance where it depends on the
-    #: strategy — so a partition task does not wait for child rows it
-    #: never reads.
-    partition_reads_inputs: bool = True
-
     def remote_eligible(self, phase: str) -> bool:
-        """Whether *phase* tasks may run on a pool worker.
+        """Whether the thread pool may run *phase*'s tasks on its workers.
 
-        Exchanges, and the partition tasks after them, run on the calling
-        thread by design — that is where rows cross task boundaries (a
-        shuffle's receivers gather from every sender).  Prepare tasks and
-        pipeline partition tasks are independent per-partition batch
-        kernels.
+        Exchanges run on the calling thread, and so do a barrier's
+        partition tasks, which read what the exchange left (a shuffle's
+        receiver gathers from every sender).  Prepare tasks and the
+        partition tasks of a pipeline operator are per-partition batch
+        kernels and may go to the pool.
         """
         if phase == "exchange":
             return False
@@ -646,7 +638,6 @@ class PhysicalRepartition(PhysicalOperator):
     the serial interpreter's row order."""
 
     barrier = True
-    partition_reads_inputs = False
     name = "repartition"
 
     def __init__(
@@ -1242,7 +1233,6 @@ class PhysicalAggregate(PhysicalOperator):
         if self.strategy == "two_phase":
             # The partition tasks only hand out the merged groups.
             self.barrier = True
-            self.partition_reads_inputs = False
             self.prepare_count = child.output_count
 
     @property
@@ -1378,7 +1368,6 @@ class PhysicalOrderBy(PhysicalOperator):
     """
 
     barrier = True
-    partition_reads_inputs = False
     name = "order_by"
 
     def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
@@ -1410,7 +1399,6 @@ class PhysicalGather(PhysicalOperator):
     """Implicit root: collect the final result on the coordinator."""
 
     barrier = True
-    partition_reads_inputs = False
     name = "gather"
 
     def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:

@@ -226,8 +226,8 @@ class MetricsRegistry:
         """Order-independent comparable form, excluding timing metrics.
 
         Two backends that executed the same query must produce equal
-        canonical registries regardless of scheduling, task fusion, or
-        the order their deltas merged in.
+        canonical registries regardless of scheduling or the order their
+        deltas merged in.
         """
         counters = tuple(
             (name, value)

@@ -15,7 +15,12 @@ import time
 import pytest
 
 from helpers import BACKENDS, assert_same_rows
-from repro.engine import ExecutionContext, SerialBackend, ThreadPoolBackend
+from repro.engine import (
+    ExecutionContext,
+    SerialBackend,
+    ThreadPoolBackend,
+    backends,
+)
 from repro.engine.operators import (
     PhysicalAggregate,
     PhysicalGather,
@@ -41,7 +46,7 @@ SQL = (
 )
 
 #: Fault site per task phase.  On the thread pool the first two fail
-#: inside a pooled job, the last two inline on the calling thread (a
+#: on a pool worker, the last two inline on the calling thread (a
 #: barrier operator's partition tasks never leave it).
 FAULTS = {
     "partition": (PhysicalScan, "run_partition"),
@@ -134,6 +139,37 @@ def test_thread_pool_drains_inflight_before_raising(
         )
     finally:
         backend.close()
+
+
+def test_thread_pool_raises_the_first_failure_and_starts_no_later_phase(
+    shop_db, shop_pref, monkeypatch
+):
+    # Two tasks of one pooled phase fail; the later index fails first in
+    # time.  The error by index is the one raised, and the phase is the
+    # last one that ran.
+    partitioned, _config = shop_pref
+    original = PhysicalScan.run_partition
+
+    def flaky(self, ctx, p):
+        if p in (1, 2):
+            time.sleep(0.05 if p == 1 else 0.0)
+            raise BoomError(f"partition {p} down")
+        original(self, ctx, p)
+
+    started = []
+    run_step = backends.run_step
+
+    def recording_run_step(ctx, op, phase, index):
+        started.append((op.op_id, phase))
+        run_step(ctx, op, phase, index)
+
+    monkeypatch.setattr(PhysicalScan, "run_partition", flaky)
+    monkeypatch.setattr(backends, "run_step", recording_run_step)
+    plan = sql_to_plan(SQL, shop_db.schema)
+    with ThreadPoolBackend(max_workers=4) as backend:
+        with pytest.raises(BoomError, match="partition 1 down"):
+            Executor(partitioned, backend=backend).execute(plan)
+    assert len(started) == 4 and len(set(started)) == 1
 
 
 @pytest.mark.parametrize("backend_name", ["thread"])

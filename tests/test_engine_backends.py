@@ -11,6 +11,7 @@ the cluster's default backend, cost-parameter stamping on results, the
 
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,8 +25,10 @@ from repro.bench import Variant, materialize_variant, tpch_variants
 from repro.cluster import SimulatedCluster
 from repro.design import QuerySpec, SchemaDrivenDesigner
 from repro.engine import (
+    ExecutionContext,
     SerialBackend,
     ThreadPoolBackend,
+    compile_plan,
     format_operator_stats,
     make_backend,
 )
@@ -172,7 +175,6 @@ class TestClusterFacade:
         [
             ("serial", SerialBackend),
             ("thread", ThreadPoolBackend),
-            ("thread_pool", ThreadPoolBackend),
         ],
     )
     def test_backend_selected_by_name(self, shop_db, name, kind):
@@ -181,6 +183,8 @@ class TestClusterFacade:
         )
         try:
             assert isinstance(cluster.backend, kind)
+            # A backend reports (in trace exports) the name that selects it.
+            assert cluster.backend.name == name
             result = cluster.sql("SELECT COUNT(*) AS n FROM orders o")
             assert result.rows == [(60,)]
         finally:
@@ -194,6 +198,9 @@ class TestClusterFacade:
         listed = str(raised.value).split(";", 1)[1]
         assert "'serial'" in listed and "'thread'" in listed
         assert "process" not in listed
+        # One name per backend: the old alias is gone.
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_backend("thread_pool")
         backend = SerialBackend()
         assert make_backend(backend) is backend
         assert make_backend(None) is None
@@ -303,6 +310,37 @@ class TestObservability:
         }
         assert "partition" in {event.phase for event in events}
         assert all(event.seconds >= 0.0 for event in events)
+
+    def test_pool_runs_only_eligible_phases_on_workers(self, shop_db, shop_pref):
+        """A phase leaves the calling thread when it has two or more tasks
+        and its operator says ``remote_eligible``; every other phase runs
+        inline."""
+        partitioned, _config = shop_pref
+        plan = sql_to_plan(
+            "SELECT c.nationkey AS nk, COUNT(*) AS n FROM customer c, "
+            "orders o WHERE c.custkey = o.custkey GROUP BY c.nationkey "
+            "ORDER BY nk",
+            shop_db.schema,
+        )
+        root = compile_plan(Executor(partitioned).annotate(plan), partitioned)
+        events = []
+        ctx = ExecutionContext(partitioned.partition_count, events.append)
+        for op in root.walk():
+            ctx.register(op)
+        with ThreadPoolBackend(max_workers=2) as pool:
+            pool.run(root, ctx)
+        ops = {op.op_id: op for op in root.walk()}
+        counts = Counter((event.op_id, event.phase) for event in events)
+        placed = set()
+        for event in events:
+            op = ops[event.op_id]
+            pooled = counts[event.op_id, event.phase] > 1 and (
+                op.remote_eligible(event.phase)
+            )
+            placed.add(pooled)
+            on_worker = event.worker.startswith("repro-engine")
+            assert on_worker == pooled, (op.label, event.phase, event.worker)
+        assert placed == {True, False}
 
     def test_explain_operators_renders_table(self, shop_db, shop_pref):
         partitioned, _config = shop_pref

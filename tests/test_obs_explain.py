@@ -126,7 +126,7 @@ def test_live_columns_are_shown_but_not_compared(q3_results):
 
 
 def test_trace_json_validates_against_schema(q3_results, tmp_path):
-    # The pool's trace: one merged from per-job recorders.
+    # The pool's trace: one merged from per-task recorders.
     trace = q3_results["thread"].trace
     data = trace_to_json(trace)
     assert validate_trace(data) == []
@@ -137,7 +137,7 @@ def test_trace_json_validates_against_schema(q3_results, tmp_path):
     reloaded = json.loads(path.read_text())
     assert validate_trace(reloaded, load_trace_schema()) == []
     assert reloaded["query"] == "Q3"
-    assert reloaded["backend"] == "thread_pool"
+    assert reloaded["backend"] == "thread"
 
 
 def test_trace_schema_rejects_malformed_documents(q3_results):

@@ -9,7 +9,7 @@ The observability contract has two halves:
   the compiled plan, so the serial and thread backends must produce
   equal canonical traces and equal merged metric totals, and merging
   recorders (:class:`~repro.engine.context.ContextDelta`, one per
-  thread-pool job) must be order-independent (task completion order is
+  thread-pool task) must be order-independent (task completion order is
   nondeterministic).
 """
 
@@ -23,7 +23,7 @@ import pytest
 
 from helpers import pref_chain_config, shop_database
 from repro.engine import SerialBackend, ThreadPoolBackend
-from repro.engine.backends import build_task_graph
+from repro.engine.backends import plan_phases, run_step
 from repro.engine.compile import compile_plan
 from repro.engine.context import ContextDelta, ExecutionContext, TraceEvent
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
@@ -107,7 +107,7 @@ def test_backend_traces_identical(traced_engines, sql):
     # canonicalisation but counters must be bit-identical).
     assert trace.metrics.canonical() == reference.metrics.canonical()
     # Backends label their traces so exports are attributable.
-    assert trace.backend == "thread_pool"
+    assert trace.backend == "thread"
 
 
 def test_trace_not_collected_without_analyze(traced_engines):
@@ -202,9 +202,10 @@ def test_per_task_recorders_merge_in_any_order(traced_engines, sql):
 
     root = compile_plan(executor.annotate(plan), executor.partitioned)
     recorders = []
-    for task in build_task_graph(root):  # serial order respects the DAG
-        recorders.append(ContextDelta(executor.count, collect_trace=True))
-        task.run(recorders[-1])
+    for op, phase, count in plan_phases(root):
+        for index in range(count):
+            recorders.append(ContextDelta(executor.count, collect_trace=True))
+            run_step(recorders[-1], op, phase, index)
     rng = random.Random(3)
     for _ in range(4):
         rng.shuffle(recorders)
