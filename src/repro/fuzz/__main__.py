@@ -1,8 +1,9 @@
 """``python -m repro.fuzz`` — the differential fuzzing oracle CLI.
 
 Runs seeded random cases through the serial and thread backends and
-the single-node reference (LocalExecutor, checked by sqlite3), checking
-PREF invariants after every partition and bulk-load step.  On
+the single-node reference (LocalExecutor, checked by sqlite3), statically
+certifies every plan, and checks PREF invariants after every partition
+and bulk-load step.  On
 the first divergence the case is minimised and written to a replayable
 JSON repro; the exit status is 1.
 
@@ -37,11 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(DEFAULT_BACKENDS),
         help="comma-separated engine backends (serial, thread); serial is "
         "always the reference",
-    )
-    parser.add_argument(
-        "--no-certify",
-        action="store_true",
-        help="skip the static parallel-correctness certifier oracle",
     )
     parser.add_argument(
         "--no-shrink",
@@ -84,11 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.replay:
         case = load_case(args.replay)
-        divergence = run_case(
-            case,
-            backends=backends,
-            check_certify=not args.no_certify,
-        )
+        divergence = run_case(case, backends=backends)
         if divergence is None:
             print(f"replay {args.replay}: no divergence")
             return 0
@@ -112,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         max_shrink=args.max_shrink,
         progress=progress,
         variant_overrides=overrides,
-        check_certify=not args.no_certify,
     )
     print(report.summary())
     return 0 if report.ok else 1

@@ -4,20 +4,24 @@ For every case the runner:
 
 1. builds the unpartitioned database and partitioning configuration,
    partitions, and checks :func:`check_pref_invariants` (``exact=True``);
-2. executes every query on the serial backend (the reference) and on
+2. statically certifies every query's default and variant plans
+   (:func:`repro.query.certify.certify`, the second oracle): a refuted
+   plan is a divergence, and a certified plan whose results diverge
+   escalates to ``certify_contradiction``;
+3. executes every query on the serial backend (the reference) and on
    each requested additional backend, requiring *identical* rows and
    canonical :class:`ExecutionStats`;
-3. re-executes under the case's ``variant`` — the fields of an
+4. re-executes under the case's ``variant`` — the fields of an
    :class:`~repro.query.options.ExecOptions`, drawn at random by the
    generator — and compares rows: the rewritten and naive plans must
    agree;
-4. compares rows with the single-node answer of :class:`LocalExecutor`,
+5. compares rows with the single-node answer of :class:`LocalExecutor`,
    and that answer with sqlite3, which shares no code with either
    (tolerant multiset comparisons);
-5. if the case has bulk-load batches, applies them through
+6. if the case has bulk-load batches, applies them through
    :class:`BulkLoader`, re-checks invariants (``exact=False`` — stale
    round-robin copies of formerly partner-less tuples are legal), and
-   repeats step 2–4 in the ``after_load`` phase.
+   repeats steps 2–5 in the ``after_load`` phase.
 
 The first check to fail produces a :class:`Divergence`; ``None`` means
 the case passed everything.
@@ -83,7 +87,6 @@ class Divergence:
 def run_case(
     case: dict,
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
-    check_certify: bool = True,
 ) -> Divergence | None:
     """Run one case through every check; None means fully consistent."""
     try:
@@ -146,8 +149,8 @@ def run_case(
                 others,
                 variant_executor,
                 database,
-                partitioned=partitioned if check_certify else None,
-                case=case,
+                partitioned,
+                case,
             )
             if divergence is not None:
                 return divergence
@@ -179,17 +182,15 @@ def _check_query(
     others: list[tuple[str, Executor]],
     variant_executor: Executor | None,
     database,
-    partitioned=None,
-    case: dict | None = None,
+    partitioned,
+    case: dict,
 ) -> Divergence | None:
-    certified = False
-    if partitioned is not None:
-        certify_divergence, certified = _certify_query(
-            query, index, phase, reference, variant_executor,
-            partitioned, case, database,
-        )
-        if certify_divergence is not None:
-            return certify_divergence
+    certify_divergence, certified = _certify_query(
+        query, index, phase, reference, variant_executor,
+        partitioned, case, database,
+    )
+    if certify_divergence is not None:
+        return certify_divergence
     divergence = _check_query_dynamic(
         query, index, phase, reference, others, variant_executor, database
     )
@@ -216,7 +217,7 @@ def _certify_query(
     reference: Executor,
     variant_executor: Executor | None,
     partitioned,
-    case: dict | None,
+    case: dict,
     database,
 ) -> tuple[Divergence | None, bool]:
     """Run the static certifier over the default and variant plans.
@@ -274,17 +275,15 @@ def _certify_query(
                 "path": list(refutation.path),
             },
         }
-        counterexample = None
-        if case is not None:
-            # Fold applied load batches in so the search starts from the
-            # table contents the refuted plan actually saw.
-            effective = _copy.deepcopy(case)
-            effective["loads"] = {}
-            for table in effective["tables"]:
-                table["rows"] = [
-                    list(row) for row in database.table(table["name"]).rows
-                ]
-            counterexample = confirm_refutation(effective, query, flags)
+        # Fold applied load batches in so the search starts from the
+        # table contents the refuted plan actually saw.
+        effective = _copy.deepcopy(case)
+        effective["loads"] = {}
+        for table in effective["tables"]:
+            table["rows"] = [
+                list(row) for row in database.table(table["name"]).rows
+            ]
+        counterexample = confirm_refutation(effective, query, flags)
         if counterexample is not None:
             payload["counterexample"] = counterexample
             return (
@@ -468,7 +467,6 @@ def run_fuzz(
     max_shrink: int = 250,
     progress=None,
     variant_overrides: dict | None = None,
-    check_certify: bool = True,
 ) -> FuzzReport:
     """Generate and run *cases* cases; stop (and shrink) on the first failure.
 
@@ -476,8 +474,6 @@ def run_fuzz(
     (e.g. ``{"predicate_transfer": True}`` for a dedicated on/off sweep)
     on top of the generator's per-case random choices; a misspelt or
     mistyped override raises before the sweep starts.
-    ``check_certify`` runs the static certifier as a second oracle on
-    every plan (kill switch: ``False`` disables it).
     """
     from repro.fuzz.shrinker import shrink
 
@@ -488,11 +484,7 @@ def run_fuzz(
         case = generate_case(seed, index)
         if variant_overrides:
             case.setdefault("variant", {}).update(variant_overrides)
-        divergence = run_case(
-            case,
-            backends=backends,
-            check_certify=check_certify,
-        )
+        divergence = run_case(case, backends=backends)
         report.cases_run += 1
         report.queries_run += len(case["queries"]) * (2 if case["loads"] else 1)
         if divergence is None:
@@ -507,11 +499,7 @@ def run_fuzz(
 
             def still_fails(candidate: dict) -> bool:
                 attempts[0] += 1
-                found = run_case(
-                    candidate,
-                    backends=backends,
-                            check_certify=check_certify,
-                )
+                found = run_case(candidate, backends=backends)
                 return found is not None and found.kind == kind
 
             report.shrunk_case = shrink(case, still_fails, max_attempts=max_shrink)
@@ -519,11 +507,7 @@ def run_fuzz(
             # Re-derive the divergence message (and, for certifier
             # refutations, the refutation payload + counterexample) from
             # the minimised case, so the repro carries both.
-            final = run_case(
-                report.shrunk_case,
-                backends=backends,
-                    check_certify=check_certify,
-            )
+            final = run_case(report.shrunk_case, backends=backends)
             if final is not None:
                 report.divergence = final
         if out:

@@ -12,6 +12,12 @@ operator per-partition and unioning the results; where the rewriter's
 *declared* dup-governing columns disagree with the derived redundancy
 accounting, the plan is refuted.
 
+Joins are derived from one rule table, ``_JOIN_RULES``: a row per case
+of the paper's Section 2.2 placement (co-partitioned, PREF referencing
+/ referenced, shuffled, replicated, broadcast) states the input forms the
+case requires, the case-specific check, and which input the output's
+hash placement, anchors, PREF claim and redundant copies come from.
+
 The derivation trusts the structural metadata of the plan (column
 layouts, origins) and the engine's operator arithmetic (e.g. the
 two-phase aggregate merge); what it checks is the *placement reasoning*:
@@ -54,13 +60,10 @@ the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NoReturn
 
 from repro.errors import PlanningError
-from repro.partitioning.scheme import (
-    HashScheme,
-    PrefScheme,
-    SchemeKind,
-)
+from repro.partitioning.scheme import HashScheme, PrefScheme, SchemeKind
 from repro.query.expressions import ColumnRef
 from repro.query.plan import (
     Aggregate,
@@ -101,7 +104,6 @@ class Fact:
     """Derived placement guarantee for one operator's output."""
 
     form: str  # "partitioned" | "replicated" | "gathered"
-    count: int
     slots: tuple[frozenset[str], ...] = ()
     anchors: frozenset[str] = frozenset()
     pref: PrefClaim | None = None
@@ -111,9 +113,9 @@ class Fact:
     complete: frozenset[str] = frozenset()
     equal: frozenset[tuple[str, str]] = frozenset()
 
-    def describe(self) -> str:
+    def describe(self, count: int) -> str:
         """Compact single-line rendering for certificates."""
-        parts = [self.form if self.form != "partitioned" else f"part/{self.count}"]
+        parts = [self.form if self.form != "partitioned" else f"part/{count}"]
         if self.slots:
             rendered = ",".join(
                 "{" + "=".join(sorted(slot)) + "}" for slot in self.slots
@@ -245,58 +247,37 @@ def check_dup_bits(
     return None
 
 
-# -- individual claim checks -------------------------------------------------
+# -- join rules --------------------------------------------------------------
+#
+# A join check sees the inputs' facts under their side names ("left",
+# "right", and for the PREF cases "referencing"/"referenced"), the
+# resolved key pairs, the join kind and the case.
 
 
-def _resolved(ctx_pairs, i=None):
-    return ctx_pairs if i is None else ctx_pairs[i]
+def _check_join(ctx: dict) -> str | None:
+    """The row's required input forms, then its case-specific check."""
+    case = ctx["case"]
+    rule = _JOIN_RULES[case]
+    for side, want in (("left", rule.left), ("right", rule.right)):
+        got = ctx[side].form
+        if want is not None and got != want:
+            return f"{case} join needs a {want} {side} input, not a {got} one"
+    return None if rule.check is None else rule.check(ctx)
 
 
-def _check_both_replicated(ctx: dict) -> str | None:
-    lf, rf = ctx["left"], ctx["right"]
-    if lf.form != "replicated" or rf.form != "replicated":
-        return "both_replicated join over a non-replicated input"
-    return None
-
-
-def _check_replicated_right(ctx: dict) -> str | None:
-    lf, rf = ctx["left"], ctx["right"]
-    if rf.form != "replicated":
-        return "replicated_right join but the right input is not replicated"
-    if lf.form != "partitioned":
+def _check_inner_only(ctx: dict) -> str | None:
+    kind: JoinKind = ctx["kind"]
+    if kind is not JoinKind.INNER:
         return (
-            "replicated_right join needs a partitioned left input "
-            f"(got {lf.form}; a single-copy left would be joined once "
-            "per node)"
-        )
-    if lf.count != ctx["count"]:
-        return "left input partition count does not match the cluster"
-    return None
-
-
-def _check_replicated_left(ctx: dict) -> str | None:
-    lf, rf = ctx["left"], ctx["right"]
-    if lf.form != "replicated":
-        return "replicated_left join but the left input is not replicated"
-    if rf.form != "partitioned":
-        return "replicated_left join needs a partitioned right input"
-    if rf.count != ctx["count"]:
-        return "right input partition count does not match the cluster"
-    if ctx["kind"] is not JoinKind.INNER:
-        return (
-            "replicated_left is only sound for inner joins: the "
-            "preserved side is a full copy per node, so per-partition "
-            f"{ctx['kind'].value} decisions would repeat its rows"
+            f"{ctx['case']} is only sound for inner joins: the preserved "
+            "side is a full copy per node, so per-partition "
+            f"{kind.value} decisions would repeat its rows"
         )
     return None
 
 
 def _check_case1(ctx: dict) -> str | None:
     lf, rf = ctx["left"], ctx["right"]
-    if lf.form != "partitioned" or rf.form != "partitioned":
-        return "case-1 join over a non-partitioned input"
-    if lf.count != rf.count or lf.count != ctx["count"]:
-        return "case-1 join inputs have mismatched partition counts"
     if not lf.slots or not rf.slots:
         return (
             "case-1 join requires both inputs hash-placed on the join "
@@ -304,11 +285,9 @@ def _check_case1(ctx: dict) -> str | None:
         )
     if len(lf.slots) != len(rf.slots):
         return "case-1 join inputs are hashed on keys of different arity"
-    pairs = ctx["pairs"]
-    for i, left_slot in enumerate(lf.slots):
-        right_slot = rf.slots[i]
+    for i, (left_slot, right_slot) in enumerate(zip(lf.slots, rf.slots)):
         if not any(
-            ln in left_slot and rn in right_slot for ln, rn in pairs
+            ln in left_slot and rn in right_slot for ln, rn in ctx["pairs"]
         ):
             return (
                 f"hash position {i} is not equated by any join pair: "
@@ -322,10 +301,6 @@ def _check_pref_case(ctx: dict) -> str | None:
     referencing: Fact = ctx["referencing"]
     referenced: Fact = ctx["referenced"]
     case = ctx["case"]
-    if referencing.form != "partitioned" or referenced.form != "partitioned":
-        return f"{case} join over a non-partitioned input"
-    if referencing.count != referenced.count or referencing.count != ctx["count"]:
-        return f"{case} join inputs have mismatched partition counts"
     claim = referencing.pref
     if claim is None:
         return (
@@ -334,25 +309,20 @@ def _check_pref_case(ctx: dict) -> str | None:
         )
     scheme = claim.scheme
     table_s = scheme.referenced_table
+    # Only partitioned scans anchor a table, so a replicated referenced
+    # table fails here too.
     if table_s not in referenced.anchors:
         return (
             f"referenced table {table_s!r} does not anchor the other "
             "join input (its rows may have moved)"
         )
-    partitioned: PartitionedDatabase = ctx["partitioned"]
-    stored = partitioned.table(table_s)
+    stored = ctx["partitioned"].table(table_s)
     if case == "case2":
         # Case 2 needs each referenced row to exist exactly once, so the
         # pair (r, s) forms exactly once cluster-wide (at s's partition,
         # where r is guaranteed a copy).  A seed table qualifies, and so
         # does a PREF table whose materialisation happens to be
         # duplicate- and patch-free (effectively seed-placed).
-        if stored.scheme.kind is SchemeKind.REPLICATED:
-            return (
-                f"case-2 join against replicated table {table_s!r}: "
-                "every partition stores a partner, so pairs repeat "
-                "per node"
-            )
         if stored.has_governing_duplicates:
             return (
                 f"case-2 join but referenced table {table_s!r} rows are "
@@ -379,7 +349,8 @@ def _check_pref_case(ctx: dict) -> str | None:
                 "its stored copies do not cover all partner partitions"
             )
     # Every conjunct of the partitioning predicate must be realised by a
-    # join pair, origin-wise.
+    # join pair, origin-wise.  A cross join has no pairs, so only inner,
+    # outer, semi and anti joins get past this.
     table_r = claim.table
     needed = {
         ((table_r, ref_col), (table_s, s_col))
@@ -394,36 +365,29 @@ def _check_pref_case(ctx: dict) -> str | None:
             f"predicate (missing {sorted(missing)})"
         )
     kind: JoinKind = ctx["kind"]
-    if kind is not JoinKind.INNER:
-        if kind not in (JoinKind.LEFT_OUTER, JoinKind.SEMI, JoinKind.ANTI):
-            return f"{case} join does not support kind {kind.value}"
-        if ctx["referenced_side"] != "left":
-            # Preserved side is the referencing input: every copy's
-            # local match decision is only globally consistent when the
-            # referenced content is the complete base table.
-            if table_s in referenced.complete:
-                pass
-            elif ctx["assume"].get("pristine") == table_s:
-                ctx["assumptions"].append(
-                    f"{case} {kind.value} join: referenced side holds the "
-                    f"complete content of {table_s!r} (rewriter-stated)"
-                )
-            else:
-                return (
-                    f"{kind.value} join preserves the referencing side, "
-                    f"but the referenced side is not provably the "
-                    f"complete content of {table_s!r}"
-                )
+    if (
+        kind is not JoinKind.INNER
+        and ctx["referenced_side"] != "left"
+        and table_s not in referenced.complete
+    ):
+        # Preserved side is the referencing input: every copy's local
+        # match decision is only globally consistent when the referenced
+        # content is the complete base table.
+        if ctx["assume"].get("pristine") != table_s:
+            return (
+                f"{kind.value} join preserves the referencing side, "
+                f"but the referenced side is not provably the "
+                f"complete content of {table_s!r}"
+            )
+        ctx["assumptions"].append(
+            f"{case} {kind.value} join: referenced side holds the "
+            f"complete content of {table_s!r} (rewriter-stated)"
+        )
     return None
 
 
 def _check_shuffled(ctx: dict) -> str | None:
-    lf, rf = ctx["left"], ctx["right"]
-    if lf.form != "partitioned" or rf.form != "partitioned":
-        return "shuffled join over a non-partitioned input"
-    if lf.count != rf.count or lf.count != ctx["count"]:
-        return "shuffled join inputs have mismatched partition counts"
-    pairs = ctx["pairs"]
+    lf, rf, pairs = ctx["left"], ctx["right"], ctx["pairs"]
     if not pairs:
         return "shuffled join without equi-join pairs"
     if len(lf.slots) != len(pairs) or len(rf.slots) != len(pairs):
@@ -431,29 +395,66 @@ def _check_shuffled(ctx: dict) -> str | None:
             "shuffled join inputs are not hash-placed on exactly the "
             "join keys"
         )
-    for i, (ln, rn) in enumerate(pairs):
-        if ln not in lf.slots[i]:
-            return (
-                f"left input is not placed by join key {ln} at hash "
-                f"position {i}"
-            )
-        if rn not in rf.slots[i]:
-            return (
-                f"right input is not placed by join key {rn} at hash "
-                f"position {i}"
-            )
+    for i, keys in enumerate(pairs):
+        for side, fact, key in zip(("left", "right"), (lf, rf), keys):
+            if key not in fact.slots[i]:
+                return (
+                    f"{side} input is not placed by join key {key} at "
+                    f"hash position {i}"
+                )
     return None
 
 
-def _check_broadcast(ctx: dict) -> str | None:
-    lf, rf = ctx["left"], ctx["right"]
-    for fact, side in ((lf, "left"), (rf, "right")):
-        if fact.form == "partitioned" and fact.count != ctx["count"]:
-            return (
-                f"broadcast join {side} input partition count does not "
-                "match the cluster"
-            )
-    return None
+@dataclass(frozen=True)
+class _JoinRule:
+    """One join case: what it requires of its inputs, and which input each
+    part of the output's placement comes from (a side name, or none)."""
+
+    left: str | None  # required form of the left input (None: any)
+    right: str | None
+    check: Callable[[dict], str | None] | None = None
+    strategy: str = "local"
+    form: str = "partitioned"  # of the output
+    slots: str | None = None  # hash placement, grown by the key pairs
+    anchors: tuple[str, ...] = ()
+    pref: str | None = None
+    # Inputs whose redundant copies reach the output.  A PREF-local pair
+    # (r, s) forms once per stored copy of s, so referencing-side dup
+    # bits stay live but no longer govern copies.
+    dups: tuple[str, ...] = ("left", "right")
+
+    @property
+    def oriented(self) -> bool:
+        """PREF cases name their inputs referencing and referenced."""
+        return "referenced" in self.dups
+
+
+_P, _R = "partitioned", "replicated"
+_BOTH = ("left", "right")
+_JOIN_RULES = {
+    "both_replicated": _JoinRule(_R, _R, form=_R),
+    "replicated_right": _JoinRule(
+        _P, _R, slots="left", anchors=("left",), pref="left"
+    ),
+    "replicated_left": _JoinRule(
+        _R, _P, _check_inner_only, slots="right", anchors=("right",),
+        pref="right",
+    ),
+    "case1": _JoinRule(_P, _P, _check_case1, slots="left", anchors=_BOTH),
+    "case2": _JoinRule(
+        _P, _P, _check_pref_case, slots="referencing", anchors=_BOTH,
+        pref="referencing", dups=("referenced",),
+    ),
+    "case3": _JoinRule(
+        _P, _P, _check_pref_case, slots="referenced", anchors=_BOTH,
+        pref="referenced", dups=("referenced",),
+    ),
+    "shuffled": _JoinRule(_P, _P, _check_shuffled, slots="left"),
+    "broadcast": _JoinRule(None, None, strategy="broadcast"),
+}
+
+
+# -- the other placement claims ----------------------------------------------
 
 
 def _check_partner_filter(ctx: dict) -> str | None:
@@ -487,8 +488,6 @@ def _check_aggregate_local(ctx: dict) -> str | None:
     child: Fact = ctx["child"]
     if child.form != "partitioned":
         return "local aggregate over a non-partitioned input"
-    if child.count != ctx["count"]:
-        return "local aggregate input partition count mismatch"
     if not child.slots:
         return (
             "local aggregate requires hash placement on a prefix of the "
@@ -512,8 +511,7 @@ def _check_aggregate_local(ctx: dict) -> str | None:
 
 
 def _check_aggregate_single(ctx: dict) -> str | None:
-    child: Fact = ctx["child"]
-    if child.form not in ("replicated", "gathered"):
+    if ctx["child"].form == "partitioned":
         return (
             "single-node aggregate over a partitioned input would drop "
             "remote rows"
@@ -522,10 +520,7 @@ def _check_aggregate_single(ctx: dict) -> str | None:
 
 
 def _check_aggregate_two_phase(ctx: dict) -> str | None:
-    child: Fact = ctx["child"]
-    if child.form == "partitioned" and child.count != ctx["count"]:
-        return "two-phase aggregate input partition count mismatch"
-    if child.form == "replicated":
+    if ctx["child"].form == "replicated":
         return (
             "two-phase aggregate over a replicated input would "
             "accumulate every copy"
@@ -534,14 +529,7 @@ def _check_aggregate_two_phase(ctx: dict) -> str | None:
 
 
 _PARTNER_CHECKS = {
-    "join:both_replicated": _check_both_replicated,
-    "join:replicated_right": _check_replicated_right,
-    "join:replicated_left": _check_replicated_left,
-    "join:case1": _check_case1,
-    "join:case2": _check_pref_case,
-    "join:case3": _check_pref_case,
-    "join:shuffled": _check_shuffled,
-    "join:broadcast": _check_broadcast,
+    **{f"join:{case}": _check_join for case in _JOIN_RULES},
     "join:partner_filter": _check_partner_filter,
     "aggregate:local": _check_aggregate_local,
     "aggregate:single": _check_aggregate_single,
@@ -553,6 +541,20 @@ _PARTNER_CHECKS = {
 
 
 class _Certifier:
+    # Method names, not functions, so a test can patch one method.
+    _DERIVE = {
+        Scan: "_scan",
+        Filter: "_filter",
+        BloomProbe: "_bloom_probe",
+        Project: "_project",
+        DedupFilter: "_dedup",
+        PartnerFilter: "_partner_filter",
+        Repartition: "_repartition",
+        Join: "_join",
+        Aggregate: "_aggregate",
+        OrderBy: "_order_by",
+    }
+
     def __init__(self, partitioned: PartitionedDatabase) -> None:
         self.partitioned = partitioned
         self.count = partitioned.partition_count
@@ -562,11 +564,10 @@ class _Certifier:
 
     # -- plumbing ----------------------------------------------------------
 
-    def refute(self, check: str, reason: str) -> None:
+    def refute(self, check: str, reason: str) -> NoReturn:
         raise _Refuted(check, reason, tuple(self.path))
 
     def gate_partner(self, claim: str, ctx: dict) -> None:
-        ctx.setdefault("count", self.count)
         ctx.setdefault("partitioned", self.partitioned)
         ctx.setdefault("assumptions", self.assumptions)
         reason = check_partner(claim, ctx)
@@ -584,12 +585,26 @@ class _Certifier:
         if reason is not None:
             self.refute("dup_bits", reason)
 
-    def name_of(self, a: Annotated, ref: str) -> str:
-        try:
-            return a.props.columns[a.props.position(ref)]
-        except PlanningError as exc:
-            self.refute("structure", f"cannot resolve column {ref!r}: {exc}")
-            raise AssertionError  # unreachable
+    def names(
+        self, a: Annotated, refs, reader: str | None = None
+    ) -> tuple[str, ...]:
+        """Resolve column references against *a*'s output.  A *reader*
+        that computes from values may not read a hidden bitmap column:
+        dup/has bits are not value-uniform across copies."""
+        names = []
+        for ref in refs:
+            try:
+                name = a.props.columns[a.props.position(ref)]
+            except PlanningError as exc:
+                self.refute(
+                    "structure", f"cannot resolve column {ref!r}: {exc}"
+                )
+            if reader is not None and is_hidden(name):
+                self.refute(
+                    "dup_bits", f"{reader} reads hidden bitmap column {name}"
+                )
+            names.append(name)
+        return tuple(names)
 
     def derive(self, a: Annotated) -> Fact:
         label = a.node._label()
@@ -600,35 +615,13 @@ class _Certifier:
         entry = [len(self.path), label, ""]
         self.lines.append(entry)
         self.path.append(label)
-        fact = self._derive_node(a)
-        entry[2] = fact.describe()
+        method = self._DERIVE.get(type(a.node))
+        if method is None:
+            self.refute("structure", f"cannot certify node {a.node!r}")
+        fact = getattr(self, method)(a)
+        entry[2] = fact.describe(self.count)
         self.path.pop()
         return fact
-
-    def _derive_node(self, a: Annotated) -> Fact:
-        node = a.node
-        if isinstance(node, Scan):
-            return self._scan(a)
-        if isinstance(node, Filter):
-            return self._filter(a)
-        if isinstance(node, BloomProbe):
-            return self._bloom_probe(a)
-        if isinstance(node, Project):
-            return self._project(a)
-        if isinstance(node, DedupFilter):
-            return self._dedup(a)
-        if isinstance(node, PartnerFilter):
-            return self._partner_filter(a)
-        if isinstance(node, Repartition):
-            return self._repartition(a)
-        if isinstance(node, Join):
-            return self._join(a)
-        if isinstance(node, Aggregate):
-            return self._aggregate(a)
-        if isinstance(node, OrderBy):
-            return self._order_by(a)
-        self.refute("structure", f"cannot certify node {node!r}")
-        raise AssertionError  # unreachable
 
     # -- leaves ------------------------------------------------------------
 
@@ -643,65 +636,38 @@ class _Certifier:
                 f"partition pruning on {node.name!r} only skips partitions "
                 "that cannot store a qualifying row"
             )
-        alias = node.name
         base = frozenset((node.table,))
         scheme = table.scheme
         if scheme.kind is SchemeKind.REPLICATED:
-            return Fact("replicated", self.count, complete=base)
+            return Fact("replicated", complete=base)
+        alias = node.name
+        hashed = scheme.columns if isinstance(scheme, HashScheme) else ()
+        pref = None
+        live: frozenset[str] = frozenset()
+        dup_bits: frozenset[str] = frozenset()
         if scheme.kind is SchemeKind.PREF:
-            duplicated = table.has_governing_duplicates
-            slots: tuple[frozenset[str], ...] = ()
-            if table.effective_hash is not None and not duplicated:
-                slots = tuple(
-                    frozenset((f"{alias}.{c}",)) for c in table.effective_hash
-                )
-            live = {has_column(alias)}
-            dup_bits: frozenset[str] = frozenset()
-            if duplicated:
-                live.add(dup_column(alias))
+            pref = PrefClaim(scheme, node.table, table.seed_table)
+            live = frozenset((has_column(alias),))
+            if table.has_governing_duplicates:
                 dup_bits = frozenset((dup_column(alias),))
-            return Fact(
-                "partitioned",
-                self.count,
-                slots=slots,
-                anchors=base,
-                pref=PrefClaim(scheme, node.table, table.seed_table),
-                dup_bits=dup_bits,
-                live_bits=frozenset(live),
-                complete=base,
-            )
-        slots = ()
-        if isinstance(scheme, HashScheme):
-            slots = tuple(
-                frozenset((f"{alias}.{c}",)) for c in scheme.columns
-            )
+                live |= dup_bits
+            else:
+                hashed = table.effective_hash or ()
         return Fact(
             "partitioned",
-            self.count,
-            slots=slots,
+            slots=tuple(frozenset((f"{alias}.{c}",)) for c in hashed),
             anchors=base,
+            pref=pref,
+            dup_bits=dup_bits,
+            live_bits=live,
             complete=base,
         )
 
     # -- row filters -------------------------------------------------------
 
     def _filter(self, a: Annotated) -> Fact:
-        node: Filter = a.node
         child = self.derive(a.inputs[0])
-        child_props = a.inputs[0].props
-        for ref in node.condition.referenced_columns():
-            try:
-                name = child_props.columns[child_props.position(ref)]
-            except PlanningError as exc:
-                self.refute(
-                    "structure", f"filter references unknown column: {exc}"
-                )
-            if is_hidden(name):
-                self.refute(
-                    "dup_bits",
-                    f"filter reads hidden bitmap column {name}: predicates "
-                    "over dup/has bits are not value-uniform across copies",
-                )
+        self.names(a.inputs[0], a.node.condition.referenced_columns(), "filter")
         return replace(child, complete=frozenset())
 
     def _bloom_probe(self, a: Annotated) -> Fact:
@@ -738,54 +704,28 @@ class _Certifier:
 
     def _project(self, a: Annotated) -> Fact:
         node: Project = a.node
-        child = self.derive(a.inputs[0])
-        child_props = a.inputs[0].props
+        child_a = a.inputs[0]
+        child = self.derive(child_a)
         rename: dict[str, str] = {}
         for name, expr in node.outputs:
             if isinstance(expr, ColumnRef):
-                source = self.name_of(a.inputs[0], expr.name)
-                rename[source] = name
+                rename[self.names(child_a, (expr.name,))[0]] = name
             else:
-                for ref in expr.referenced_columns():
-                    try:
-                        src = child_props.columns[child_props.position(ref)]
-                    except PlanningError as exc:
-                        self.refute(
-                            "structure",
-                            f"projection references unknown column: {exc}",
-                        )
-                    if is_hidden(src):
-                        self.refute(
-                            "dup_bits",
-                            f"projection computes from hidden bitmap "
-                            f"column {src}",
-                        )
-        anonymous = child.anonymous_dup
-        for bit in child.dup_bits:
-            if bit not in rename:
-                anonymous = True
-        dup_bits = frozenset(
-            rename[bit] for bit in child.dup_bits if bit in rename
-        )
-        live = frozenset(
-            rename[bit] for bit in child.live_bits if bit in rename
-        )
-        slots: tuple[frozenset[str], ...] = ()
-        if child.slots:
-            mapped = tuple(
-                frozenset(rename[n] for n in slot if n in rename)
-                for slot in child.slots
-            )
-            slots = mapped if all(mapped) else ()
+                self.names(child_a, expr.referenced_columns(), "projection")
+
+        def renamed(names) -> frozenset[str]:
+            return frozenset(rename[n] for n in names if n in rename)
+
+        slots = tuple(renamed(slot) for slot in child.slots)
         fact = Fact(
             child.form,
-            child.count,
-            slots=slots,
+            slots=slots if all(slots) else (),
             anchors=child.anchors,
             pref=child.pref,
-            dup_bits=dup_bits,
-            live_bits=live,
-            anonymous_dup=anonymous,
+            dup_bits=renamed(child.dup_bits),
+            live_bits=renamed(child.live_bits),
+            anonymous_dup=child.anonymous_dup
+            or any(bit not in rename for bit in child.dup_bits),
             complete=frozenset() if node.distinct else child.complete,
             equal=frozenset(
                 (rename[ln], rename[rn])
@@ -856,16 +796,9 @@ class _Certifier:
         if node.dedup:
             declared = a.inputs[0].props.governing
             self.gate_dup("repartition dedup", declared, child)
-        key_names = tuple(self.name_of(a.inputs[0], k) for k in node.keys)
-        for name in key_names:
-            if is_hidden(name):
-                self.refute(
-                    "dup_bits",
-                    f"repartition keyed on hidden bitmap column {name}",
-                )
+        key_names = self.names(a.inputs[0], node.keys, "repartition")
         fact = Fact(
             "partitioned",
-            node.count,
             # Rows move, values do not: a column an inner join below made
             # equal to a shuffle key locates the row just as the key does.
             slots=_extend_slots(
@@ -892,206 +825,83 @@ class _Certifier:
     # -- joins -------------------------------------------------------------
 
     def _join(self, a: Annotated) -> Fact:
+        """Place a join by its row of ``_JOIN_RULES``."""
         node: Join = a.node
+        kind = node.kind
         la, ra = a.inputs
-        lf = self.derive(la)
-        rf = self.derive(ra)
+        lf, rf = self.derive(la), self.derive(ra)
+        strategy = a.extra.get("strategy")
+        case = a.extra.get("case", strategy)
+        rule = _JOIN_RULES.get(case)
+        if rule is None or rule.strategy != strategy:
+            self.refute(
+                "structure",
+                f"join with an unknown strategy or case "
+                f"({strategy!r}/{case!r})",
+            )
         for side, fact in (("left", lf), ("right", rf)):
-            if fact.form == "gathered" and a.extra.get("strategy") == "local":
+            if fact.form == "gathered" and strategy == "local":
                 self.refute(
                     "structure",
                     f"local join over a gathered {side} input (it exists "
                     "only on the coordinator)",
                 )
         pairs = tuple(
-            (self.name_of(la, l), self.name_of(ra, r)) for l, r in node.on
+            zip(self.names(la, node.left_keys), self.names(ra, node.right_keys))
         )
-        fact = self._join_placement(a, lf, rf, pairs)
-        # Only an inner join's output rows all satisfy the key equalities
-        # (and keep the right side's); outer pads NULL the right side and
-        # semi/anti outputs do not contain it.
+        sides = {"left": lf, "right": rf}
+        ctx = {"case": case, "kind": kind, "pairs": pairs}
+        if rule.oriented:
+            referenced_side = a.extra.get("referenced_side")
+            if referenced_side not in sides:
+                self.refute(
+                    "structure", f"{case} join does not state referenced_side"
+                )
+            referencing_side = "right" if referenced_side == "left" else "left"
+            inputs = {"left": la, "right": ra}
+            sides["referenced"] = sides[referenced_side]
+            sides["referencing"] = sides[referencing_side]
+            ctx["referenced_side"] = referenced_side
+            ctx["pair_origins"] = _pair_origins(
+                node, inputs[referencing_side], inputs[referenced_side]
+            )
+            ctx["assume"] = a.extra.get("assume", {})
+        self.gate_partner(f"join:{case}", {**ctx, **sides})
+
+        if kind in (JoinKind.SEMI, JoinKind.ANTI):
+            # The output is the left input only; copy-uniform keep
+            # decisions preserve every left-side claim, and build-side
+            # redundancy is membership-harmless.
+            return replace(lf, form=rule.form, complete=frozenset())
+        slots: tuple[frozenset[str], ...] = ()
+        if rule.slots is not None:
+            # Padded LEFT OUTER rows NULL every right-side column, so only
+            # left-side names keep locating rows; inner joins keep both.
+            restrict = (
+                frozenset(la.props.columns)
+                if kind is JoinKind.LEFT_OUTER
+                else None
+            )
+            slots = _extend_slots(sides[rule.slots].slots, pairs, kind, restrict)
+        if rule.pref == "referencing":
+            pref = self._unique_partner_claim(sides["referencing"])
+        else:
+            pref = sides[rule.pref].pref if rule.pref else None
+        # Only an inner join's output rows all satisfy the key equalities;
+        # outer pads NULL the right side.
         equal = lf.equal
-        if node.kind is JoinKind.INNER:
+        if kind is JoinKind.INNER:
             equal = lf.equal | rf.equal | frozenset(pairs)
-        return replace(fact, equal=equal)
-
-    def _join_placement(
-        self,
-        a: Annotated,
-        lf: Fact,
-        rf: Fact,
-        pairs: tuple[tuple[str, str], ...],
-    ) -> Fact:
-        node: Join = a.node
-        la, ra = a.inputs
-        strategy = a.extra.get("strategy")
-        if strategy == "broadcast":
-            return self._broadcast_join(a, node, lf, rf, pairs)
-        if strategy != "local":
-            self.refute(
-                "structure", f"join without a known strategy ({strategy!r})"
-            )
-        case = a.extra.get("case")
-        if case in ("case2", "case3"):
-            return self._pref_join(a, node, lf, rf, pairs)
-        ctx = {"left": lf, "right": rf, "pairs": pairs, "kind": node.kind}
-        if case in (
-            "both_replicated",
-            "replicated_right",
-            "replicated_left",
-            "case1",
-            "shuffled",
-        ):
-            self.gate_partner(f"join:{case}", ctx)
-        else:
-            self.refute("structure", f"unknown join case {case!r}")
-        left_names = frozenset(la.props.columns)
-        kind = node.kind
-        # Padded LEFT OUTER rows NULL every right-side column, so only
-        # left-side names keep locating rows; inner joins keep both.
-        restrict = left_names if kind is JoinKind.LEFT_OUTER else None
-
-        if case == "both_replicated":
-            fact = Fact(
-                "replicated",
-                self.count,
-                dup_bits=lf.dup_bits | rf.dup_bits,
-                live_bits=lf.live_bits | rf.live_bits,
-                anonymous_dup=lf.anonymous_dup or rf.anonymous_dup,
-            )
-            return self._narrow_semi_anti(fact, lf, kind)
-
-        if case == "replicated_right":
-            fact = Fact(
-                "partitioned",
-                self.count,
-                slots=_extend_slots(lf.slots, pairs, kind, restrict),
-                anchors=lf.anchors,
-                pref=lf.pref,
-                dup_bits=lf.dup_bits | rf.dup_bits,
-                live_bits=lf.live_bits | rf.live_bits,
-                anonymous_dup=lf.anonymous_dup or rf.anonymous_dup,
-            )
-            return self._narrow_semi_anti(fact, lf, kind)
-
-        if case == "replicated_left":
-            # Inner only (the gate enforced it); mirror of the above.
-            return Fact(
-                "partitioned",
-                self.count,
-                slots=_extend_slots(rf.slots, pairs, kind, None),
-                anchors=rf.anchors,
-                pref=rf.pref,
-                dup_bits=lf.dup_bits | rf.dup_bits,
-                live_bits=lf.live_bits | rf.live_bits,
-                anonymous_dup=lf.anonymous_dup or rf.anonymous_dup,
-            )
-
-        # case1 / shuffled: both sides co-partitioned by the join keys.
-        anchors = (lf.anchors | rf.anchors) if case == "case1" else frozenset()
-        fact = Fact(
-            "partitioned",
-            self.count,
-            slots=_extend_slots(lf.slots, pairs, kind, restrict),
-            anchors=anchors,
-            dup_bits=lf.dup_bits | rf.dup_bits,
-            live_bits=lf.live_bits | rf.live_bits,
-            anonymous_dup=lf.anonymous_dup or rf.anonymous_dup,
-        )
-        return self._narrow_semi_anti(fact, lf, kind)
-
-    def _narrow_semi_anti(self, fact: Fact, lf: Fact, kind: JoinKind) -> Fact:
-        """Semi/anti output is the left input only; copy-uniform keep
-        decisions preserve every left-side claim.  Build-side redundancy
-        is membership-harmless and does not flow."""
-        if kind not in (JoinKind.SEMI, JoinKind.ANTI):
-            return fact
-        return replace(
-            fact,
-            slots=lf.slots,
-            anchors=lf.anchors,
-            pref=lf.pref,
-            dup_bits=lf.dup_bits,
-            live_bits=lf.live_bits,
-            anonymous_dup=lf.anonymous_dup,
-            complete=frozenset(),
-        )
-
-    def _pref_join(
-        self,
-        a: Annotated,
-        node: Join,
-        lf: Fact,
-        rf: Fact,
-        pairs: tuple[tuple[str, str], ...],
-    ) -> Fact:
-        case = a.extra["case"]
-        referenced_side = a.extra.get("referenced_side")
-        la, ra = a.inputs
-        if referenced_side not in ("left", "right"):
-            # Older/hand-built plans: infer the orientation from which
-            # side carries a PREF claim anchored by the other.
-            referenced_side = self._infer_referenced_side(lf, rf)
-        referenced = lf if referenced_side == "left" else rf
-        referencing = rf if referenced_side == "left" else lf
-        referencing_a = ra if referenced_side == "left" else la
-        referenced_a = la if referenced_side == "left" else ra
-        pair_origins = set()
-        for l_ref, r_ref in node.on:
-            origin_a = _safe_origin(referencing_a, l_ref) or _safe_origin(
-                referencing_a, r_ref
-            )
-            origin_b = _safe_origin(referenced_a, l_ref) or _safe_origin(
-                referenced_a, r_ref
-            )
-            if origin_a and origin_b:
-                pair_origins.add((origin_a, origin_b))
-        self.gate_partner(
-            f"join:{case}",
-            {
-                "referencing": referencing,
-                "referenced": referenced,
-                "referenced_side": referenced_side,
-                "pair_origins": pair_origins,
-                "kind": node.kind,
-                "case": case,
-                "assume": a.extra.get("assume", {}),
-            },
-        )
-        kind = node.kind
-        left_names = frozenset(la.props.columns)
-        restrict = left_names if kind is JoinKind.LEFT_OUTER else None
-        anchors = lf.anchors | rf.anchors
-        # The pair (r, s) forms once per stored copy of s: referenced-side
-        # redundancy governs the result, referencing-side dup bits become
-        # live but no longer governing (each copy pairs with *different*
-        # local partners, so none is redundant).
-        dup_bits = referenced.dup_bits
-        live = lf.live_bits | rf.live_bits
-        anonymous = referenced.anonymous_dup
-        if case == "case2":
-            pref = self._unique_partner_claim(referencing)
-            slots = _extend_slots(referencing.slots, pairs, kind, restrict)
-        else:
-            pref = referenced.pref
-            slots = _extend_slots(referenced.slots, pairs, kind, restrict)
-        fact = Fact(
-            "partitioned",
-            self.count,
+        return Fact(
+            rule.form,
             slots=slots,
-            anchors=anchors,
+            anchors=frozenset().union(*(sides[s].anchors for s in rule.anchors)),
             pref=pref,
-            dup_bits=dup_bits,
-            live_bits=live,
-            anonymous_dup=anonymous,
-            complete=frozenset(),
+            dup_bits=frozenset().union(*(sides[s].dup_bits for s in rule.dups)),
+            live_bits=lf.live_bits | rf.live_bits,
+            anonymous_dup=any(sides[s].anonymous_dup for s in rule.dups),
+            equal=equal,
         )
-        return self._narrow_semi_anti(fact, lf, kind)
-
-    def _infer_referenced_side(self, lf: Fact, rf: Fact) -> str:
-        if rf.pref is not None and rf.pref.scheme.referenced_table in lf.anchors:
-            return "left"
-        return "right"
 
     def _unique_partner_claim(self, referencing: Fact) -> PrefClaim | None:
         """A case-2 result keeps the referencing PREF claim only when the
@@ -1101,85 +911,46 @@ class _Certifier:
         if claim is None:
             return None
         scheme = claim.scheme
-        try:
-            stored = self.partitioned.table(scheme.referenced_table)
-        except Exception:
-            return None
+        stored = self.partitioned.table(scheme.referenced_table)
         pk = set(stored.schema.primary_key)
         if pk and pk <= set(scheme.referenced_columns):
             return claim
         return None
-
-    def _broadcast_join(
-        self,
-        a: Annotated,
-        node: Join,
-        lf: Fact,
-        rf: Fact,
-        pairs: tuple[tuple[str, str], ...],
-    ) -> Fact:
-        self.gate_partner(
-            "join:broadcast", {"left": lf, "right": rf, "kind": node.kind}
-        )
-        kind = node.kind
-        fact = Fact(
-            "partitioned",
-            self.count,
-            dup_bits=lf.dup_bits | rf.dup_bits,
-            live_bits=lf.live_bits | rf.live_bits,
-            anonymous_dup=lf.anonymous_dup or rf.anonymous_dup,
-        )
-        return self._narrow_semi_anti(fact, lf, kind)
 
     # -- aggregation and ordering ------------------------------------------
 
     def _aggregate(self, a: Annotated) -> Fact:
         node: Aggregate = a.node
         child = self.derive(a.inputs[0])
-        child_a = a.inputs[0]
         strategy = a.extra.get("strategy")
         # Any duplicate copy reaching an accumulator is counted; the
         # rewriter must have eliminated every governed copy below.
         self.gate_dup("aggregate input", (), child, require_free=True)
-        group_names = tuple(self.name_of(child_a, g) for g in node.group_by)
-        for name in group_names:
-            if is_hidden(name):
-                self.refute(
-                    "dup_bits",
-                    f"aggregate grouped on hidden bitmap column {name}",
-                )
-        if strategy == "single":
-            self.gate_partner("aggregate:single", {"child": child})
-            return Fact("gathered", self.count)
-        if strategy == "local":
-            self.gate_partner(
-                "aggregate:local",
-                {"child": child, "group_names": group_names},
+        group_names = self.names(a.inputs[0], node.group_by, "aggregate")
+        if strategy not in ("single", "local", "two_phase"):
+            self.refute(
+                "structure",
+                f"aggregate without a known strategy ({strategy!r})",
             )
-            slots = tuple(
-                frozenset((group_names[i],))
-                for i in range(len(child.slots))
-            )
-            return Fact("partitioned", self.count, slots=slots)
-        if strategy == "two_phase":
-            self.gate_partner("aggregate:two_phase", {"child": child})
-            if not node.group_by:
-                return Fact("gathered", self.count)
-            return Fact(
-                "partitioned",
-                self.count,
-                slots=tuple(frozenset((n,)) for n in group_names),
-            )
-        self.refute(
-            "structure", f"aggregate without a known strategy ({strategy!r})"
+        self.gate_partner(
+            f"aggregate:{strategy}",
+            {"child": child, "group_names": group_names},
         )
-        raise AssertionError  # unreachable
+        if strategy == "single" or not group_names:
+            return Fact("gathered")
+        # A local aggregate's groups are placed by the input's hash
+        # positions; a two-phase merge re-hashes on every grouping column.
+        placed = len(child.slots) if strategy == "local" else len(group_names)
+        return Fact(
+            "partitioned",
+            slots=tuple(frozenset((g,)) for g in group_names[:placed]),
+        )
 
     def _order_by(self, a: Annotated) -> Fact:
         child = self.derive(a.inputs[0])
         # Sorting and LIMIT must see each logical row exactly once.
         self.gate_dup("order-by input", (), child, require_free=True)
-        return Fact("gathered", self.count)
+        return Fact("gathered")
 
 
 def _extend_slots(
@@ -1191,9 +962,8 @@ def _extend_slots(
     """Grow hash-placement slots with join-pair equalities.
 
     For inner joins each pair's sides carry equal values in every output
-    row, so both names locate the row.  Outer/semi/anti joins only keep
-    names from the preserved side (*restrict_to*): padded rows NULL the
-    other side, and semi/anti outputs do not contain it at all.
+    row, so both names locate the row.  Outer joins only keep names from
+    the preserved side (*restrict_to*): padded rows NULL the other side.
     """
     if not base:
         return ()
@@ -1217,11 +987,28 @@ def _extend_slots(
     return tuple(extended)
 
 
-def _safe_origin(side: Annotated, column: str) -> tuple[str, str] | None:
-    try:
-        return side.props.origin_of(column)
-    except PlanningError:
-        return None
+def _pair_origins(
+    node: Join, referencing: Annotated, referenced: Annotated
+) -> set[tuple[tuple[str, str], tuple[str, str]]]:
+    """The base columns each key pair equates, referencing side first."""
+    origins = set()
+    for keys in node.on:
+        origin_r = _first_origin(referencing, keys)
+        origin_s = _first_origin(referenced, keys)
+        if origin_r and origin_s:
+            origins.add((origin_r, origin_s))
+    return origins
+
+
+def _first_origin(side: Annotated, keys) -> tuple[str, str] | None:
+    for key in keys:
+        try:
+            origin = side.props.origin_of(key)
+        except PlanningError:
+            continue
+        if origin:
+            return origin
+    return None
 
 
 def _walk(annotated: Annotated):

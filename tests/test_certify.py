@@ -656,7 +656,7 @@ REFUTATIONS = [
     Refuted(
         "local-aggregate-without-groups", "γl",
         relabel(strategy="local"),
-        "aggregate:local", "span partitions", None,
+        "aggregate:local", "span partitions", "check_partner",
     ),
     Refuted(
         "local-aggregate-off-placement", "γl.itemkey",
@@ -718,6 +718,11 @@ REFUTATIONS = [
         "unknown-join-case", "o⋈l",
         relabel(case="case9"),
         "structure", "case9", None,
+    ),
+    Refuted(
+        "case2-without-referenced-side", "o⋈l",
+        drop_extra("referenced_side"),
+        "structure", "referenced_side", None,
     ),
     Refuted(
         "unknown-aggregate-strategy", "γl.itemkey",

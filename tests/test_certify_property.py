@@ -9,7 +9,7 @@ generator:
 * soundness in practice — certified plans agree across all three engine
   backends, down to canonical stats and span traces (run_case's trace
   equality checks);
-* wiring — a fuzz run with the certify oracle enabled stays clean on a
+* wiring — a fuzz run (the certify oracle always included) stays clean on a
   fixed seed, and when a refuted plan does slip in (bug resurrected),
   the minimised saved repro carries the refutation payload and its
   synthesized counterexample.
@@ -66,11 +66,7 @@ def test_certified_plans_agree_across_backends():
     """Certified cases pass serial/thread row + trace equality."""
     for index in range(8):
         case = generate_case(3, index)
-        divergence = run_case(
-            case,
-            backends=("serial", "thread"),
-            check_certify=True,
-        )
+        divergence = run_case(case, backends=("serial", "thread"))
         assert divergence is None, f"case {index}: {divergence.describe()}"
 
 

@@ -4,7 +4,7 @@ Each fixture is a replayable fuzz-IR case (``python -m repro.fuzz
 --replay <file>`` works on all of them) pinned from a fuzzer find or a
 hand-built boundary scenario.  For every fixture, both the default and
 the recorded variant plan must certify AND the full differential
-pipeline (with the certify oracle enabled) must pass — so the corpus
+pipeline (the certify oracle included) must pass — so the corpus
 guards the certifier and the engine at once.
 
 The PR3 acceptance test resurrects the historical LEFT OUTER
@@ -82,10 +82,8 @@ def test_fixture_plans_certify(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_passes_differential_pipeline(name):
-    """Replay through run_case with the certify oracle switched on."""
-    divergence = run_case(
-        load(name), backends=("serial", "thread"), check_certify=True
-    )
+    """Replay through run_case, whose checks include the certify oracle."""
+    divergence = run_case(load(name), backends=("serial", "thread"))
     assert divergence is None, divergence.describe()
 
 
