@@ -3,9 +3,8 @@
 Runs seeded random cases through the serial and thread backends and
 the single-node reference (LocalExecutor, checked by sqlite3), statically
 certifies every plan, and checks PREF invariants after every partition
-and bulk-load step.  On
-the first divergence the case is minimised and written to a replayable
-JSON repro; the exit status is 1.
+and bulk-load step.  On the first divergence the case is minimised and
+written to a replayable JSON repro; the exit status is 1.
 
 Examples::
 

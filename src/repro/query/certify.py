@@ -10,13 +10,9 @@ of the rewriter's own ``Part``/``Dup`` claims.  At every join, aggregate,
 dedup and repartition the derived facts must justify executing the
 operator per-partition and unioning the results; where the rewriter's
 *declared* dup-governing columns disagree with the derived redundancy
-accounting, the plan is refuted.
-
-Joins are derived from one rule table, ``_JOIN_RULES``: a row per case
-of the paper's Section 2.2 placement (co-partitioned, PREF referencing
-/ referenced, shuffled, replicated, broadcast) states the input forms the
-case requires, the case-specific check, and which input the output's
-hash placement, anchors, PREF claim and redundant copies come from.
+accounting, the plan is refuted.  Joins follow one rule table,
+``_JOIN_RULES``: per case of the paper's Section 2.2, the input forms it
+requires, its check, and the inputs the output's placement comes from.
 
 The derivation trusts the structural metadata of the plan (column
 layouts, origins) and the engine's operator arithmetic (e.g. the
@@ -159,14 +155,10 @@ class Refutation:
     check: str
     reason: str
     path: tuple[str, ...]
-    counterexample: dict | None = None
 
     def render(self) -> str:
         location = " > ".join(self.path)
-        text = f"REFUTED [{self.check}] at {location}: {self.reason}"
-        if self.counterexample is not None:
-            text += "\n(counterexample database attached)"
-        return text
+        return f"REFUTED [{self.check}] at {location}: {self.reason}"
 
 
 @dataclass
@@ -188,11 +180,7 @@ class CertifyResult:
 
 
 class _Refuted(Exception):
-    def __init__(self, check: str, reason: str, path: tuple[str, ...]):
-        super().__init__(reason)
-        self.check = check
-        self.reason = reason
-        self.path = path
+    """Carries a :class:`Refutation` out of the derivation."""
 
 
 # -- gatekeepers -------------------------------------------------------------
@@ -565,11 +553,10 @@ class _Certifier:
     # -- plumbing ----------------------------------------------------------
 
     def refute(self, check: str, reason: str) -> NoReturn:
-        raise _Refuted(check, reason, tuple(self.path))
+        raise _Refuted(Refutation(check, reason, tuple(self.path)))
 
     def gate_partner(self, claim: str, ctx: dict) -> None:
-        ctx.setdefault("partitioned", self.partitioned)
-        ctx.setdefault("assumptions", self.assumptions)
+        ctx.update(partitioned=self.partitioned, assumptions=self.assumptions)
         reason = check_partner(claim, ctx)
         if reason is not None:
             self.refute(claim, reason)
@@ -752,20 +739,17 @@ class _Certifier:
     ) -> Fact:
         """A per-partition DISTINCT discharges redundancy only when every
         copy of a row is provably in one partition and value-identical
-        (no hidden columns distinguishing copies)."""
-        if any(is_hidden(c) for c in columns):
+        (no hidden columns distinguishing copies).  Partitioned copies
+        may sit in different partitions, so their redundancy flows."""
+        if fact.form == "partitioned" or any(is_hidden(c) for c in columns):
             return replace(fact, complete=frozenset())
-        if fact.form in ("replicated", "gathered"):
-            return replace(
-                fact,
-                dup_bits=frozenset(),
-                live_bits=frozenset(),
-                anonymous_dup=False,
-                complete=frozenset(),
-            )
-        # Partitioned: copies may sit in different partitions; a local
-        # distinct does not merge them, so redundancy claims flow.
-        return replace(fact, complete=frozenset())
+        return replace(
+            fact,
+            dup_bits=frozenset(),
+            live_bits=frozenset(),
+            anonymous_dup=False,
+            complete=frozenset(),
+        )
 
     # -- dedup and exchange ------------------------------------------------
 
@@ -802,10 +786,7 @@ class _Certifier:
             # Rows move, values do not: a column an inner join below made
             # equal to a shuffle key locates the row just as the key does.
             slots=_extend_slots(
-                tuple(frozenset((n,)) for n in key_names),
-                tuple(child.equal),
-                JoinKind.INNER,
-                None,
+                tuple(frozenset((n,)) for n in key_names), child.equal
             ),
             dup_bits=child.dup_bits - frozenset(declared),
             live_bits=child.live_bits - frozenset(declared),
@@ -862,9 +843,13 @@ class _Certifier:
             sides["referenced"] = sides[referenced_side]
             sides["referencing"] = sides[referencing_side]
             ctx["referenced_side"] = referenced_side
-            ctx["pair_origins"] = _pair_origins(
-                node, inputs[referencing_side], inputs[referenced_side]
-            )
+            # The base columns each key pair equates, referencing first.
+            ctx["pair_origins"] = {
+                (origin_r, origin_s)
+                for keys in node.on
+                if (origin_r := _origin(inputs[referencing_side], keys))
+                and (origin_s := _origin(inputs[referenced_side], keys))
+            }
             ctx["assume"] = a.extra.get("assume", {})
         self.gate_partner(f"join:{case}", {**ctx, **sides})
 
@@ -873,25 +858,20 @@ class _Certifier:
             # decisions preserve every left-side claim, and build-side
             # redundancy is membership-harmless.
             return replace(lf, form=rule.form, complete=frozenset())
-        slots: tuple[frozenset[str], ...] = ()
-        if rule.slots is not None:
-            # Padded LEFT OUTER rows NULL every right-side column, so only
-            # left-side names keep locating rows; inner joins keep both.
-            restrict = (
-                frozenset(la.props.columns)
-                if kind is JoinKind.LEFT_OUTER
-                else None
-            )
-            slots = _extend_slots(sides[rule.slots].slots, pairs, kind, restrict)
+        placed = sides[rule.slots].slots if rule.slots else ()
+        if kind is JoinKind.INNER:
+            # Only an inner join's output rows all satisfy the key pairs.
+            equal = lf.equal | rf.equal | frozenset(pairs)
+            slots = _extend_slots(placed, pairs)
+        else:
+            # A padded LEFT OUTER row NULLs every right-side column, so
+            # only left-side names keep locating it.
+            equal = lf.equal
+            slots = _extend_slots(placed, (), frozenset(la.props.columns))
         if rule.pref == "referencing":
             pref = self._unique_partner_claim(sides["referencing"])
         else:
             pref = sides[rule.pref].pref if rule.pref else None
-        # Only an inner join's output rows all satisfy the key equalities;
-        # outer pads NULL the right side.
-        equal = lf.equal
-        if kind is JoinKind.INNER:
-            equal = lf.equal | rf.equal | frozenset(pairs)
         return Fact(
             rule.form,
             slots=slots,
@@ -908,13 +888,12 @@ class _Certifier:
         referenced key is unique: with several partners per row, the
         joined rows no longer have a copy in every partner partition."""
         claim = referencing.pref
-        if claim is None:
-            return None
-        scheme = claim.scheme
-        stored = self.partitioned.table(scheme.referenced_table)
-        pk = set(stored.schema.primary_key)
-        if pk and pk <= set(scheme.referenced_columns):
-            return claim
+        if claim is not None:
+            scheme = claim.scheme
+            stored = self.partitioned.table(scheme.referenced_table)
+            pk = set(stored.schema.primary_key)
+            if pk and pk <= set(scheme.referenced_columns):
+                return claim
         return None
 
     # -- aggregation and ordering ------------------------------------------
@@ -955,52 +934,36 @@ class _Certifier:
 
 def _extend_slots(
     base: tuple[frozenset[str], ...],
-    pairs: tuple[tuple[str, str], ...],
-    kind: JoinKind,
-    restrict_to: frozenset[str] | None,
+    equal,
+    keep: frozenset[str] | None = None,
 ) -> tuple[frozenset[str], ...]:
-    """Grow hash-placement slots with join-pair equalities.
+    """Grow hash-placement slots with name equalities.
 
-    For inner joins each pair's sides carry equal values in every output
-    row, so both names locate the row.  Outer joins only keep names from
-    the preserved side (*restrict_to*): padded rows NULL the other side.
+    Both names of an *equal* pair carry the same value in every row, so
+    either locates the row.  With *keep*, only those names stay.
     """
-    if not base:
-        return ()
     extended = []
     for slot in base:
         grown = set(slot)
         size = 0
         # To a fixpoint: the pairs come in no particular order.
-        while kind is JoinKind.INNER and size != len(grown):
+        while size != len(grown):
             size = len(grown)
-            for ln, rn in pairs:
+            for ln, rn in equal:
                 if ln in grown:
                     grown.add(rn)
                 if rn in grown:
                     grown.add(ln)
-        if restrict_to is not None:
-            grown &= restrict_to
+        if keep is not None:
+            grown &= keep
         if not grown:
             return ()
         extended.append(frozenset(grown))
     return tuple(extended)
 
 
-def _pair_origins(
-    node: Join, referencing: Annotated, referenced: Annotated
-) -> set[tuple[tuple[str, str], tuple[str, str]]]:
-    """The base columns each key pair equates, referencing side first."""
-    origins = set()
-    for keys in node.on:
-        origin_r = _first_origin(referencing, keys)
-        origin_s = _first_origin(referenced, keys)
-        if origin_r and origin_s:
-            origins.add((origin_r, origin_s))
-    return origins
-
-
-def _first_origin(side: Annotated, keys) -> tuple[str, str] | None:
+def _origin(side: Annotated, keys) -> tuple[str, str] | None:
+    """The base column behind the first of *keys* that *side* carries."""
     for key in keys:
         try:
             origin = side.props.origin_of(key)
@@ -1030,19 +993,10 @@ def certify(
     try:
         fact = certifier.derive(annotated)
         certifier.gate_dup(
-            "query result",
-            annotated.props.governing,
-            fact,
-            require_free=True,
+            "query result", annotated.props.governing, fact, require_free=True
         )
     except _Refuted as refuted:
-        return CertifyResult(
-            refutation=Refutation(
-                check=refuted.check,
-                reason=refuted.reason,
-                path=refuted.path,
-            )
-        )
+        return CertifyResult(refutation=refuted.args[0])
     return CertifyResult(
         certificate=Certificate(
             lines=[tuple(line) for line in certifier.lines],
