@@ -450,10 +450,6 @@ def both(*corruptions):
     return corrupt
 
 
-def _orders_columns_without_has():
-    return ("o.orderkey", "o.custkey", "o.total", "__dup@o")
-
-
 @dataclass(frozen=True)
 class Refuted:
     id: str
@@ -639,7 +635,7 @@ REFUTATIONS = [
     ),
     Refuted(
         "partner-filter-without-has", "o⋉l",
-        reprops((0,), columns=_orders_columns_without_has()),
+        reprops((0,), columns=("o.orderkey", "o.custkey", "o.total", "__dup@o")),
         "join:partner_filter", "__has@o", "check_partner",
     ),
     # -- aggregate strategies ------------------------------------------------
