@@ -19,9 +19,10 @@ For every case the runner:
    and that answer with sqlite3, which shares no code with either
    (tolerant multiset comparisons);
 6. if the case has bulk-load batches, applies them through
-   :class:`BulkLoader`, re-checks invariants (``exact=False`` — stale
-   round-robin copies of formerly partner-less tuples are legal), and
-   repeats steps 2–5 in the ``after_load`` phase.
+   :class:`BulkLoader`, re-checks invariants (``exact=True``: a
+   maintained load re-places the referencing tuples it partners, so no
+   stale copy is legal), and repeats steps 2–5 in the ``after_load``
+   phase.
 
 The first check to fail produces a :class:`Divergence`; ``None`` means
 the case passed everything.
@@ -131,7 +132,7 @@ def run_case(
             }
             try:
                 loader.load(batches)
-                check_pref_invariants(partitioned, config, exact=False)
+                check_pref_invariants(partitioned, config, exact=True)
             except InvariantViolation as exc:
                 return Divergence("invariant", str(exc), phase=phase)
             except Exception as exc:  # noqa: BLE001

@@ -12,9 +12,11 @@ validation, statistics, and maintenance.
 
 Beyond the paper's description (which assumes referenced tables are loaded
 first) the loader also maintains PREF locality when new tuples arrive in a
-*referenced* table: existing referencing tuples that match a newly placed
-key are copied into the new partitions, so the co-location guarantee of
-Definition 1 keeps holding across incremental loads.
+*referenced* table: the existing referencing tuples they partner are taken
+out and placed again by ``place_rows``, down the PREF chain, so a
+maintained load of some rows, in any batch order, is the store
+partitioning them from scratch builds (up to orphans' partitions, row
+order and source ids).
 
 Updates and deletes are applied to every partition holding a copy; updates
 may not modify columns used in any partitioning predicate (the paper's
@@ -24,18 +26,16 @@ restriction at the end of Section 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from itertools import compress
+from operator import not_
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import BulkLoadError
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.partitioner import place_rows
-from repro.partitioning.scheme import PatchedPrefScheme, PrefScheme, key_has_null
+from repro.partitioning.scheme import PrefScheme, key_has_null
 from repro.storage.partition import row_key
-from repro.storage.partitioned import (
-    PartitionedDatabase,
-    PartitionedTable,
-    StagedCopies,
-)
+from repro.storage.partitioned import PartitionedDatabase
 
 Row = tuple
 
@@ -50,8 +50,9 @@ class BulkLoadStats:
             and replicated tables).
         bytes_written: Nominal bytes written across all partitions.
         index_lookups: Partition-index probes performed.
-        propagated_copies: Copies of *existing* referencing tuples written
-            to maintain PREF locality after referenced-side inserts.
+        propagated_copies: Copies written while re-placing *existing*
+            referencing tuples after referenced-side inserts (every copy of
+            a re-placed tuple, also counted in ``copies_written``).
     """
 
     rows_in: int = 0
@@ -110,9 +111,8 @@ class BulkLoader:
         Args:
             batches: Mapping from table name to the rows to insert.
             maintain_referencing: If True (default), keep Definition 1's
-                co-location guarantee by propagating copies of existing
-                referencing tuples when referenced-side inserts create new
-                partner locations.
+                co-location guarantee by re-placing the existing
+                referencing tuples that referenced-side inserts partner.
 
         Returns:
             Aggregated :class:`BulkLoadStats` across all batches.
@@ -156,7 +156,7 @@ class BulkLoader:
         )
         # Inserts can introduce orphans or duplicate copies, which breaks a
         # previously verified effective-hash placement of this table and of
-        # every table referencing it (locality propagation adds copies).
+        # every table referencing it (re-placement adds copies).
         self._invalidate_effective_hash(table)
         copies = sum(map(len, stored))
         stats = BulkLoadStats(
@@ -166,7 +166,7 @@ class BulkLoader:
             index_lookups=index_lookups,
         )
         if maintain_referencing:
-            self._propagate(table, rows, stored, stats)
+            self._replace_referencing(table, rows, stats)
         return stats
 
     def _invalidate_effective_hash(self, table: str) -> None:
@@ -177,71 +177,62 @@ class BulkLoader:
 
     # -- locality maintenance ----------------------------------------------------
 
-    def _propagate(
-        self,
-        referenced_name: str,
-        rows: list[Row],
-        stored: list[list[Row]],
-        stats: BulkLoadStats,
+    def _replace_referencing(
+        self, table: str, rows: list[Row], stats: BulkLoadStats
     ) -> None:
-        """Copy existing referencing tuples next to newly stored partners.
+        """Place again every referencing tuple that *rows* partner.
 
-        *rows* are the base tuples of *referenced_name* that just got new
-        copies, *stored* those copies per partition.  New copies written
-        here are themselves new partner placements for tables further
-        down the PREF chain, so propagation recurses.
+        *rows* are base tuples of *table* that were just placed.  Every
+        tuple of a table referencing *table* whose key is among theirs is
+        taken out (all stored copies and patch entries) and placed again
+        by ``place_rows`` against the store as it now stands, so its
+        copies, ``dup`` and ``hasS`` bits and patch entries are what
+        partitioning from scratch decides.  The re-placed tuples are the
+        partners of the next table down the PREF chain, so this recurses
+        with them.
         """
-        referenced = self.partitioned.table(referenced_name)
-        for referencing_name in self.config.referencing_tables(referenced_name):
-            referencing = self.partitioned.table(referencing_name)
-            scheme = self.config.scheme_of(referencing_name)
-            # Which keys newly appeared in which partitions?  NULL
-            # referenced keys are left out: they can never partner anything.
-            extract = row_key(
-                referenced.schema.positions(scheme.referenced_columns)
+        referenced = self.partitioned.table(table)
+        for name in self.config.referencing_tables(table):
+            target = self.partitioned.table(name)
+            scheme = target.scheme
+            extract = row_key(referenced.schema.positions(scheme.referenced_columns))
+            # NULL referenced keys partner nothing.
+            keys = {key for key in map(extract, rows) if not key_has_null(key)}
+            positions = target.schema.positions(scheme.referencing_columns(name))
+            taken: list[Row] = []
+            for partition in target.partitions:
+                stored = partition.keys(positions)
+                if keys.isdisjoint(stored):
+                    continue
+                hits = list(map(keys.__contains__, stored))
+                # One row per tuple: its canonical (dup = 0) copy.
+                taken.extend(
+                    partition.row(index)
+                    for index in compress(range(len(hits)), hits)
+                    if not partition.dup[index]
+                )
+                partition.compress(list(map(not_, hits)))
+            if not taken:
+                continue
+            if target.patches:
+                # A patched tuple's canonical copy is stored: it is taken.
+                extract = row_key(positions)
+                target.replace_patches(
+                    {
+                        partition_id: [
+                            entry for entry in entries if extract(entry[0]) not in keys
+                        ]
+                        for partition_id, entries in target.patches.items()
+                    }
+                )
+            stored, _lookups, self._round_robin[name] = place_rows(
+                target, self.partitioned, taken, self._round_robin.get(name, 0)
             )
-            new_keys: dict[Hashable, set[int]] = {
-                key: set() for key in map(extract, rows) if not key_has_null(key)
-            }
-            for partition_id, copies in enumerate(stored):
-                for key in map(extract, copies):
-                    if key in new_keys:
-                        new_keys[key].add(partition_id)
-            ref_columns = scheme.referencing_columns(referencing_name)
-            locator = _locate_rows(referencing, ref_columns, set(new_keys))
-            # Plain PREF: a cap of every partition, which no tuple exceeds.
-            max_copies = (
-                scheme.max_copies
-                if isinstance(scheme, PatchedPrefScheme)
-                else referencing.partition_count
-            )
-            downstream: list[Row] = []
-            staged = StagedCopies(referencing)
-            partnered: set[int] = set()
-            for key, partitions in new_keys.items():
-                for source_id, row, existing in locator.get(key, ()):  # noqa: B020
-                    patched = referencing.patch_partitions_of(source_id)
-                    missing = partitions - existing - patched
-                    stored_before = len(existing)
-                    for partition_id in sorted(missing):
-                        if len(existing) >= max_copies:
-                            # Duplication cap reached: overflow partner
-                            # locations go to the patch list instead.
-                            staged.add_patch(partition_id, row, source_id)
-                            continue
-                        staged.add(partition_id, row, source_id, duplicate=True)
-                        existing.add(partition_id)
-                    if len(existing) > stored_before:
-                        downstream.append(row)
-                    partnered.add(source_id)
-            _mark_has_partner(referencing, partnered)
-            propagated = staged.flush()
-            copies = sum(map(len, propagated))
+            copies = sum(map(len, stored))
             stats.propagated_copies += copies
             stats.copies_written += copies
-            stats.bytes_written += copies * referencing.schema.row_byte_width
-            if downstream:
-                self._propagate(referencing_name, downstream, propagated, stats)
+            stats.bytes_written += copies * target.schema.row_byte_width
+            self._replace_referencing(name, taken, stats)
 
     # -- updates and deletes ------------------------------------------------------
 
@@ -340,41 +331,3 @@ class BulkLoader:
             protected.update(self.config.scheme_of(other).referenced_columns)
         return protected
 
-
-def _locate_rows(
-    table: PartitionedTable,
-    columns: Sequence[str],
-    keys: set,
-) -> dict[Hashable, list[tuple[int, Row, set[int]]]]:
-    """Find all base tuples of *table* whose key is in *keys*.
-
-    Returns per key a list of (source_id, row, partitions holding a copy).
-    """
-    positions = table.schema.positions(columns)
-    by_source: dict[int, tuple[Hashable, Row, set[int]]] = {}
-    for partition in table.partitions:
-        for index, key in enumerate(partition.keys(positions)):
-            if key not in keys:
-                continue
-            source_id = partition.source_ids[index]
-            entry = by_source.get(source_id)
-            if entry is None:
-                by_source[source_id] = (
-                    key, partition.row(index), {partition.partition_id}
-                )
-            else:
-                entry[2].add(partition.partition_id)
-    result: dict[Hashable, list[tuple[int, Row, set[int]]]] = {}
-    for source_id, (key, row, partitions) in by_source.items():
-        result.setdefault(key, []).append((source_id, row, partitions))
-    return result
-
-
-def _mark_has_partner(table: PartitionedTable, source_ids: set[int]) -> None:
-    """Set the ``hasS`` bit on every copy of the base tuples *source_ids*."""
-    if not source_ids:
-        return
-    for partition in table.partitions:
-        for index, source_id in enumerate(partition.source_ids):
-            if source_id in source_ids:
-                partition.set_has_partner(index)

@@ -10,7 +10,8 @@ bitmap indexes of Section 2.1 are maintained during placement.
 It does not care where the rows come from: :func:`partition_database`
 feeds it the tables of a :class:`Database`, the bulk loader a load batch
 (Section 2.3 — the partition-index probe *is* condition (1), answered
-from the referenced table's stored key columns), and online
+from the referenced table's stored key columns) and the referencing
+tuples that batch partners, taken out to be placed again, and online
 repartitioning the canonical rows of the store being replaced.
 """
 

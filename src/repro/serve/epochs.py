@@ -3,9 +3,9 @@
 Every mutation admitted through the server (bulk load, insert, update,
 delete, migration) bumps the epoch of each table whose *contents* can
 have changed — the written table plus every table reachable through PREF
-references, because referenced-side inserts propagate copies into
-referencing tables and flip their hasS bits (see
-:meth:`~repro.partitioning.bulk_loader.BulkLoader._propagate`).  Cache
+references, because referenced-side inserts re-place the referencing
+tuples they partner (see
+:meth:`~repro.partitioning.bulk_loader.BulkLoader._replace_referencing`).  Cache
 entries record the tables they depend on; a bump drops every dependent
 entry.  (Storage itself needs no such clock: a partition stores the
 columns its scans alias, so a write is visible to the next read.)

@@ -16,8 +16,8 @@ Three parallel lists describe each stored row:
   semi-/anti-join rewrites of Section 2.2).
 
 Readers (the engine included) must treat every stored list as read-only;
-all mutation goes through :meth:`Partition.extend`, :meth:`compress`,
-:meth:`set_row` and :meth:`set_has_partner`.
+all mutation goes through :meth:`Partition.extend`, :meth:`compress` and
+:meth:`set_row`.
 
 Besides those five stored fields a partition holds exactly one derived
 slot, :attr:`Partition.key_index`, kept between queries.  It holds two
@@ -207,11 +207,6 @@ class Partition:
         self.key_index = None
         for column, value in zip(self.columns, row):
             column[index] = value
-
-    def set_has_partner(self, index: int, has_partner: bool = True) -> None:
-        """Set the ``hasS`` bit of stored row *index*."""
-        self.key_index = None
-        self.has_partner[index] = int(has_partner)
 
     # -- reading -------------------------------------------------------------
 

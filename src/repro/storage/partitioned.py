@@ -63,9 +63,6 @@ class PartitionedTable:
         #: stored duplication was capped at the scheme's ``max_copies``.
         #: They are delivered by a residual shuffle at scan time.
         self.patches: dict[int, list[tuple[Row, int]]] = {}
-        #: Reverse map: source id -> overflow partition ids it was patched
-        #: into (for invariant checks and incremental maintenance).
-        self._patch_sources: dict[int, set[int]] = {}
 
     @property
     def name(self) -> str:
@@ -92,7 +89,6 @@ class PartitionedTable:
         but its stored duplication is capped, so the copy is delivered by
         the residual shuffle instead of being stored."""
         self.patches.setdefault(partition_id, []).append((row, source_id))
-        self._patch_sources.setdefault(source_id, set()).add(partition_id)
 
     def patches_for(self, partition_id: int) -> list[tuple[Row, int]]:
         """Patch-list entries destined for *partition_id* (may be empty)."""
@@ -100,23 +96,21 @@ class PartitionedTable:
 
     def patch_partitions_of(self, source_id: int) -> frozenset[int]:
         """Overflow partition ids the base tuple *source_id* was patched to."""
-        return frozenset(self._patch_sources.get(source_id, ()))
+        return frozenset(
+            partition_id
+            for partition_id, entries in self.patches.items()
+            if any(patched == source_id for _row, patched in entries)
+        )
 
     def replace_patches(
         self, patches: dict[int, list[tuple[Row, int]]]
     ) -> None:
-        """Replace the patch lists wholesale, rebuilding the reverse map."""
+        """Replace the patch lists wholesale (empty lists are dropped)."""
         self.patches = {
             partition_id: entries
             for partition_id, entries in patches.items()
             if entries
         }
-        self._patch_sources = {}
-        for partition_id, entries in self.patches.items():
-            for _row, source_id in entries:
-                self._patch_sources.setdefault(source_id, set()).add(
-                    partition_id
-                )
 
     @property
     def patch_count(self) -> int:

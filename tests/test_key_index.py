@@ -3,7 +3,7 @@
 A join whose build side is a bare stored partition probes that
 partition's key index (``Partition.key_index``): the table is built
 compact on the second build since the last write and kept until the next
-one.  It can only be right if every write drops it.  Each of the four
+one.  It can only be right if every write drops it.  Each of the three
 mutators, the bulk loader's insert/delete/update and a served write are
 driven here as query, write, query: the answer must equal
 ``LocalExecutor`` over what is stored, and the written partitions must
@@ -174,16 +174,10 @@ def _set_row(cluster) -> None:
     partition.set_row(0, (orderkey, other, total))
 
 
-def _set_has_partner(cluster) -> None:
-    partition = _orders_partition(cluster)
-    partition.set_has_partner(0, not partition.has_partner[0])
-
-
 MUTATORS = {
     "extend": _extend,
     "compress": _compress,
     "set_row": _set_row,
-    "set_has_partner": _set_has_partner,
 }
 
 

@@ -335,4 +335,4 @@ class TestPinnedPlacement:
         store, config, stats = loaded_store(case, 2, True)
         assert store_fingerprint(store) == pinned[case]["two_slice_store"]
         assert stats == pinned[case]["two_slice_stats"]
-        check_pref_invariants(store, config, exact=False)
+        check_pref_invariants(store, config, exact=True)

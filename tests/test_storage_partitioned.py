@@ -66,9 +66,8 @@ class TestPartition:
             [0, 2], [0, 0], [1, 0]
         )
         partition.set_row(1, (3, "z"))
-        partition.set_has_partner(1)
         assert partition.rows == [(1, "a"), (3, "z")]
-        assert partition.has_partner == [1, 1]
+        assert partition.has_partner == [1, 0]
         with pytest.raises(RowShapeError):
             partition.set_row(0, (1,))
 

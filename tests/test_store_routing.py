@@ -355,8 +355,7 @@ def test_every_key_mutator_drops_the_buckets(shuffled, mutator):
 def test_a_mutator_that_keeps_the_buckets_is_caught(
     shuffled, monkeypatch, mutator
 ):
-    """``set_has_partner`` is left out: it writes no key column, so the
-    buckets it would keep are still right (it drops them all the same)."""
+    """Meta-teeth: the check above fails once a mutator skips the drop."""
     original = getattr(Partition, mutator)
 
     def keeps_entries(self, *args, **kwargs):
