@@ -11,15 +11,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import (  # noqa: E402
     all_hashed_config,
-    patch_pref_leaves,
     pref_chain_config,
     ref_chain_config,
     shop_database,
+    tpcds_stores,
+    tpch_certify_stores,
 )
-from repro.design import SchemaDrivenDesigner  # noqa: E402
-from repro.design.baselines import all_hashed  # noqa: E402
 from repro.partitioning import partition_database  # noqa: E402
-from repro.workloads.tpch import SMALL_TABLES, generate_tpch  # noqa: E402
+from repro.workloads.tpch import generate_tpch  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -40,18 +39,26 @@ def small_tpch():
     return generate_tpch(scale_factor=0.002, seed=5)
 
 
+@pytest.fixture(scope="session")
+def tpch_partitioned(small_tpch):
+    """``small_tpch`` under the certifier's three configs (read-only)."""
+    return tpch_certify_stores(small_tpch)
+
+
+@pytest.fixture(scope="session")
+def tpcds_partitioned():
+    """TPC-DS under SD-PREF and all-hashed (read-only)."""
+    return tpcds_stores()
+
+
 @pytest.fixture(scope="module")
 def tpch_stores(tiny_tpch):
     """``tiny_tpch`` stored under the three designs the engine tests sweep."""
-    pref = SchemaDrivenDesigner(tiny_tpch, 4).design(
-        replicate=SMALL_TABLES
-    ).config
+    stores = tpch_certify_stores(tiny_tpch)
     return {
-        "sd_pref": partition_database(tiny_tpch, pref),
-        "all_hashed": partition_database(tiny_tpch, all_hashed(tiny_tpch, 4)),
-        "patched_pref": partition_database(
-            tiny_tpch, patch_pref_leaves(pref, tiny_tpch.schema)
-        ),
+        "sd_pref": stores["pref"],
+        "all_hashed": stores["hashed"],
+        "patched_pref": stores["patched"],
     }
 
 

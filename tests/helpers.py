@@ -375,3 +375,97 @@ def patch_pref_leaves(config: PartitioningConfig, schema) -> PartitioningConfig:
         patched.add(table, scheme)
     patched.validate(schema)
     return patched
+
+
+def tpcds_block_plan(block):
+    """Left-deep spanning-tree join over one TPC-DS SPJA block, counted."""
+    from repro.query.plan import Aggregate, AggregateSpec, Join, Scan
+    from repro.workloads import tpcds
+
+    placed: list[str] = []
+    plan = None
+    pending = [tpcds.EDGES[shorthand] for shorthand in block]
+    while pending:
+        progressed = False
+        for edge in list(pending):
+            r, s = edge.left_table, edge.right_table
+            pairs = tuple(
+                (f"{r}.{rc}", f"{s}.{sc}")
+                for rc, sc in zip(edge.left_columns, edge.right_columns)
+            )
+            if plan is None:
+                plan = Join(Scan(r), Scan(s), on=pairs)
+                placed += [r, s]
+            elif r in placed and s in placed:
+                pass  # non-tree edge; the spanning tree already connects it
+            elif r in placed:
+                plan = Join(plan, Scan(s), on=pairs)
+                placed.append(s)
+            elif s in placed:
+                plan = Join(plan, Scan(r), on=tuple((b, a) for a, b in pairs))
+                placed.append(r)
+            else:
+                continue
+            pending.remove(edge)
+            progressed = True
+        if not progressed:
+            break
+    if plan is None:
+        return None
+    return Aggregate(plan, (), (AggregateSpec("count", None, "n"),))
+
+
+def tpcds_block_plans() -> list[tuple[str, object]]:
+    """``(name, plan)`` for every TPC-DS query block that yields a join."""
+    from repro.workloads import tpcds
+
+    plans = []
+    for number, blocks in sorted(tpcds.QUERY_BLOCKS.items()):
+        for index, block in enumerate(blocks):
+            plan = tpcds_block_plan(block) if block else None
+            if plan is not None:
+                plans.append((f"q{number}.{index}", plan))
+    return plans
+
+
+def tpch_certify_stores(database, n: int = 4) -> dict:
+    """*database* (TPC-H) under the certifier's three configs on *n*
+    nodes: all-hashed, schema-driven PREF and patched-PREF."""
+    from repro.design import SchemaDrivenDesigner
+    from repro.design.baselines import all_hashed
+    from repro.partitioning import partition_database
+    from repro.workloads.tpch import SMALL_TABLES
+
+    pref = SchemaDrivenDesigner(database, n).design(
+        replicate=SMALL_TABLES
+    ).config
+    configs = {
+        "hashed": all_hashed(database, n),
+        "pref": pref,
+        "patched": patch_pref_leaves(pref, database.schema),
+    }
+    return {
+        name: partition_database(database, config)
+        for name, config in configs.items()
+    }
+
+
+def tpcds_stores(n: int = 4) -> dict:
+    """TPC-DS (SF 0.0005, seed 4) under schema-driven PREF (``sd``) and
+    all-hashed on *n* nodes: the stores ``tpcds_block_plans`` run over."""
+    from repro.design import SchemaDrivenDesigner
+    from repro.design.baselines import all_hashed
+    from repro.partitioning import partition_database
+    from repro.workloads import tpcds
+
+    database = tpcds.generate_tpcds(scale_factor=0.0005, seed=4)
+    configs = {
+        "sd": SchemaDrivenDesigner(database, n).design(
+            replicate=tpcds.SMALL_TABLES
+        ).config,
+        "hashed": all_hashed(database, n),
+    }
+    return {
+        name: partition_database(database, config)
+        for name, config in configs.items()
+    }

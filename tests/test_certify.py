@@ -27,12 +27,10 @@ import pytest
 
 from helpers import (
     buggy_left_outer_local_join,
-    patch_pref_leaves,
     pref_chain_config,
     shop_database,
+    tpcds_block_plans,
 )
-from repro.design import SchemaDrivenDesigner
-from repro.design.baselines import all_hashed
 from repro.fuzz import ir
 from repro.partitioning import (
     HashScheme,
@@ -58,8 +56,7 @@ from repro.query.plan import (
     Scan,
 )
 from repro.query.rewrite import Rewriter
-from repro.workloads import tpcds
-from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
+from repro.workloads.tpch import ALL_QUERIES
 
 certify_module = importlib.import_module("repro.query.certify")
 
@@ -68,27 +65,6 @@ REPROS = Path(__file__).parent / "fixtures" / "repros"
 
 
 # -- fixtures ---------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def tpch_configs(small_tpch):
-    """The three certification configs: all-hashed, PREF, patched-PREF."""
-    pref = SchemaDrivenDesigner(small_tpch, NODES).design(
-        replicate=SMALL_TABLES
-    ).config
-    return {
-        "hashed": all_hashed(small_tpch, NODES),
-        "pref": pref,
-        "patched": patch_pref_leaves(pref, small_tpch.schema),
-    }
-
-
-@pytest.fixture(scope="module")
-def tpch_partitioned(small_tpch, tpch_configs):
-    return {
-        name: partition_database(small_tpch, config)
-        for name, config in tpch_configs.items()
-    }
 
 
 @pytest.fixture(scope="module")
@@ -164,68 +140,17 @@ def test_certificate_renders_every_node(tpch_partitioned):
 # -- coverage: TPC-DS -------------------------------------------------------
 
 
-def _block_plan(block):
-    """Left-deep spanning-tree join over one TPC-DS SPJA block."""
-    placed: list[str] = []
-    plan = None
-    pending = [tpcds.EDGES[shorthand] for shorthand in block]
-    while pending:
-        progressed = False
-        for edge in list(pending):
-            r, s = edge.left_table, edge.right_table
-            pairs = tuple(
-                (f"{r}.{rc}", f"{s}.{sc}")
-                for rc, sc in zip(edge.left_columns, edge.right_columns)
-            )
-            if plan is None:
-                plan = Join(Scan(r), Scan(s), on=pairs)
-                placed += [r, s]
-            elif r in placed and s in placed:
-                pass  # non-tree edge; the spanning tree already connects it
-            elif r in placed:
-                plan = Join(plan, Scan(s), on=pairs)
-                placed.append(s)
-            elif s in placed:
-                plan = Join(plan, Scan(r), on=tuple((b, a) for a, b in pairs))
-                placed.append(r)
-            else:
-                continue
-            pending.remove(edge)
-            progressed = True
-        if not progressed:
-            break
-    if plan is None:
-        return None
-    return Aggregate(plan, (), (AggregateSpec("count", None, "n"),))
-
-
-def test_all_tpcds_block_plans_certify():
+def test_all_tpcds_block_plans_certify(tpcds_partitioned):
     """Join plans from all 99 TPC-DS query graphs certify under SD + hashed."""
-    database = tpcds.generate_tpcds(scale_factor=0.0005, seed=4)
-    configs = {
-        "sd": SchemaDrivenDesigner(database, NODES).design(
-            replicate=tpcds.SMALL_TABLES
-        ).config,
-        "hashed": all_hashed(database, NODES),
-    }
-    plans = [
-        (number, block)
-        for number, blocks in sorted(tpcds.QUERY_BLOCKS.items())
-        for block in blocks
-        if block
-    ]
+    plans = tpcds_block_plans()
     assert len(plans) > 100
-    for config_name, config in configs.items():
-        partitioned = partition_database(database, config)
+    for config_name, partitioned in tpcds_partitioned.items():
         rewriter = Rewriter(partitioned)
-        for number, block in plans:
-            plan = _block_plan(block)
-            if plan is None:
-                continue
+        for name, plan in plans:
             certify_or_fail(
                 rewriter.rewrite(plan),
                 partitioned,
-                f"tpcds {config_name} q{number} {block}",
+                f"tpcds {config_name} {name}",
             )
 
 
