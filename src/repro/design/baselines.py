@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.catalog.schema import DatabaseSchema
-from repro.design.graph import SchemaGraph
 from repro.design.schema_driven import SchemaDrivenDesigner
 from repro.errors import DesignError
 from repro.partitioning.config import PartitioningConfig
@@ -98,18 +97,6 @@ class StarDesign:
 
     stars: dict[str, PartitioningConfig]
     star_tables: dict[str, frozenset[str]]
-
-    def combined_data_locality(self, graph: SchemaGraph) -> float:
-        """DL over the global graph; an edge counts if any star covers it."""
-        satisfied = []
-        for fact, config in self.stars.items():
-            star_graph = graph.subgraph(self.star_tables[fact])
-            from repro.design.locality import satisfied_edges
-
-            satisfied.extend(satisfied_edges(star_graph, config))
-        from repro.design.graph import data_locality
-
-        return data_locality(graph, satisfied)
 
 
 def split_into_stars(

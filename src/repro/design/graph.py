@@ -111,10 +111,6 @@ class SchemaGraph:
             graph.add_edge(GraphEdge(predicate, weight))
         return graph
 
-    def add_node(self, table: str, size: int) -> None:
-        """Add an isolated node."""
-        self.sizes.setdefault(table, size)
-
     def add_edge(self, edge: GraphEdge) -> None:
         """Add an edge (duplicate predicates are collapsed)."""
         for table in edge.tables:
@@ -135,10 +131,6 @@ class SchemaGraph:
     def total_weight(self) -> int:
         """Sum of all edge weights (the DL denominator)."""
         return sum(edge.weight for edge in self.edges)
-
-    def edges_of(self, table: str) -> list[GraphEdge]:
-        """Edges incident to *table*."""
-        return [edge for edge in self.edges if table in edge.tables]
 
     def connected_components(self) -> list[set[str]]:
         """Connected components over tables (isolated nodes included)."""

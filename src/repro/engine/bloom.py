@@ -136,11 +136,6 @@ class BloomFilter:
         return KeyMemo(self.might_contain).map(keys)
 
     @property
-    def bit_count(self) -> int:
-        """Total bits in the filter."""
-        return self.block_count * _BLOCK_BITS
-
-    @property
     def byte_size(self) -> int:
         """Wire size of the filter payload (what a broadcast ships)."""
         return self.block_count * 8

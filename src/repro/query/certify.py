@@ -669,7 +669,7 @@ class _Certifier:
         node: PartnerFilter = a.node
         child = self.derive(a.inputs[0])
         scheme = None
-        for inner in _walk(a.inputs[0]):
+        for inner in a.inputs[0].walk():
             if isinstance(inner.node, Scan) and inner.node.name == node.table:
                 stored = self.partitioned.table(inner.node.table)
                 if isinstance(stored.scheme, PrefScheme):
@@ -972,12 +972,6 @@ def _origin(side: Annotated, keys) -> tuple[str, str] | None:
         if origin:
             return origin
     return None
-
-
-def _walk(annotated: Annotated):
-    yield annotated
-    for child in annotated.inputs:
-        yield from _walk(child)
 
 
 def certify(

@@ -32,11 +32,6 @@ from repro.engine.context import (
     TraceEvent,
     format_operator_stats,
 )
-from repro.engine.rows import (  # noqa: F401  (re-export: local_executor and
-    # older callers import shared ordering semantics from here)
-    _null_pad,
-    _sort_key,
-)
 from repro.query.cost import CostParameters, ExecutionStats
 from repro.query.options import ExecOptions
 from repro.query.plan import PlanNode

@@ -8,9 +8,9 @@ is a correctness bug in partitioning or the rewrite rules.
 
 from __future__ import annotations
 
+from repro.engine.rows import _sort_key
 from repro.errors import ExecutionError
 from repro.query.aggregates import make_accumulator
-from repro.query.executor import _sort_key  # shared ordering semantics
 from repro.query.plan import (
     Aggregate,
     Filter,

@@ -10,7 +10,6 @@ flavours share one representation.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -310,14 +309,6 @@ class BloomProbe(PlanNode):
             f"BloomProbe([{', '.join(self.columns)}] "
             f"<- {', '.join(self.sources)})"
         )
-
-
-_COUNTER = itertools.count()
-
-
-def fresh_name(prefix: str) -> str:
-    """Generate a unique column/operator name (for rewriter internals)."""
-    return f"{prefix}#{next(_COUNTER)}"
 
 
 def referenced_tables(plan: PlanNode) -> frozenset[str]:

@@ -86,10 +86,6 @@ class PartInfo:
     pref_table: str | None = None
     seed_table: str | None = None
 
-    def without_anchors(self) -> "PartInfo":
-        """The same info with placement provenance dropped."""
-        return replace(self, anchors=frozenset())
-
     def rename_hash_columns(self, mapping: dict[str, str]) -> "PartInfo":
         """Track hash columns through a projection rename.
 

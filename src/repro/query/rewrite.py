@@ -22,7 +22,7 @@ anti joins become local ``hasS = 0`` filters, without joining at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import PlanningError
 from repro.partitioning.scheme import HashScheme, PrefScheme, SchemeKind
@@ -49,6 +49,8 @@ from repro.query.relation import (
     is_hidden,
 )
 from repro.storage.partitioned import PartitionedDatabase
+
+_SEMI_ANTI = (JoinKind.SEMI, JoinKind.ANTI)
 
 
 @dataclass
@@ -93,16 +95,11 @@ class Annotated:
             lines.append(child.explain(indent + 1, note))
         return "\n".join(lines)
 
-    def count_shuffles(self) -> int:
-        """Number of exchange operators (Repartition) in this subtree."""
-        count = 1 if isinstance(self.node, Repartition) else 0
-        if self.extra.get("strategy") == "broadcast":
-            count += 1
-        if self.extra.get("strategy") == "two_phase":
-            count += 1
-        if self.extra.get("gather"):
-            count += 1
-        return count + sum(child.count_shuffles() for child in self.inputs)
+    def walk(self) -> Iterator["Annotated"]:
+        """Pre-order traversal of the annotated plan."""
+        yield self
+        for child in self.inputs:
+            yield from child.walk()
 
 
 class Rewriter:
@@ -228,7 +225,7 @@ class Rewriter:
         if child.props.dup:
             # Paper: "if Dup(oin)=1 we add a distinct operation ... using
             # the dup indexes"; a purely local filter.
-            child = self._dedup(child)
+            child = self._dedup(child, keep_placement=False)
         rename: dict[str, str] = {}
         origins: list[tuple[str, str] | None] = []
         widths: list[int] = []
@@ -260,36 +257,25 @@ class Rewriter:
         return annotated
 
     def _distinct_values(self, child: Annotated) -> Annotated:
-        """Global value-based DISTINCT over the child's output columns."""
-        if child.props.part.method in (Method.REPLICATED, Method.GATHERED):
-            return Annotated(
-                child.node,
-                child.props,
-                child.inputs,
-                extra={**child.extra, "distinct": "local"},
-            )
-        keys = child.props.columns
-        shuffled = self._repartition(child, keys)
-        return Annotated(
-            shuffled.node,
-            shuffled.props,
-            shuffled.inputs,
-            extra={**shuffled.extra, "distinct": "local"},
+        """Global value-based DISTINCT over the child's output columns:
+        hash on every column, then a local distinct."""
+        if child.props.part.method not in (Method.REPLICATED, Method.GATHERED):
+            child = self._repartition(child, child.props.columns)
+        return replace(
+            child,
+            pristine=frozenset(),
+            extra={**child.extra, "distinct": "local"},
         )
 
     # -- physical helpers ------------------------------------------------------------
 
-    def _dedup(self, child: Annotated) -> Annotated:
-        """Insert a local PREF-duplicate-elimination operator."""
-        part = replace(
-            child.props.part,
-            method=Method.NONE,
-            hash_columns=(),
-            anchors=frozenset(),
-            pref_scheme=None,
-            pref_table=None,
-            seed_table=None,
-        )
+    def _dedup(self, child: Annotated, keep_placement: bool = True) -> Annotated:
+        """Insert a local PREF-duplicate-elimination operator.  No row
+        moves, so the child's placement holds; a projection or ordering
+        above drops it (*keep_placement* False)."""
+        part = child.props.part
+        if not keep_placement:
+            part = PartInfo(Method.NONE, part.count)
         props = replace(child.props, part=part, governing=())
         return Annotated(
             DedupFilter(child.node), props, (child,), pristine=child.pristine
@@ -321,19 +307,21 @@ class Rewriter:
                 "alias one side"
             )
         if node.kind is JoinKind.CROSS or not node.on:
+            if (
+                left.props.part.method is Method.REPLICATED
+                and right.props.part.method is Method.REPLICATED
+            ):
+                return self._local_join(node, left, right, "both_replicated", None)
             return self._broadcast_join(node, left, right)
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
+        if node.kind in _SEMI_ANTI:
             if not self.optimizations:
-                return self._naive_semi_anti(node)
+                return self._naive_semi_anti(node, left, right)
             optimised = self._try_partner_filter(node, left, right)
             if optimised is not None:
                 return optimised
         case, referenced_side = self._locality_case(node, left, right)
         if case is None:
-            if (
-                node.kind in (JoinKind.SEMI, JoinKind.ANTI)
-                and node.residual is None
-            ):
+            if node.kind in _SEMI_ANTI and node.residual is None:
                 # Only the distinct join-key values of the build side are
                 # needed; shuffle those instead of full rows.  A residual
                 # reads the build side's other columns, so it must see
@@ -455,35 +443,19 @@ class Rewriter:
             return False
         if referenced.props.part.method not in (Method.SEED, Method.PREF):
             return False
-        scheme: PrefScheme = part.pref_scheme
-        table_r = part.pref_table
-        table_s = scheme.referenced_table
-        if table_s not in referenced.props.part.anchors:
+        if part.pref_scheme.referenced_table not in referenced.props.part.anchors:
             return False
         if referenced.props.part.method is Method.PREF:
             # Case 3: both PREF chains must share the seed table.
             if referenced.props.part.seed_table != part.seed_table:
                 return False
-        # Every predicate conjunct must be realised by some join pair
-        # (origin-wise, in either orientation of the pair).
-        pair_origins = set()
-        for left_col, right_col in node.on:
-            # Resolve each side of the pair on whichever input holds it.
-            origin_a = _safe_origin(referencing, left_col) or _safe_origin(
-                referencing, right_col
-            )
-            origin_b = _safe_origin(referenced, left_col) or _safe_origin(
-                referenced, right_col
-            )
-            if origin_a and origin_b:
-                pair_origins.add((origin_a, origin_b))
-        needed = {
-            ((table_r, ref_col), (table_s, s_col))
-            for ref_col, s_col in zip(
-                scheme.referencing_columns(table_r), scheme.referenced_columns
-            )
+        # Every predicate conjunct must be realised by some join pair.
+        equated = {
+            (origin_a, origin_b)
+            for _name, origin_a, origin_b in _equated(node, referencing, referenced)
+            if origin_a and origin_b
         }
-        return needed <= pair_origins
+        return _needed_pairs(part.pref_scheme, part.pref_table) <= equated
 
     def _kind_allows_pref_local(
         self,
@@ -525,20 +497,12 @@ class Rewriter:
         if not self._hashed_on(left, left_keys):
             left = self._repartition(left, left_keys)
         elif left.props.dup:
-            left = self._dedup_in_place(left)
+            left = self._dedup(left)
         if not self._hashed_on(right, right_keys):
             right = self._repartition(right, right_keys)
         elif right.props.dup:
-            right = self._dedup_in_place(right)
+            right = self._dedup(right)
         return left, right
-
-    def _dedup_in_place(self, child: Annotated) -> Annotated:
-        """Dedup without moving rows, keeping the child's hash placement."""
-        part = child.props.part
-        props = replace(child.props, part=part, governing=())
-        return Annotated(
-            DedupFilter(child.node), props, (child,), pristine=child.pristine
-        )
 
     def _hashed_on(self, side: Annotated, keys: Sequence[str]) -> bool:
         """Is *side* already hash-distributed exactly by *keys*?"""
@@ -570,15 +534,6 @@ class Rewriter:
         case: str,
         referenced_side: str | None,
     ) -> Annotated:
-        columns = left.props.columns + right.props.columns
-        origins = left.props.origins + right.props.origins
-        widths = left.props.widths + right.props.widths
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
-            columns, origins, widths = (
-                left.props.columns,
-                left.props.origins,
-                left.props.widths,
-            )
         lp, rp = left.props.part, right.props.part
 
         if case == "both_replicated":
@@ -600,6 +555,9 @@ class Rewriter:
                 anchors=anchors,
             )
             governing = ()
+        elif case in ("case2", "case3") and node.kind in _SEMI_ANTI:
+            # The output is the left side only.
+            part, governing = lp, left.props.governing
         elif case in ("case2", "case3"):
             referenced = left if referenced_side == "left" else right
             referencing = right if referenced_side == "left" else left
@@ -612,10 +570,6 @@ class Rewriter:
             else:
                 part = replace(referenced.props.part, anchors=anchors)
                 governing = referenced.props.governing
-            if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
-                # Output is the left side only.
-                part = replace(lp, anchors=lp.anchors)
-                governing = left.props.governing
         elif case == "shuffled":
             anchors = lp.anchors | rp.anchors
             part = PartInfo(
@@ -628,9 +582,6 @@ class Rewriter:
         else:  # pragma: no cover - exhaustive
             raise PlanningError(f"unknown join case {case!r}")
 
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI) and case == "shuffled":
-            part = replace(part, hash_columns=lp.hash_columns)
-
         if node.kind is JoinKind.LEFT_OUTER and part.hash_columns:
             # Padded rows carry NULLs in every right-side column yet sit in
             # whatever partition their left row occupies, so a placement
@@ -641,7 +592,7 @@ class Rewriter:
             if any(column in right_columns for column in part.hash_columns):
                 part = replace(part, hash_columns=())
 
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
+        if node.kind in _SEMI_ANTI:
             equivalences = left.props.equivalences
         elif node.kind is JoinKind.LEFT_OUTER:
             # The join keys are only equal on *matched* rows: a padded row
@@ -663,9 +614,7 @@ class Rewriter:
                 left.props.equivalences + right.props.equivalences, pairs
             )
         props = RelProps(
-            columns=columns,
-            origins=origins,
-            widths=widths,
+            *_join_layout(node, left, right),
             part=part,
             governing=governing,
             equivalences=equivalences,
@@ -681,12 +630,8 @@ class Rewriter:
                 # referenced side is the complete base table (pristine);
                 # state the assumption explicitly so the static certifier
                 # validates it instead of rediscovering it.
-                referencing_part = (
-                    left if referenced_side == "right" else right
-                ).props.part
-                extra["assume"] = {
-                    "pristine": referencing_part.pref_scheme.referenced_table
-                }
+                table_s = lp.pref_scheme.referenced_table
+                extra["assume"] = {"pristine": table_s}
         return Annotated(
             physical,
             props,
@@ -698,22 +643,12 @@ class Rewriter:
         self, node: Join, left: Annotated, right: Annotated
     ) -> Annotated:
         """Cross/theta joins: ship the smaller (deduplicated) input around."""
-        if (
-            left.props.part.method is Method.REPLICATED
-            and right.props.part.method is Method.REPLICATED
-        ):
-            return self._local_join(node, left, right, "both_replicated", None)
         if left.props.dup:
-            left = self._dedup_in_place(left)
+            left = self._dedup(left)
         if right.props.dup:
-            right = self._dedup_in_place(right)
-        columns = left.props.columns + right.props.columns
-        origins = left.props.origins + right.props.origins
-        widths = left.props.widths + right.props.widths
+            right = self._dedup(right)
         props = RelProps(
-            columns=columns,
-            origins=origins,
-            widths=widths,
+            *_join_layout(node, left, right),
             part=PartInfo(Method.NONE, self.count),
         )
         physical = Join(left.node, right.node, node.on, node.kind, node.residual)
@@ -721,7 +656,9 @@ class Rewriter:
             physical, props, (left, right), extra={"strategy": "broadcast"}
         )
 
-    def _naive_semi_anti(self, node: Join) -> Annotated:
+    def _naive_semi_anti(
+        self, node: Join, left: Annotated, right: Annotated
+    ) -> Annotated:
         """Unoptimised semi/anti joins, as a naive engine executes them.
 
         Without the hasS index (paper Figure 9, "wo optimizations"):
@@ -734,40 +671,18 @@ class Rewriter:
         from repro.query.expressions import and_, col
 
         if node.kind is JoinKind.SEMI:
-            inner = Join(node.left, node.right, node.on, JoinKind.INNER, node.residual)
-            annotated_left = self.rewrite(node.left)
             outputs = tuple(
                 (name, col(name))
-                for name in annotated_left.props.columns
+                for name in left.props.columns
                 if not is_hidden(name)
             )
+            inner = replace(node, kind=JoinKind.INNER)
             return self.rewrite(Project(inner, outputs, distinct=True))
-        residual_terms = [col(l) == col(r) for l, r in node.on]
+        terms = [col(l) == col(r) for l, r in node.on]
         if node.residual is not None:
-            residual_terms.append(node.residual)
-        naive = Join(
-            node.left,
-            node.right,
-            (),
-            JoinKind.ANTI,
-            and_(*residual_terms),
-        )
-        left = self.rewrite(node.left)
-        right = self.rewrite(node.right)
-        if left.props.dup:
-            left = self._dedup_in_place(left)
-        if right.props.dup:
-            right = self._dedup_in_place(right)
-        props = RelProps(
-            columns=left.props.columns,
-            origins=left.props.origins,
-            widths=left.props.widths,
-            part=PartInfo(Method.NONE, self.count),
-        )
-        physical = Join(left.node, right.node, (), JoinKind.ANTI, naive.residual)
-        return Annotated(
-            physical, props, (left, right), extra={"strategy": "broadcast"}
-        )
+            terms.append(node.residual)
+        naive = Join(node.left, node.right, (), JoinKind.ANTI, and_(*terms))
+        return self._broadcast_join(naive, left, right)
 
     def _try_partner_filter(
         self, node: Join, left: Annotated, right: Annotated
@@ -779,8 +694,6 @@ class Rewriter:
         satisfies the equality predicate), which is exactly the SQL join
         semantics the rewritten semi/anti join would have produced.
         """
-        if not self.optimizations:
-            return None
         # The hasS bitmap is precomputed from the PREF key equality alone;
         # a residual predicate restricts which partners count, which the
         # bitmap cannot express — fall through to a real semi/anti join.
@@ -795,8 +708,10 @@ class Rewriter:
         table_s = next(iter(right_tables))
         if table_s not in right.pristine:
             return None
+        equated = _equated(node, left, right)
+        pairs = {(origin_l, origin_r) for _name, origin_l, origin_r in equated}
         # Find an alias on the left whose scan is PREF-referencing S with
-        # exactly the join predicate.
+        # exactly the join predicate, every left key from that alias.
         for column in left.props.columns:
             if not column.startswith("__has@"):
                 continue
@@ -805,35 +720,10 @@ class Rewriter:
             if scheme is None or scheme.referenced_table != table_s:
                 continue
             table_r = scheme.predicate.other_table(table_s)
-            needed = {
-                ((table_r, r_col), (table_s, s_col))
-                for r_col, s_col in zip(
-                    scheme.referencing_columns(table_r),
-                    scheme.referenced_columns,
-                )
-            }
-            pair_origins = set()
-            alias_ok = True
-            for left_col, right_col in node.on:
-                origin_l = _safe_origin(left, left_col) or _safe_origin(
-                    left, right_col
-                )
-                origin_r = _safe_origin(right, right_col) or _safe_origin(
-                    right, left_col
-                )
-                if origin_l is None or origin_r is None:
-                    alias_ok = False
-                    break
-                # The left key must come from this very alias.
-                key_name = (
-                    left_col if _safe_origin(left, left_col) else right_col
-                )
-                position = left.props.position(key_name)
-                if not left.props.columns[position].startswith(f"{alias}."):
-                    alias_ok = False
-                    break
-                pair_origins.add((origin_l, origin_r))
-            if not alias_ok or pair_origins != needed:
+            if pairs != _needed_pairs(scheme, table_r) or not all(
+                name and name.startswith(f"{alias}.") and origin_r
+                for name, _origin_l, origin_r in equated
+            ):
                 continue
             physical = PartnerFilter(
                 left.node, table=alias, expect=node.kind is JoinKind.SEMI
@@ -857,7 +747,7 @@ class Rewriter:
         self, side: Annotated, alias: str
     ) -> PrefScheme | None:
         """The PREF scheme behind alias *alias* inside *side*, if any."""
-        for annotated in _walk(side):
+        for annotated in side.walk():
             if isinstance(annotated.node, Scan) and annotated.node.name == alias:
                 table = self.partitioned.table(annotated.node.table)
                 if isinstance(table.scheme, PrefScheme):
@@ -903,7 +793,7 @@ class Rewriter:
             return Annotated(node, props, (child,), extra={"strategy": "local"})
 
         if child.props.dup:
-            child = self._dedup_in_place_keep_part(child)
+            child = self._dedup(child)
         if node.group_by:
             part = PartInfo(
                 Method.HASHED,
@@ -916,14 +806,6 @@ class Rewriter:
             part = PartInfo(Method.GATHERED, self.count)
         props = RelProps(out_columns, origins, widths, part)
         return Annotated(node, props, (child,), extra={"strategy": "two_phase"})
-
-    def _dedup_in_place_keep_part(self, child: Annotated) -> Annotated:
-        """Local dedup that keeps placement info (pre-aggregation)."""
-        props = replace(child.props, governing=())
-        return Annotated(
-            DedupFilter(child.node), props, (child,), pristine=child.pristine
-        )
-
     def _group_prefix_local(
         self, child: Annotated, group_by: tuple[str, ...]
     ) -> bool:
@@ -951,7 +833,7 @@ class Rewriter:
     def _order_by(self, node: OrderBy) -> Annotated:
         child = self.rewrite(node.child)
         if child.props.dup:
-            child = self._dedup(child)
+            child = self._dedup(child, keep_placement=False)
         part = PartInfo(Method.GATHERED, self.count)
         props = replace(child.props, part=part, governing=())
         return Annotated(
@@ -960,6 +842,17 @@ class Rewriter:
             (child,),
             extra={"gather": True},
         )
+
+
+def _join_layout(
+    node: Join, left: Annotated, right: Annotated
+) -> tuple[tuple, tuple, tuple]:
+    """Columns, origins and widths of a join's output: a SEMI/ANTI join
+    outputs its left input, any other kind both inputs side by side."""
+    lp, rp = left.props, right.props
+    if node.kind in _SEMI_ANTI:
+        return lp.columns, lp.origins, lp.widths
+    return lp.columns + rp.columns, lp.origins + rp.origins, lp.widths + rp.widths
 
 
 def _merge_equivalences(
@@ -1000,15 +893,32 @@ def _group_output_name(child: Annotated, group_ref: str) -> str:
     return child.props.columns[child.props.position(group_ref)]
 
 
-def _safe_origin(side: Annotated, column: str) -> tuple[str, str] | None:
-    """Origin of *column* on *side*, or None if it doesn't resolve there."""
-    try:
-        return side.props.origin_of(column)
-    except PlanningError:
-        return None
+def _needed_pairs(scheme: PrefScheme, table_r: str) -> set:
+    """The (referencing, referenced) base-column pairs that the PREF
+    partitioning predicate of *scheme* (on table *table_r*) equates."""
+    return {
+        ((table_r, r_col), (scheme.referenced_table, s_col))
+        for r_col, s_col in zip(
+            scheme.referencing_columns(table_r), scheme.referenced_columns
+        )
+    }
 
 
-def _walk(annotated: Annotated):
-    yield annotated
-    for child in annotated.inputs:
-        yield from _walk(child)
+def _equated(node: Join, a: Annotated, b: Annotated) -> list[tuple]:
+    """Per join pair, ``(column on a, its origin, origin on b)``: the base
+    columns the pair equates, each side resolved on the first name of
+    the pair that carries an origin there (None where neither does)."""
+    return [(*_resolve(a, pair), _resolve(b, pair)[1]) for pair in node.on]
+
+
+def _resolve(side: Annotated, names) -> tuple[str | None, tuple | None]:
+    """The first of *names* with a base origin on *side*, as (full column
+    name, origin), or (None, None)."""
+    for name in names:
+        try:
+            position = side.props.position(name)
+        except PlanningError:
+            continue
+        if side.props.origins[position]:
+            return side.props.columns[position], side.props.origins[position]
+    return None, None

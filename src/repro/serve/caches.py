@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, Hashable, TypeVar
 
 V = TypeVar("V")
@@ -48,7 +48,6 @@ class CacheStats:
 class _Entry(Generic[V]):
     value: V
     tables: frozenset[str]
-    epochs: dict[str, int] = field(default_factory=dict)
 
 
 class TableDependentCache(Generic[V]):
@@ -83,19 +82,7 @@ class TableDependentCache(Generic[V]):
             self.stats.hits += 1
             return entry.value
 
-    def peek_epochs(self, key: Hashable) -> dict[str, int] | None:
-        """The epoch snapshot recorded with *key* (introspection only)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else dict(entry.epochs)
-
-    def put(
-        self,
-        key: Hashable,
-        value: V,
-        tables: frozenset[str],
-        epochs: dict[str, int] | None = None,
-    ) -> None:
+    def put(self, key: Hashable, value: V, tables: frozenset[str]) -> None:
         """Insert *key* -> *value*, depending on *tables*."""
         if self.capacity == 0:
             return
@@ -103,7 +90,7 @@ class TableDependentCache(Generic[V]):
             existing = self._entries.pop(key, None)
             if existing is not None:
                 self._unindex(key, existing.tables)
-            self._entries[key] = _Entry(value, tables, dict(epochs or {}))
+            self._entries[key] = _Entry(value, tables)
             for table in tables:
                 self._dependents.setdefault(table, set()).add(key)
             while len(self._entries) > self.capacity:

@@ -511,9 +511,7 @@ class ClusterServer:
             plan = sql_to_plan(body, self.cluster.schema)
             tables = referenced_tables(plan)
             planned = _PlannedQuery(plan, executor.annotate(plan), tables)
-            self.plan_cache.put(
-                key, planned, tables, self.epochs.snapshot(tables)
-            )
+            self.plan_cache.put(key, planned, tables)
         else:
             self.metrics.inc("serve.plan_cache.hits")
         result = executor.execute_annotated(
@@ -528,7 +526,6 @@ class ClusterServer:
                 key,
                 replace(result, rows=list(result.rows)),
                 planned.tables,
-                self.epochs.snapshot(planned.tables),
             )
         return result, ("plan" if plan_hit else None)
 
@@ -584,39 +581,3 @@ class ClusterServer:
             "queue_wait": quantiles("time.serve.queue_wait_seconds"),
             "service": quantiles("time.serve.service_seconds"),
         }
-
-    def render_metrics(self) -> str:
-        """The summary as an aligned text block (for logs and bench
-        reports)."""
-        summary = self.metrics_summary()
-
-        def ms(value: float) -> str:
-            return f"{value * 1000:.2f}ms"
-
-        latency = summary["latency"]
-        wait = summary["queue_wait"]
-        plan = summary["plan_cache"]
-        result = summary["result_cache"]
-        admission = summary["admission"]
-        lines = [
-            "serving summary",
-            f"  queries    submitted={summary['submitted']} "
-            f"completed={summary['completed']} errors={summary['errors']} "
-            f"writes={summary['writes']}",
-            f"  admission  rejected={admission['rejected']} "
-            f"timeouts={admission['timeouts']} "
-            f"queue p50={admission['queue_depth']['p50']:.0f} "
-            f"p99={admission['queue_depth']['p99']:.0f}",
-            f"  latency    p50={ms(latency['p50'])} p99={ms(latency['p99'])} "
-            f"mean={ms(latency['mean'])} (n={latency['count']})",
-            f"  queue wait p50={ms(wait['p50'])} p99={ms(wait['p99'])}",
-            f"  plan cache hit_rate={plan['hit_rate']:.1%} "
-            f"hits={plan['hits']} misses={plan['misses']} "
-            f"evictions={plan['evictions']} "
-            f"invalidations={plan['invalidations']}",
-            f"  result cache hit_rate={result['hit_rate']:.1%} "
-            f"hits={result['hits']} misses={result['misses']} "
-            f"evictions={result['evictions']} "
-            f"invalidations={result['invalidations']}",
-        ]
-        return "\n".join(lines)

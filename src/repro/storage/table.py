@@ -9,7 +9,7 @@ cross-checking distributed results.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.catalog.schema import DatabaseSchema, TableSchema
 from repro.catalog.statistics import FrequencyHistogram, build_histogram
@@ -156,10 +156,6 @@ class Database:
     def table_sizes(self) -> dict[str, int]:
         """Row counts by table name (edge weights of the schema graph)."""
         return {name: table.row_count for name, table in self._tables.items()}
-
-    def map_tables(self, fn: Callable[[Table], int]) -> dict[str, int]:
-        """Apply *fn* to every table, returning results by name."""
-        return {name: fn(table) for name, table in self._tables.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return f"Database({len(self._tables)} tables, {self.total_rows} rows)"

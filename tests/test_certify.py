@@ -732,17 +732,11 @@ def test_case2_join_annotates_referenced_side(tpch_partitioned):
     partitioned = tpch_partitioned["pref"]
     rewriter = Rewriter(partitioned)
     seen = 0
-
-    def walk(annotated):
-        nonlocal seen
-        if annotated.extra.get("case") in ("case2", "case3"):
-            assert annotated.extra["referenced_side"] in ("left", "right")
-            seen += 1
-        for child in annotated.inputs:
-            walk(child)
-
     for name, build in sorted(ALL_QUERIES.items()):
-        walk(rewriter.rewrite(build()))
+        for annotated in rewriter.rewrite(build()).walk():
+            if annotated.extra.get("case") in ("case2", "case3"):
+                assert annotated.extra["referenced_side"] in ("left", "right")
+                seen += 1
     assert seen > 0, "no PREF-local joins found in the TPC-H plans"
 
 
@@ -802,15 +796,11 @@ def test_distinct_keys_projection_states_membership_only():
         ir.build_plan(case["queries"][0])
     )
 
-    projections = []
-
-    def walk(node):
-        if isinstance(node.node, Project) and node.extra.get("distinct"):
-            projections.append(node.extra)
-        for child in node.inputs:
-            walk(child)
-
-    walk(annotated)
+    projections = [
+        node.extra
+        for node in annotated.walk()
+        if isinstance(node.node, Project) and node.extra.get("distinct")
+    ]
     assert projections == [
         {"distinct": "local", "assume": {"membership_only": True}}
     ]

@@ -157,7 +157,3 @@ class TestPartInfo:
         assert degraded.method is Method.SEED
         assert degraded.anchors == frozenset({"t"})
         assert degraded.hash_columns == ()
-
-    def test_without_anchors(self):
-        part = PartInfo(Method.SEED, 4, anchors=frozenset({"t"}))
-        assert part.without_anchors().anchors == frozenset()

@@ -70,14 +70,10 @@ def canonical(value) -> str:
 
 
 def fingerprint(annotated) -> str:
-    lines = [annotated.explain()]
-    stack = [annotated]
-    while stack:
-        node = stack.pop()
-        lines.append(
-            canonical((node.extra, node.props, node.pristine))
-        )
-        stack.extend(reversed(node.inputs))
+    lines = [annotated.explain()] + [
+        canonical((node.extra, node.props, node.pristine))
+        for node in annotated.walk()
+    ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -1,10 +1,27 @@
 """Tests for the Section 2.2 rewrite process: locality cases, Part/Dup."""
 
-from helpers import pref_chain_config, ref_chain_config, shop_database
+import pytest
+
+from helpers import (
+    all_hashed_config,
+    assert_same_rows,
+    pref_chain_config,
+    ref_chain_config,
+    shop_database,
+)
 from repro.partitioning import partition_database
-from repro.query import Query, Rewriter
+from repro.query import Executor, Query, Rewriter
 from repro.query.expressions import col, lit
-from repro.query.plan import DedupFilter, PartnerFilter, Repartition
+from repro.query.local_executor import LocalExecutor
+from repro.query.options import ExecOptions
+from repro.query.plan import (
+    DedupFilter,
+    Join,
+    JoinKind,
+    PartnerFilter,
+    Repartition,
+    Scan,
+)
 from repro.query.relation import Method
 
 
@@ -13,8 +30,7 @@ def rewriter_for(database, config):
 
 
 def count_nodes(annotated, node_type):
-    total = 1 if isinstance(annotated.node, node_type) else 0
-    return total + sum(count_nodes(child, node_type) for child in annotated.inputs)
+    return sum(isinstance(a.node, node_type) for a in annotated.walk())
 
 
 class TestScanAnnotations:
@@ -82,7 +98,6 @@ class TestJoinLocality:
         assert annotated.props.dup  # inherits the referenced side's dups
 
     def test_case1_both_hashed_on_key(self, shop_db):
-        from helpers import all_hashed_config
         from repro.partitioning import HashScheme, PartitioningConfig
 
         config = PartitioningConfig(4)
@@ -99,7 +114,6 @@ class TestJoinLocality:
         assert count_nodes(annotated, Repartition) == 0
 
     def test_remote_join_requires_shuffles(self, shop_db):
-        from helpers import all_hashed_config
 
         rewriter = rewriter_for(shop_db, all_hashed_config(4))
         plan = (
@@ -240,3 +254,32 @@ class TestSemiAntiRewrites:
         )
         annotated = rewriter.rewrite(plan)
         assert count_nodes(annotated, PartnerFilter) == 0
+
+
+@pytest.mark.parametrize("kind", ["semi", "anti"])
+@pytest.mark.parametrize("optimizations", [True, False])
+@pytest.mark.parametrize("design", ["pref", "hashed"])
+def test_residual_only_semi_anti_join_outputs_the_left_columns(
+    design, optimizations, kind
+):
+    """A SEMI/ANTI join with no key pairs runs as a broadcast join whose
+    output is its left input: the rewriter once declared the right
+    input's columns too, and the gather failed with IndexError."""
+    database = shop_database(seed=3)
+    config = {"pref": pref_chain_config, "hashed": all_hashed_config}[design]
+    plan = Join(
+        Scan("customer", "c"),
+        Scan("orders", "o"),
+        on=(),
+        kind=JoinKind(kind),
+        residual=col("c.custkey") == col("o.custkey"),
+    )
+    executor = Executor(
+        partition_database(database, config(4)),
+        ExecOptions(optimizations=optimizations),
+    )
+    result = executor.execute(plan)
+    expected = LocalExecutor(database).execute(plan)
+    assert result.columns == expected.columns
+    assert_same_rows(result.rows, expected.rows)
+    assert len(result.rows) == {"semi": 18, "anti": 2}[kind]

@@ -65,7 +65,7 @@ class TestPlanning:
         executor = Executor(partitioned)
         plan = sql_to_plan(QUERIES[1], shop_db.schema)
         annotated = executor.rewriter.rewrite(plan)
-        labels = [type(a.node).__name__ for a in _walk(annotated)]
+        labels = [type(a.node).__name__ for a in annotated.walk()]
         assert "PartnerFilter" in labels
 
 
@@ -76,9 +76,3 @@ def test_subqueries_end_to_end(shop_db, query):
     expected = LocalExecutor(shop_db).execute(plan).rows
     actual = Executor(partitioned).execute(plan).rows
     assert_same_rows(actual, expected)
-
-
-def _walk(annotated):
-    yield annotated
-    for child in annotated.inputs:
-        yield from _walk(child)
