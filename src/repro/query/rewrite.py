@@ -806,6 +806,7 @@ class Rewriter:
             part = PartInfo(Method.GATHERED, self.count)
         props = RelProps(out_columns, origins, widths, part)
         return Annotated(node, props, (child,), extra={"strategy": "two_phase"})
+
     def _group_prefix_local(
         self, child: Annotated, group_by: tuple[str, ...]
     ) -> bool:
