@@ -1,7 +1,6 @@
 """Simulated shared-nothing cluster facades."""
 
 from repro.cluster.cluster import SimulatedCluster
-from repro.cluster.node import NodeReport
 from repro.cluster.workload_cluster import WorkloadCluster
 
-__all__ = ["NodeReport", "SimulatedCluster", "WorkloadCluster"]
+__all__ = ["SimulatedCluster", "WorkloadCluster"]

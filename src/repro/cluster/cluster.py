@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import DatabaseSchema
-from repro.cluster.node import NodeReport
 from repro.engine.backends import Backend, SerialBackend, make_backend
 from repro.errors import PartitioningError
 from repro.partitioning.bulk_loader import BulkLoader
@@ -159,20 +158,6 @@ class SimulatedCluster:
             plan = plan_or_sql
         return self.executor.explain(plan)
 
-    def explain_analyze(
-        self, plan_or_sql: PlanNode | str, query_name: str | None = None
-    ) -> str:
-        """Run the query traced and render ``EXPLAIN ANALYZE`` text."""
-        if isinstance(plan_or_sql, str):
-            plan = sql_to_plan(plan_or_sql, self.schema)
-        else:
-            plan = plan_or_sql
-        return self.run(plan, analyze=True, query_name=query_name).explain_analyze()
-
-    def simulated_seconds(self, plan: PlanNode) -> float:
-        """Execute *plan* and return its simulated runtime."""
-        return self.run(plan).simulated_seconds(self.cost)
-
     def serve(self, **options) -> "ClusterServer":
         """A started :class:`~repro.serve.ClusterServer` over this cluster.
 
@@ -240,21 +225,6 @@ class SimulatedCluster:
         return plan
 
     # -- storage -----------------------------------------------------------------
-
-    def node_reports(self) -> list[NodeReport]:
-        """Per-node storage snapshots."""
-        reports = []
-        for node_id in range(self.node_count):
-            tables = {}
-            rows = 0
-            size = 0
-            for name, table in self.partitioned.tables.items():
-                partition = table.partitions[node_id]
-                tables[name] = partition.row_count
-                rows += partition.row_count
-                size += partition.row_count * table.schema.row_byte_width
-            reports.append(NodeReport(node_id, rows, size, tables))
-        return reports
 
     def data_redundancy(self) -> float:
         """DR of the stored database."""

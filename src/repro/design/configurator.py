@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from repro.catalog.schema import DatabaseSchema
 from repro.design.estimator import RedundancyEstimator
-from repro.design.graph import GraphEdge
+from repro.design.graph import GraphEdge, SchemaGraph
 from repro.errors import DesignError
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.scheme import (
@@ -145,7 +145,8 @@ def _enumerate_over_cut(
     """Enumerate seed choices for the forest with *cut* edges removed."""
     cut_keys = {edge.key() for edge in cut}
     kept = [edge for edge in forest_edges if edge.key() not in cut_keys]
-    components = _components(tables, kept)
+    graph = SchemaGraph(dict.fromkeys(tables, 0), kept)
+    components = graph.connected_components()
     total_size = 0.0
     combined = PartitioningConfig(partition_count)
     seeds: list[str] = []
@@ -322,25 +323,3 @@ def is_redundancy_free(
     if not set(referenced_pk) <= set(scheme.referenced_columns):
         return False
     return is_redundancy_free(referenced, config, schema)
-
-
-def _components(
-    tables: list[str], edges: Sequence[GraphEdge]
-) -> list[set[str]]:
-    parent = {table: table for table in tables}
-
-    def find(table: str) -> str:
-        while parent[table] != table:
-            parent[table] = parent[parent[table]]
-            table = parent[table]
-        return table
-
-    for edge in edges:
-        a, b = sorted(edge.tables)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    grouped: dict[str, set[str]] = {}
-    for table in tables:
-        grouped.setdefault(find(table), set()).add(table)
-    return list(grouped.values())

@@ -44,6 +44,27 @@ class GraphEdge:
         return f"{self.predicate} (w={self.weight})"
 
 
+class _UnionFind:
+    """Union-find over table names with path compression."""
+
+    def __init__(self, items) -> None:
+        self.parent = {item: item for item in items}
+
+    def find(self, item: str) -> str:
+        parent = self.parent
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    def union(self, a: str, b: str) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
 class SchemaGraph:
     """An undirected, labeled, weighted graph over tables."""
 
@@ -133,25 +154,14 @@ class SchemaGraph:
         return sum(edge.weight for edge in self.edges)
 
     def connected_components(self) -> list[set[str]]:
-        """Connected components over tables (isolated nodes included)."""
-        parent = {table: table for table in self.sizes}
-
-        def find(table: str) -> str:
-            root = table
-            while parent[root] != root:
-                root = parent[root]
-            while parent[table] != root:
-                parent[table], table = root, parent[table]
-            return root
-
+        """Connected components over tables (isolated nodes included), in
+        the order of their first table."""
+        uf = _UnionFind(self.sizes)
         for edge in self.edges:
-            a, b = sorted(edge.tables)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+            uf.union(*sorted(edge.tables))
         components: dict[str, set[str]] = {}
         for table in self.sizes:
-            components.setdefault(find(table), set()).add(table)
+            components.setdefault(uf.find(table), set()).add(table)
         return list(components.values())
 
     def subgraph(self, tables: Iterable[str]) -> "SchemaGraph":
@@ -181,21 +191,8 @@ class SchemaGraph:
 
     def is_acyclic(self) -> bool:
         """True if the graph is a forest."""
-        parent = {table: table for table in self.sizes}
-
-        def find(table: str) -> str:
-            while parent[table] != table:
-                parent[table] = parent[parent[table]]
-                table = parent[table]
-            return table
-
-        for edge in self.edges:
-            a, b = sorted(edge.tables)
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[rb] = ra
-        return True
+        uf = _UnionFind(self.sizes)
+        return all(uf.union(*sorted(edge.tables)) for edge in self.edges)
 
     def __iter__(self) -> Iterator[GraphEdge]:
         return iter(self.edges)

@@ -11,28 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.design.graph import GraphEdge, SchemaGraph
-
-
-class _UnionFind:
-    """Union-find over table names with path compression."""
-
-    def __init__(self, items) -> None:
-        self.parent = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        parent = self.parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+from repro.design.graph import GraphEdge, SchemaGraph, _UnionFind
 
 
 def _sorted_edges(graph: SchemaGraph) -> list[GraphEdge]:

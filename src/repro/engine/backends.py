@@ -55,7 +55,7 @@ def run_step(
 ) -> None:
     """Run one task of *op*, accounting into the recorder *ctx*.
 
-    With a trace hook installed the task is timed and reported to it.
+    When the query is traced the task is timed and recorded.
     """
     if phase == "prepare":
         node_id, fn = index, op.prepare_partition
@@ -64,7 +64,7 @@ def run_step(
     else:
         node_id, fn = index, op.run_partition
     args = (ctx,) if node_id is None else (ctx, index)
-    if ctx.trace is None:
+    if ctx.trace_events is None:
         fn(*args)
         return
     started = time.perf_counter()
@@ -73,7 +73,7 @@ def run_step(
     worker = threading.current_thread().name
     ctx.metrics.inc(f"engine.tasks.{phase}")
     ctx.metrics.observe("time.task_seconds", elapsed, TIME_BUCKETS)
-    ctx.record_trace(
+    ctx.trace_events.append(
         TraceEvent(op.op_id, op.label, phase, node_id, elapsed, worker)
     )
 

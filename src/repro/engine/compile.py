@@ -51,6 +51,7 @@ from repro.engine.operators import (
     PhysicalFilter,
     PhysicalGather,
     PhysicalHashJoin,
+    PhysicalMask,
     PhysicalOperator,
     PhysicalOrderBy,
     PhysicalPartnerFilter,
@@ -97,8 +98,8 @@ def assign_live_columns(op: PhysicalOperator, demand: frozenset[int]) -> None:
     *demand* is what the parent reads of *op*'s output.  An operator that
     passes columns through materialises ``demand`` and asks each child
     for that plus whatever it reads itself; one that computes its output
-    (project, aggregate) or works on whole rows (order-by, gather,
-    keyless nested-loop join, local DISTINCT) stays fully live.  A read
+    (project, aggregate) or works on whole rows (order-by, gather, local
+    DISTINCT) stays fully live.  A read
     the rules below do not declare fails loudly at run time: a dead
     column is an absent slot, never NULL.
     """
@@ -111,21 +112,15 @@ def assign_live_columns(op: PhysicalOperator, demand: frozenset[int]) -> None:
         return
     (child,) = op.inputs
     columns = child.props.columns
-    if isinstance(op, PhysicalFilter):
+    if isinstance(op, PhysicalMask):
         op.live = demand
-        needs = demand | referenced_positions([node.condition], columns)
+        needs = demand | op.reads
     elif isinstance(op, PhysicalBloomProbe):
         # The probed keys, and the keys filters for other sites are built
         # from (which only happen to be live when the join above the
         # probe is the one that produced the edge).
         op.live = demand
         needs = demand | op.key_positions()
-    elif isinstance(op, PhysicalDedup):
-        op.live = demand
-        needs = demand.union(op.positions)
-    elif isinstance(op, PhysicalPartnerFilter):
-        op.live = demand
-        needs = demand | {op.position}
     elif isinstance(op, PhysicalRepartition) and not op.local_distinct:
         op.live = demand
         needs = demand.union(op.key_positions, op.governing)
@@ -144,11 +139,6 @@ def assign_live_columns(op: PhysicalOperator, demand: frozenset[int]) -> None:
 
 def _assign_join(op: PhysicalHashJoin, demand: frozenset[int]) -> None:
     left, right = op.inputs
-    if not op.node.on:
-        # Nested loop over row tuples: both inputs whole, output whole.
-        assign_live_columns(left, left.live)
-        assign_live_columns(right, right.live)
-        return
     op.live = demand
     if op.node.kind in (JoinKind.SEMI, JoinKind.ANTI):
         # The output is the left input; the build side is only probed.
@@ -225,11 +215,9 @@ class _Compiler:
     # -- pipeline operators ------------------------------------------------
 
     def _filter(self, annotated: Annotated) -> PhysicalOperator:
-        node: Filter = annotated.node
         child = self.lower(annotated.inputs[0])
-        predicate = node.condition.bind_batch(child.props.columns)
         indexed = _scan_adjacent(annotated.inputs[0])
-        return PhysicalFilter(annotated, child, predicate, indexed)
+        return PhysicalFilter(annotated, child, indexed)
 
     def _bloom_probe(self, annotated: Annotated) -> PhysicalOperator:
         child = self.lower(annotated.inputs[0])

@@ -36,7 +36,7 @@ the order serial execution produces and backends cannot be told apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import ROW_BUCKETS, MetricsRegistry
 
@@ -126,7 +126,7 @@ COUNTERS = tuple(f for f in fields(OperatorStats) if "metric" in f.metadata)
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One completed engine task, reported to the trace hook."""
+    """One completed engine task, recorded when the query is traced."""
 
     op_id: int
     label: str
@@ -154,10 +154,10 @@ class ContextDelta:
         #: ``(op_id, node, build rows, probe rows)`` per hash join.
         self.join_events: list[tuple[int, int, int, int]] = []
         self.metrics = MetricsRegistry(locked=False)
-        self.trace_events: list[TraceEvent] = []
-        #: Non-None makes the backends time their tasks.
-        self.trace: Callable[[TraceEvent], None] | None = (
-            self.trace_events.append if collect_trace else None
+        #: The finished tasks, in completion order; non-None makes the
+        #: backends time their tasks.
+        self.trace_events: list[TraceEvent] | None = (
+            [] if collect_trace else None
         )
 
     def record(self, op: "PhysicalOperator") -> OperatorStats:
@@ -238,34 +238,21 @@ class ContextDelta:
         """Record patch-list rows delivered by *op*'s residual shuffle."""
         self.record(op).patch_rows += rows
 
-    def record_trace(self, event: TraceEvent) -> None:
-        """Hand *event* to the trace hook, if one is installed."""
-        if self.trace is not None:
-            self.trace(event)
-
 
 class ExecutionContext(ContextDelta):
     """One query execution: its recorder, operator registry and totals.
 
     Attributes:
         stats: The cost-model totals, filled in by :meth:`finish`.
-        trace: Optional hook called with a :class:`TraceEvent` per
-            completed engine task.  Calls are serial: from the executing
-            thread, or from :meth:`merge_delta`.
     """
 
-    def __init__(
-        self,
-        node_count: int,
-        trace: Callable[[TraceEvent], None] | None = None,
-    ) -> None:
+    def __init__(self, node_count: int, collect_trace: bool = False) -> None:
         # Deferred import: repro.query's package init imports the engine,
         # so a module-level import here would re-enter it mid-exec when
         # the engine is imported first (e.g. via repro.cluster).
         from repro.query.cost import ExecutionStats
 
-        super().__init__(node_count)
-        self.trace = trace
+        super().__init__(node_count, collect_trace)
         self.stats = ExecutionStats(node_count)
 
     def register(self, op: "PhysicalOperator") -> None:
@@ -278,7 +265,7 @@ class ExecutionContext(ContextDelta):
 
     def delta(self) -> ContextDelta:
         """A fresh recorder for one pooled task of this query."""
-        return ContextDelta(self.node_count, collect_trace=self.trace is not None)
+        return ContextDelta(self.node_count, self.trace_events is not None)
 
     def merge_delta(self, delta: ContextDelta) -> None:
         """Fold a finished recorder into this context.
@@ -290,8 +277,8 @@ class ExecutionContext(ContextDelta):
             self.operators[op_id].merge(record)
         self.join_events.extend(delta.join_events)
         self.metrics.merge(delta.metrics)
-        for event in delta.trace_events:
-            self.record_trace(event)
+        if delta.trace_events:
+            self.trace_events.extend(delta.trace_events)
 
     def finish(self) -> ExecutionStats:
         """Derive the query totals from the operator records.

@@ -48,7 +48,6 @@ from repro.engine.bloom import TRANSFER_FPR, BloomFilter
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import (
     ColumnBatch,
-    Row,
     _null_free_key,
     _null_pad,
     _sort_key,
@@ -73,6 +72,10 @@ BatchFn = Callable[[ColumnBatch], list]
 #: cost per group) instead of row by row (no per-group cost).  Measured,
 #: not configured: EXPERIMENTS.md, "Columnar aggregation state".
 GROUP_FOLD_ROWS = 64
+
+#: Candidate pairs a keyless join materialises at once.  It pairs every
+#: probe row with every build row, so this bounds its memory, not its work.
+KEYLESS_PAIRS = 1 << 18
 
 
 def _group_ids(keys: Iterable) -> tuple[list[int], list]:
@@ -323,34 +326,107 @@ class PhysicalScan(PhysicalOperator):
         self.store_batch(p, batch)
 
 
-class PhysicalFilter(PhysicalOperator):
-    """Batch filter.  Directly over a base-table scan it is served by an
-    index: only the qualifying rows are charged."""
+class PhysicalMask(PhysicalOperator):
+    """A pipeline operator that keeps the input rows a mask selects.
 
-    name = "filter"
+    A subclass says which rows (:meth:`keep`) and which input positions
+    that reads (``reads``).  Directly over a base-table scan the mask is
+    served by an index: only the kept rows are charged.
+    """
 
     def __init__(
         self,
         annotated: Annotated,
         child: PhysicalOperator,
-        predicate: BatchFn,
+        reads: Iterable[int],
         indexed: bool,
     ) -> None:
         super().__init__(annotated, [child], child.output_count)
-        self.predicate = predicate
+        #: The input positions :meth:`keep` reads.
+        self.reads = frozenset(reads)
         self.indexed = indexed
+
+    def keep(self, batch: ColumnBatch) -> Sequence[object]:
+        """Per row of *batch*, whether it stays (falsy entries drop)."""
+        raise NotImplementedError
+
+    def count_dropped(self, ctx: ExecutionContext, rows: int) -> None:
+        """Account the *rows* the mask dropped (nothing, by default)."""
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
         batch = child.partition_batch(p)
-        # Unknown (None) is falsy, so compress rejects it for free.
-        out = batch.prune(self.live).compress(self.predicate(batch))
+        out = batch.prune(self.live).compress(self.keep(batch))
         ctx.account(
             self, child.props.part.method, p,
             out.length if self.indexed else batch.length,
         )
+        self.count_dropped(ctx, batch.length - out.length)
         ctx.add_output(self, out.length, p)
         self.store_batch(p, out)
+
+
+class PhysicalFilter(PhysicalMask):
+    """Batch filter: the plan node's condition as one batch kernel."""
+
+    name = "filter"
+
+    def __init__(
+        self, annotated: Annotated, child: PhysicalOperator, indexed: bool
+    ) -> None:
+        condition = annotated.node.condition
+        columns = child.props.columns
+        super().__init__(
+            annotated,
+            child,
+            referenced_positions([condition], columns),
+            indexed,
+        )
+        self.predicate: BatchFn = condition.bind_batch(columns)
+
+    def keep(self, batch: ColumnBatch) -> list:
+        # Unknown (None) is falsy, so compress rejects it for free.
+        return self.predicate(batch)
+
+
+class PhysicalDedup(PhysicalMask):
+    """PREF duplicate elimination via the governing dup-bitmap columns.
+
+    Used both for explicit DedupFilter plan nodes and for the implicit
+    final dedup before gathering the result.
+    """
+
+    name = "dedup"
+
+    def keep(self, batch: ColumnBatch) -> list[bool]:
+        return all_false_mask(
+            [batch.column(q) for q in self.reads], batch.length
+        )
+
+    def count_dropped(self, ctx: ExecutionContext, rows: int) -> None:
+        ctx.add_dup_eliminated(self, rows)
+
+
+class PhysicalPartnerFilter(PhysicalMask):
+    """The paper's hasS-index rewrite: semi/anti join as a bitmap filter."""
+
+    name = "partner_filter"
+
+    def __init__(
+        self,
+        annotated: Annotated,
+        child: PhysicalOperator,
+        position: int,
+        expect: bool,
+        indexed: bool,
+    ) -> None:
+        super().__init__(annotated, child, (position,), indexed)
+        self.position = position
+        self.expect = 1 if expect else 0
+
+    def keep(self, batch: ColumnBatch) -> list[bool]:
+        expect = self.expect
+        return [value == expect for value in batch.column(self.position)]
 
 
 class _Pruning(NamedTuple):
@@ -546,76 +622,6 @@ class PhysicalProject(PhysicalOperator):
         self.store_batch(p, out)
 
 
-class PhysicalDedup(PhysicalOperator):
-    """PREF duplicate elimination via the governing dup-bitmap columns.
-
-    Used both for explicit DedupFilter plan nodes and for the implicit
-    final dedup before gathering the result.  Elimination via the dup
-    bitmap index costs only the kept rows when applied directly over a
-    scan.
-    """
-
-    name = "dedup"
-
-    def __init__(
-        self,
-        annotated: Annotated,
-        child: PhysicalOperator,
-        positions: Sequence[int],
-        indexed: bool,
-    ) -> None:
-        super().__init__(annotated, [child], child.output_count)
-        self.positions = tuple(positions)
-        self.indexed = indexed
-
-    def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        child = self.inputs[0]
-        batch = child.partition_batch(p)
-        keep = all_false_mask(
-            [batch.column(q) for q in self.positions], batch.length
-        )
-        out = batch.prune(self.live).compress(keep)
-        ctx.account(
-            self, child.props.part.method, p,
-            out.length if self.indexed else batch.length,
-        )
-        ctx.add_dup_eliminated(self, batch.length - out.length)
-        ctx.add_output(self, out.length, p)
-        self.store_batch(p, out)
-
-
-class PhysicalPartnerFilter(PhysicalOperator):
-    """The paper's hasS-index rewrite: semi/anti join as a bitmap filter."""
-
-    name = "partner_filter"
-
-    def __init__(
-        self,
-        annotated: Annotated,
-        child: PhysicalOperator,
-        position: int,
-        expect: bool,
-        indexed: bool,
-    ) -> None:
-        super().__init__(annotated, [child], child.output_count)
-        self.position = position
-        self.expect = 1 if expect else 0
-        self.indexed = indexed
-
-    def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        child = self.inputs[0]
-        batch = child.partition_batch(p)
-        expect = self.expect
-        keep = [value == expect for value in batch.column(self.position)]
-        out = batch.prune(self.live).compress(keep)
-        ctx.account(
-            self, child.props.part.method, p,
-            out.length if self.indexed else batch.length,
-        )
-        ctx.add_output(self, out.length, p)
-        self.store_batch(p, out)
-
-
 # --------------------------------------------------------------------------
 # Exchange operators
 # --------------------------------------------------------------------------
@@ -731,13 +737,10 @@ class _Broadcast(NamedTuple):
 
     ship_left: bool
     shipped: ColumnBatch
-    #: The exchange already stored the whole result (both inputs turned
-    #: out to be single copies); the partition tasks have nothing to do.
-    done: bool
 
 
 class PhysicalHashJoin(PhysicalOperator):
-    """Hash join (or nested loop without keys) in one of three modes:
+    """Hash join in one of three modes:
 
     * ``local`` — inputs are co-partitioned; every node joins its own
       rows independently (one task per node, no exchange);
@@ -745,12 +748,14 @@ class PhysicalHashJoin(PhysicalOperator):
     * ``broadcast`` — ship the smaller input to every node in the
       exchange, then probe per node concurrently.
 
-    The keyed join is fully columnar: build and probe keys come from one
+    The join is fully columnar: build and probe keys come from one
     ``zip`` over the key columns, match pairs accumulate as index lists,
     and the output is a gather over both inputs — with ``-1`` marking
-    LEFT OUTER pad rows.  Output order is the row engine's contract:
-    left-row order, matches in right-insertion order, the pad emitted
-    when no match survives the residual.
+    LEFT OUTER pad rows.  A keyless (cross or theta) join keys every row
+    to ``()``, so the same kernel pairs every left row with every right
+    row.  Output order is the row engine's contract: left-row order,
+    matches in right-insertion order, the pad emitted when no match
+    survives the residual.
     """
 
     name = "join"
@@ -773,10 +778,7 @@ class PhysicalHashJoin(PhysicalOperator):
         if self.strategy == "broadcast":
             self.barrier = True
         combined = left.props.columns + right.props.columns
-        self.residual = (
-            node.residual.bind(combined) if node.residual is not None else None
-        )
-        self.residual_batch = (
+        self.residual: BatchFn | None = (
             node.residual.bind_batch(combined)
             if node.residual is not None
             else None
@@ -800,7 +802,6 @@ class PhysicalHashJoin(PhysicalOperator):
         self.pad = (
             _null_pad(right.props) if node.kind is JoinKind.LEFT_OUTER else None
         )
-        self.exchanged = _Broadcast(False, ColumnBatch.empty(0), False)
         # Build-side caches, keyed by batch identity: broadcast probes
         # join every node's rows against the *same* shipped build batch,
         # so the hash table (or partner key set) is built once per query
@@ -827,14 +828,18 @@ class PhysicalHashJoin(PhysicalOperator):
     ) -> ColumnBatch:
         """Join two batches; *stored* is the partition *right_batch*
         aliases, if any, whose kept key index then serves as the build."""
-        node = self.node
-        if not node.on:
-            rows = self._nested_loop(
-                left_batch.to_rows(), right_batch.to_rows()
+        rows = left_batch.length
+        step = KEYLESS_PAIRS // max(right_batch.length, 1) or 1
+        if not self.left_positions and rows > step:
+            # Output is in probe-row order: join the probe rows a chunk at
+            # a time and concatenate.
+            chunks = (range(i, min(i + step, rows)) for i in range(0, rows, step))
+            return ColumnBatch.concat(
+                [self._join_batches(left_batch.take(c), right_batch) for c in chunks],
+                self.width,
             )
-            return ColumnBatch.from_rows(rows, self.width)
         left_keys = left_batch.key_values(self.left_positions)
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
+        if self.node.kind in (JoinKind.SEMI, JoinKind.ANTI):
             return self._semi_anti(left_batch, left_keys, right_batch, stored)
         return self._equi_join(left_batch, left_keys, right_batch, stored)
 
@@ -846,9 +851,11 @@ class PhysicalHashJoin(PhysicalOperator):
 
         A stored build side answers from the partition's key index, so a
         table with repeated keys is built once per write, not per query;
-        any other build side is built here, once per batch.
+        any other build side is built here, once per batch.  A keyless
+        build has no key positions to index: it is built here too, from
+        one column keying every row to ``()``.
         """
-        if stored is not None:
+        if stored is not None and self.right_positions:
             table, unique = stored.key_table(
                 self.right_positions, not self._dup_build
             )
@@ -856,53 +863,45 @@ class PhysicalHashJoin(PhysicalOperator):
             cached = self._table_cache
             if cached is not None and cached[0] is right_batch:
                 return cached[1], cached[2]
+            columns = [right_batch.column(p) for p in self.right_positions]
             table, unique = build_key_table(
-                [right_batch.column(p) for p in self.right_positions],
-                not self._dup_build,
+                columns or [right_batch.key_tuples(())], not self._dup_build
             )
             self._table_cache = (right_batch, table, unique)
         if not unique:
             self._dup_build = True
         return table, unique
 
-    def _combined(
+    def _residual_matches(
         self,
+        table: dict,
         left_batch: ColumnBatch,
-        left_idx: list[int],
+        left_keys: list,
         right_batch: ColumnBatch,
-        right_idx: list[int],
-    ) -> ColumnBatch:
-        """Candidate pairs as one wide batch for residual evaluation
-        (only the columns the residual reads are gathered)."""
-        return ColumnBatch(
-            left_batch.prune(self.left_residual).take(left_idx).columns
-            + right_batch.prune(self.right_residual).take(right_idx).columns,
-            len(left_idx),
+    ) -> tuple[list[int], list[tuple[int, int]], list]:
+        """The key-equal pairs' build rows and per probe row their run
+        (see :func:`_key_matches`), and the residual's verdict on each
+        pair, evaluated once over all of them."""
+        left_idx, right_idx, spans = _key_matches(table, left_keys)
+        mask = self.residual(
+            ColumnBatch(
+                left_batch.prune(self.left_residual).take(left_idx).columns
+                + right_batch.prune(self.right_residual).take(right_idx).columns,
+                len(left_idx),
+            )
         )
+        return right_idx, spans, mask
 
     def _emit(
-        self,
-        left_batch: ColumnBatch,
-        left_idx: list[int],
-        right_batch: ColumnBatch,
-        right_idx: list[int],
-    ) -> ColumnBatch:
-        """Gather the output batch; ``-1`` in *right_idx* is the pad."""
-        return self._emit_aligned(
-            left_batch.prune(self.left_out).take(left_idx),
-            right_batch,
-            right_idx,
-        )
-
-    def _emit_aligned(
         self,
         left_out: ColumnBatch,
         right_batch: ColumnBatch,
         right_idx: list[int],
     ) -> ColumnBatch:
-        """Output when *left_out* (already pruned to ``self.left_out``)
-        is aligned row-for-row with *right_idx*: its columns pass through
-        with no gather at all (the unique-build joins rely on this)."""
+        """The output batch: *left_out* (pruned to ``self.left_out``) is
+        aligned row-for-row with *right_idx*, where ``-1`` is the pad, and
+        its columns pass through with no gather at all (the unique-build
+        joins rely on this)."""
         pad = self.pad
         right = right_batch.prune(self.right_out)
         if pad is None:
@@ -924,7 +923,7 @@ class PhysicalHashJoin(PhysicalOperator):
         stored: Partition | None,
     ) -> ColumnBatch:
         table, unique = self._table(right_batch, stored)
-        residual = self.residual_batch
+        residual = self.residual
         pad = self.pad
         if residual is None and unique:
             # Unique build side (the usual FK -> PK case): every probe
@@ -936,11 +935,11 @@ class PhysicalHashJoin(PhysicalOperator):
             left_out = left_batch.prune(self.left_out)
             if pad is not None:
                 right_idx = [-1 if m is None else m for m in raw]
-                return self._emit_aligned(left_out, right_batch, right_idx)
+                return self._emit(left_out, right_batch, right_idx)
             if None not in raw:  # every probe row matched (FK -> PK)
-                return self._emit_aligned(left_out, right_batch, raw)
+                return self._emit(left_out, right_batch, raw)
             mask = [m is not None for m in raw]
-            return self._emit_aligned(
+            return self._emit(
                 left_out.compress(mask),
                 right_batch,
                 list(compress(raw, mask)),
@@ -949,7 +948,7 @@ class PhysicalHashJoin(PhysicalOperator):
             # NULL-bearing probe keys miss for free: the table only
             # holds NULL-free keys, and no tuple equals one of those.
             left_idx: list[int] = []
-            right_idx: list[int] = []
+            right_idx = []
             for i, matches in enumerate(map(table.get, left_keys)):
                 if matches is None:
                     if pad is not None:
@@ -961,13 +960,12 @@ class PhysicalHashJoin(PhysicalOperator):
                 else:
                     left_idx.extend([i] * len(matches))
                     right_idx.extend(matches)
-            return self._emit(left_batch, left_idx, right_batch, right_idx)
-        # A residual restricts which key matches survive: evaluate it
-        # once over every candidate pair, then keep survivors in
-        # left-row order, padding rows whose matches all failed.
-        left_idx, right_idx, spans = _key_matches(table, left_keys)
-        mask = residual(
-            self._combined(left_batch, left_idx, right_batch, right_idx)
+            left_out = left_batch.prune(self.left_out).take(left_idx)
+            return self._emit(left_out, right_batch, right_idx)
+        # A residual restricts which key matches survive: keep survivors
+        # in left-row order, padding rows whose matches all failed.
+        right_idx, spans, mask = self._residual_matches(
+            table, left_batch, left_keys, right_batch
         )
         final_left: list[int] = []
         final_right: list[int] = []
@@ -981,7 +979,8 @@ class PhysicalHashJoin(PhysicalOperator):
             if pad is not None and not emitted:
                 final_left.append(i)
                 final_right.append(-1)
-        return self._emit(left_batch, final_left, right_batch, final_right)
+        left_out = left_batch.prune(self.left_out).take(final_left)
+        return self._emit(left_out, right_batch, final_right)
 
     def _semi_anti(
         self,
@@ -991,82 +990,48 @@ class PhysicalHashJoin(PhysicalOperator):
         stored: Partition | None,
     ) -> ColumnBatch:
         expect = self.node.kind is JoinKind.SEMI
-        residual = self.residual_batch
-        if residual is None:
-            cached = self._keyset_cache
-            if cached is not None and cached[0] is right_batch:
-                keys = cached[1]
+        if self.residual is not None:
+            # A residual restricts which key matches count as partners: a
+            # left row matches only if some key-equal right row also
+            # satisfies the residual on the combined row.
+            partners, _unique = self._table(right_batch, stored)
+            _right_idx, spans, mask = self._residual_matches(
+                partners, left_batch, left_keys, right_batch
+            )
+            keep = [any(mask[start:stop]) == expect for start, stop in spans]
+            return left_batch.prune(self.left_out).compress(keep)
+        cached = self._keyset_cache
+        if cached is not None and cached[0] is right_batch:
+            keys = cached[1]
+        else:
+            right_keys = right_batch.key_values(self.right_positions)
+            if len(self.right_positions) == 1:
+                keys = set(right_keys)
+                keys.discard(None)
+            elif any(right_batch.has_nulls(p) for p in self.right_positions):
+                keys = {key for key in right_keys if _null_free_key(key)}
             else:
-                right_keys = right_batch.key_values(self.right_positions)
-                if len(self.right_positions) == 1:
-                    keys = set(right_keys)
-                    keys.discard(None)
-                elif any(
-                    right_batch.has_nulls(p) for p in self.right_positions
-                ):
-                    keys = {key for key in right_keys if _null_free_key(key)}
-                else:
-                    keys = set(right_keys)
-                self._keyset_cache = (right_batch, keys)
-            # A NULL-bearing left key is never a partner — which keeps
-            # the row under ANTI and drops it under SEMI.  Bare (single
-            # column) keys need no NULL branch at all: None is never in
-            # *keys*, so membership alone is already the SQL test.
-            if len(self.left_positions) == 1:
-                if expect:
-                    keep = list(map(keys.__contains__, left_keys))
-                else:
-                    keep = [key not in keys for key in left_keys]
-            elif any(left_batch.has_nulls(p) for p in self.left_positions):
-                keep = [
-                    (_null_free_key(key) and key in keys) == expect
-                    for key in left_keys
-                ]
-            elif expect:
-                keep = [key in keys for key in left_keys]
+                keys = set(right_keys)
+            self._keyset_cache = (right_batch, keys)
+        # A NULL-bearing left key is never a partner — which keeps the row
+        # under ANTI and drops it under SEMI.  Bare (single column) keys
+        # need no NULL branch at all: None is never in *keys*, so
+        # membership alone is already the SQL test.
+        if len(self.left_positions) == 1:
+            if expect:
+                keep = list(map(keys.__contains__, left_keys))
             else:
                 keep = [key not in keys for key in left_keys]
-            return left_batch.prune(self.left_out).compress(keep)
-        # A residual restricts which key matches count as partners: a
-        # left row matches only if some key-equal right row also
-        # satisfies the residual on the combined row.
-        partners, _unique = self._table(right_batch, stored)
-        left_idx, right_idx, spans = _key_matches(partners, left_keys)
-        mask = residual(
-            self._combined(left_batch, left_idx, right_batch, right_idx)
-        )
-        keep = [
-            any(mask[pos] for pos in range(start, stop)) == expect
-            for start, stop in spans
-        ]
+        elif any(left_batch.has_nulls(p) for p in self.left_positions):
+            keep = [
+                (_null_free_key(key) and key in keys) == expect
+                for key in left_keys
+            ]
+        elif expect:
+            keep = [key in keys for key in left_keys]
+        else:
+            keep = [key not in keys for key in left_keys]
         return left_batch.prune(self.left_out).compress(keep)
-
-    def _nested_loop(self, left_rows: list[Row], right_rows: list[Row]) -> list[Row]:
-        node = self.node
-        residual = self.residual
-        pad = self.pad
-        if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
-            expect = node.kind is JoinKind.SEMI
-            result = []
-            for row in left_rows:
-                matched = any(
-                    residual is None or residual(row + other)
-                    for other in right_rows
-                )
-                if matched == expect:
-                    result.append(row)
-            return result
-        out: list[Row] = []
-        for row in left_rows:
-            emitted = False
-            for other in right_rows:
-                combined = row + other
-                if residual is None or residual(combined):
-                    out.append(combined)
-                    emitted = True
-            if pad is not None and not emitted:
-                out.append(row + pad)
-        return out
 
     # -- broadcast exchange ------------------------------------------------
 
@@ -1089,31 +1054,14 @@ class PhysicalHashJoin(PhysicalOperator):
             shipped_op.width,
         )
         if shipped_op.props.part.method is not Method.REPLICATED:
-            bytes_each = shipped_op.props.row_bytes()
-            ctx.add_network(
-                self,
-                bytes_each * shipped.length * max(self.count - 1, 1),
-                shipped.length * max(self.count - 1, 1),
-            )
-        self.exchanged = _Broadcast(ship_left, shipped, kept_op.is_single_copy)
+            copies = shipped.length * max(self.count - 1, 1)
+            ctx.add_network(self, shipped_op.props.row_bytes() * copies, copies)
+        self.exchanged = _Broadcast(ship_left, shipped)
         if kept_op.is_single_copy:
             # Both inputs are now fully available on every node; computing
             # per partition would emit the result once per node.  Compute
             # once instead.
-            kept = kept_op.partition_batch(0)
-            if ship_left:
-                out = self._join_batches(shipped, kept)
-            else:
-                out = self._join_batches(kept, shipped)
-            ctx.add_work(self, 0, kept.length + shipped.length + out.length)
-            ctx.add_join_event(
-                self,
-                0,
-                kept.length if ship_left else shipped.length,
-                shipped.length if ship_left else kept.length,
-            )
-            ctx.add_output(self, out.length, 0)
-            self.store_batch(0, out)
+            self._broadcast_step(ctx, 0, kept_op.partition_batch(0))
             for index in range(1, self.output_count):
                 self.store_batch(index, ColumnBatch.empty(self.width))
 
@@ -1128,10 +1076,12 @@ class PhysicalHashJoin(PhysicalOperator):
     # -- per-partition execution -------------------------------------------
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        if self.strategy == "broadcast":
-            self._run_broadcast_partition(ctx, p)
-            return
         left, right = self.inputs
+        if self.strategy == "broadcast":
+            kept_op = right if self.exchanged.ship_left else left
+            if not kept_op.is_single_copy:  # else exchange() stored it all
+                self._broadcast_step(ctx, p, kept_op.node_batch(p))
+            return
         # The stored partition travels as an argument, never through an
         # attribute: a pool runs this join's partition tasks concurrently.
         if self.single:
@@ -1145,31 +1095,36 @@ class PhysicalHashJoin(PhysicalOperator):
             ctx.add_output(self, out.length, 0)
             self.store_batch(0, out)
             return
-        left_batch = left.node_batch(p)
-        right_batch = right.node_batch(p)
-        out = self._join_batches(left_batch, right_batch, right.node_stored(p))
+        self._join_step(
+            ctx, p, left.node_batch(p), right.node_batch(p), right.node_stored(p)
+        )
+
+    def _broadcast_step(
+        self, ctx: ExecutionContext, p: int, kept: ColumnBatch
+    ) -> None:
+        """Join node *p*'s *kept* rows with the shipped input."""
+        ship_left, shipped = self.exchanged
+        if ship_left:
+            self._join_step(ctx, p, shipped, kept)
+        else:
+            self._join_step(ctx, p, kept, shipped)
+
+    def _join_step(
+        self,
+        ctx: ExecutionContext,
+        p: int,
+        left_batch: ColumnBatch,
+        right_batch: ColumnBatch,
+        stored: Partition | None = None,
+    ) -> None:
+        """Join one node's inputs into output partition *p*, charging
+        both inputs and the output (*stored* as for
+        :meth:`_join_batches`)."""
+        out = self._join_batches(left_batch, right_batch, stored)
         ctx.add_work(
             self, p, left_batch.length + right_batch.length + out.length
         )
         ctx.add_join_event(self, p, right_batch.length, left_batch.length)
-        ctx.add_output(self, out.length, p)
-        self.store_batch(p, out)
-
-    def _run_broadcast_partition(self, ctx: ExecutionContext, p: int) -> None:
-        ship_left, shipped, done = self.exchanged
-        if done:
-            return  # stored by exchange()
-        left, right = self.inputs
-        kept_op = right if ship_left else left
-        kept = kept_op.node_batch(p)
-        if ship_left:
-            out = self._join_batches(shipped, kept)
-        else:
-            out = self._join_batches(kept, shipped)
-        ctx.add_work(self, p, kept.length + shipped.length + out.length)
-        build_rows = kept.length if ship_left else shipped.length
-        probe_rows = shipped.length if ship_left else kept.length
-        ctx.add_join_event(self, p, build_rows, probe_rows)
         ctx.add_output(self, out.length, p)
         self.store_batch(p, out)
 
@@ -1339,60 +1294,19 @@ class PhysicalAggregate(PhysicalOperator):
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         child = self.inputs[0]
-        if self.strategy == "single":
+        if self.strategy == "single":  # one output partition: p == 0
             batch = child.partition_batch(0)
             ctx.add_work(self, 0, batch.length)
             out = self._result_batch(*self._partial_states(batch))
-            ctx.add_output(self, out.length, 0)
-            self.store_batch(0, out)
-            return
-        if self.strategy == "local":
+        elif self.strategy == "local":
             batch = child.partition_batch(p)
             out = self._result_batch(*self._partial_states(batch))
             ctx.add_work(self, p, batch.length + out.length)
-            ctx.add_output(self, out.length, p)
-            self.store_batch(p, out)
-            return
-        staged = self.exchanged[p]
-        ctx.add_work(self, 0 if self.scalar else p, staged.length)
-        ctx.add_output(self, staged.length, p)
-        self.store_batch(p, staged)
-
-
-class PhysicalOrderBy(PhysicalOperator):
-    """Gather every partition on the coordinator, sort, apply the limit.
-
-    Sorting happens on row tuples: a coordinator-side, once-per-query
-    path where Python's stable ``sort`` over materialised rows beats
-    columnar reordering.
-    """
-
-    barrier = True
-    name = "order_by"
-
-    def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
-        node: OrderBy = annotated.node
-        super().__init__(annotated, [child], 1)
-        self.sort_positions = [
-            (child.props.position(column), ascending)
-            for column, ascending in node.keys
-        ]
-        self.limit = node.limit
-
-    def exchange(self, ctx: ExecutionContext) -> None:
-        rows = _gather(self.inputs[0], self, ctx).to_rows()
-        for position, ascending in reversed(self.sort_positions):
-            rows.sort(
-                key=lambda row: _sort_key(row[position]), reverse=not ascending
-            )
-        if self.limit is not None:
-            rows = rows[: self.limit]
-        ctx.add_work(self, 0, len(rows))
-        self.exchanged = ColumnBatch.from_rows(rows, self.width)
-
-    def run_partition(self, ctx: ExecutionContext, p: int) -> None:
-        ctx.add_output(self, self.exchanged.length, 0)
-        self.store_batch(0, self.exchanged)
+        else:
+            out = self.exchanged[p]
+            ctx.add_work(self, 0 if self.scalar else p, out.length)
+        ctx.add_output(self, out.length, p)
+        self.store_batch(p, out)
 
 
 class PhysicalGather(PhysicalOperator):
@@ -1404,27 +1318,56 @@ class PhysicalGather(PhysicalOperator):
     def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
         super().__init__(annotated, [child], 1)
 
+    def gather(self, ctx: ExecutionContext) -> ColumnBatch:
+        """Move every partition of the child to the coordinator, metered."""
+        child = self.inputs[0]
+        if child.is_single_copy:
+            return child.partition_batch(0)
+        row_bytes = child.props.row_bytes()
+        batches = []
+        for index in range(child.output_count):
+            partition = child.partition_batch(index)
+            batches.append(partition)
+            if index != 0 and partition.length:
+                ctx.add_network(
+                    self, row_bytes * partition.length, partition.length
+                )
+        return ColumnBatch.concat(batches, child.width)
+
     def exchange(self, ctx: ExecutionContext) -> None:
-        self.exchanged = _gather(self.inputs[0], self, ctx)
+        self.exchanged = self.gather(ctx)
 
     def run_partition(self, ctx: ExecutionContext, p: int) -> None:
         ctx.add_output(self, self.exchanged.length, 0)
         self.store_batch(0, self.exchanged)
 
 
-def _gather(
-    child: PhysicalOperator, op: PhysicalOperator, ctx: ExecutionContext
-) -> ColumnBatch:
-    """Move every partition of *child* to the coordinator, metering it."""
-    if child.is_single_copy:
-        return child.partition_batch(0)
-    row_bytes = child.props.row_bytes()
-    batches = []
-    for index in range(child.output_count):
-        partition = child.partition_batch(index)
-        batches.append(partition)
-        if index != 0 and partition.length:
-            ctx.add_network(
-                op, row_bytes * partition.length, partition.length
+class PhysicalOrderBy(PhysicalGather):
+    """Gather every partition on the coordinator, sort, apply the limit.
+
+    Sorting happens on row tuples: a coordinator-side, once-per-query
+    path where Python's stable ``sort`` over materialised rows beats
+    columnar reordering.
+    """
+
+    name = "order_by"
+
+    def __init__(self, annotated: Annotated, child: PhysicalOperator) -> None:
+        node: OrderBy = annotated.node
+        super().__init__(annotated, child)
+        self.sort_positions = [
+            (child.props.position(column), ascending)
+            for column, ascending in node.keys
+        ]
+        self.limit = node.limit
+
+    def exchange(self, ctx: ExecutionContext) -> None:
+        rows = self.gather(ctx).to_rows()
+        for position, ascending in reversed(self.sort_positions):
+            rows.sort(
+                key=lambda row: _sort_key(row[position]), reverse=not ascending
             )
-    return ColumnBatch.concat(batches, child.width)
+        if self.limit is not None:
+            rows = rows[: self.limit]
+        ctx.add_work(self, 0, len(rows))
+        self.exchanged = ColumnBatch.from_rows(rows, self.width)

@@ -4,13 +4,6 @@ from repro.partitioning.bulk_loader import BulkLoader, BulkLoadStats
 from repro.partitioning.config import PartitioningConfig
 from repro.partitioning.invariants import InvariantViolation, check_pref_invariants
 from repro.partitioning.migration import MigrationPlan, TableMigration, plan_migration
-from repro.partitioning.metrics import (
-    data_redundancy,
-    data_redundancy_against,
-    partition_balance,
-    per_table_redundancy,
-    storage_per_node,
-)
 from repro.partitioning.partitioner import empty_store, partition_database
 from repro.partitioning.predicate import JoinPredicate
 from repro.partitioning.adaptive import (
@@ -52,15 +45,10 @@ __all__ = [
     "TableHotspot",
     "TableMigration",
     "check_pref_invariants",
-    "data_redundancy",
-    "data_redundancy_against",
     "detect_hotspots",
     "empty_store",
-    "partition_balance",
     "partition_database",
     "plan_migration",
-    "per_table_redundancy",
     "recommend_patched_pref",
     "stable_hash",
-    "storage_per_node",
 ]

@@ -23,13 +23,12 @@ shipped, shuffle round-trips) are summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.engine.backends import Backend, SerialBackend
 from repro.engine.context import (
     ExecutionContext,
     OperatorStats,
-    TraceEvent,
     format_operator_stats,
 )
 from repro.query.cost import CostParameters, ExecutionStats
@@ -110,8 +109,6 @@ class Executor:
             executors (a cluster shares one across its queries).
         cost: Cost parameters stamped onto every :class:`QueryResult` so
             ``result.simulated_seconds()`` uses the cluster's constants.
-        trace: Optional per-task trace hook (receives
-            :class:`~repro.engine.context.TraceEvent`).
     """
 
     def __init__(
@@ -120,7 +117,6 @@ class Executor:
         options: ExecOptions | None = None,
         backend: Backend | None = None,
         cost: CostParameters | None = None,
-        trace: Callable[[TraceEvent], None] | None = None,
     ) -> None:
         self.partitioned = partitioned
         self.count = partitioned.partition_count
@@ -132,7 +128,6 @@ class Executor:
         )
         self.backend = backend or SerialBackend()
         self.cost = cost
-        self.trace = trace
 
     def annotate(self, plan: PlanNode) -> Annotated:
         """Rewrite *plan* and apply predicate transfer when enabled.
@@ -159,7 +154,7 @@ class Executor:
 
         With ``analyze=True`` the run is traced and the result carries a
         :class:`~repro.obs.span.QueryTrace` (``result.explain_analyze()``
-        renders it); any user trace hook still receives every event.
+        renders it).
         """
         return self.execute_annotated(
             self.annotate(plan), analyze=analyze, query_name=query_name
@@ -182,19 +177,7 @@ class Executor:
         from repro.engine.compile import compile_plan
 
         root = compile_plan(annotated, self.partitioned)
-        trace_hook = self.trace
-        events: list[TraceEvent] = []
-        if analyze:
-            if trace_hook is None:
-                trace_hook = events.append
-            else:
-                user_hook = trace_hook
-
-                def trace_hook(event: TraceEvent) -> None:
-                    events.append(event)
-                    user_hook(event)
-
-        ctx = ExecutionContext(self.count, trace=trace_hook)
+        ctx = ExecutionContext(self.count, collect_trace=analyze)
         for op in root.walk():
             ctx.register(op)
         self.backend.run(root, ctx)
@@ -206,7 +189,7 @@ class Executor:
             trace = build_trace(
                 root,
                 ctx.operator_stats(),
-                events,
+                ctx.trace_events,
                 ctx.metrics,
                 self.count,
                 backend=self.backend.name,

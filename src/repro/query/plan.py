@@ -240,20 +240,6 @@ class Repartition(PlanNode):
 
 
 @dataclass(frozen=True)
-class Broadcast(PlanNode):
-    """Replicate the child's full (deduplicated) output to every node."""
-
-    child: PlanNode
-    count: int
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"Broadcast(n={self.count})"
-
-
-@dataclass(frozen=True)
 class DedupFilter(PlanNode):
     """Locally drop PREF duplicates (rows whose governing dup bits != 0)."""
 

@@ -178,58 +178,32 @@ def test_trace_events_well_formed_under_concurrency(
 ):
     partitioned, _config = shop_pref
     plan = sql_to_plan(SQL, shop_db.schema)
-    serial_events = []
-    serial_result = Executor(
-        partitioned, backend=SerialBackend(), trace=serial_events.append
-    ).execute(plan)
+    serial_result = Executor(partitioned, backend=SerialBackend()).execute(
+        plan, analyze=True
+    )
     backend = BACKENDS[backend_name]()
-    events = []
     try:
-        result = Executor(
-            partitioned, backend=backend, trace=events.append
-        ).execute(plan)
+        result = Executor(partitioned, backend=backend).execute(
+            plan, analyze=True
+        )
     finally:
         backend.close()
     assert_same_rows(result.rows, serial_result.rows)
+
+    def task_keys(trace):
+        return sorted(
+            (span.op_id, task.phase, task.node_id)
+            for span in trace.spans()
+            for task in span.tasks
+        )
+
     # Same multiset of tasks, regardless of scheduling: every task runs
     # exactly once and reports exactly one event.
-    assert sorted((e.op_id, e.phase, e.node_id) for e in events) == sorted(
-        (e.op_id, e.phase, e.node_id) for e in serial_events
-    )
-    assert all(e.seconds >= 0.0 for e in events)
+    assert task_keys(result.trace) == task_keys(serial_result.trace)
+    spans = result.trace.spans()
+    tasks = [task for span in spans for task in span.tasks]
+    assert all(task.seconds >= 0.0 for task in tasks)
     assert all(
-        e.phase in {"prepare", "exchange", "partition"} for e in events
+        task.phase in {"prepare", "exchange", "partition"} for task in tasks
     )
-    assert all(isinstance(e.label, str) and e.label for e in events)
-
-
-@pytest.mark.parametrize("backend_name", list(BACKENDS))
-def test_raising_trace_hook_fails_the_query(shop_db, shop_pref, backend_name):
-    # Concurrent backends hand a task's events to the hook while merging
-    # its recorder on completion; a raising hook must fail the query, not
-    # strand the scheduler waiting for a completion that never registers.
-    partitioned, _config = shop_pref
-    plan = sql_to_plan(SQL, shop_db.schema)
-
-    def hook(event):
-        raise BoomError("hook down")
-
-    backend = BACKENDS[backend_name]()
-    outcome = []
-
-    def run():
-        try:
-            Executor(partitioned, backend=backend, trace=hook).execute(plan)
-        except BoomError as error:
-            outcome.append(error)
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=20)
-    try:
-        assert not worker.is_alive(), f"{backend_name} backend hangs"
-        assert outcome, "the hook's error was swallowed"
-        # The backend instance still serves the next query.
-        assert Executor(partitioned, backend=backend).execute(plan).rows
-    finally:
-        backend.close()
+    assert all(isinstance(span.label, str) and span.label for span in spans)

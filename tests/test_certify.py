@@ -47,11 +47,11 @@ from repro.query.options import ExecOptions
 from repro.query.plan import (
     Aggregate,
     AggregateSpec,
-    Broadcast,
     Filter,
     Join,
     JoinKind,
     PartnerFilter,
+    PlanNode,
     Project,
     Scan,
 )
@@ -62,6 +62,16 @@ certify_module = importlib.import_module("repro.query.certify")
 
 NODES = 4
 REPROS = Path(__file__).parent / "fixtures" / "repros"
+
+
+@dataclass(frozen=True)
+class Unknown(PlanNode):
+    """A plan node no certifier rule covers."""
+
+    child: PlanNode
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return (self.child,)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -612,7 +622,7 @@ REFUTATIONS = [
     ),
     Refuted(
         "unknown-operator", "σo",
-        lambda a: setattr(a, "node", Broadcast(a.node.child, NODES)),
+        lambda a: setattr(a, "node", Unknown(a.node.child)),
         "structure", "cannot certify node", None,
     ),
     Refuted(

@@ -34,13 +34,6 @@ class TestSimulatedCluster:
         )
         assert "Join" in text and "pref" in text
 
-    def test_node_reports(self, shop_db):
-        cluster = SimulatedCluster.partition(shop_db, pref_chain_config(4))
-        reports = cluster.node_reports()
-        assert len(reports) == 4
-        assert sum(r.rows for r in reports) == cluster.partitioned.total_rows
-        assert all(r.bytes > 0 for r in reports)
-
     def test_bulk_loader_attached(self, shop_db):
         cluster = SimulatedCluster.partition(shop_db, pref_chain_config(4))
         before = cluster.partitioned.table("nation").canonical_row_count

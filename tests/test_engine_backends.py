@@ -293,23 +293,24 @@ def test_package_first_import_order(module):
 class TestObservability:
     def test_trace_hook_sees_every_phase(self, shop_db, shop_pref):
         partitioned, _config = shop_pref
-        events = []
-        executor = Executor(partitioned, trace=events.append)
-        executor.execute(
+        executor = Executor(partitioned)
+        result = executor.execute(
             sql_to_plan(
                 "SELECT o.custkey, SUM(o.total) AS s FROM orders o "
                 "GROUP BY o.custkey ORDER BY s DESC LIMIT 3",
                 shop_db.schema,
-            )
+            ),
+            analyze=True,
         )
-        assert events
-        assert {event.phase for event in events} <= {
+        tasks = [task for span in result.trace.spans() for task in span.tasks]
+        assert tasks
+        assert {task.phase for task in tasks} <= {
             "prepare",
             "exchange",
             "partition",
         }
-        assert "partition" in {event.phase for event in events}
-        assert all(event.seconds >= 0.0 for event in events)
+        assert "partition" in {task.phase for task in tasks}
+        assert all(task.seconds >= 0.0 for task in tasks)
 
     def test_pool_runs_only_eligible_phases_on_workers(self, shop_db, shop_pref):
         """A phase leaves the calling thread when it has two or more tasks
@@ -323,12 +324,12 @@ class TestObservability:
             shop_db.schema,
         )
         root = compile_plan(Executor(partitioned).annotate(plan), partitioned)
-        events = []
-        ctx = ExecutionContext(partitioned.partition_count, events.append)
+        ctx = ExecutionContext(partitioned.partition_count, collect_trace=True)
         for op in root.walk():
             ctx.register(op)
         with ThreadPoolBackend(max_workers=2) as pool:
             pool.run(root, ctx)
+        events = ctx.trace_events
         ops = {op.op_id: op for op in root.walk()}
         counts = Counter((event.op_id, event.phase) for event in events)
         placed = set()

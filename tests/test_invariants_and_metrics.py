@@ -1,8 +1,7 @@
-"""Direct tests for the invariant checkers and partitioning metrics."""
+"""Direct tests for the invariant checkers."""
 
 import pytest
 
-from helpers import pref_chain_config
 from repro.catalog import DataType
 from repro.partitioning import (
     HashScheme,
@@ -11,12 +10,7 @@ from repro.partitioning import (
     PartitioningConfig,
     PrefScheme,
     check_pref_invariants,
-    data_redundancy,
-    data_redundancy_against,
-    partition_balance,
     partition_database,
-    per_table_redundancy,
-    storage_per_node,
 )
 from repro.storage import Database
 
@@ -119,38 +113,3 @@ class TestInvariantChecker:
         check_pref_invariants(partitioned, config, exact=False)
         with pytest.raises(InvariantViolation):
             check_pref_invariants(partitioned, config, exact=True)
-
-
-class TestMetrics:
-    def test_per_table_redundancy(self, shop_db):
-        config = pref_chain_config(4)
-        partitioned = partition_database(shop_db, config)
-        report = {r.table: r for r in per_table_redundancy(partitioned)}
-        assert report["lineitem"].redundancy_factor == 1.0
-        assert report["nation"].redundancy_factor == 4.0
-        assert report["orders"].redundancy_factor >= 1.0
-
-    def test_data_redundancy_against_base(self, shop_db):
-        config = pref_chain_config(4)
-        partitioned = partition_database(shop_db, config)
-        assert data_redundancy_against(partitioned, shop_db) == pytest.approx(
-            data_redundancy(partitioned)
-        )
-
-    def test_partition_balance(self, shop_db):
-        config = pref_chain_config(4)
-        partitioned = partition_database(shop_db, config)
-        balance = partition_balance(partitioned.table("lineitem"))
-        assert 1.0 <= balance < 2.0  # hash placement is roughly even
-
-    def test_storage_per_node(self, shop_db):
-        config = pref_chain_config(4)
-        partitioned = partition_database(shop_db, config)
-        per_node = storage_per_node(partitioned)
-        assert len(per_node) == 4
-        assert all(bytes_ > 0 for bytes_ in per_node)
-        total = sum(
-            t.total_rows * t.schema.row_byte_width
-            for t in partitioned.tables.values()
-        )
-        assert sum(per_node) == total

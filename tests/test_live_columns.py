@@ -326,8 +326,6 @@ def check_reads_are_live(root) -> None:
                         reads[0].add(position)
                     else:
                         reads[1].add(position - left.width)
-            if not node.on:
-                reads = [set(range(left.width)), set(range(right.width))]
             # What the join emits of each side must be there to emit.
             semi = node.kind in (JoinKind.SEMI, JoinKind.ANTI)
             reads[0] |= {q for q in op.live if q < left.width}

@@ -148,7 +148,7 @@ def _recorded_deltas(ops, node_count: int) -> list[ContextDelta]:
             delta.metrics.observe(
                 "time.task_seconds", rng.random() / 100, TIME_BUCKETS
             )
-            delta.record_trace(
+            delta.trace_events.append(
                 TraceEvent(op.op_id, op.label, "partition", node, 0.0, None)
             )
         deltas.append(delta)
@@ -156,14 +156,13 @@ def _recorded_deltas(ops, node_count: int) -> list[ContextDelta]:
 
 
 def _merged_context(ops, deltas, order, node_count: int):
-    events = []
-    ctx = ExecutionContext(node_count, trace=events.append)
+    ctx = ExecutionContext(node_count, collect_trace=True)
     for op in ops:
         ctx.register(op)
     for index in order:
         ctx.merge_delta(deltas[index])
     ctx.finish()
-    return ctx, events
+    return ctx, ctx.trace_events
 
 
 def test_delta_merge_is_order_independent():
@@ -209,15 +208,14 @@ def test_per_task_recorders_merge_in_any_order(traced_engines, sql):
     rng = random.Random(3)
     for _ in range(4):
         rng.shuffle(recorders)
-        events = []
-        ctx = ExecutionContext(executor.count, trace=events.append)
+        ctx = ExecutionContext(executor.count, collect_trace=True)
         for op in root.walk():
             ctx.register(op)
         for recorder in recorders:
             ctx.merge_delta(recorder)
         stats = ctx.finish()
         trace = build_trace(
-            root, ctx.operator_stats(), events, ctx.metrics, executor.count
+            root, ctx.operator_stats(), ctx.trace_events, ctx.metrics, executor.count
         )
         assert stats.canonical() == serial.stats.canonical()
         assert trace.canonical() == serial.trace.canonical()
