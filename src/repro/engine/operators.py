@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain, compress, count
-from operator import and_, itemgetter
+from operator import and_, itemgetter, not_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.bloom import TRANSFER_FPR, BloomFilter
@@ -76,6 +76,11 @@ GROUP_FOLD_ROWS = 64
 #: Candidate pairs a keyless join materialises at once.  It pairs every
 #: probe row with every build row, so this bounds its memory, not its work.
 KEYLESS_PAIRS = 1 << 18
+
+#: Key-equal build rows a SEMI/ANTI join with a residual scores per probe
+#: row in its first round; each later round scores twice as many, and
+#: only for the probe rows no earlier round decided.
+SEMI_CHUNK = 16
 
 
 def _group_ids(keys: Iterable) -> tuple[list[int], list]:
@@ -872,25 +877,58 @@ class PhysicalHashJoin(PhysicalOperator):
             self._dup_build = True
         return table, unique
 
-    def _residual_matches(
+    def _residual_mask(
         self,
-        table: dict,
         left_batch: ColumnBatch,
-        left_keys: list,
+        left_idx: list[int],
         right_batch: ColumnBatch,
-    ) -> tuple[list[int], list[tuple[int, int]], list]:
-        """The key-equal pairs' build rows and per probe row their run
-        (see :func:`_key_matches`), and the residual's verdict on each
-        pair, evaluated once over all of them."""
-        left_idx, right_idx, spans = _key_matches(table, left_keys)
-        mask = self.residual(
+        right_idx: list[int],
+    ) -> list:
+        """The residual's verdict on each (probe row, build row) pair."""
+        return self.residual(
             ColumnBatch(
                 left_batch.prune(self.left_residual).take(left_idx).columns
                 + right_batch.prune(self.right_residual).take(right_idx).columns,
                 len(left_idx),
             )
         )
-        return right_idx, spans, mask
+
+    def _residual_partnered(
+        self,
+        table: dict,
+        left_batch: ColumnBatch,
+        left_keys: list,
+        right_batch: ColumnBatch,
+    ) -> list[bool]:
+        """Per probe row, whether some key-equal build row satisfies the
+        residual.  Rounds score :data:`SEMI_CHUNK` build rows of every
+        undecided probe row, then twice as many, and so on: a probe row
+        leaves at its first partner or when its build rows run out."""
+        partnered = [False] * left_batch.length
+        pending = [
+            (i, (matches,) if matches.__class__ is int else matches)
+            for i, matches in enumerate(map(table.get, left_keys))
+            if matches is not None
+        ]
+        start, width = 0, SEMI_CHUNK
+        while pending:
+            stop = start + width
+            left_idx: list[int] = []
+            right_idx: list[int] = []
+            for i, matches in pending:
+                chunk = matches[start:stop]
+                left_idx.extend([i] * len(chunk))
+                right_idx.extend(chunk)
+            mask = self._residual_mask(left_batch, left_idx, right_batch, right_idx)
+            for i in compress(left_idx, mask):
+                partnered[i] = True
+            pending = [
+                (i, matches)
+                for i, matches in pending
+                if not partnered[i] and len(matches) > stop
+            ]
+            start, width = stop, 2 * width
+        return partnered
 
     def _emit(
         self,
@@ -964,9 +1002,8 @@ class PhysicalHashJoin(PhysicalOperator):
             return self._emit(left_out, right_batch, right_idx)
         # A residual restricts which key matches survive: keep survivors
         # in left-row order, padding rows whose matches all failed.
-        right_idx, spans, mask = self._residual_matches(
-            table, left_batch, left_keys, right_batch
-        )
+        left_idx, right_idx, spans = _key_matches(table, left_keys)
+        mask = self._residual_mask(left_batch, left_idx, right_batch, right_idx)
         final_left: list[int] = []
         final_right: list[int] = []
         for i, (start, stop) in enumerate(spans):
@@ -995,10 +1032,11 @@ class PhysicalHashJoin(PhysicalOperator):
             # left row matches only if some key-equal right row also
             # satisfies the residual on the combined row.
             partners, _unique = self._table(right_batch, stored)
-            _right_idx, spans, mask = self._residual_matches(
+            keep = self._residual_partnered(
                 partners, left_batch, left_keys, right_batch
             )
-            keep = [any(mask[start:stop]) == expect for start, stop in spans]
+            if not expect:
+                keep = list(map(not_, keep))
             return left_batch.prune(self.left_out).compress(keep)
         cached = self._keyset_cache
         if cached is not None and cached[0] is right_batch:

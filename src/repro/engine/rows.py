@@ -214,7 +214,7 @@ class ColumnBatch:
         for column in columns:
             if column is not None:
                 return ColumnBatch(columns, len(column))
-        return ColumnBatch(columns, sum(1 for value in mask if value))
+        return ColumnBatch(columns, sum(map(bool, mask)))
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """The rows at *indices*, in that order (indices may repeat)."""

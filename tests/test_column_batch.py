@@ -159,6 +159,19 @@ def test_compress_refuses_a_mask_of_the_wrong_length(mask):
     assert batch.compress([1, None, 0, True]).to_rows() == [(1, 5), (4, 8)]
 
 
+def test_fully_pruned_compress_counts_the_truthy_entries():
+    """With every column pruned, the kept row count is the mask's truthy
+    entries: ``True`` and ``1`` count, ``False``, ``None`` and ``0`` do
+    not."""
+    mask = [True, False, None, 0, 1, True, None, 1, False, 0]
+    batch = ColumnBatch([list(range(10)), list(range(10, 20))], 10)
+    complete = batch.compress(mask)
+    hollow = batch.prune(()).compress(mask)
+    assert complete.length == hollow.length == 4
+    assert hollow.present() == frozenset()
+    assert ColumnBatch([None], 3).compress([None, 0, False]).length == 0
+
+
 # -- _sort_key: total order over mixed-type columns --------------------------
 
 

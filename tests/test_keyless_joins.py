@@ -14,7 +14,9 @@ runs against right inputs of 0, 1 and many rows under three placements:
 Each runs whole and in probe-row chunks of a few pairs (the engine
 bounds the candidate pairs a keyless join materialises at once).
 Answers equal ``LocalExecutor`` on every backend, and every read of the
-compiled plan is live.
+compiled plan is live.  A SEMI/ANTI join with a residual stops scoring a
+probe row at its first partner: a row counter on the residual holds it
+to one chunk of build rows per probe row decided by its first one.
 """
 
 from __future__ import annotations
@@ -161,3 +163,68 @@ def test_both_replicated_build_side_is_a_stored_partition(stores):
     run_tree(root, partitioned.partition_count)
     assert join.single and not join.right_positions
     assert join.inputs[1].node_stored(0) is not None
+
+
+@pytest.mark.parametrize("placement", ["hashed", "replicated"])
+@pytest.mark.parametrize(
+    "kind", [JoinKind.SEMI, JoinKind.ANTI], ids=lambda kind: kind.value
+)
+def test_a_decided_probe_row_scores_no_more_build_rows(
+    monkeypatch, kind, placement
+):
+    """A SEMI/ANTI join with a residual scores the build rows in chunks
+    and stops scoring a probe row once it has a partner.  Here each of the
+    200 build rows partners every probe row, so each probe row is decided
+    by its first build row and the residual (wrapped in a row counter)
+    sees at most one chunk per probe row, not 200 rows."""
+    schema = DatabaseSchema()
+    for name, value in (("p", "v"), ("b", "w")):
+        schema.create_table(
+            name,
+            [("id", DataType.INTEGER), (value, DataType.INTEGER)],
+            primary_key=["id"],
+        )
+    database = Database(schema)
+    database.load("p", [(i, i) for i in range(40)])
+    database.load("b", [(i, 1_000) for i in range(200)])
+    config = PartitioningConfig(NODES)
+    for name in ("p", "b"):
+        config.add(
+            name,
+            HashScheme(("id",), NODES)
+            if placement == "hashed"
+            else ReplicatedScheme(NODES),
+        )
+    partitioned = partition_database(database, config)
+    plan = (
+        Query(
+            Join(
+                Query.scan("p", alias="p").plan(),
+                Query.scan("b", alias="b").plan(),
+                (),
+                kind,
+                col("p.v") < col("b.w"),
+            )
+        )
+        .select(["p.id"])
+        .plan()
+    )
+    scored: list[int] = []
+    build = PhysicalHashJoin.__init__
+
+    def counting(self, *args):
+        build(self, *args)
+        residual = self.residual
+
+        def counted(batch):
+            scored.append(batch.length)
+            return residual(batch)
+
+        self.residual = counted
+
+    monkeypatch.setattr(PhysicalHashJoin, "__init__", counting)
+    result = Executor(partitioned).execute(plan)
+    expected = LocalExecutor(database).execute(plan)
+    assert_same_rows(result.rows, expected.rows)
+    assert len(result.rows) == (40 if kind is JoinKind.SEMI else 0)
+    assert 0 < sum(scored) <= operators.SEMI_CHUNK * 40
