@@ -161,7 +161,8 @@ def explain_main(argv: list[str]) -> int:
 def certify_main(argv: list[str]) -> int:
     """``python -m repro certify`` — certify TPC-H plans under 3 configs.
 
-    Rewrites every TPC-H query against an all-hashed, a schema-driven
+    Annotates every TPC-H query as the executor runs it (filter
+    pushdown, then the rewriter) against an all-hashed, a schema-driven
     PREF, and a patched-PREF (``max_copies=1`` on un-referenced PREF
     leaves) partitioning of generated data, and runs the static
     parallel-correctness certifier on each plan.  Exit status 1 if any
@@ -195,7 +196,6 @@ def certify_main(argv: list[str]) -> int:
     from repro.partitioning.config import PartitioningConfig
     from repro.partitioning.scheme import PatchedPrefScheme, PrefScheme
     from repro.query.certify import certify
-    from repro.query.rewrite import Rewriter
 
     database = generate_tpch(scale_factor=args.scale, seed=args.seed)
     pref_config = SchemaDrivenDesigner(database, args.nodes).design(
@@ -236,10 +236,10 @@ def certify_main(argv: list[str]) -> int:
     for config_name in wanted:
         config = builders[config_name]()
         partitioned = partition_database(database, config)
-        rewriter = Rewriter(partitioned)
+        executor = Executor(partitioned)
         certified = 0
         for name in queries:
-            verdict = certify(rewriter.rewrite(ALL_QUERIES[name]()), partitioned)
+            verdict = certify(executor.annotate(ALL_QUERIES[name]()), partitioned)
             if verdict.certified:
                 certified += 1
                 if args.render:

@@ -2,15 +2,23 @@
 
 ``Executor`` keeps the API the rest of the library (clusters, benchmark
 harness, tests) has always used, but execution itself now flows through a
-three-stage pipeline:
+four-stage pipeline:
 
-1. the :class:`~repro.query.rewrite.Rewriter` produces the annotated
+1. filter pushdown (:mod:`repro.query.pushdown`) moves filter conjuncts
+   below joins — into either side of an INNER or CROSS join, into only
+   the left side of a LEFT OUTER, SEMI or ANTI join — where a stride
+   sample of the scan they land on says they keep at most
+   ``PUSHDOWN_SELECTIVITY`` of its rows;
+2. the :class:`~repro.query.rewrite.Rewriter` produces the annotated
    logical plan (Part/Dup properties, inserted exchanges);
-2. the physical compiler (:mod:`repro.engine.compile`) lowers it into a
+3. the physical compiler (:mod:`repro.engine.compile`) lowers it into a
    tree of self-contained physical operators;
-3. a pluggable backend (:mod:`repro.engine.backends`) schedules the
+4. a pluggable backend (:mod:`repro.engine.backends`) schedules the
    per-(operator, partition) tasks — serially, or concurrently between
    exchange barriers.
+
+:class:`~repro.query.local_executor.LocalExecutor`, the reference, runs
+the logical plan as written, without pushdown.
 
 Rows physically move between per-node partition stores; every movement is
 metered per operator × node through the engine's
@@ -34,6 +42,7 @@ from repro.engine.context import (
 from repro.query.cost import CostParameters, ExecutionStats
 from repro.query.options import ExecOptions
 from repro.query.plan import PlanNode
+from repro.query.pushdown import push_filters
 from repro.query.relation import is_hidden
 from repro.query.rewrite import Annotated, Rewriter
 from repro.storage.partitioned import PartitionedDatabase
@@ -130,17 +139,20 @@ class Executor:
         self.cost = cost
 
     def annotate(self, plan: PlanNode) -> Annotated:
-        """Rewrite *plan* and apply predicate transfer when enabled.
+        """Push filters down, rewrite *plan*, and apply predicate
+        transfer when enabled.
 
         The returned annotated plan is immutable as far as execution is
         concerned: :func:`~repro.engine.compile.compile_plan` only reads
         it, so one annotated plan may back many (even concurrent)
         executions — the serving layer's plan cache relies on this.  It
-        carries no data: it depends on the plan and on the store facts
-        the rewriter reads (governing duplicates, effective hashing,
-        patch counts), not on the rows.
+        carries no data: it depends on the plan, on the store facts the
+        rewriter reads (governing duplicates, effective hashing, patch
+        counts) and on the pushdown guard's sample of the scanned
+        tables, all of which change only with a write to those tables
+        (the plan cache's invalidation key).
         """
-        annotated = self.rewriter.rewrite(plan)
+        annotated = self.rewriter.rewrite(push_filters(plan, self.partitioned))
         if self.options.predicate_transfer:
             from repro.query.predicate_transfer import apply_predicate_transfer
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from itertools import compress, repeat
+from math import sqrt
 from operator import is_not, itemgetter, truth
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -51,15 +52,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 Row = tuple
 
-#: Dropped runs up to which :meth:`Partition.compress` deletes run by
-#: run; past it, one C-level rewrite per stored list is cheaper.  A run
-#: costs a ``del`` per list (a call and a memmove of the later pointers);
-#: the rewrite touches every kept value.  Both grow with the row count,
-#: the rewrite faster, so the break-even is lowest on small partitions:
-#: on 18 lists (a ``lineitem`` partition) with runs of 1–3 rows it was
-#: about 120 runs at 1 200 rows, and past 192 at 5 000 and 20 000 rows
-#: (EXPERIMENTS "Compress deletes in place").
-COMPRESS_RUNS = 128
+#: Dropped runs, per square root of the stored row count, up to which
+#: :meth:`Partition.compress` deletes run by run; past them, one C-level
+#: rewrite per stored list is cheaper.  A run costs a ``del`` per list
+#: (a call and a memmove of the later pointers); the rewrite touches
+#: every kept value.  On 18 lists (a ``lineitem`` partition) with runs
+#: of 1–3 rows the break-even was about 38, 75, 160, 290 and 390 runs at
+#: 200, 600, 1 200, 5 000 and 20 000 rows: it grows with the rows, but
+#: more slowly than they do (0.19 runs a row at 200, 0.02 at 20 000),
+#: so a share per row would keep deleting at 20 000 rows far past the
+#: point where the rewrite is 3× cheaper.  3.5·√rows is within a third
+#: of every measured point (EXPERIMENTS "Compress deletes in place").
+COMPRESS_RUNS_PER_ROOT = 3.5
 
 #: ``bytes.translate`` table mapping every nonzero byte to 1.
 _TRUTH = bytes([0, *[1] * 255])
@@ -226,9 +230,10 @@ class Partition:
         """Drop every stored row whose *keep* entry is falsy, in order.
 
         The stored lists lose the rows in place (see the module
-        docstring): up to :data:`COMPRESS_RUNS` dropped runs are deleted
-        run by run from the highest down; past that, each list is
-        rewritten in one C-level pass.  A mask whose length is not the
+        docstring): up to :data:`COMPRESS_RUNS_PER_ROOT` times the
+        square root of the row count, dropped runs are deleted run by run
+        from the highest down; past that, each list is rewritten in one
+        C-level pass.  A mask whose length is not the
         row count raises :class:`RowShapeError` and changes nothing.
         """
         if len(keep) != len(self.source_ids):
@@ -242,7 +247,8 @@ class Partition:
         stored = [*self.columns, self.source_ids, self.dup, self.has_partner]
         # A dropped run starts at every 0 that opens the partition or
         # follows a 1.
-        if (b"\x01" + flags).count(b"\x01\x00") > COMPRESS_RUNS:
+        runs = (b"\x01" + flags).count(b"\x01\x00")
+        if runs > COMPRESS_RUNS_PER_ROOT * sqrt(len(flags)):
             for values in stored:
                 values[:] = compress(values, flags)
             return

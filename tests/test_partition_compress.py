@@ -3,9 +3,10 @@
 Every mutator changes the stored lists in place and drops the derived
 slot; ``compress`` never replaces a list object.  It deletes a few
 dropped runs run by run, from the highest down, and rewrites each list
-in one pass past ``COMPRESS_RUNS`` runs.  For masks that keep all, drop
-all, drop one run, alternate or are random, on partitions of 0 to 3 000
-rows and on both sides of the crossover, every stored list must come out
+in one pass past ``COMPRESS_RUNS_PER_ROOT`` runs per square root of the
+row count.  For masks that keep all, drop all, drop one run, alternate
+or are random, on partitions of 0 to 3 000 and of 5 000 to 6 000 rows
+and on both sides of the crossover, every stored list must come out
 equal to ``itertools.compress`` of what it held, be the same object, and
 the key index must be gone.  A mask of the wrong length is refused with
 the store untouched; a delete through the bulk loader keeps the PREF
@@ -14,6 +15,7 @@ invariants; and a compress that rebuilds one list fails the check.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from itertools import compress
@@ -74,12 +76,12 @@ def check_compress(partition: Partition, keep) -> None:
 
 @contextmanager
 def runs_limit(limit: int):
-    saved = partition_module.COMPRESS_RUNS
-    partition_module.COMPRESS_RUNS = limit
+    saved = partition_module.COMPRESS_RUNS_PER_ROOT
+    partition_module.COMPRESS_RUNS_PER_ROOT = limit
     try:
         yield
     finally:
-        partition_module.COMPRESS_RUNS = saved
+        partition_module.COMPRESS_RUNS_PER_ROOT = saved
 
 
 @st.composite
@@ -107,7 +109,11 @@ def masks(draw, rows: int):
 
 @st.composite
 def cases(draw):
-    rows = draw(st.one_of(st.integers(0, 40), st.integers(0, 3_000)))
+    rows = draw(
+        st.one_of(
+            st.integers(0, 40), st.integers(0, 3_000), st.integers(5_000, 6_000)
+        )
+    )
     return rows, draw(st.integers(0, 2**16)), draw(masks(rows))
 
 
@@ -124,14 +130,28 @@ def test_compress_keeps_every_stored_list(case, limit):
             check_compress(partition, keep)
 
 
-def test_runs_on_both_sides_of_the_crossover():
-    """A few runs and more than ``COMPRESS_RUNS`` of them, at the edge."""
-    limit = partition_module.COMPRESS_RUNS
-    for runs in (1, 2, limit - 1, limit, limit + 1, 2 * limit):
-        rows = 4 * runs + 3
-        keep = [i % 4 != 1 for i in range(rows)]  # runs dropped rows, one each
-        keep[-1] = False  # and one more run at the very end
-        check_compress(make_partition(rows, runs), keep)
+def crossover(rows: int) -> int:
+    """The most dropped runs that *rows* rows still delete run by run."""
+    return math.floor(partition_module.COMPRESS_RUNS_PER_ROOT * math.sqrt(rows))
+
+
+def test_runs_on_both_sides_of_the_crossover(monkeypatch):
+    """A few runs and more than the crossover, at its edge, on 1 200,
+    5 000 and 20 000 rows, with the branch each mask takes observed."""
+    taken = []
+    monkeypatch.setattr(
+        partition_module, "compress", lambda *args: taken.append(1) or compress(*args)
+    )
+    for rows in (1_200, 5_000, 20_000):
+        limit = crossover(rows)
+        for runs in (1, 2, limit - 1, limit, limit + 1, 2 * limit):
+            keep = [True] * rows
+            for index in range(runs - 1):
+                keep[index * (rows // runs)] = False  # runs - 1 single-row runs
+            keep[-1] = False  # and one more run at the very end
+            taken.clear()
+            check_compress(make_partition(rows, runs), keep)
+            assert bool(taken) == (runs > limit), (rows, runs)
 
 
 @pytest.mark.parametrize("delta", [-1, 1, -5])

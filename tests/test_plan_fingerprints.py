@@ -1,5 +1,8 @@
 """Every annotated plan the rewriter emits, pinned by a fingerprint.
 
+The plans are ``Executor.annotate``'s: filter pushdown, then the
+rewriter.
+
 ``tests/fixtures/plan_fingerprints.json`` holds, per plan, the sha256 of
 ``explain()`` plus every node's ``extra``, ``props`` and ``pristine``
 (frozensets rendered sorted, so the value does not depend on
