@@ -95,6 +95,11 @@ class OperatorStats:
     partitions_scanned: int = _counter(
         "engine.partitions.scanned", "parts", total="partitions_scanned"
     )
+    #: Rows a filter read as candidates from a stored partition's sorted
+    #: column instead of evaluating every row.  An access-path counter
+    #: (see :data:`~repro.obs.metrics.ACCESS_PREFIX`): a cold and a warm
+    #: run of one query differ in it, in nothing else.
+    examined: int = _counter("engine.access.examined", "examined")
     #: Output partition index -> rows emitted into it, for skew reporting.
     rows_out_by_partition: dict[int, int] = field(default_factory=dict)
 

@@ -194,6 +194,8 @@ def _measured(span: OperatorSpan) -> str:
         for counter in COUNTERS
         if counter.name != "rows_out" and getattr(span, counter.name)
     )
+    if span.examined_on:
+        shown.append(f"entry={','.join(span.examined_on)}")
     locality = span.locality
     if locality is not None:
         shown.append(f"locality={locality:.0%}")

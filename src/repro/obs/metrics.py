@@ -27,7 +27,7 @@ Two metric kinds:
 Wall-clock metrics live under the ``time.`` prefix and are excluded from
 :meth:`MetricsRegistry.canonical`, the comparison form used by the
 backend-equivalence checks (timings are scheduling artefacts; counts are
-not).
+not); so are the access-path counters under ``engine.access.``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ DEPTH_BUCKETS: tuple[float, ...] = (
 #: Metric-name prefix whose values are wall-clock measurements and must
 #: be excluded from cross-backend comparisons.
 TIMING_PREFIX = "time."
+
+#: Metric-name prefix of the counters that say which access path the
+#: engine took (a partition's kept sorted column or a pass over every
+#: row).  That depends on what earlier queries left in the store, not on
+#: the query, so they too stay out of the comparison form.
+ACCESS_PREFIX = "engine.access."
 
 
 class Histogram:
@@ -222,8 +228,11 @@ class MetricsRegistry:
             },
         }
 
-    def canonical(self, exclude_prefixes: tuple[str, ...] = (TIMING_PREFIX,)) -> tuple:
-        """Order-independent comparable form, excluding timing metrics.
+    def canonical(
+        self, exclude_prefixes: tuple[str, ...] = (TIMING_PREFIX, ACCESS_PREFIX)
+    ) -> tuple:
+        """Order-independent comparable form, excluding timing and
+        access-path metrics.
 
         Two backends that executed the same query must produce equal
         canonical registries regardless of scheduling or the order their

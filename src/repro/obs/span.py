@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.engine.context import COUNTERS, OperatorStats
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import ACCESS_PREFIX, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.context import TraceEvent
@@ -71,8 +71,8 @@ class OperatorSpan(OperatorStats):
     :class:`~repro.engine.context.OperatorStats` record — and the fields
     declared here are static: ``name`` … ``case`` come from the
     rewriter's :class:`~repro.query.rewrite.Annotated` plan,
-    ``bloom_filters`` and the live-column pair from the compiled
-    operator.  ``rows_in``
+    ``bloom_filters``, ``examined_on`` and the live-column pair from the
+    compiled operator.  ``rows_in``
     is derived — the sum of the children's ``rows_out`` (None for leaves).
     """
 
@@ -84,6 +84,9 @@ class OperatorSpan(OperatorStats):
     strategy: str | None = None  #: Join/aggregate strategy hint.
     case: str | None = None  #: Locality case ("case1" | "case2" | "case3").
     bloom_filters: int = 0  #: Bloom filters this probe kept and applied.
+    #: The columns whose sorted entries this filter read its candidates
+    #: from (see the ``examined`` counter).
+    examined_on: tuple[str, ...] = ()
     #: The output columns the compiled operator materialises (some
     #: ancestor reads them), of ``total_columns`` in the logical relation.
     live_columns: tuple[str, ...] = ()
@@ -159,12 +162,17 @@ class OperatorSpan(OperatorStats):
 
         Left out: ``governing``, which restates ``dup`` column by column
         and has never been part of the comparison, and the live-column
-        fields, which say how the engine executed the plan, not what it
-        computed.
+        fields and the access path (``examined_on`` and the
+        ``engine.access.*`` counters), which say how the engine executed
+        the plan, not what it computed.
         """
-        left_out = ("governing", "live_columns", "total_columns")
+        left_out = ("governing", "live_columns", "total_columns", "examined_on")
         names = [name for name in STATIC if name not in left_out]
-        names += [counter.name for counter in COUNTERS]
+        names += [
+            counter.name
+            for counter in COUNTERS
+            if not counter.metadata["metric"].startswith(ACCESS_PREFIX)
+        ]
         by_partition = tuple(sorted(self.rows_out_by_partition.items()))
         return (
             *((name, getattr(self, name)) for name in names),
@@ -271,6 +279,9 @@ def build_trace(
             strategy=extra.get("strategy"),
             case=extra.get("case"),
             bloom_filters=op.exchanged.filters if op.name == "bloom_probe" else 0,
+            examined_on=(
+                tuple(sorted(op.examined_on)) if op.name == "filter" else ()
+            ),
             live_columns=tuple(
                 props.columns[index] for index in sorted(op.live)
             ),

@@ -11,9 +11,9 @@ maintain the guarantees that query processing relies on:
 * **Partner bits** — hasS is set on (all copies of) r iff a partner exists
   anywhere in S.
 * **Derived state** — every structure the store keeps beside its stored
-  rows equals a fresh build: each partition's join tables and shuffle
-  buckets, each routing memo (no write left one stale, no memo answers
-  what ``stable_hash`` would not).
+  rows equals a fresh build: each partition's join tables, shuffle
+  buckets, sorted columns and NULL flags, each routing memo (no write
+  left one stale, no memo answers what ``stable_hash`` would not).
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from repro.partitioning.scheme import (
     key_has_null,
     stable_hash,
 )
-from repro.storage.partition import build_buckets, build_key_table
+from repro.storage.partition import (
+    Partition,
+    build_buckets,
+    build_key_table,
+    build_sorted_column,
+)
 from repro.storage.partitioned import PartitionedDatabase, PartitionedTable
 
 
@@ -202,34 +207,52 @@ def check_key_index(partitioned: PartitionedDatabase) -> None:
     """Every entry a partition of *partitioned* keeps in its derived slot
     equals a fresh build over its stored columns: a join table by
     :func:`build_key_table`, shuffle buckets by :func:`build_buckets`
-    over a fresh router.
+    over a fresh router, a sorted column by :func:`build_sorted_column`,
+    a NULL flag by a scan of its column.
 
     Raises:
-        InvariantViolation: Naming the table, partition and key columns.
+        InvariantViolation: Naming the table, partition and columns, or
+            an entry of no known kind.
     """
     for table in partitioned.tables.values():
         for partition in table.partitions:
             for entry, kept in (partition.key_index or {}).items():
-                if kept is None:  # built once, not kept
+                if kept is None:  # a key table built once, not kept
                     continue
-                if isinstance(entry[0], tuple):  # (key positions, count)
-                    positions, count = entry
-                    kind = f"shuffle buckets for {count} targets"
-                    fresh = build_buckets(
-                        partition.keys(positions), hash_router(count), count
-                    )
-                else:
-                    positions = entry
-                    kind = "key index"
-                    fresh, _unique = build_key_table(
-                        [partition.columns[position] for position in positions],
-                        compact=True,
-                    )
+                if entry[0] == "sorted" and kept.__class__ is int:
+                    continue  # the calls so far; nothing sorted yet
+                kind, positions, fresh = _fresh_entry(partition, entry)
                 if kept != fresh:
                     raise InvariantViolation(
                         f"{table.name}: partition {partition.partition_id} "
                         f"keeps a stale {kind} on columns {positions}"
                     )
+
+
+def _fresh_entry(
+    partition: Partition, entry: tuple
+) -> tuple[str, tuple, object]:
+    """``(kind, column positions, fresh build)`` of a derived-slot
+    *entry*, rebuilt over *partition*'s stored columns now."""
+    head = entry[0]
+    if head in ("sorted", "null"):
+        column = partition.columns[entry[1]]
+        if head == "sorted":
+            return "sorted column", entry[1:], build_sorted_column(column)
+        return "NULL flag", entry[1:], None in column
+    if isinstance(head, tuple):  # (key positions, count)
+        positions, count = entry
+        fresh = build_buckets(
+            partition.keys(positions), hash_router(count), count
+        )
+        return f"shuffle buckets for {count} targets", positions, fresh
+    if all(isinstance(position, int) for position in entry):
+        columns = [partition.columns[position] for position in entry]
+        return "key index", entry, build_key_table(columns, compact=True)[0]
+    raise InvariantViolation(
+        f"partition {partition.partition_id} keeps an entry of no known "
+        f"kind: {entry!r}"
+    )
 
 
 def _check_canonical_copies(table: PartitionedTable) -> None:

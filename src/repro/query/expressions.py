@@ -44,8 +44,9 @@ if TYPE_CHECKING:
 
 Row = tuple
 RowFn = Callable[[Row], object]
-#: A compiled batch kernel: ColumnBatch -> list of per-row values.
-BatchFn = Callable[["ColumnBatch"], list]
+#: A compiled batch kernel: ColumnBatch -> list of per-row values (see
+#: :meth:`Expression.bind_batch` for its ``null_free`` flag).
+BatchFn = Callable[..., list]
 
 _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "=": operator.eq,
@@ -86,6 +87,9 @@ class Expression:
         NULL in the batch in hand and :meth:`source` could state the tree
         in two-valued Python, it is one generated comprehension
         (:func:`kernel_source`); otherwise the row closure zipped over them.
+        A caller that knows the columns hold no NULL (a filter over a
+        stored partition's kept flags) says so with ``null_free=True``,
+        and the kernel skips its ``None in column`` scan.
         """
         positions = sorted(referenced_positions([self], columns))
         narrow = [columns[p] for p in positions]
@@ -93,9 +97,9 @@ class Expression:
         generated = kernel_source(self, narrow)
         fused = generated and _compile_factory(generated[0])(*generated[1])
 
-        def evaluate(batch: "ColumnBatch") -> list:
+        def evaluate(batch: "ColumnBatch", null_free: bool = False) -> list:
             cols = [batch.column(p) for p in positions]
-            if fused and not any(None in c for c in cols):
+            if fused and (null_free or not any(None in c for c in cols)):
                 return fused(*cols)
             rows = zip(*cols) if cols else [()] * batch.length
             return list(map(scalar, rows))
@@ -178,7 +182,7 @@ class ColumnRef(Expression):
 
     def bind_batch(self, columns: Sequence[str]) -> BatchFn:
         position = resolve_column(self.name, columns)
-        return lambda batch: batch.column(position)
+        return lambda batch, null_free=False: batch.column(position)
 
     def source(self, names: "_Names") -> str:
         return names.column(self.name)
@@ -202,7 +206,7 @@ class Literal(Expression):
 
     def bind_batch(self, columns: Sequence[str]) -> BatchFn:
         value = self.value
-        return lambda batch: [value] * batch.length
+        return lambda batch, null_free=False: [value] * batch.length
 
     def source(self, names: "_Names") -> str:
         if self.value is None:

@@ -26,23 +26,26 @@ instead.  Scans alias the lists across writes, which is safe because a
 write never overlaps a read (the serving layer's readers-writer lock).
 
 Besides those five stored fields a partition holds exactly one derived
-slot, :attr:`Partition.key_index`, kept between queries.  It holds two
+slot, :attr:`Partition.key_index`, kept between queries.  It holds three
 kinds of entry, each a function of the stored columns built by one
 routine: the hash tables joins build over its key columns
-(:func:`build_key_table`, keyed by the key positions) and the buckets a
+(:func:`build_key_table`, keyed by the key positions), the buckets a
 shuffle routes its rows into (:func:`build_buckets`, keyed by the key
-positions and the target count).  The rule that keeps them right: every
+positions and the target count), and per column read by a filter the
+rows of its non-NULL values in sorted order (:func:`build_sorted_column`,
+keyed by ``("sorted", position)``) and whether it holds a NULL (keyed
+by ``("null", position)``).  The rule that keeps them right: every
 mutator drops the slot, and no reader mutates an entry — a build
-installs a new mapping and a probe or a shuffle only reads.
+installs a new mapping and a probe, a shuffle or a filter only reads.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import sqrt
-from operator import is_not, itemgetter, truth
+from operator import is_not, itemgetter, le, truth
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import RowShapeError
@@ -64,6 +67,17 @@ Row = tuple
 #: point where the rewrite is 3× cheaper.  3.5·√rows is within a third
 #: of every measured point (EXPERIMENTS "Compress deletes in place").
 COMPRESS_RUNS_PER_ROOT = 3.5
+
+#: The call of :meth:`Partition.sorted_column` since the last write that
+#: sorts the column; the calls before only count.  A sort costs 2-4 full
+#: passes of a filter over the column (ten ``tpch_pref`` lineitem
+#: partitions, one comparison: 1.9-3.7 in two runs over four columns),
+#: so the third pass has cost about what the sort would, and sorting on
+#: the next call at most doubles the cost of a column read too few times
+#: to repay it.  Sorting on the second call made ``ingest_mixed``'s Q6,
+#: the second read of lineitem after each round of writes, 1.8x slower
+#: (EXPERIMENTS "Filters read sorted entries").
+SORT_ON_CALL = 4
 
 #: ``bytes.translate`` table mapping every nonzero byte to 1.
 _TRUTH = bytes([0, *[1] * 255])
@@ -101,6 +115,37 @@ def build_buckets(keys: Sequence, route: KeyMemo, count: int) -> list[array]:
     *count*, the ascending indices ``i`` with ``route[keys[i]] == t``, as
     an ``array('l')`` (no int object per row)."""
     return [array("l", rows) for rows in index_lists(route.map(keys), count)]
+
+
+#: What :func:`build_sorted_column` gives a column with no total order
+#: (values that do not compare, or a NaN): no filter reads it.
+UNORDERED = "unordered"
+
+
+def build_sorted_column(column: Sequence) -> array | str:
+    """The rows of *column*'s non-NULL values in ascending order of
+    value, as an ``array('l')`` (``column[rows[i]]`` ascends with ``i``;
+    the values themselves are read through the column), or
+    :data:`UNORDERED`.
+
+    NULLs are left out: a comparison with NULL is never true.  Equal
+    values keep their rows ascending (the sort is stable).
+    """
+    rows: Sequence[int] = range(len(column))
+    if None in column:
+        rows = list(compress(rows, map(is_not, column, repeat(None))))
+    try:
+        order = sorted(rows, key=column.__getitem__)
+    except TypeError:  # e.g. str beside int
+        return UNORDERED
+    values = list(map(column.__getitem__, order))
+    # A NaN compares false both ways, so wherever the sort left it, the
+    # run stops ascending next to it (or, alone, it is unequal to itself).
+    if not all(map(le, values, islice(values, 1, None))) or (
+        values and values[0] != values[0]
+    ):
+        return UNORDERED
+    return array("l", order)
 
 
 def build_key_table(
@@ -179,8 +224,12 @@ class Partition:
         #: Derived, not stored: key positions -> the compact join table
         #: over those columns, or None where it was built once and not
         #: kept (:meth:`key_table`); (key positions, count) -> the shuffle
-        #: buckets (:meth:`buckets`).  The whole slot is None after a write.
-        self.key_index: dict[tuple, dict | list[array] | None] | None = None
+        #: buckets (:meth:`buckets`); ("sorted", position) -> the column's
+        #: rows in order of value, or the calls so far that asked for them
+        #: (:meth:`sorted_column`); ("null", position) -> whether the
+        #: column holds a NULL (:meth:`holds_null`).  The whole slot is
+        #: None after a write.
+        self.key_index: dict[tuple, object] | None = None
 
     # -- mutation ------------------------------------------------------------
 
@@ -355,6 +404,40 @@ class Partition:
             kept = build_buckets(self.keys(positions), route, count)
             self.key_index = {**index, entry: kept}
         return kept
+
+    def sorted_column(self, position: int) -> array | None:
+        """:func:`build_sorted_column` over the column at *position*,
+        built on call :data:`SORT_ON_CALL` since the last write and kept
+        in :attr:`key_index` until the next one; None before that and for
+        an :data:`UNORDERED` column.
+
+        The calls before only count themselves (an int entry), so a
+        partition written every few reads never pays for a sort it
+        cannot repay.  Concurrent readers race as :meth:`key_table`'s do
+        (a lost count only delays the sort).
+        """
+        index = self.key_index or {}
+        entry = ("sorted", position)
+        kept = index.get(entry, 0)
+        if kept.__class__ is int:  # the calls so far
+            if kept + 1 < SORT_ON_CALL:
+                self.key_index = {**index, entry: kept + 1}
+                return None
+            kept = build_sorted_column(self.columns[position])
+            self.key_index = {**index, entry: kept}
+        return None if kept is UNORDERED else kept
+
+    def holds_null(self, position: int) -> bool:
+        """Whether the column at *position* holds a NULL: one scan of it
+        on the first call since the last write, kept in
+        :attr:`key_index` until the next one."""
+        index = self.key_index or {}
+        entry = ("null", position)
+        flag = index.get(entry)
+        if flag is None:
+            flag = None in self.columns[position]
+            self.key_index = {**index, entry: flag}
+        return flag
 
     def canonical_rows(self) -> Iterator[Row]:
         """Yield only rows whose ``dup`` bit is 0."""

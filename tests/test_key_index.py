@@ -10,7 +10,10 @@ driven here as query, write, query: the answer must equal
 hold no index.  A meta-test shows that check has teeth, a property pins
 the index's shape against a naive grouping, and the TPC-H sweep shows
 that probing kept indexes changes nothing: warm runs give the cold runs'
-rows and canonical stats on every backend.
+rows and canonical stats on every backend.  The sorted columns and NULL
+flags a filter keeps in the same slot are held to the same rule: every
+mutator drops them, and the invariant checker catches a mutator that
+does not, a hand-corrupted entry and an entry of no known kind.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from repro.partitioning import (
     partition_database,
 )
 from repro.query import Executor, Query
+from repro.query.expressions import and_, col, lit
 from repro.query.local_executor import LocalExecutor
 from repro.sql.planner import sql_to_plan
 from repro.storage import Database
-from repro.storage.partition import Partition, build_key_table
+from repro.storage.partition import SORT_ON_CALL, Partition, build_key_table
 from repro.workloads.tpch import ALL_QUERIES, SMALL_TABLES
 
 N = 2
@@ -215,6 +219,83 @@ def test_a_mutator_that_keeps_the_index_is_caught(
     # partition's end); one that changes no answer is still there.
     with pytest.raises((AssertionError, IndexError)):
         write_then_read(cluster, lambda: MUTATORS[mutator](cluster))
+
+
+#: orders filtered on the two stored columns the mutators change: both
+#: sorted columns are kept from run ``SORT_ON_CALL`` on.
+FILTER = (
+    Query.scan("orders", alias="o")
+    .where(and_(col("o.custkey") == lit(11), col("o.total") < lit(30.0)))
+    .select(["o.orderkey", "o.total"])
+    .plan()
+)
+
+
+def _sorted_kept(partition) -> set[int]:
+    """The column positions whose sorted columns *partition* keeps."""
+    return {
+        entry[1]
+        for entry, kept in (partition.key_index or {}).items()
+        if entry[0] == "sorted" and isinstance(kept, array)
+    }
+
+
+def _keep_sorted_columns(cluster) -> Partition:
+    for _run in range(SORT_ON_CALL):
+        assert_same_rows(cluster.run(FILTER).rows, _oracle(cluster, FILTER))
+    partition = _orders_partition(cluster)
+    assert _sorted_kept(partition) == {1, 2}
+    check_pref_invariants(cluster.partitioned, cluster.config)
+    return partition
+
+
+@pytest.mark.parametrize("mutator", list(MUTATORS))
+def test_every_mutator_drops_the_sorted_columns(cluster, mutator):
+    partition = _keep_sorted_columns(cluster)
+    MUTATORS[mutator](cluster)
+    assert partition.key_index is None
+    for _run in range(SORT_ON_CALL + 1):
+        assert_same_rows(cluster.run(FILTER).rows, _oracle(cluster, FILTER))
+    check_pref_invariants(cluster.partitioned, cluster.config)
+
+
+@pytest.mark.parametrize("mutator", list(MUTATORS))
+def test_a_mutator_that_keeps_the_sorted_columns_is_caught(
+    cluster, monkeypatch, mutator
+):
+    _keep_sorted_columns(cluster)
+    original = getattr(Partition, mutator)
+
+    def keeps_index(self, *args, **kwargs):
+        kept = self.key_index
+        original(self, *args, **kwargs)
+        self.key_index = kept
+
+    monkeypatch.setattr(Partition, mutator, keeps_index)
+    MUTATORS[mutator](cluster)
+    with pytest.raises(InvariantViolation, match="stale sorted column"):
+        check_pref_invariants(cluster.partitioned, cluster.config)
+
+
+@pytest.mark.parametrize(
+    ("entry", "corrupt", "message"),
+    [
+        (("sorted", 2), lambda kept: kept[::-1],
+         r"stale sorted column on columns \(2,\)"),
+        (("sorted", 1), lambda kept: kept[1:],
+         r"stale sorted column on columns \(1,\)"),
+        (("null", 2), lambda kept: not kept, r"stale NULL flag"),
+        (("bogus", 2), lambda kept: 1, "no known kind"),
+    ],
+)
+def test_the_invariant_checker_catches_a_corrupt_filter_entry(
+    cluster, entry, corrupt, message
+):
+    partition = _keep_sorted_columns(cluster)
+    index = partition.key_index
+    partition.key_index = {**index, entry: corrupt(index.get(entry))}
+    with pytest.raises(InvariantViolation, match=message):
+        check_pref_invariants(cluster.partitioned, cluster.config)
 
 
 def test_loader_insert_drops_the_index(cluster):
