@@ -51,10 +51,10 @@ from repro.engine.rows import (
     ColumnBatch,
     _null_free_key,
     _null_pad,
-    _sort_key,
     all_false_mask,
     distinct_batch,
     pad_take,
+    row_sort_key,
 )
 from repro.partitioning.scheme import KeyMemo
 from repro.query.aggregates import aggregate_function, state_bytes
@@ -106,6 +106,18 @@ SEMI_CHUNK = 16
 #: 0.75 of the full pass's time (EXPERIMENTS "Filters read sorted
 #: entries").
 SORTED_SHARE = 0.3
+
+#: Stored rows below which a filter runs the full kernel without asking
+#: for a sorted column: on a partition of a few rows the sorted path's
+#: fixed cost (bisection, sorting the candidates, the gather, the
+#: ``examined`` record) is more than one kernel pass over every row.
+#: Over ten hashed partitions of n rows, a one-row equality and a
+#: 20 %-range filter took 1.1-1.3x the full pass's time on the sorted
+#: path at 2-32 rows, and broke even at 64 (0.97-1.02x, traced task
+#: time and untraced query time alike); Q21's 0-6-row ``nation``
+#: partitions under all-hashed went 0.164 -> 0.104 ms a run
+#: (EXPERIMENTS "Prepared plans").
+SORTED_MIN_ROWS = 64
 
 #: Comparison -> the same comparison with its operands swapped.
 _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -536,7 +548,9 @@ class PhysicalFilter(PhysicalMask):
         batch = child.partition_batch(p)
         stored = child.node_stored(p)
         candidates = (
-            None if stored is None else self._candidates(stored, batch.length)
+            None
+            if stored is None or batch.length < SORTED_MIN_ROWS
+            else self._candidates(stored, batch.length)
         )
         if candidates is None:
             null_free = stored is not None and _null_free(stored, self.reads)
@@ -1587,7 +1601,8 @@ class PhysicalOrderBy(PhysicalGather):
 
     Sorting happens on row tuples: a coordinator-side, once-per-query
     path where Python's stable ``sort`` over materialised rows beats
-    columnar reordering.
+    columnar reordering.  A key column of plain numbers or of strings
+    sorts on its bare values (:func:`~repro.engine.rows.row_sort_key`).
     """
 
     name = "order_by"
@@ -1602,10 +1617,12 @@ class PhysicalOrderBy(PhysicalGather):
         self.limit = node.limit
 
     def exchange(self, ctx: ExecutionContext) -> None:
-        rows = self.gather(ctx).to_rows()
+        batch = self.gather(ctx)
+        rows = batch.to_rows()
         for position, ascending in reversed(self.sort_positions):
             rows.sort(
-                key=lambda row: _sort_key(row[position]), reverse=not ascending
+                key=row_sort_key(batch.column(position), position),
+                reverse=not ascending,
             )
         if self.limit is not None:
             rows = rows[: self.limit]

@@ -19,8 +19,15 @@ work tuple by tuple.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
+from operator import eq, itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Sequence,
+)
 
 from repro.errors import ExecutionError
 
@@ -51,6 +58,28 @@ def _sort_key(value: object) -> tuple:
     if isinstance(value, str):
         return (2, 0, value)
     return (3, 0, (type(value).__name__, str(value)))
+
+
+_NUMBER_TYPES = frozenset({bool, int, float})
+
+
+def row_sort_key(column: Sequence, position: int) -> Callable[[Row], object]:
+    """A sort key of rows whose value at *position* is drawn from
+    *column*, ordering them as :func:`_sort_key` of that value does.
+
+    When the column holds only ``bool``/``int``/``float`` with no NaN,
+    or only ``str``, the bare value orders (and ties) exactly as its
+    :func:`_sort_key` does, so the key is a C-level ``itemgetter``;
+    otherwise it is :func:`_sort_key` of the value.
+    """
+    types = set(map(type, column))
+    if types == {str} or (
+        types <= _NUMBER_TYPES
+        # A NaN is the one value unequal to itself.
+        and (float not in types or all(map(eq, column, column)))
+    ):
+        return itemgetter(position)
+    return lambda row: _sort_key(row[position])
 
 
 def _null_free_key(key: tuple) -> bool:

@@ -20,6 +20,10 @@ four-stage pipeline:
 :class:`~repro.query.local_executor.LocalExecutor`, the reference, runs
 the logical plan as written, without pushdown.
 
+``Executor.execute`` runs stages 1 and 2 (and predicate transfer) once
+per plan and store state: it keeps each plan's annotation until a table
+the plan reads is written.
+
 Rows physically move between per-node partition stores; every movement is
 metered per operator × node through the engine's
 :class:`~repro.engine.context.ExecutionContext` (exposed as
@@ -31,7 +35,9 @@ shipped, shuffle round-trips) are summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable
+from weakref import WeakKeyDictionary
 
 from repro.engine.backends import Backend, SerialBackend
 from repro.engine.context import (
@@ -41,7 +47,7 @@ from repro.engine.context import (
 )
 from repro.query.cost import CostParameters, ExecutionStats
 from repro.query.options import ExecOptions
-from repro.query.plan import PlanNode
+from repro.query.plan import PlanNode, referenced_tables
 from repro.query.pushdown import push_filters
 from repro.query.relation import is_hidden
 from repro.query.rewrite import Annotated, Rewriter
@@ -51,6 +57,33 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.span import QueryTrace
 
 Row = tuple
+
+#: The plan attribute holding the plan's prepared annotations, one per
+#: executor (see :meth:`Executor.execute`).
+_PREPARED = "_prepared"
+
+_WRITES = attrgetter("writes")
+
+
+def _store_state(
+    partitioned: PartitionedDatabase, tables: Iterable[str]
+) -> tuple:
+    """What a plan's annotation over *tables* depends on in the store:
+    per table the table object (a repartition or migration replaces
+    it), its patch-list writes, its verified effective hash and its
+    partitions' writes."""
+    state = []
+    for name in tables:
+        table = partitioned.table(name)
+        state.append(
+            (
+                table,
+                table.writes,
+                table.effective_hash,
+                tuple(map(_WRITES, table.partitions)),
+            )
+        )
+    return tuple(state)
 
 
 @dataclass
@@ -142,6 +175,8 @@ class Executor:
         """Push filters down, rewrite *plan*, and apply predicate
         transfer when enabled.
 
+        A pure function of the plan and the store: every call does the
+        whole work and keeps nothing (:meth:`execute` keeps its result).
         The returned annotated plan is immutable as far as execution is
         concerned: :func:`~repro.engine.compile.compile_plan` only reads
         it, so one annotated plan may back many (even concurrent)
@@ -162,15 +197,43 @@ class Executor:
     def execute(
         self, plan: PlanNode, analyze: bool = False, query_name: str | None = None
     ) -> QueryResult:
-        """Rewrite, compile, and run *plan* on the backend.
+        """Annotate, compile, and run *plan* on the backend.
+
+        The annotation is prepared once per store state: the plan keeps
+        this executor's :meth:`annotate` result together with the state
+        of every table it reads (:func:`_store_state`), and a later call
+        with the same plan object reuses it while that state is
+        unchanged — until a write to one of those tables, a change of
+        its effective hash, or a repartition.  The entry is keyed by the
+        plan's identity, never by ``==``: two plans that differ in a
+        literal are different objects.  It hangs off the plan (its
+        annotation holds the plan's own nodes, often the plan itself, so
+        a memo the executor held would keep plans alive) and goes with
+        it, or with the executor, whichever is collected first.
 
         With ``analyze=True`` the run is traced and the result carries a
         :class:`~repro.obs.span.QueryTrace` (``result.explain_analyze()``
         renders it).
         """
         return self.execute_annotated(
-            self.annotate(plan), analyze=analyze, query_name=query_name
+            self._prepared(plan), analyze=analyze, query_name=query_name
         )
+
+    def _prepared(self, plan: PlanNode) -> Annotated:
+        """:meth:`annotate` of *plan*, reused while the store state it
+        was made in holds (see :meth:`execute`)."""
+        prepared = vars(plan).get(_PREPARED)
+        entry = None if prepared is None else prepared.get(self)
+        tables = referenced_tables(plan) if entry is None else entry[1]
+        state = _store_state(self.partitioned, tables)
+        if entry is not None and entry[2] == state:
+            return entry[0]
+        annotated = self.annotate(plan)
+        if prepared is None:
+            # Plan nodes are frozen; the memo is not one of their fields.
+            prepared = vars(plan).setdefault(_PREPARED, WeakKeyDictionary())
+        prepared[self] = (annotated, tables, state)
+        return annotated
 
     def execute_annotated(
         self,

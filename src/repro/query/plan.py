@@ -5,6 +5,11 @@ Plans are trees of immutable nodes.  The rewrite engine
 inserting re-partitioning and PREF-duplicate-elimination operators per
 paper Section 2.2; those physical operators live here too so both plan
 flavours share one representation.
+
+Nodes compare and hash by identity (``eq=False``).  A field-wise ``==``
+would be vacuous: an expression's ``==`` builds a (truthy)
+:class:`~repro.query.expressions.Comparison`, so two filters differing
+only in a literal would compare equal.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class JoinKind(enum.Enum):
     CROSS = "cross"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateSpec:
     """One aggregate function application.
 
@@ -76,7 +81,7 @@ class PlanNode:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scan(PlanNode):
     """Read a base table, optionally under an alias.
 
@@ -97,7 +102,7 @@ class Scan(PlanNode):
         return f"Scan({self.table}{alias})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filter(PlanNode):
     """Select rows satisfying a boolean expression."""
 
@@ -111,7 +116,7 @@ class Filter(PlanNode):
         return f"Filter({self.condition!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Project(PlanNode):
     """Compute output columns; optionally SQL-DISTINCT over them.
 
@@ -134,7 +139,7 @@ class Project(PlanNode):
         return f"{prefix}({names})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(PlanNode):
     """Join two inputs.
 
@@ -175,7 +180,7 @@ class Join(PlanNode):
         return f"Join[{self.kind.value}]({keys})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Aggregate(PlanNode):
     """Group-by aggregation (scalar aggregation when ``group_by`` is empty)."""
 
@@ -198,7 +203,7 @@ class Aggregate(PlanNode):
         return f"Aggregate(by=[{', '.join(self.group_by)}]; {aggs})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderBy(PlanNode):
     """Order (and optionally limit) the final result on the coordinator."""
 
@@ -218,7 +223,7 @@ class OrderBy(PlanNode):
 # --- physical-only operators (inserted by the rewriter) -----------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Repartition(PlanNode):
     """Shuffle rows by hash of *keys* into *count* partitions.
 
@@ -239,7 +244,7 @@ class Repartition(PlanNode):
         return f"Repartition(by=[{', '.join(self.keys)}], n={self.count}{dedup})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DedupFilter(PlanNode):
     """Locally drop PREF duplicates (rows whose governing dup bits != 0)."""
 
@@ -249,7 +254,7 @@ class DedupFilter(PlanNode):
         return (self.child,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartnerFilter(PlanNode):
     """Filter a PREF scan by its ``hasS`` bitmap (semi-/anti-join rewrite).
 
@@ -268,7 +273,7 @@ class PartnerFilter(PlanNode):
         return f"PartnerFilter({self.table}, hasS={int(self.expect)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BloomProbe(PlanNode):
     """Prune rows whose join keys cannot find a partner (predicate transfer).
 

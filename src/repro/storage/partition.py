@@ -37,6 +37,8 @@ keyed by ``("sorted", position)``) and whether it holds a NULL (keyed
 by ``("null", position)``).  The rule that keeps them right: every
 mutator drops the slot, and no reader mutates an entry — a build
 installs a new mapping and a probe, a shuffle or a filter only reads.
+Beside the slot, a write count (:attr:`Partition.writes`) tells a
+reader whether the stored rows changed since it last looked.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ class Partition:
 
     __slots__ = (
         "partition_id", "columns", "source_ids", "dup", "has_partner",
-        "key_index",
+        "key_index", "writes",
     )
 
     def __init__(self, partition_id: int, width: int) -> None:
@@ -230,6 +232,11 @@ class Partition:
         #: column holds a NULL (:meth:`holds_null`).  The whole slot is
         #: None after a write.
         self.key_index: dict[tuple, object] | None = None
+        #: Writes so far: every mutator adds one where it drops
+        #: :attr:`key_index`, so a reader that noted the count can tell
+        #: whether the stored rows changed since (the executor's prepared
+        #: plans do).
+        self.writes = 0
 
     # -- mutation ------------------------------------------------------------
 
@@ -257,6 +264,7 @@ class Partition:
                 f"{len(self.columns)} values"
             )
         self.key_index = None
+        self.writes += 1
         for column, column_values in zip(self.columns, values):
             column.extend(column_values)
         self.source_ids.extend(source_ids)
@@ -293,6 +301,7 @@ class Partition:
             )
         flags = _keep_flags(keep)
         self.key_index = None
+        self.writes += 1
         stored = [*self.columns, self.source_ids, self.dup, self.has_partner]
         # A dropped run starts at every 0 that opens the partition or
         # follows a 1.
@@ -316,6 +325,7 @@ class Partition:
                 f"expected {len(self.columns)}"
             )
         self.key_index = None
+        self.writes += 1
         for column, value in zip(self.columns, row):
             column[index] = value
 

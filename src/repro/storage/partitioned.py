@@ -63,6 +63,9 @@ class PartitionedTable:
         #: stored duplication was capped at the scheme's ``max_copies``.
         #: They are delivered by a residual shuffle at scan time.
         self.patches: dict[int, list[tuple[Row, int]]] = {}
+        #: Patch-list writes so far (:meth:`add_patch`,
+        #: :meth:`replace_patches`); each partition counts its own.
+        self.writes = 0
 
     @property
     def name(self) -> str:
@@ -89,6 +92,7 @@ class PartitionedTable:
         but its stored duplication is capped, so the copy is delivered by
         the residual shuffle instead of being stored."""
         self.patches.setdefault(partition_id, []).append((row, source_id))
+        self.writes += 1
 
     def patches_for(self, partition_id: int) -> list[tuple[Row, int]]:
         """Patch-list entries destined for *partition_id* (may be empty)."""
@@ -111,6 +115,7 @@ class PartitionedTable:
             for partition_id, entries in patches.items()
             if entries
         }
+        self.writes += 1
 
     @property
     def patch_count(self) -> int:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pickle
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_hashed_config, shop_schema
-from repro.engine.rows import ColumnBatch, _sort_key
+from repro.engine.rows import ColumnBatch, _sort_key, row_sort_key
 from repro.errors import ExecutionError
 from repro.partitioning import partition_database
 from repro.query import Executor, LocalExecutor, Query
@@ -217,3 +218,55 @@ def test_order_by_mixed_int_string_column():
     expected = [(value,) for value in sorted(mixed, key=_sort_key)]
     assert result.rows == expected
     assert LocalExecutor(database).execute(plan).rows == expected
+
+
+# -- row_sort_key: bare values where they order as _sort_key does -----------
+
+#: Per column, the values one draws from: homogeneous kinds (bare-value
+#: keys) beside mixes with NULL, NaN and strings (the _sort_key key).
+sort_columns = st.sampled_from(
+    [
+        st.integers(-3, 3),
+        st.one_of(st.integers(-3, 3), st.booleans(), st.sampled_from([-0.5, 1.0, 2.5])),
+        st.sampled_from(["", "a", "ab", "b", "B"]),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.one_of(st.integers(-3, 3), st.just(float("nan")), st.floats(-4, 4)),
+        st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2, 2),
+                  st.just(float("nan")), st.sampled_from(["a", "b"])),
+        st.one_of(st.integers(-2, 2), st.sampled_from(["a", "1"])),
+    ]
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_sort_key_orders_rows_as_sort_key_does(data):
+    kinds = data.draw(st.lists(sort_columns, min_size=1, max_size=3))
+    rows = data.draw(
+        st.lists(st.tuples(*kinds), max_size=30).map(
+            # The last field tells rows apart, so order is compared exactly.
+            lambda rows: [(*row, index) for index, row in enumerate(rows)]
+        )
+    )
+    keys = data.draw(
+        st.lists(st.tuples(st.integers(0, len(kinds) - 1), st.booleans()),
+                 min_size=1, max_size=3)
+    )
+    batch = ColumnBatch.from_rows(rows, len(kinds) + 1)
+    fast, reference = list(rows), list(rows)
+    for position, ascending in reversed(keys):
+        fast.sort(
+            key=row_sort_key(batch.column(position), position),
+            reverse=not ascending,
+        )
+        reference.sort(
+            key=lambda row: _sort_key(row[position]), reverse=not ascending
+        )
+    assert [row[-1] for row in fast] == [row[-1] for row in reference]
+
+
+def test_row_sort_key_takes_bare_values_only_where_safe():
+    for column in ([3, True, 2.5], ["b", "a"], []):
+        assert isinstance(row_sort_key(column, 0), itemgetter)
+    for column in ([1, None], [1.0, float("nan")], [1, "a"], [b"x"]):
+        assert not isinstance(row_sort_key(column, 0), itemgetter)

@@ -37,6 +37,7 @@ from helpers import (
 from repro.cluster import SimulatedCluster
 from repro.design import SchemaDrivenDesigner
 from repro.design.baselines import all_hashed
+from repro.engine import operators
 from repro.engine.context import ExecutionContext
 from repro.engine.rows import ColumnBatch
 from repro.partitioning import (
@@ -85,7 +86,10 @@ def _config() -> PartitioningConfig:
 
 
 @pytest.fixture
-def cluster():
+def cluster(monkeypatch):
+    # Its partitions hold 20 orders; the filter tests below read sorted
+    # columns at that size, under the row floor.
+    monkeypatch.setattr(operators, "SORTED_MIN_ROWS", 0)
     database = Database(shop_schema())
     database.load("customer", CUSTOMERS)
     database.load("orders", ORDERS)

@@ -198,14 +198,17 @@ def plan(condition, output, key=None):
 def answers(partitioned, query, share: float | None) -> tuple[str, int, set]:
     """``(repr of the rows, candidates examined, columns whose sorted
     entries were read)`` with the sorted-column path allowed up to
-    *share* of a partition (None: never, not even noting a column)."""
+    *share* of a partition of any size (None: never, not even noting a
+    column)."""
     executor = Executor(partitioned)
     if share is None:
         patch = mock.patch.object(
             PhysicalFilter, "_candidates", lambda self, stored, length: None
         )
     else:
-        patch = mock.patch.object(operators, "SORTED_SHARE", share)
+        patch = mock.patch.multiple(
+            operators, SORTED_SHARE=share, SORTED_MIN_ROWS=0
+        )
     with patch:
         result = executor.execute(query, analyze=True)
     spans = list(result.trace.spans())
@@ -282,14 +285,43 @@ def test_explain_analyze_names_the_column_and_its_candidates():
     partitioned = store("hashed", [(float(k), "x", None) for k in range(KEYS)])
     executor = Executor(partitioned)
     query = plan(col("t.a") < lit(4.0), ["a"])
-    cold = executor.execute(query, analyze=True)
-    assert "examined" not in render_analyze(cold.trace)
-    for _run in range(SORT_ON_CALL - 2):
-        executor.execute(query)
-    warm = executor.execute(query, analyze=True)
+    with mock.patch.object(operators, "SORTED_MIN_ROWS", 0):
+        cold = executor.execute(query, analyze=True)
+        assert "examined" not in render_analyze(cold.trace)
+        for _run in range(SORT_ON_CALL - 2):
+            executor.execute(query)
+        warm = executor.execute(query, analyze=True)
     assert "rows=40->4  examined=4  entry=t.a" in render_analyze(warm.trace)
     assert warm.trace.metrics.counter("engine.access.examined") == 4
     assert warm.trace.canonical() == cold.trace.canonical()
+
+
+def test_a_partition_below_the_row_floor_runs_the_full_kernel():
+    """Partitions of fewer than ``SORTED_MIN_ROWS`` rows never ask for a
+    sorted column, even where every other rule would read one."""
+    values = [(float(k % 7), "x", None) for k in range(KEYS)]
+    partitioned = store("hashed", values)
+    t = partitioned.table("t")
+    assert 0 < max(map(len, t.partitions)) < operators.SORTED_MIN_ROWS
+    query = plan(col("t.a") < lit(2.0), ["a", "b"])
+    full = answers(partitioned, query, None)[0]
+    asks = []
+    sorted_column = Partition.sorted_column
+
+    def counted(self, position):
+        asks.append(position)
+        return sorted_column(self, position)
+
+    with mock.patch.object(Partition, "sorted_column", counted):
+        for _run in range(SORT_ON_CALL + 1):
+            result = Executor(partitioned).execute(query, analyze=True)
+            assert repr(result.rows) == full
+            assert sum(span.examined for span in result.trace.spans()) == 0
+    assert asks == []
+    # With the floor at 0 the same store takes the sorted path.
+    for _run in range(SORT_ON_CALL):
+        rows, examined, _on = answers(partitioned, query, operators.SORTED_SHARE)
+    assert rows == full and examined > 0
 
 
 def test_a_column_with_no_order_is_marked_and_never_raises():
