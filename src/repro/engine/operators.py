@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import chain, compress, count
-from operator import and_, itemgetter, not_
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, itemgetter, le, not_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.bloom import TRANSFER_FPR, BloomFilter
@@ -72,7 +72,12 @@ from repro.query.expressions import and_ as conjunction
 from repro.query.plan import Aggregate, Join, JoinKind, OrderBy, Repartition
 from repro.query.relation import Method, RelProps
 from repro.query.rewrite import Annotated
-from repro.storage.partition import Partition, build_key_table, index_lists
+from repro.storage.partition import (
+    Partition,
+    build_key_table,
+    index_lists,
+    unique_key_table,
+)
 from repro.storage.partitioned import PartitionedTable
 
 #: A compiled batch kernel (see ``Expression.bind_batch``).
@@ -153,6 +158,16 @@ def _key_matches(
             right_idx.extend(matches)
         spans.append((start, len(right_idx)))
     return left_idx, right_idx, spans
+
+
+def _keys_may_repeat(table: PartitionedTable, positions: Sequence[int]) -> bool:
+    """Whether a partition of *table* may store two rows with one key
+    over the columns at *positions*, by the catalog alone: not when they
+    cover the primary key, since a partition never stores a tuple twice.
+    A wrong guess costs time, never an answer."""
+    names = table.schema.column_names
+    primary = {names.index(column) for column in table.schema.primary_key}
+    return bool(positions) and not (primary and primary.issubset(positions))
 
 
 class PhysicalOperator:
@@ -1023,6 +1038,15 @@ class PhysicalHashJoin(PhysicalOperator):
         self.pad = (
             _null_pad(right.props) if node.kind is JoinKind.LEFT_OUTER else None
         )
+        #: Whether a stored right input's first join since a write may
+        #: build the left input instead (:meth:`_equi_join`): an INNER
+        #: equi-join with no residual over a scan whose keys may repeat.
+        self.left_build = (
+            node.kind is JoinKind.INNER
+            and self.residual is None
+            and isinstance(right, PhysicalScan)
+            and _keys_may_repeat(right.table, self.right_positions)
+        )
         # Build-side caches, keyed by batch identity: broadcast probes
         # join every node's rows against the *same* shipped build batch,
         # so the hash table (or partner key set) is built once per query
@@ -1176,6 +1200,22 @@ class PhysicalHashJoin(PhysicalOperator):
         right_batch: ColumnBatch,
         stored: Partition | None,
     ) -> ColumnBatch:
+        if (
+            self.left_build
+            and stored is not None
+            and left_batch.length < right_batch.length
+            and not stored.asked_key_table(self.right_positions)
+        ):
+            # The first ask since a write would build a table whose keys
+            # repeat over the whole stored side: build the smaller left
+            # input instead when its keys are unique, and note the ask so
+            # that the next one builds the table and keeps it.
+            left_table = unique_key_table(
+                [left_batch.column(p) for p in self.left_positions]
+            )
+            if left_table is not None:
+                stored.note_key_table(self.right_positions)
+                return self._probe_stored(left_batch, left_table, right_batch)
         table, unique = self._table(right_batch, stored)
         residual = self.residual
         pad = self.pad
@@ -1234,6 +1274,28 @@ class PhysicalHashJoin(PhysicalOperator):
                 final_right.append(-1)
         left_out = left_batch.prune(self.left_out).take(final_left)
         return self._emit(left_out, right_batch, final_right)
+
+    def _probe_stored(
+        self, left_batch: ColumnBatch, table: dict, right_batch: ColumnBatch
+    ) -> ColumnBatch:
+        """The INNER join by *table*, the unique build of the left keys:
+        one C-level map probes the stored right keys, and the matched
+        pairs, found in right-row order, are put back in the join's
+        order — left row, then its right rows ascending.  A NULL-bearing
+        right key misses for free: the table holds no NULLs."""
+        keys = right_batch.key_values(self.right_positions)
+        right_idx = list(compress(range(len(keys)), map(table.__contains__, keys)))
+        left_idx = list(map(table.__getitem__, map(keys.__getitem__, right_idx)))
+        if not all(map(le, left_idx, islice(left_idx, 1, None))):
+            groups = index_lists(left_idx, left_batch.length)
+            right_idx = list(
+                map(right_idx.__getitem__, chain.from_iterable(groups))
+            )
+            left_idx = list(
+                chain.from_iterable(map(repeat, count(), map(len, groups)))
+            )
+        left_out = left_batch.prune(self.left_out).take(left_idx)
+        return self._emit(left_out, right_batch, right_idx)
 
     def _semi_anti(
         self,

@@ -35,8 +35,10 @@ positions and the target count), and per column read by a filter the
 rows of its non-NULL values in sorted order (:func:`build_sorted_column`,
 keyed by ``("sorted", position)``) and whether it holds a NULL (keyed
 by ``("null", position)``).  The rule that keeps them right: every
-mutator drops the slot, and no reader mutates an entry — a build
-installs a new mapping and a probe, a shuffle or a filter only reads.
+mutator drops every entry but the NULL flags, which it updates exactly
+(a flag it cannot vouch for goes too), and no reader mutates an entry —
+a build installs a new mapping and a probe, a shuffle or a filter only
+reads.
 Beside the slot, a write count (:attr:`Partition.writes`) tells a
 reader whether the stored rows changed since it last looked.
 """
@@ -170,15 +172,7 @@ def build_key_table(
     (no int object or collectable list per row, at about twice the build
     time of the lists).
     """
-    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
-    rows: Sequence[int] = range(len(keys))
-    if any(None in column for column in columns):
-        if len(columns) == 1:
-            valid = list(map(is_not, keys, repeat(None)))
-        else:
-            valid = [None not in key for key in keys]
-        rows = list(compress(rows, valid))
-        keys = list(compress(keys, valid))
+    keys, rows = _null_free_keys(columns)
     if try_unique:
         table = dict(zip(keys, rows))
         if len(table) == len(keys):
@@ -189,6 +183,30 @@ def build_key_table(
     for index, key in zip(rows, keys):
         lists[key].append(index)
     return lists, False
+
+
+def unique_key_table(columns: Sequence[list]) -> dict | None:
+    """:func:`build_key_table`'s optimistic build alone: the table of
+    the key *columns* when no NULL-free key repeats (key -> its one row
+    index), else None."""
+    keys, rows = _null_free_keys(columns)
+    table = dict(zip(keys, rows))
+    return table if len(table) == len(keys) else None
+
+
+def _null_free_keys(columns: Sequence[list]) -> tuple[Sequence, Sequence[int]]:
+    """The keys of the key *columns* (as :func:`row_key`) that hold no
+    NULL, and the rows they belong to, ascending: ``(keys, rows)``."""
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    rows: Sequence[int] = range(len(keys))
+    if any(None in column for column in columns):
+        if len(columns) == 1:
+            valid = list(map(is_not, keys, repeat(None)))
+        else:
+            valid = [None not in key for key in keys]
+        rows = list(compress(rows, valid))
+        keys = list(compress(keys, valid))
+    return keys, rows
 
 
 def _compact_groups(pairs: Iterable[tuple[int, object]]) -> tuple[dict, bool]:
@@ -229,11 +247,11 @@ class Partition:
         #: buckets (:meth:`buckets`); ("sorted", position) -> the column's
         #: rows in order of value, or the calls so far that asked for them
         #: (:meth:`sorted_column`); ("null", position) -> whether the
-        #: column holds a NULL (:meth:`holds_null`).  The whole slot is
-        #: None after a write.
+        #: column holds a NULL (:meth:`holds_null`).  A write keeps only
+        #: the NULL flags, updated (the slot is None when none is left).
         self.key_index: dict[tuple, object] | None = None
         #: Writes so far: every mutator adds one where it drops
-        #: :attr:`key_index`, so a reader that noted the count can tell
+        #: :attr:`key_index`'s entries, so a reader that noted the count can tell
         #: whether the stored rows changed since (the executor's prepared
         #: plans do).
         self.writes = 0
@@ -263,7 +281,8 @@ class Partition:
                 f"partition {self.partition_id}: rows do not all have "
                 f"{len(self.columns)} values"
             )
-        self.key_index = None
+        if self.key_index is not None:
+            self._keep_null_flags(lambda position: None in values[position], False)
         self.writes += 1
         for column, column_values in zip(self.columns, values):
             column.extend(column_values)
@@ -300,7 +319,8 @@ class Partition:
                 f"entries cannot filter {len(self.source_ids)} rows"
             )
         flags = _keep_flags(keep)
-        self.key_index = None
+        if self.key_index is not None:
+            self._keep_null_flags(lambda position: False, True)
         self.writes += 1
         stored = [*self.columns, self.source_ids, self.dup, self.has_partner]
         # A dropped run starts at every 0 that opens the partition or
@@ -324,10 +344,29 @@ class Partition:
                 f"partition {self.partition_id}: row has {len(row)} values, "
                 f"expected {len(self.columns)}"
             )
-        self.key_index = None
+        if self.key_index is not None:
+            self._keep_null_flags(lambda position: row[position] is None, True)
         self.writes += 1
         for column, value in zip(self.columns, row):
             column[index] = value
+
+    def _keep_null_flags(
+        self, stores_null: Callable[[int], bool], removes: bool
+    ) -> None:
+        """What every mutator does to :attr:`key_index` before it writes:
+        drop every entry but the NULL flags, which stay exact.  A flag
+        turns True where the write stores a NULL in its column
+        (``stores_null(position)``); else a True flag goes when the write
+        *removes* stored values (a drop, an overwrite), which may have
+        held the column's last NULL, and a False one stays."""
+        kept = {}
+        for entry, flag in self.key_index.items():
+            if entry[0] == "null":
+                if stores_null(entry[1]):
+                    kept[entry] = True
+                elif not (flag and removes):
+                    kept[entry] = flag
+        self.key_index = kept or None
 
     # -- reading -------------------------------------------------------------
 
@@ -365,9 +404,10 @@ class Partition:
     ) -> tuple[dict, bool]:
         """:func:`build_key_table` over the columns at *positions*.
 
-        From the second build since the last write on, a table in which
-        some key repeats is built compact and kept in :attr:`key_index`
-        until the next write.  A unique one is a single C-level call to
+        From the second build since the last write on (or the first
+        after a :meth:`note_key_table`), a table in which some key
+        repeats is built compact and kept in :attr:`key_index` until the
+        next write.  A unique one is a single C-level call to
         rebuild and is not worth its memory, so it is built per call.
 
         Concurrent readers race benignly: their builds are identical and
@@ -393,6 +433,21 @@ class Partition:
             # holding the previous mapping still sees a consistent one.
             self.key_index = {**index, positions: table if compact else None}
         return table, unique
+
+    def asked_key_table(self, positions: tuple[int, ...]) -> bool:
+        """Whether a join asked for the table over the columns at
+        *positions* since the last write: :meth:`key_table` kept or noted
+        one, or :meth:`note_key_table` noted the ask."""
+        return positions in (self.key_index or ())
+
+    def note_key_table(self, positions: tuple[int, ...]) -> None:
+        """Note an ask for the table over the columns at *positions* that
+        a join answered without it, by building its other input: the next
+        :meth:`key_table` call builds the compact table and keeps it, as
+        after a first build here."""
+        index = self.key_index or {}
+        if positions not in index:
+            self.key_index = {**index, positions: None}
 
     def buckets(
         self, positions: tuple[int, ...], count: int, route: KeyMemo
@@ -439,8 +494,8 @@ class Partition:
 
     def holds_null(self, position: int) -> bool:
         """Whether the column at *position* holds a NULL: one scan of it
-        on the first call since the last write, kept in
-        :attr:`key_index` until the next one."""
+        on the first call, kept in :attr:`key_index` and updated by each
+        write (which may drop it, see :meth:`_keep_null_flags`)."""
         index = self.key_index or {}
         entry = ("null", position)
         flag = index.get(entry)

@@ -10,10 +10,12 @@ driven here as query, write, query: the answer must equal
 hold no index.  A meta-test shows that check has teeth, a property pins
 the index's shape against a naive grouping, and the TPC-H sweep shows
 that probing kept indexes changes nothing: warm runs give the cold runs'
-rows and canonical stats on every backend.  The sorted columns and NULL
-flags a filter keeps in the same slot are held to the same rule: every
-mutator drops them, and the invariant checker catches a mutator that
-does not, a hand-corrupted entry and an entry of no known kind.
+rows and canonical stats on every backend, also on a store written
+since its last reads.  The sorted columns a filter keeps in the same
+slot are held to the same rule: every mutator drops them, and the
+invariant checker catches a mutator that does not, a hand-corrupted
+entry and an entry of no known kind.  The filter's NULL flags outlive
+a write, and each mutator keeps them equal to a fresh scan.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from repro.partitioning import (
     check_pref_invariants,
     partition_database,
 )
+from repro.partitioning.bulk_loader import BulkLoader
+from repro.partitioning.invariants import check_key_index
 from repro.query import Executor, Query
 from repro.query.expressions import and_, col, lit
 from repro.query.local_executor import LocalExecutor
@@ -257,10 +261,58 @@ def _keep_sorted_columns(cluster) -> Partition:
 def test_every_mutator_drops_the_sorted_columns(cluster, mutator):
     partition = _keep_sorted_columns(cluster)
     MUTATORS[mutator](cluster)
-    assert partition.key_index is None
+    # Every entry goes but the NULL flags, which the write keeps exact.
+    assert set(partition.key_index) == {("null", 1), ("null", 2)}
+    check_key_index(cluster.partitioned)
     for _run in range(SORT_ON_CALL + 1):
         assert_same_rows(cluster.run(FILTER).rows, _oracle(cluster, FILTER))
     check_pref_invariants(cluster.partitioned, cluster.config)
+
+
+def _null_total(partition: Partition) -> None:
+    """Give the partition a NULL total: a new order of a customer it
+    serves."""
+    partition.extend(
+        [(5000, partition.columns[1][0], None)], [5000], [0], [1]
+    )
+
+
+def _drop_null_totals(partition: Partition) -> None:
+    partition.compress([total is not None for total in partition.columns[2]])
+
+
+def _null_over_total(partition: Partition) -> None:
+    orderkey, custkey, _total = partition.row(0)
+    partition.set_row(0, (orderkey, custkey, None))
+
+
+#: Mutator -> (write before the filter runs, the write under test, the
+#: total's NULL flag after it, None where the write drops it): each
+#: write changes the flag a stale copy would keep.
+NULL_WRITES = {
+    "extend": (None, _null_total, True),
+    "compress": (_null_total, _drop_null_totals, None),
+    "set_row": (None, _null_over_total, True),
+}
+
+
+@pytest.mark.parametrize("mutator", list(NULL_WRITES))
+def test_every_mutator_keeps_the_null_flags_exact(cluster, mutator):
+    """A write keeps the NULL flags a filter read, each equal to a fresh
+    scan of its column; a stale flag fails the checker (and a False one
+    over a NULL sends the filter's kernel into a comparison with None)."""
+    before, write, flag = NULL_WRITES[mutator]
+    partition = _orders_partition(cluster)
+    if before is not None:
+        before(partition)
+    assert_same_rows(cluster.run(FILTER).rows, _oracle(cluster, FILTER))
+    assert ("null", 2) in partition.key_index
+    write(partition)
+    flags = {("null", 1): False, ("null", 2): flag}
+    assert partition.key_index == {e: f for e, f in flags.items() if f is not None}
+    check_key_index(cluster.partitioned)
+    assert partition.holds_null(2) is (None in partition.columns[2])
+    assert_same_rows(cluster.run(FILTER).rows, _oracle(cluster, FILTER))
 
 
 @pytest.mark.parametrize("mutator", list(MUTATORS))
@@ -498,20 +550,40 @@ def tpch_configs(tiny_tpch):
         "sd_pref": pref,
         "all_hashed": all_hashed(tiny_tpch, 4),
         "patched_pref": patch_pref_leaves(pref, tiny_tpch.schema),
+        "written_pref": pref,
     }
 
 
-@pytest.mark.parametrize("config", ["sd_pref", "all_hashed", "patched_pref"])
+def _insert_and_delete(database, partitioned, config, executor, plans) -> None:
+    """The written store: every plan once (its partitions note their
+    tables and keep their NULL flags), then new lineitems of existing
+    orders are inserted and every seventh order's lineitems deleted."""
+    for plan in plans:
+        executor.execute(plan)
+    loader = BulkLoader(partitioned, config)
+    lines = database.table("lineitem").rows[::40]
+    loader.insert("lineitem", [(o, n + 100, *rest) for o, n, *rest in lines])
+    assert loader.delete("lineitem", lambda row: row[0] % 7 == 0)
+
+
+@pytest.mark.parametrize(
+    "config", ["sd_pref", "all_hashed", "patched_pref", "written_pref"]
+)
 def test_warm_runs_equal_cold_runs(tiny_tpch, tpch_configs, config):
     """The 22 plans run three times — cold (per-query tables), keeping
     (compact builds) and warm (kept indexes) — on a fresh store per
-    backend: every run of every backend gives the same rows and stats."""
+    backend: every run of every backend gives the same rows and stats.
+    On the written store the cold run is the first ask since a write."""
     plans = [build() for build in ALL_QUERIES.values()]
     reference = None
     for backend in BACKENDS:
         partitioned = partition_database(tiny_tpch, tpch_configs[config])
         executor = Executor(partitioned, backend=BACKENDS[backend]())
         try:
+            if config == "written_pref":
+                _insert_and_delete(
+                    tiny_tpch, partitioned, tpch_configs[config], executor, plans
+                )
             for _run in range(3):
                 results = [executor.execute(plan) for plan in plans]
                 outcome = [

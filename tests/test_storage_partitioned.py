@@ -34,8 +34,8 @@ class TestPartition:
 
     def test_stores_exactly_five_fields(self):
         """Columns are the stored form: five stored fields, one derived
-        index, which starts (and after every write is) absent, and a
-        count of the writes."""
+        index, which starts absent (and a write keeps at most its NULL
+        flags), and a count of the writes."""
         partition = make_table().partitions[0]
         assert partition.__slots__ == (
             "partition_id", "columns", "source_ids", "dup", "has_partner",
